@@ -11,7 +11,6 @@ condition; verify_monotone and closeness turn recorded arcs into verdicts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,12 +20,6 @@ from .circle import TWO_PI, _as_phase_batch, shortest_arc_length, splay_arc_leng
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import HybridArc
-
-#: n! permutations are enumerated for the Euclidean splay distances; above
-#: this size the factorial cost is refused rather than silently paid.
-MAX_ENUM_N = 8
-
-_PERM_CACHE: dict[int, np.ndarray] = {}
 
 
 def lyapunov(x):
@@ -42,37 +35,24 @@ def lyapunov(x):
     return float(v[0]) if single else v
 
 
-def _permuted_offsets(n: int) -> np.ndarray:
-    if n > MAX_ENUM_N:
-        raise ValueError(
-            f"splay distances enumerate n! permutations and are capped at n={MAX_ENUM_N}, got {n}"
-        )
-    mat = _PERM_CACHE.get(n)
-    if mat is None:
-        base = np.arange(n) * (TWO_PI / n)
-        mat = np.asarray(list(itertools.permutations(base)), dtype=float)
-        _PERM_CACHE[n] = mat
-    return mat
-
-
 def _splay_line_distance(arr: np.ndarray, clamp: bool) -> np.ndarray:
     """Min over permutations sigma of the distance from each row of arr to
     {a * 1 + v_sigma}, with a free (clamp=False) or restricted so the
-    splay point stays inside the box (clamp=True)."""
+    splay point stays inside the box (clamp=True).
+
+    For any fixed a, |x - a * 1 - v_sigma|^2 is smallest when sigma pairs
+    the sorted phases with the ascending offsets 2*pi*k/n (rearrangement
+    inequality), so no permutation needs enumerating: the residual of the
+    sorted row against those offsets, minus its (clamped) mean, is the
+    optimum for every a at once.  O(n log n) per row.
+    """
     n = arr.shape[1]
-    offsets = _permuted_offsets(n)
-    hi = TWO_PI - offsets.max()  # largest offset is 2*pi*(n-1)/n, so hi = 2*pi/n
-    out = np.empty(arr.shape[0])
-    # diff has shape (chunk, n!, n); chunk keeps the intermediate small for n near the cap
-    chunk = max(1, int(2e7 / (offsets.shape[0] * n)))
-    for start in range(0, arr.shape[0], chunk):
-        diff = arr[start:start + chunk, None, :] - offsets[None, :, :]
-        a = diff.mean(axis=2)
-        if clamp:
-            a = np.clip(a, 0.0, hi)
-        resid = diff - a[:, :, None]
-        out[start:start + chunk] = np.sqrt(np.sum(resid * resid, axis=2)).min(axis=1)
-    return out
+    diff = np.sort(arr, axis=1) - np.arange(n) * (TWO_PI / n)
+    a = diff.mean(axis=1)
+    if clamp:
+        a = np.clip(a, 0.0, TWO_PI / n)
+    resid = diff - a[:, None]
+    return np.sqrt(np.sum(resid * resid, axis=1))
 
 
 def distance_to_splay(x):
@@ -141,13 +121,21 @@ class MonotoneVerdict:
 
 def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
     """Check V's flow-constancy and jump-monotonicity over a recorded arc."""
-    values = lyapunov(arc.states) if len(arc.states) else np.empty(0)
+    from .sim import POST_JUMP, PRE_JUMP  # sim imports this module
+
+    values = lyapunov(arc.states)
+    deltas = np.empty(0)
     if arc.events:
-        deltas = np.asarray(
-            [lyapunov(e.post) - lyapunov(e.pre) for e in arc.events], dtype=float
-        )
-    else:
-        deltas = np.empty(0)
+        # every event is recorded as one pre-jump and one post-jump sample,
+        # so the deltas are read off the per-sample values
+        pre = np.flatnonzero(arc.kinds == PRE_JUMP)
+        post = np.flatnonzero(arc.kinds == POST_JUMP)
+        if not pre.size == post.size == len(arc.events):
+            raise ValueError(
+                f"arc has {len(arc.events)} events but {pre.size} pre-jump and "
+                f"{post.size} post-jump samples"
+            )
+        deltas = values[post] - values[pre]
 
     oscillations = []
     for _, _, j in arc.intervals:

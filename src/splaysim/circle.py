@@ -65,14 +65,18 @@ class GapProfile:
     gaps: np.ndarray
 
 
+def _circular_gaps(srt: np.ndarray) -> np.ndarray:
+    """Gap after each phase of a row-sorted (m, n) batch, wrap-around last."""
+    gaps = np.empty_like(srt)
+    gaps[:, :-1] = np.diff(srt, axis=1)
+    gaps[:, -1] = TWO_PI - srt[:, -1] + srt[:, 0]
+    return gaps
+
+
 def gap_profile(x) -> GapProfile:
     """Sorted phases of x together with the circular gaps between neighbours."""
-    arr = as_phases(x)
-    srt = np.sort(arr)
-    gaps = np.empty_like(srt)
-    gaps[:-1] = np.diff(srt)
-    gaps[-1] = TWO_PI - srt[-1] + srt[0]
-    return GapProfile(sorted=srt, gaps=gaps)
+    srt = np.sort(as_phases(x))
+    return GapProfile(sorted=srt, gaps=_circular_gaps(srt[None, :])[0])
 
 
 def shortest_arc_length(x):
@@ -106,14 +110,18 @@ def shortest_arc_oracle(x):
     return float(gamma[0]) if single else gamma
 
 
-def min_pairwise_geodesic(x) -> float:
+def min_pairwise_geodesic(x):
     """Smallest geodesic distance between any two phases of x.
 
     The closest pair is circularly adjacent, so only sorted neighbours need
     checking; each adjacent pair is geodesically min(gap, 2*pi - gap) apart.
+    Accepts a single vector or a batch of shape (m, n); returns a float or
+    an array of m floats accordingly.
     """
-    prof = gap_profile(x)
-    return float(np.min(np.minimum(prof.gaps, TWO_PI - prof.gaps)))
+    arr, single = _as_phase_batch(x)
+    gaps = _circular_gaps(np.sort(arr, axis=1))
+    d = np.min(np.minimum(gaps, TWO_PI - gaps), axis=1)
+    return float(d[0]) if single else d
 
 
 def splay_arc_length(n: int) -> float:

@@ -8,6 +8,7 @@ configuration error.  Numbers are printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,6 +43,9 @@ _CONFIG_KEYS = {
     "sample_dt", "perturbation",
 }
 _PERTURBATION_KEYS = {"kind", "amplitude", "frequency", "offsets"}
+#: run parameters the config and flags leave unset take SimConfig's defaults
+_SIM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)
+                 if f.default is not dataclasses.MISSING}
 
 
 class ConfigError(ValueError):
@@ -138,10 +142,10 @@ def _build_sim_config(args) -> SimConfig:
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
 
-    def pick(flag_value, key, default):
+    def pick(flag_value, key):
         if flag_value is not None:
             return flag_value
-        return data.get(key, default)
+        return data.get(key, _SIM_DEFAULTS[key])
 
     pert = _build_perturbation(data.get("perturbation"), args, n)
     try:
@@ -149,17 +153,17 @@ def _build_sim_config(args) -> SimConfig:
             prc=prc,
             x0=x0,
             n=n,
-            omega=float(pick(args.omega, "omega", 1.0)),
+            omega=float(pick(args.omega, "omega")),
             perturbation=pert,
-            horizon=float(pick(args.horizon, "horizon", 80.0)),
-            max_jumps=int(pick(args.max_jumps, "max_jumps", 100_000)),
-            firing_tol=float(pick(args.firing_tol, "firing_tol", 1e-9)),
-            min_dwell=float(pick(args.min_dwell, "min_dwell", 1e-9)),
-            stop_v_threshold=pick(args.stop_v, "stop_v_threshold", 1e-6),
-            stop_splay_tol=pick(None, "stop_splay_tol", None),
-            policy=pick(args.policy, "policy", "all-zero"),
-            seed=pick(args.seed, "seed", 0),
-            sample_dt=float(pick(args.sample_dt, "sample_dt", 0.01)),
+            horizon=float(pick(args.horizon, "horizon")),
+            max_jumps=int(pick(args.max_jumps, "max_jumps")),
+            firing_tol=float(pick(args.firing_tol, "firing_tol")),
+            min_dwell=float(pick(args.min_dwell, "min_dwell")),
+            stop_v_threshold=pick(args.stop_v, "stop_v_threshold"),
+            stop_splay_tol=pick(None, "stop_splay_tol"),
+            policy=pick(args.policy, "policy"),
+            seed=pick(args.seed, "seed"),
+            sample_dt=float(pick(args.sample_dt, "sample_dt")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -271,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("config", nargs="?", help=f"JSON config ({CONFIG_SCHEMA}); "
                      "inline flags override its values")
     sim.add_argument("--n", type=int, help="network size (default: length of x0)")
-    sim.add_argument("--omega", type=float, help="nominal rate (default 1.0)")
+    sim.add_argument("--omega", type=float,
+                     help=f"nominal rate (default {_SIM_DEFAULTS['omega']:g})")
     sim.add_argument("--prc", help="response selector: paper | linear:<c> | "
                      "table:<path> | broken:<name>")
     sim.add_argument("--x0", help="comma-separated start phases in [0, 2*pi]")
-    sim.add_argument("--horizon", type=float, help="flow-time horizon (default 80)")
+    sim.add_argument("--horizon", type=float,
+                     help=f"flow-time horizon (default {_SIM_DEFAULTS['horizon']:g})")
     sim.add_argument("--max-jumps", type=int, dest="max_jumps")
     sim.add_argument("--firing-tol", type=float, dest="firing_tol")
     sim.add_argument("--min-dwell", type=float, dest="min_dwell")

@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .circle import TWO_PI, min_pairwise_geodesic, shortest_arc_length, shortest_arc_oracle
+from .circle import (
+    TWO_PI,
+    _circular_gaps,
+    min_pairwise_geodesic,
+    shortest_arc_length,
+    shortest_arc_oracle,
+)
 from .model import in_bad_set, in_splay_set, validate_prc
 from .prc import broken_step, broken_steep, broken_zero, paper_prc
 from .sim import Perturbation, SimConfig, run, write_events_csv, write_trajectory_csv
@@ -280,12 +286,12 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
         arc = run(corpus_run_config(n, x0, run_seed, horizon))
         verdict = analysis.verify_monotone(arc, tol=1e-9)
         terminal_v = analysis.lyapunov(arc.final_state)
-        geo = [min_pairwise_geodesic(e.post) for e in arc.events]
-        geo += [min_pairwise_geodesic(e.pre) for e in arc.events]
+        min_geo = float("nan")
         vt_up = 0
         if arc.events:
             pre = np.stack([e.pre for e in arc.events])
             post = np.stack([e.post for e in arc.events])
+            min_geo = float(min_pairwise_geodesic(np.concatenate([post, pre])).min())
             vt_up = int(np.count_nonzero(analysis.vtilde(post) - analysis.vtilde(pre) > 1e-9))
         records.append(RunRecord(
             index=i,
@@ -298,7 +304,7 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
             terminal_v=float(terminal_v),
             converged=bool(terminal_v < 1e-6),
             monotone_passed=verdict.passed,
-            min_jump_geodesic=float(min(geo)) if geo else float("nan"),
+            min_jump_geodesic=min_geo,
             min_dwell=arc.min_dwell_after_first(),
             vtilde_increase_jumps=vt_up,
         ))
@@ -418,10 +424,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
 def _splay_deviation(xs: np.ndarray) -> np.ndarray:
     """Max deviation of the adjacent geodesic gaps from 2*pi/n, per row."""
     n = xs.shape[1]
-    srt = np.sort(xs, axis=1)
-    gaps = np.empty_like(srt)
-    gaps[:, :-1] = np.diff(srt, axis=1)
-    gaps[:, -1] = TWO_PI - srt[:, -1] + srt[:, 0]
+    gaps = _circular_gaps(np.sort(xs, axis=1))
     adjacent = np.minimum(gaps, TWO_PI - gaps)
     return np.abs(adjacent - TWO_PI / n).max(axis=1)
 

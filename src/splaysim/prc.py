@@ -11,6 +11,7 @@ breakpoint table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,15 @@ def piecewise_linear(n: int, c: float, name: str | None = None) -> PhaseResponse
     return PhaseResponse(name=name or f"linear:{c:g}", func=q, n=n)
 
 
+@functools.lru_cache(maxsize=256)
 def linear_family(n: int, c: float, grid: int = 100_000) -> PhaseResponse:
-    """Validated piecewise-linear response; requires 0 < c < 1 strictly."""
+    """Validated piecewise-linear response; requires 0 < c < 1 strictly.
+
+    Validation samples the response on `grid` points, which costs more
+    than a short run, so results are cached on the arguments (the last 256
+    distinct calls): a repeated (n, c, grid) is validated once per process.
+    The returned descriptor is frozen and shared between callers.
+    """
     if not 0.0 < c < 1.0:
         raise ValueError(f"slope parameter must satisfy 0 < c < 1, got {c!r}")
     prc = piecewise_linear(n, c)

@@ -197,7 +197,9 @@ class SimConfig:
 class JumpEvent:
     """One firing: the pre state at jump index j maps to the post state at
     j + 1.  firers are the coordinates at 2*pi; branch records how the
-    set-valued cases were resolved."""
+    set-valued cases were resolved.  pre and post are the simulator's own
+    state arrays, not copies (one can be the next event's pre when a state
+    fires again at once); treat them as read-only."""
 
     t: float
     j: int
@@ -256,21 +258,35 @@ class HybridArc:
 
 
 class _Recorder:
+    """Samples in hybrid-time order.
+
+    A flow segment's samples are kept as one (k, n) block and each jump's
+    pre and post states as one row each; ts, js and kinds stay Python
+    lists.  The state rows are concatenated once, in states().
+    """
+
     def __init__(self):
         self.ts: list[float] = []
         self.js: list[int] = []
-        self.states: list[np.ndarray] = []
         self.kinds: list[str] = []
+        self._states: list[np.ndarray] = []
 
     def add(self, t: float, j: int, x: np.ndarray, kind: str) -> None:
+        """Record one state; x is kept by reference, callers never mutate it."""
         self.ts.append(float(t))
         self.js.append(int(j))
-        self.states.append(np.asarray(x, dtype=float).copy())
         self.kinds.append(kind)
+        self._states.append(x)
 
     def extend_flow(self, ts: np.ndarray, j: int, xs: np.ndarray) -> None:
-        for t, x in zip(ts, xs):
-            self.add(t, j, x, FLOW)
+        k = len(ts)
+        self.ts.extend(ts.tolist())
+        self.js.extend([j] * k)
+        self.kinds.extend([FLOW] * k)
+        self._states.append(xs)
+
+    def states(self, n: int) -> np.ndarray:
+        return np.vstack(self._states) if self._states else np.empty((0, n))
 
 
 class _NominalFlow:
@@ -492,13 +508,12 @@ def run(config: SimConfig) -> HybridArc:
             branches = jump_map(x, config.prc, config.policy, config.firing_tol)
             branch = branches[0] if len(branches) == 1 else branches[int(rng.integers(len(branches)))]
             rec.add(t, j, x, PRE_JUMP)
-            events.append(JumpEvent(t, j, branch.firers, branch.branch,
-                                    x.copy(), branch.post.copy()))
+            events.append(JumpEvent(t, j, branch.firers, branch.branch, x, branch.post))
             intervals.append((seg_start, t, j))
             last_jump_t = t
             seg_start = t
             j += 1
-            x = branch.post.copy()
+            x = branch.post
             rec.add(t, j, x, POST_JUMP)
 
             hit = False
@@ -535,7 +550,7 @@ def run(config: SimConfig) -> HybridArc:
     return HybridArc(
         ts=np.asarray(rec.ts),
         js=np.asarray(rec.js, dtype=int),
-        states=np.asarray(rec.states) if rec.states else np.empty((0, config.n)),
+        states=rec.states(config.n),
         kinds=np.asarray(rec.kinds),
         events=events,
         intervals=intervals,
@@ -550,29 +565,23 @@ def run(config: SimConfig) -> HybridArc:
 # Trajectory schema: t,j,x_1..x_n,V,Vtilde,event   (event in flow|pre-jump|post-jump)
 # Events schema:     t,j,firers,branch,pre_1..pre_n,post_1..post_n
 #
-# Floats are written with repr so rereading reproduces them bit for bit and
-# rerunning the same configuration reproduces the file byte for byte.
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+# Floats are written with repr (of the Python floats that tolist() yields)
+# so rereading reproduces them bit for bit and rerunning the same
+# configuration reproduces the file byte for byte.
 
 
 def write_trajectory_csv(arc: HybridArc, path) -> None:
-    """Write the sampled arc; Vtilde is nan when n is past the factorial cap."""
+    """Write the sampled arc with V and Vtilde per sample, one row each."""
     n = arc.n
-    v = analysis.lyapunov(arc.states) if len(arc.ts) else np.empty(0)
-    if n <= analysis.MAX_ENUM_N:
-        vt = analysis.vtilde(arc.states) if len(arc.ts) else np.empty(0)
-    else:
-        vt = np.full(len(arc.ts), np.nan)
+    v = analysis.lyapunov(arc.states).tolist()
+    vt = analysis.vtilde(arc.states).tolist()
     header = "t,j," + ",".join(f"x_{i + 1}" for i in range(n)) + ",V,Vtilde,event"
     lines = [header]
-    for i in range(len(arc.ts)):
-        coords = ",".join(_fmt(c) for c in arc.states[i])
-        lines.append(
-            f"{_fmt(arc.ts[i])},{int(arc.js[i])},{coords},{_fmt(v[i])},{_fmt(vt[i])},{arc.kinds[i]}"
-        )
+    lines.extend(
+        f"{t!r},{j},{','.join(map(repr, x))},{vi!r},{vti!r},{kind}"
+        for t, j, x, vi, vti, kind in zip(arc.ts.tolist(), arc.js.tolist(),
+                                          arc.states.tolist(), v, vt, arc.kinds.tolist())
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -582,11 +591,11 @@ def write_events_csv(arc: HybridArc, path) -> None:
               + ",".join(f"pre_{i + 1}" for i in range(n)) + ","
               + ",".join(f"post_{i + 1}" for i in range(n)))
     lines = [header]
-    for e in arc.events:
-        pre = ",".join(_fmt(c) for c in e.pre)
-        post = ",".join(_fmt(c) for c in e.post)
-        firers = ";".join(str(i) for i in e.firers)
-        lines.append(f"{_fmt(e.t)},{e.j},{firers},{e.branch},{pre},{post}")
+    lines.extend(
+        f"{float(e.t)!r},{e.j},{';'.join(map(str, e.firers))},{e.branch},"
+        f"{','.join(map(repr, e.pre.tolist()))},{','.join(map(repr, e.post.tolist()))}"
+        for e in arc.events
+    )
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,6 +1,7 @@
 """Lyapunov functionals, monotonicity verdicts, and hybrid closeness."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splaysim.analysis import (
-    MAX_ENUM_N,
     closeness,
     distance_to_splay,
     lyapunov,
@@ -101,12 +101,46 @@ def test_distance_to_splay_agrees_with_membership(x):
         assert d > 1e-9
 
 
-def test_distance_enumeration_cap():
-    x = np.linspace(0.0, 5.0, MAX_ENUM_N + 1)
-    with pytest.raises(ValueError):
-        vtilde(x)
-    with pytest.raises(ValueError):
-        distance_to_splay(x)
+def splay_line_oracle(xs, clamp, chunk=64):
+    """Distance to the splay lines by direct enumeration of all n!
+    permutations of the offsets, with the offset parameter a the (clamped)
+    mean of x - v_sigma.  Factorial in n; an independent cross-check for
+    the sort-based vtilde and distance_to_splay."""
+    n = xs.shape[1]
+    offsets = np.asarray(list(itertools.permutations(np.arange(n) * (TWO_PI / n))))
+    out = np.empty(xs.shape[0])
+    for start in range(0, xs.shape[0], chunk):
+        diff = xs[start:start + chunk, None, :] - offsets[None, :, :]
+        a = diff.mean(axis=2)
+        if clamp:
+            a = np.clip(a, 0.0, TWO_PI / n)
+        resid = diff - a[:, :, None]
+        out[start:start + chunk] = np.sqrt(np.sum(resid * resid, axis=2)).min(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_splay_distances_match_the_enumeration_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    xs = rng.uniform(0.0, TWO_PI, size=(1000, n))
+    # near-splay rows put the optimal offset at and beyond the clamp bounds
+    near = (np.arange(n) * TWO_PI / n + rng.uniform(0.0, TWO_PI / n, size=(200, 1))
+            + rng.normal(0.0, 0.05, size=(200, n)))
+    xs = np.vstack([xs, np.clip(near, 0.0, TWO_PI)])
+    np.testing.assert_allclose(vtilde(xs), splay_line_oracle(xs, clamp=False),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(distance_to_splay(xs), splay_line_oracle(xs, clamp=True),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_splay_distances_are_defined_for_large_networks():
+    rng = np.random.default_rng(50)
+    x = rng.uniform(0.0, TWO_PI, size=50)
+    perm = rng.permutation(50)
+    for f in (vtilde, distance_to_splay):
+        d = f(x)
+        assert np.isfinite(d) and d > 0.0
+        assert f(x[perm]) == d
 
 
 def test_vtilde_can_exceed_v_and_vice_versa():

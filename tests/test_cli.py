@@ -6,14 +6,16 @@ or config error), the files written to the output directory, and the lines
 printed for a human reader.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from splaysim import cli
 from splaysim.cli import CONFIG_SCHEMA, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from splaysim.sim import read_trajectory_csv
+from splaysim.sim import SimConfig, read_trajectory_csv, run
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +61,23 @@ class TestSimulate:
         assert code == EXIT_OK
         arc = read_trajectory_csv(tmp_path / "o" / "trajectory.csv")
         assert math.isclose(arc.final_time.t, 5.0)
+
+    def test_unset_parameters_take_the_simconfig_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return run(config)
+
+        monkeypatch.setattr(cli, "run", capture)
+        code = main(["simulate", "--x0", "0.5,2.5,4.5", "--prc", "paper",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        (config,) = seen
+        defaults = SimConfig(prc=config.prc, x0=config.x0)
+        for f in dataclasses.fields(SimConfig):
+            if f.name != "x0":
+                assert getattr(config, f.name) == getattr(defaults, f.name), f.name
 
     def test_flags_override_config_values(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", horizon=80.0)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import splaysim.prc
 from splaysim.circle import TWO_PI
+from splaysim.experiments import theorem1_corpus
 from splaysim.model import knee, validate_prc
 from splaysim.prc import (
     BROKEN,
@@ -59,6 +61,23 @@ def test_linear_family_validates_for_admissible_slopes(n, c):
 def test_linear_family_rejects_out_of_range_slopes(c):
     with pytest.raises(ValueError):
         linear_family(3, c)
+
+
+def test_each_response_is_validated_once_per_process(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return validate_prc(*args, **kwargs)
+
+    monkeypatch.setattr(splaysim.prc, "validate_prc", counting)
+    linear_family.cache_clear()
+    try:
+        theorem1_corpus(runs=30)
+    finally:
+        linear_family.cache_clear()  # drop responses built with the counter
+    assert sorted(calls) == [2, 3, 5]
+    assert paper_prc(3) == paper_prc(3)
 
 
 def test_raw_constructor_attaches_no_validation():

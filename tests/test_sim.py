@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splaysim.analysis import lyapunov
+from splaysim.analysis import lyapunov, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
-from splaysim.experiments import fig2_config
+from splaysim.experiments import fig2_config, perturbed_config
 from splaysim.model import in_splay_set
 from splaysim.prc import broken_zero, paper_prc
 from splaysim.sim import (
@@ -345,3 +345,53 @@ def test_events_csv_schema(tmp_path, fig2_arc):
     first = lines[1].split(",")
     assert first[1] == "0"
     assert first[3] == "single"
+
+
+def _fmt(v):
+    return repr(float(v))
+
+
+def reference_trajectory_csv(arc, path):
+    """Cell-by-cell writer: each numpy scalar formatted on its own."""
+    v = lyapunov(arc.states)
+    vt = vtilde(arc.states)
+    lines = ["t,j," + ",".join(f"x_{i + 1}" for i in range(arc.n)) + ",V,Vtilde,event"]
+    for i in range(len(arc.ts)):
+        coords = ",".join(_fmt(c) for c in arc.states[i])
+        lines.append(f"{_fmt(arc.ts[i])},{int(arc.js[i])},{coords},"
+                     f"{_fmt(v[i])},{_fmt(vt[i])},{arc.kinds[i]}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_events_csv(arc, path):
+    n = arc.n
+    lines = ["t,j,firers,branch," + ",".join(f"pre_{i + 1}" for i in range(n)) + ","
+             + ",".join(f"post_{i + 1}" for i in range(n))]
+    for e in arc.events:
+        pre = ",".join(_fmt(c) for c in e.pre)
+        post = ",".join(_fmt(c) for c in e.post)
+        firers = ";".join(str(i) for i in e.firers)
+        lines.append(f"{_fmt(e.t)},{e.j},{firers},{e.branch},{pre},{post}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _enumerate_arc():
+    cfg = SimConfig(prc=paper_prc(3), x0=np.full(3, 1.0), policy="enumerate",
+                    seed=1, horizon=40.0)
+    arc = run(cfg)
+    assert any(len(e.firers) > 1 for e in arc.events)
+    return arc
+
+
+@pytest.mark.parametrize("make_arc", [
+    lambda: run(fig2_config()),
+    lambda: run(perturbed_config(0.03)),
+    _enumerate_arc,
+], ids=["fig2", "perturbed-0.03", "enumerate"])
+def test_writers_match_the_cell_by_cell_reference(tmp_path, make_arc):
+    arc = make_arc()
+    for write, reference in ((write_trajectory_csv, reference_trajectory_csv),
+                             (write_events_csv, reference_events_csv)):
+        write(arc, tmp_path / "new.csv")
+        reference(arc, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
