@@ -137,15 +137,18 @@ def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
             )
         deltas = values[post] - values[pre]
 
-    oscillations = []
-    for _, _, j in arc.intervals:
-        mask = arc.js == j
-        if not np.any(mask):
-            oscillations.append(0.0)
-            continue
-        vj = values[mask]
-        oscillations.append(float(np.max(np.abs(vj - vj[0]))))
-    oscillations = np.asarray(oscillations, dtype=float)
+    # largest |V - V(first sample)| per j-run, then per listed interval;
+    # an interval without samples oscillates by 0
+    starts, ends = _j_runs(arc.js)
+    oscillations = np.zeros(len(arc.intervals))
+    if starts.size:
+        first = np.repeat(values[starts], ends - starts)
+        run_osc = np.maximum.reduceat(np.abs(values - first), starts)
+        run_js = arc.js[starts]
+        wanted = np.asarray([j for _, _, j in arc.intervals], dtype=int)
+        pos = np.minimum(np.searchsorted(run_js, wanted), run_js.size - 1)
+        found = run_js[pos] == wanted
+        oscillations[found] = run_osc[pos[found]]
 
     flow_checked = not arc.perturbed
     max_osc = float(oscillations.max()) if oscillations.size else 0.0
@@ -209,12 +212,27 @@ def closeness(arc1: "HybridArc", arc2: "HybridArc", tau: float) -> ClosenessRepo
     return ClosenessReport(tau, e2, t2, j2, "second-vs-first")
 
 
+def _j_runs(js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) of each run of equal j in a nondecreasing
+    jump-index array; raises ValueError if j ever decreases."""
+    step = np.diff(js)
+    if np.any(step < 0):
+        raise ValueError(f"jump index decreases after sample {int(np.argmax(step < 0))}")
+    cuts = np.flatnonzero(step) + 1
+    if not js.size:
+        return cuts, cuts
+    return np.concatenate(([0], cuts)), np.concatenate((cuts, [js.size]))
+
+
 def _interval_index(arc: "HybridArc") -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for j in np.unique(arc.js):
-        mask = arc.js == j
-        index[int(j)] = (arc.ts[mask], arc.states[mask])
-    return index
+    starts, ends = _j_runs(arc.js)
+    return {j: (arc.ts[s:e], arc.states[s:e])
+            for j, s, e in zip(arc.js[starts].tolist(), starts.tolist(), ends.tolist())}
+
+
+#: most floats one broadcast temporary of _one_sided may hold (it always
+#: takes at least one sample, however long the other arc's interval)
+_CLOSENESS_CHUNK = 65_536
 
 
 def _one_sided(a: "HybridArc", b: "HybridArc", tau: float) -> tuple[float, float, int]:
@@ -223,19 +241,29 @@ def _one_sided(a: "HybridArc", b: "HybridArc", tau: float) -> tuple[float, float
     worst_t = float(a.ts[0]) if len(a.ts) else 0.0
     worst_j = int(a.js[0]) if len(a.js) else 0
     within = (a.ts + a.js) <= tau + 1e-12
-    for t, j, x in zip(a.ts[within], a.js[within], a.states[within]):
-        entry = b_index.get(int(j))
+    a_ts, a_js, a_xs = a.ts[within], a.js[within], a.states[within]
+    starts, ends = _j_runs(a_js)
+    for j, start, end in zip(a_js[starts].tolist(), starts.tolist(), ends.tolist()):
+        entry = b_index.get(j)
         if entry is None:
-            return float("inf"), float(t), int(j)
+            return float("inf"), float(a_ts[start]), j
         ts, xs = entry
-        gap_t = np.abs(ts - t)
-        gap_x = np.sqrt(np.sum((xs - x) ** 2, axis=1))
-        best = float(np.minimum.reduce(np.maximum(gap_t, gap_x)))
-        # interpolated candidate at s = t clamped into the interval
-        s = min(max(float(t), float(ts[0])), float(ts[-1]))
-        xi = np.asarray([np.interp(s, ts, xs[:, k]) for k in range(xs.shape[1])])
-        cand = max(abs(t - s), float(np.sqrt(np.sum((xi - x) ** 2))))
-        best = min(best, cand)
-        if best > worst:
-            worst, worst_t, worst_j = best, float(t), int(j)
+        rows = max(1, _CLOSENESS_CHUNK // (ts.size * xs.shape[1]))
+        for lo in range(start, end, rows):
+            hi = min(lo + rows, end)
+            t, x = a_ts[lo:hi], a_xs[lo:hi]
+            gap_t = np.abs(ts[None, :] - t[:, None])
+            gap_x = np.sqrt(np.sum((xs[None, :, :] - x[:, None, :]) ** 2, axis=2))
+            best = np.maximum(gap_t, gap_x).min(axis=1)
+            # interpolated candidate at s = t clamped into the interval
+            s = np.minimum(np.maximum(t, ts[0]), ts[-1])
+            xi = np.stack([np.interp(s, ts, xs[:, k]) for k in range(xs.shape[1])], axis=1)
+            cand = np.maximum(np.abs(t - s), np.sqrt(np.sum((xi - x) ** 2, axis=1)))
+            best = np.minimum(best, cand)
+            # first strict maximum, as a sample-by-sample scan would keep it
+            top = np.fmax.reduce(best)
+            if top > worst:
+                k = int(np.argmax(best == top))
+                worst, worst_t = float(top), float(t[k])
+                worst_j = j
     return worst, worst_t, worst_j

@@ -129,8 +129,15 @@ class Perturbation:
             return np.stack([np.asarray(self.func(float(t)), dtype=float) for t in ts])
         return np.zeros((ts.size, n))
 
-    def at(self, t: float, n: int) -> np.ndarray:
-        return self.sample(np.asarray([t]), n)[0]
+
+def _check_rate_bound(pert: Perturbation, omega: float) -> None:
+    """A disturbance must stay below the nominal rate so phases keep
+    advancing and every crossing can be bracketed."""
+    if not pert.is_none and not pert.bound < omega:
+        raise ValueError(
+            f"perturbation bound {pert.bound!r} must stay below omega={omega!r} "
+            "so phases keep advancing"
+        )
 
 
 @dataclass
@@ -181,16 +188,11 @@ class SimConfig:
             if val is not None and val < 0.0:
                 raise ValueError(f"{name} must be nonnegative or None, got {val!r}")
         pert = self.perturbation
-        if not pert.is_none:
-            if pert.kind == "sinusoidal" and len(pert.offsets) != self.n:
-                raise ValueError(
-                    f"perturbation has {len(pert.offsets)} phase offsets for n={self.n}"
-                )
-            if not pert.bound < self.omega:
-                raise ValueError(
-                    f"perturbation bound {pert.bound!r} must stay below omega={self.omega!r} "
-                    "so phases keep advancing"
-                )
+        if not pert.is_none and pert.kind == "sinusoidal" and len(pert.offsets) != self.n:
+            raise ValueError(
+                f"perturbation has {len(pert.offsets)} phase offsets for n={self.n}"
+            )
+        _check_rate_bound(pert, self.omega)
 
 
 @dataclass(frozen=True)
@@ -322,11 +324,6 @@ class _PerturbedFlow:
 
     def __init__(self, x0: np.ndarray, t0: float, omega: float,
                  pert: Perturbation, horizon: float):
-        if not pert.bound < omega:
-            raise ValueError(
-                f"perturbation bound {pert.bound!r} must stay below omega={omega!r} "
-                "so phases keep advancing"
-            )
         self.x0 = x0
         self.t0 = t0
         self.omega = omega
@@ -355,29 +352,31 @@ class _PerturbedFlow:
         self._steps = k1
         return True
 
-    def _cum_at(self, t: float) -> np.ndarray:
-        while t > self.grid_ts[-1]:
-            if not self._extend():
-                break
-        i = int(np.searchsorted(self.grid_ts, t, side="right")) - 1
-        i = min(max(i, 0), self.grid_ts.size - 1)
+    def states(self, ts: np.ndarray) -> np.ndarray:
+        """States at an array of times, each completed from its grid node
+        with one partial Simpson step; all partial steps share one
+        evaluation of d."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.size:
+            top = ts.max()
+            while top > self.grid_ts[-1] and self._extend():
+                pass
+        # node at or before each time (times before t0 take node 0)
+        i = np.maximum(np.searchsorted(self.grid_ts, ts, side="right") - 1, 0)
         t_i = self.grid_ts[i]
-        rem = t - t_i
-        if rem <= 0.0:
-            return self.cum[i]
-        pts = np.asarray([t_i, t_i + 0.5 * rem, t])
-        d = self.pert.sample(pts, self.n)
-        return self.cum[i] + (rem / 6.0) * (d[0] + 4.0 * d[1] + d[2])
-
-    def state(self, t: float) -> np.ndarray:
-        x = self.x0 + self.omega * (t - self.t0) + self._cum_at(t)
+        rem = ts - t_i
+        cum = self.cum[i]
+        part = rem > 0.0
+        m = int(np.count_nonzero(part))
+        if m:
+            t_p, rem_p = t_i[part], rem[part]
+            d = self.pert.sample(np.concatenate([t_p, t_p + 0.5 * rem_p, ts[part]]), self.n)
+            cum[part] += (rem_p / 6.0)[:, None] * (d[:m] + 4.0 * d[m:2 * m] + d[2 * m:])
+        x = self.x0[None, :] + self.omega * (ts - self.t0)[:, None] + cum
         return np.minimum(x, TWO_PI)
 
-    def states(self, ts: np.ndarray) -> np.ndarray:
-        return np.stack([self.state(float(t)) for t in ts])
-
-    def _raw_max(self, t: float) -> float:
-        return float((self.x0 + self.omega * (t - self.t0) + self._cum_at(t)).max())
+    def state(self, t: float) -> np.ndarray:
+        return self.states(np.asarray([t]))[0]
 
     def first_crossing(self, horizon: float, firing_tol: float):
         # scan grid nodes chunkwise for the first one at or past 2*pi
@@ -403,14 +402,14 @@ class _PerturbedFlow:
         rate = self.omega + self.pert.bound
         while (hi - lo) * rate > 0.5 * firing_tol:
             mid = 0.5 * (lo + hi)
-            if self._raw_max(mid) >= TWO_PI:
+            # the clamped max reaches 2*pi exactly when the raw one does
+            if self.state(mid).max() >= TWO_PI:
                 hi = mid
             else:
                 lo = mid
         if hi > horizon:
             return None
-        x = self.x0 + self.omega * (hi - self.t0) + self._cum_at(hi)
-        return hi, _clamp_firers(x, firing_tol)
+        return hi, _clamp_firers(self.state(hi), firing_tol)
 
 
 def _clamp_firers(x: np.ndarray, firing_tol: float) -> np.ndarray:
@@ -425,10 +424,11 @@ def _clamp_firers(x: np.ndarray, firing_tol: float) -> np.ndarray:
     return x
 
 
-def _flow_for(x: np.ndarray, t0: float, config: SimConfig):
-    if config.perturbation.is_none:
-        return _NominalFlow(x, t0, config.omega)
-    return _PerturbedFlow(x, t0, config.omega, config.perturbation, config.horizon)
+def _flow_for(x: np.ndarray, t0: float, omega: float, perturbation: Perturbation,
+              horizon: float):
+    if perturbation.is_none:
+        return _NominalFlow(x, t0, omega)
+    return _PerturbedFlow(x, t0, omega, perturbation, horizon)
 
 
 def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
@@ -447,10 +447,8 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     if in_jump_set(arr, firing_tol):
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
-    if pert.is_none:
-        flow = _NominalFlow(arr, t0, omega)
-    else:
-        flow = _PerturbedFlow(arr, t0, omega, pert, horizon)
+    _check_rate_bound(pert, omega)
+    flow = _flow_for(arr, t0, omega, pert, horizon)
     crossing = flow.first_crossing(horizon, firing_tol)
     if crossing is None:
         if math.isinf(horizon):
@@ -532,7 +530,7 @@ def run(config: SimConfig) -> HybridArc:
                 hold_since = None
             continue
 
-        flow = _flow_for(x, t, config)
+        flow = _flow_for(x, t, config.omega, config.perturbation, config.horizon)
         crossing = flow.first_crossing(config.horizon, config.firing_tol)
         t_end = crossing[0] if crossing is not None else config.horizon
         grid = _sample_times(t, t_end, config.sample_dt)
@@ -612,27 +610,42 @@ def read_trajectory_csv(path) -> HybridArc:
     n = len(header) - 5
     if [h for h in header[2:2 + n]] != [f"x_{i + 1}" for i in range(n)]:
         raise ValueError(f"{path}: unexpected state columns in header {text[0]!r}")
-    ts, js, states, kinds = [], [], [], []
+    # structure line by line: column count, an integer j that never
+    # decreases, the event kind; the numbers are parsed in one block below
+    rows, js, kinds = [], [], []
     for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != len(header):
+        if line.count(",") != len(header) - 1:
             raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
-        ts.append(float(parts[0]))
-        js.append(int(parts[1]))
-        states.append([float(p) for p in parts[2:2 + n]])
-        kinds.append(parts[-1])
-    ts_arr = np.asarray(ts)
+        cut = line.index(",")
+        field = line[cut + 1:line.index(",", cut + 1)]
+        try:
+            j = int(field)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: jump index {field!r} is not an integer") from None
+        if js and j < js[-1]:
+            raise ValueError(f"{path}:{lineno}: jump index {j} follows {js[-1]}")
+        rows.append(line)
+        js.append(j)
+        kinds.append(line[line.rindex(",") + 1:])
+    values = np.empty((0, 1 + n))
+    if rows:
+        try:
+            values = np.loadtxt(rows, delimiter=",", usecols=(0, *range(2, 2 + n)),
+                                comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    ts_arr = values[:, 0].copy()
     js_arr = np.asarray(js, dtype=int)
-    intervals = []
-    for j in np.unique(js_arr):
-        mask = js_arr == j
-        intervals.append((float(ts_arr[mask].min()), float(ts_arr[mask].max()), int(j)))
+    starts, _ = analysis._j_runs(js_arr)
+    intervals = list(zip(np.minimum.reduceat(ts_arr, starts).tolist(),
+                         np.maximum.reduceat(ts_arr, starts).tolist(),
+                         js_arr[starts].tolist()))
     return HybridArc(
         ts=ts_arr,
         js=js_arr,
-        states=np.asarray(states),
+        states=np.ascontiguousarray(values[:, 1:]),
         kinds=np.asarray(kinds),
         events=[],
         intervals=intervals,

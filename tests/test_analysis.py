@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from splaysim import analysis
 from splaysim.analysis import (
+    ClosenessReport,
     closeness,
     distance_to_splay,
     lyapunov,
@@ -19,7 +21,7 @@ from splaysim.analysis import (
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import fig2_config, perturbed_config
 from splaysim.model import in_splay_set
-from splaysim.sim import SimConfig, run
+from splaysim.sim import HybridArc, Perturbation, SimConfig, run
 from splaysim.prc import paper_prc
 
 phase_values = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
@@ -186,7 +188,149 @@ def test_monotone_verdict_flags_an_increase():
     assert verdict.worst_jump is not None
 
 
+def reference_oscillations(arc):
+    """Largest |V - V(first sample)| per listed interval, from a mask per j."""
+    values = lyapunov(arc.states)
+    out = []
+    for _, _, j in arc.intervals:
+        mask = arc.js == j
+        vj = values[mask]
+        out.append(float(np.max(np.abs(vj - vj[0]))) if vj.size else 0.0)
+    return np.asarray(out, dtype=float)
+
+
+def test_flow_oscillations_match_the_per_interval_reference(fig2_arc):
+    perturbed = run(perturbed_config(0.05, horizon=40.0))
+    for arc in (fig2_arc, perturbed):
+        verdict = verify_monotone(arc)
+        ref = reference_oscillations(arc)
+        np.testing.assert_array_equal(verdict.trace.flow_oscillation, ref)
+        assert verdict.worst_flow_interval == int(ref.argmax())
+    # the stop rule closes the domain with a (t, t, j) tile
+    assert fig2_arc.stop_reason == "stop-rule"
+    t, t_end, _ = fig2_arc.intervals[-1]
+    assert t == t_end
+
+
+def test_flow_oscillation_of_an_interval_without_samples_is_zero():
+    arc = run(perturbed_config(0.05, horizon=40.0))
+    assert verify_monotone(arc).trace.flow_oscillation[-1] > 0.0
+    padded = dataclasses.replace(arc, intervals=arc.intervals + [(99.0, 99.0, 10_000)])
+    verdict = verify_monotone(padded)
+    assert verdict.trace.flow_oscillation[-1] == 0.0
+    np.testing.assert_array_equal(verdict.trace.flow_oscillation[:-1],
+                                  verify_monotone(arc).trace.flow_oscillation)
+
+
+def test_monotone_verdict_rejects_unordered_jump_indices(fig2_arc):
+    js = fig2_arc.js.copy()
+    js[[10, -10]] = js[[-10, 10]]
+    with pytest.raises(ValueError, match="jump index decreases"):
+        verify_monotone(dataclasses.replace(fig2_arc, js=js))
+
+
 # -- closeness -------------------------------------------------------------------
+
+def reference_one_sided(a, b, tau):
+    """Sample by sample: each within-tau sample of a against b's j-interval."""
+    b_index = {int(j): (b.ts[b.js == j], b.states[b.js == j]) for j in np.unique(b.js)}
+    worst = 0.0
+    worst_t = float(a.ts[0]) if len(a.ts) else 0.0
+    worst_j = int(a.js[0]) if len(a.js) else 0
+    within = (a.ts + a.js) <= tau + 1e-12
+    for t, j, x in zip(a.ts[within], a.js[within], a.states[within]):
+        entry = b_index.get(int(j))
+        if entry is None:
+            return float("inf"), float(t), int(j)
+        ts, xs = entry
+        gap_t = np.abs(ts - t)
+        gap_x = np.sqrt(np.sum((xs - x) ** 2, axis=1))
+        best = float(np.minimum.reduce(np.maximum(gap_t, gap_x)))
+        s = min(max(float(t), float(ts[0])), float(ts[-1]))
+        xi = np.asarray([np.interp(s, ts, xs[:, k]) for k in range(xs.shape[1])])
+        cand = max(abs(t - s), float(np.sqrt(np.sum((xi - x) ** 2))))
+        best = min(best, cand)
+        if best > worst:
+            worst, worst_t, worst_j = best, float(t), int(j)
+    return worst, worst_t, worst_j
+
+
+def reference_closeness(arc1, arc2, tau):
+    e1, t1, j1 = reference_one_sided(arc1, arc2, tau)
+    e2, t2, j2 = reference_one_sided(arc2, arc1, tau)
+    if e1 >= e2:
+        return ClosenessReport(tau, e1, t1, j1, "first-vs-second")
+    return ClosenessReport(tau, e2, t2, j2, "second-vs-first")
+
+
+@pytest.fixture(scope="module")
+def perturbed_trio():
+    return [run(perturbed_config(eps)) for eps in (0.0, 0.03, 0.05)]
+
+
+@pytest.mark.parametrize("tau", [0.5, 40.0, 200.0])
+def test_closeness_matches_the_sample_by_sample_reference(perturbed_trio, tau):
+    nominal, low, high = perturbed_trio
+    # tau 0.5 and 40 stop inside a flow interval of the nominal arc (t + j
+    # crosses tau mid-way), tau 200 takes the whole arc
+    cut = int(np.flatnonzero((nominal.ts + nominal.js) <= tau + 1e-12)[-1]) + 1
+    assert cut == nominal.ts.size if tau == 200.0 else nominal.js[cut] == nominal.js[cut - 1]
+    for a, b in ((nominal, low), (nominal, high), (high, low), (low, low)):
+        assert closeness(a, b, tau) == reference_closeness(a, b, tau)
+
+
+def test_closeness_of_wide_networks_matches_the_reference():
+    pert = Perturbation.sinusoidal(0.05, 0.7, tuple(TWO_PI * k / 8 for k in range(8)))
+    x0 = np.array([0.2, 0.9, 1.1, 2.0, 3.7, 4.0, 5.2, 5.9])
+    a = run(SimConfig(prc=paper_prc(8), x0=x0, horizon=30.0, stop_v_threshold=None))
+    b = run(SimConfig(prc=paper_prc(8), x0=x0, horizon=30.0, stop_v_threshold=None,
+                      perturbation=pert))
+    assert closeness(a, b, 25.0) == reference_closeness(a, b, 25.0)
+
+
+def test_closeness_missing_interval_matches_the_reference(fig2_arc):
+    flat = run(fig2_config(horizon=0.1, stop_v_threshold=None))
+    for a, b in ((fig2_arc, flat), (flat, fig2_arc)):
+        report = closeness(a, b, tau=30.0)
+        assert report == reference_closeness(a, b, 30.0)
+    assert closeness(fig2_arc, flat, tau=30.0).eps_star == np.inf
+
+
+def loaded_arc(ts, states):
+    """A one-interval arc, as read_trajectory_csv would rebuild it."""
+    ts = np.asarray(ts, dtype=float)
+    return HybridArc(ts=ts, js=np.zeros(ts.size, dtype=int), states=np.asarray(states, dtype=float),
+                     kinds=np.full(ts.size, "flow"), events=[],
+                     intervals=[(float(ts[0]), float(ts[-1]), 0)], omega=None,
+                     perturbed=False, stop_reason="loaded")
+
+
+def test_closeness_witness_is_the_first_of_tied_maxima(monkeypatch):
+    a = loaded_arc([0.0, 1.0, 2.0, 3.0], [[1.0, 1.0], [1.0, 1.5], [1.0, 1.0], [1.0, 1.5]])
+    b = loaded_arc([0.0, 1.0, 2.0, 3.0], [[1.0, 1.0]] * 4)
+    expected = ClosenessReport(5.0, 0.5, 1.0, 0, "first-vs-second")
+    assert reference_closeness(a, b, 5.0) == expected
+    assert closeness(a, b, 5.0) == expected
+    monkeypatch.setattr(analysis, "_CLOSENESS_CHUNK", 1)  # one sample per chunk
+    assert closeness(a, b, 5.0) == expected
+
+
+def test_closeness_holds_the_other_interval_at_its_end():
+    # a outlasts b's interval by 2 s with the same state: the time gap counts
+    a = loaded_arc([0.0, 1.0, 3.0], [[1.0, 1.0]] * 3)
+    b = loaded_arc([0.0, 1.0], [[1.0, 1.0]] * 2)
+    expected = ClosenessReport(5.0, 2.0, 3.0, 0, "first-vs-second")
+    assert reference_closeness(a, b, 5.0) == expected
+    assert closeness(a, b, 5.0) == expected
+
+
+@pytest.mark.parametrize("budget", [1, 3_000, 20_000])
+def test_closeness_is_unchanged_by_the_chunk_size(monkeypatch, perturbed_trio, budget):
+    nominal, _, high = perturbed_trio
+    expected = reference_closeness(nominal, high, 40.0)
+    monkeypatch.setattr(analysis, "_CLOSENESS_CHUNK", budget)
+    assert closeness(nominal, high, 40.0) == expected
+
 
 def test_closeness_of_an_arc_with_itself(fig2_arc):
     report = closeness(fig2_arc, fig2_arc, tau=20.0)

@@ -291,3 +291,20 @@ class TestCloseness:
         bad.write_text("time,phase\n0.0,1.0\n")
         code = main(["closeness", str(bad), str(bad), "--tau", "5.0"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("bad_j", ["0", "1.5"], ids=["decreasing", "not-an-integer"])
+    def test_malformed_jump_index_is_usage_error(self, tmp_path, capsys, bad_j):
+        first, _ = self.run_pair(tmp_path)
+        lines = first.read_text().splitlines()
+        cut = next(i for i, line in enumerate(lines) if line.split(",")[1] == "1")
+        fields = lines[cut + 1].split(",")
+        fields[1] = bad_j
+        lines[cut + 1] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["closeness", str(first), str(bad), "--tau", "5.0"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"config error: {bad}:{cut + 2}: " in captured.err
+        assert "eps_star" not in captured.out

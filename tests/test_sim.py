@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from splaysim import sim
 from splaysim.analysis import lyapunov, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import fig2_config, perturbed_config
@@ -295,6 +296,76 @@ def test_perturbation_constructors_validate():
         Perturbation.custom(lambda t: np.zeros(3), bound=-1.0)
 
 
+@pytest.mark.parametrize("bound", [1.0, 1.5])
+def test_flow_to_next_event_rejects_disturbance_at_or_above_rate(bound):
+    pert = Perturbation.sinusoidal(bound, 0.5, (0.0, 2.0, 4.0))
+    with pytest.raises(ValueError, match="must stay below omega"):
+        flow_to_next_event(np.array([0.5, 1.5, 2.5]), omega=1.0, perturbation=pert,
+                           t0=0.0, horizon=10.0)
+
+
+def reference_cum_at(flow, t):
+    """Disturbance integral at one time: grid node plus one partial Simpson
+    step, evaluated on its own."""
+    while t > flow.grid_ts[-1]:
+        if not flow._extend():
+            break
+    i = int(np.searchsorted(flow.grid_ts, t, side="right")) - 1
+    i = min(max(i, 0), flow.grid_ts.size - 1)
+    t_i = flow.grid_ts[i]
+    rem = t - t_i
+    if rem <= 0.0:
+        return flow.cum[i]
+    d = flow.pert.sample(np.asarray([t_i, t_i + 0.5 * rem, t]), flow.n)
+    return flow.cum[i] + (rem / 6.0) * (d[0] + 4.0 * d[1] + d[2])
+
+
+def reference_state(flow, t):
+    return np.minimum(flow.x0 + flow.omega * (t - flow.t0) + reference_cum_at(flow, t),
+                      TWO_PI)
+
+
+def reference_states(flow, ts):
+    """Sample by sample, one state(t) per row."""
+    return np.stack([reference_state(flow, float(t)) for t in ts])
+
+
+def _wobble(t):
+    return 0.04 * np.array([np.cos(t), np.sin(2.0 * t), -np.cos(0.3 * t)])
+
+
+PERTURBED_ARCS = {
+    "sinusoid-0.03": lambda: perturbed_config(0.03),
+    "sinusoid-0.05": lambda: perturbed_config(0.05),
+    "custom": lambda: SimConfig(
+        prc=paper_prc(3), x0=np.array([0.3, 2.0, 4.1]),
+        perturbation=Perturbation.custom(_wobble, bound=0.04),
+        horizon=40.0, stop_v_threshold=None),
+    "sinusoid-n8": lambda: SimConfig(
+        prc=paper_prc(8), x0=np.array([0.2, 0.9, 1.1, 2.0, 3.7, 4.0, 5.2, 5.9]),
+        perturbation=Perturbation.sinusoidal(0.05, 0.7, tuple(TWO_PI * k / 8 for k in range(8))),
+        horizon=40.0, stop_v_threshold=None),
+}
+
+
+@pytest.mark.parametrize("make_config", PERTURBED_ARCS.values(), ids=PERTURBED_ARCS.keys())
+def test_perturbed_arcs_match_the_sample_by_sample_reference(monkeypatch, make_config):
+    arc = run(make_config())
+    monkeypatch.setattr(sim._PerturbedFlow, "state", reference_state)
+    monkeypatch.setattr(sim._PerturbedFlow, "states", reference_states)
+    ref = run(make_config())
+    assert arc.jumps == ref.jumps > 0
+    np.testing.assert_array_equal(arc.ts, ref.ts)
+    np.testing.assert_array_equal(arc.js, ref.js)
+    np.testing.assert_array_equal(arc.states, ref.states)
+    np.testing.assert_array_equal(arc.kinds, ref.kinds)
+    assert arc.intervals == ref.intervals
+    for e, r in zip(arc.events, ref.events):
+        assert (e.t, e.j, e.firers, e.branch) == (r.t, r.j, r.firers, r.branch)
+        np.testing.assert_array_equal(e.pre, r.pre)
+        np.testing.assert_array_equal(e.post, r.post)
+
+
 # -- CSV round trip ------------------------------------------------------------------
 
 def test_trajectory_round_trip(tmp_path, fig2_arc):
@@ -307,6 +378,65 @@ def test_trajectory_round_trip(tmp_path, fig2_arc):
     np.testing.assert_array_equal(loaded.kinds, fig2_arc.kinds)
     assert loaded.stop_reason == "loaded"
     assert [j for _, _, j in loaded.intervals] == [j for _, _, j in fig2_arc.intervals]
+
+
+def reference_intervals(arc):
+    """One (t_min, t_max, j) tile per distinct j, from a mask per j."""
+    tiles = []
+    for j in np.unique(arc.js):
+        mask = arc.js == j
+        tiles.append((float(arc.ts[mask].min()), float(arc.ts[mask].max()), int(j)))
+    return tiles
+
+
+def test_perturbed_trajectory_round_trip(tmp_path):
+    arc = run(perturbed_config(0.05))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(arc, path)
+    loaded = read_trajectory_csv(path)
+    np.testing.assert_array_equal(loaded.ts, arc.ts)
+    np.testing.assert_array_equal(loaded.js, arc.js)
+    np.testing.assert_array_equal(loaded.states, arc.states)
+    np.testing.assert_array_equal(loaded.kinds, arc.kinds)
+    assert loaded.intervals == reference_intervals(loaded)
+    assert [j for _, _, j in loaded.intervals] == [j for _, _, j in arc.intervals]
+    # rewriting the loaded arc reproduces the file byte for byte
+    write_trajectory_csv(loaded, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def _trajectory_text(rows):
+    return "t,j,x_1,x_2,V,Vtilde,event\n" + "".join(
+        f"{t},{j},1.0,2.0,0.5,0.5,flow\n" for t, j in rows)
+
+
+@pytest.mark.parametrize("rows, lineno", [
+    ([("0.0", "0"), ("0.5", "1"), ("1.0", "0")], 4),
+    ([("0.0", "0"), ("0.5", "1.0")], 3),
+    ([("0.0", "0"), ("0.5", "one")], 3),
+    ([("0.0", "")], 2),
+], ids=["decreasing", "float", "word", "empty"])
+def test_trajectory_jump_index_must_be_an_ordered_integer(tmp_path, rows, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_text(_trajectory_text(rows))
+    with pytest.raises(ValueError, match=f"bad.csv:{lineno}: "):
+        read_trajectory_csv(path)
+
+
+def test_trajectory_unparseable_number_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(_trajectory_text([("0.0", "0"), ("zero", "0")]))
+    with pytest.raises(ValueError, match="bad.csv: .*zero"):
+        read_trajectory_csv(path)
+
+
+def test_trajectory_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text(_trajectory_text([("0.0", "0")]) + "\n   \n"
+                    + _trajectory_text([("0.5", "1")]).split("\n", 1)[1])
+    arc = read_trajectory_csv(path)
+    np.testing.assert_array_equal(arc.ts, [0.0, 0.5])
+    assert arc.intervals == [(0.0, 0.0, 0), (0.5, 0.5, 1)]
 
 
 def test_trajectory_header_is_strict(tmp_path):
