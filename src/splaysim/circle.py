@@ -68,7 +68,7 @@ class GapProfile:
 def _circular_gaps(srt: np.ndarray) -> np.ndarray:
     """Gap after each phase of a row-sorted (m, n) batch, wrap-around last."""
     gaps = np.empty_like(srt)
-    gaps[:, :-1] = np.diff(srt, axis=1)
+    np.subtract(srt[:, 1:], srt[:, :-1], out=gaps[:, :-1])  # no (m, n - 1) temporary
     gaps[:, -1] = TWO_PI - srt[:, -1] + srt[:, 0]
     return gaps
 
@@ -87,10 +87,7 @@ def shortest_arc_length(x):
     float or an array of m floats accordingly.
     """
     arr, single = _as_phase_batch(x)
-    srt = np.sort(arr, axis=1)
-    inner = np.max(np.diff(srt, axis=1), axis=1)
-    wrap = TWO_PI - srt[:, -1] + srt[:, 0]
-    gamma = TWO_PI - np.maximum(inner, wrap)
+    gamma = TWO_PI - _circular_gaps(np.sort(arr, axis=1)).max(axis=1)
     return float(gamma[0]) if single else gamma
 
 
@@ -122,6 +119,18 @@ def min_pairwise_geodesic(x):
     gaps = _circular_gaps(np.sort(arr, axis=1))
     d = np.min(np.minimum(gaps, TWO_PI - gaps), axis=1)
     return float(d[0]) if single else d
+
+
+def splay_gap_deviation(x):
+    """Largest deviation of the geodesic distances between circularly
+    adjacent phases from the splay spacing 2*pi/n; zero exactly on splay
+    states.  Accepts a single vector or a batch of shape (m, n); returns a
+    float or an array of m floats accordingly."""
+    arr, single = _as_phase_batch(x)
+    gaps = _circular_gaps(np.sort(arr, axis=1))
+    adjacent = np.minimum(gaps, TWO_PI - gaps)
+    dev = np.max(np.abs(adjacent - TWO_PI / arr.shape[1]), axis=1)
+    return float(dev[0]) if single else dev
 
 
 def splay_arc_length(n: int) -> float:

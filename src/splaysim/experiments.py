@@ -17,10 +17,10 @@ import numpy as np
 from . import analysis
 from .circle import (
     TWO_PI,
-    _circular_gaps,
     min_pairwise_geodesic,
     shortest_arc_length,
     shortest_arc_oracle,
+    splay_gap_deviation,
 )
 from .model import in_bad_set, in_splay_set, validate_prc
 from .prc import broken_step, broken_steep, broken_zero, paper_prc
@@ -374,7 +374,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         v_splay = float(analysis.lyapunov(rots).max())
         member = all(in_splay_set(row) for row in rots)
         xs = rng.uniform(0.0, TWO_PI, size=(geometry_samples, n))
-        deviation = _splay_deviation(xs)
+        deviation = splay_gap_deviation(xs)
         off = xs[deviation > 1e-3]
         v_min_off = float(analysis.lyapunov(off).min()) if off.size else float("nan")
         splay[f"n{n}"] = {"v_on_splay": v_splay, "members": member,
@@ -419,14 +419,6 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
     report = ExperimentReport(name="corpus", passed=bool(ok), details=details)
     report.write(out)
     return report
-
-
-def _splay_deviation(xs: np.ndarray) -> np.ndarray:
-    """Max deviation of the adjacent geodesic gaps from 2*pi/n, per row."""
-    n = xs.shape[1]
-    gaps = _circular_gaps(np.sort(xs, axis=1))
-    adjacent = np.minimum(gaps, TWO_PI - gaps)
-    return np.abs(adjacent - TWO_PI / n).max(axis=1)
 
 
 EXPERIMENTS = {

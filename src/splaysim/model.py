@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import TWO_PI, as_phases, gap_profile, min_pairwise_geodesic
+from .circle import TWO_PI, as_phases, min_pairwise_geodesic, splay_gap_deviation
 
 ALL_ZERO = "all-zero"
 ENUMERATE = "enumerate"
@@ -271,10 +271,7 @@ def _check(name: str, ok: np.ndarray, zs: np.ndarray, detail: str) -> CheckResul
 def in_splay_set(x, tol: float = DEFAULT_SPLAY_TOL) -> bool:
     """True iff the phases are evenly spaced: every circularly adjacent pair
     is geodesically 2*pi/n apart, within tol."""
-    prof = gap_profile(x)
-    n = prof.gaps.size
-    adjacent = np.minimum(prof.gaps, TWO_PI - prof.gaps)
-    return bool(np.max(np.abs(adjacent - TWO_PI / n)) <= tol)
+    return splay_gap_deviation(x) <= tol
 
 
 def in_bad_set(x, tol: float = DEFAULT_BAD_TOL) -> bool:

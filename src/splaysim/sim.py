@@ -1,14 +1,14 @@
 """Event-driven execution of the pulse-coupled network.
 
-Nominal flow has every phase advancing at the same constant rate, so the
-next firing time is known in closed form and phases are advanced exactly;
-no integration error enters the arc and the crossing coordinate is
-assigned exactly 2*pi rather than accumulated.  Under a rate perturbation
-the flow is integrated on a fixed step grid (the right-hand side does not
-depend on the state, so the fourth-order step reduces to Simpson
-quadrature of the disturbance) and the first crossing of 2*pi is located
-by bracketing and bisection down to the firing tolerance, after which the
-crossing coordinates are again clamped exactly.
+Between firings every phase flows by x' = omega + d(t), and the right-hand
+side does not depend on the state, so the flow is the exact expression
+x(t) = x0 + omega * (t - t0) + D(t0, t), D the integral of the disturbance
+(zero on nominal runs, closed form for a sinusoid, Gauss-Legendre panels
+for a custom disturbance).  Nominal firing times are closed-form as well.
+Under a disturbance each coordinate rises at a rate within omega -/+ bound,
+which brackets its crossing of 2*pi; Newton inside that bracket finds it
+to a few ulps and the earliest crossing fires.  Either way the crossing
+coordinates are assigned exactly 2*pi rather than accumulated.
 
 Executions are recorded as HybridArc objects: state samples indexed by
 (t, j), the jump events with pre/post states, and the interval structure
@@ -18,6 +18,7 @@ configuration, including the seed that resolves set-valued jumps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,12 +41,12 @@ from .model import (
 FLOW = "flow"
 PRE_JUMP = "pre-jump"
 POST_JUMP = "post-jump"
+_KINDS = frozenset((FLOW, PRE_JUMP, POST_JUMP))
 
-#: grid step ceiling for perturbed flow integration (s)
-_MAX_STEP = 1e-3
-#: steps per nominal inter-firing interval when that is the binding limit
-_STEPS_PER_SEGMENT = 100
-_CHUNK = 4096
+#: cap on the Newton iterations that locate one perturbed crossing
+_NEWTON_ITERS = 64
+#: nodes per Gauss-Legendre panel in the integral of a custom disturbance
+_GAUSS_ORDER = 8
 
 
 class ZenoViolationError(RuntimeError):
@@ -76,8 +77,9 @@ class Perturbation:
     """Additive rate disturbance d(t) applied to every oscillator.
 
     bound is the declared per-coordinate sup of |d_i(t)|; it must stay
-    below the nominal rate so phases keep advancing and crossings stay
-    bracketable.  Use the constructors: none(), sinusoidal(), custom().
+    below the nominal rate so every phase rises at a rate between
+    omega - bound and omega + bound, which brackets each crossing time.
+    Use the constructors: none(), sinusoidal(), custom().
     """
 
     kind: str = "none"
@@ -108,7 +110,12 @@ class Perturbation:
 
     @staticmethod
     def custom(func: Callable[[float], np.ndarray], bound: float) -> "Perturbation":
-        """Arbitrary t -> vector disturbance with declared sup bound."""
+        """Arbitrary t -> vector disturbance with declared sup bound.
+
+        Its integral is taken by fixed-order Gauss-Legendre panels without
+        error control, which is exact to rounding for a func that is smooth
+        on the scale of one inter-firing interval; a discontinuous func
+        loses accuracy."""
         if bound < 0.0:
             raise ValueError(f"bound must be nonnegative, got {bound!r}")
         return Perturbation(kind="custom", func=func, bound=float(bound))
@@ -128,6 +135,48 @@ class Perturbation:
         if self.kind == "custom":
             return np.stack([np.asarray(self.func(float(t)), dtype=float) for t in ts])
         return np.zeros((ts.size, n))
+
+    def displacement(self, t0: float, ts: np.ndarray, n: int) -> np.ndarray:
+        """D(t0, t), the integral of d over [t0, t], for an array of times;
+        returns shape (len(ts), n).
+
+        Exact for a sinusoid: -(a/f) [cos(f t + o) - cos(f t0 + o)], written
+        as a product of sines so that short intervals and small f lose no
+        digits, and a sin(o) (t - t0) when f = 0.  A custom disturbance is
+        integrated by one Gauss-Legendre panel between consecutive sorted
+        times, starting from t0, and the panels are summed.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.kind == "sinusoidal":
+            offs = np.asarray(self.offsets, dtype=float)
+            if self.frequency == 0.0:
+                return self.amplitude * np.sin(offs)[None, :] * (ts - t0)[:, None]
+            half = 0.5 * self.frequency
+            return ((2.0 * self.amplitude / self.frequency)
+                    * np.sin(half * (ts + t0)[:, None] + offs[None, :])
+                    * np.sin(half * (ts - t0))[:, None])
+        if self.kind == "custom":
+            unit_nodes, weights = _gauss_legendre()
+            order = np.argsort(ts, kind="stable")
+            ends = np.concatenate([[t0], ts[order]])
+            mid = 0.5 * (ends[1:] + ends[:-1])
+            half = 0.5 * (ends[1:] - ends[:-1])
+            nodes = mid[:, None] + half[:, None] * unit_nodes[None, :]
+            d = self.sample(nodes.ravel(), n).reshape(ts.size, _GAUSS_ORDER, n)
+            panels = half[:, None] * np.einsum("k,mkn->mn", weights, d)
+            out = np.empty((ts.size, n))
+            out[order] = np.cumsum(panels, axis=0)
+            return out
+        return np.zeros((ts.size, n))
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1].  Imported on
+    first use: numpy.polynomial is not loaded with numpy and would add to
+    the start-up time and memory of every run without a custom disturbance."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(_GAUSS_ORDER)
 
 
 def _check_rate_bound(pert: Perturbation, omega: float) -> None:
@@ -291,144 +340,81 @@ class _Recorder:
         return np.vstack(self._states) if self._states else np.empty((0, n))
 
 
-class _NominalFlow:
-    """Closed-form flow x(t) = x0 + omega * (t - t0)."""
+class _Flow:
+    """Exact flow x(t) = x0 + omega * (t - t0) + D(t0, t), D the disturbance
+    integral (zero without a disturbance)."""
 
-    def __init__(self, x0: np.ndarray, t0: float, omega: float):
-        self.x0 = x0
-        self.t0 = t0
-        self.omega = omega
-
-    def state(self, t: float) -> np.ndarray:
-        return np.minimum(self.x0 + self.omega * (t - self.t0), TWO_PI)
-
-    def states(self, ts: np.ndarray) -> np.ndarray:
-        return np.minimum(self.x0[None, :] + self.omega * (ts - self.t0)[:, None], TWO_PI)
-
-    def first_crossing(self, horizon: float, firing_tol: float):
-        t_fire = self.t0 + (TWO_PI - self.x0.max()) / self.omega
-        if t_fire > horizon:
-            return None
-        x = self.x0 + self.omega * (t_fire - self.t0)
-        return t_fire, _clamp_firers(x, firing_tol)
-
-
-class _PerturbedFlow:
-    """Flow under x' = omega + d(t), integrated on a fixed grid.
-
-    The right-hand side does not depend on the state, so the classic
-    fourth-order step equals Simpson quadrature of d over each step; the
-    cumulative integral is kept per grid node and states at arbitrary
-    times are completed with one partial Simpson step.
-    """
-
-    def __init__(self, x0: np.ndarray, t0: float, omega: float,
-                 pert: Perturbation, horizon: float):
+    def __init__(self, x0: np.ndarray, t0: float, omega: float, pert: Perturbation):
         self.x0 = x0
         self.t0 = t0
         self.omega = omega
         self.pert = pert
-        self.n = x0.size
-        nominal_dwell = (TWO_PI - x0.max()) / omega
-        self.h = max(min(_MAX_STEP, nominal_dwell / _STEPS_PER_SEGMENT), 1e-12)
-        self.horizon = horizon
-        self.grid_ts = np.asarray([t0])
-        self.cum = np.zeros((1, self.n))
-        self._steps = 0
-
-    def _extend(self) -> bool:
-        """Grow the grid by one chunk; False if the horizon was already covered."""
-        if self.grid_ts[-1] >= self.horizon:
-            return False
-        k0, k1 = self._steps, self._steps + _CHUNK
-        nodes = self.t0 + self.h * np.arange(k0, k1 + 1)
-        mids = nodes[:-1] + 0.5 * self.h
-        d_nodes = self.pert.sample(nodes, self.n)
-        d_mids = self.pert.sample(mids, self.n)
-        incs = (self.h / 6.0) * (d_nodes[:-1] + 4.0 * d_mids + d_nodes[1:])
-        cum_new = self.cum[-1] + np.cumsum(incs, axis=0)
-        self.grid_ts = np.concatenate([self.grid_ts, nodes[1:]])
-        self.cum = np.concatenate([self.cum, cum_new])
-        self._steps = k1
-        return True
 
     def states(self, ts: np.ndarray) -> np.ndarray:
-        """States at an array of times, each completed from its grid node
-        with one partial Simpson step; all partial steps share one
-        evaluation of d."""
         ts = np.asarray(ts, dtype=float)
-        if ts.size:
-            top = ts.max()
-            while top > self.grid_ts[-1] and self._extend():
-                pass
-        # node at or before each time (times before t0 take node 0)
-        i = np.maximum(np.searchsorted(self.grid_ts, ts, side="right") - 1, 0)
-        t_i = self.grid_ts[i]
-        rem = ts - t_i
-        cum = self.cum[i]
-        part = rem > 0.0
-        m = int(np.count_nonzero(part))
-        if m:
-            t_p, rem_p = t_i[part], rem[part]
-            d = self.pert.sample(np.concatenate([t_p, t_p + 0.5 * rem_p, ts[part]]), self.n)
-            cum[part] += (rem_p / 6.0)[:, None] * (d[:m] + 4.0 * d[m:2 * m] + d[2 * m:])
-        x = self.x0[None, :] + self.omega * (ts - self.t0)[:, None] + cum
+        x = self.x0[None, :] + self.omega * (ts - self.t0)[:, None]
+        if not self.pert.is_none:
+            x = x + self.pert.displacement(self.t0, ts, self.x0.size)
         return np.minimum(x, TWO_PI)
 
     def state(self, t: float) -> np.ndarray:
         return self.states(np.asarray([t]))[0]
 
     def first_crossing(self, horizon: float, firing_tol: float):
-        # scan grid nodes chunkwise for the first one at or past 2*pi
-        i = 1
-        while True:
-            while i >= self.grid_ts.size:
-                if not self._extend():
-                    return None  # horizon covered, no crossing
-            block_ts = self.grid_ts[i:]
-            block_max = (self.x0[None, :] + self.omega * (block_ts[:, None] - self.t0)
-                         + self.cum[i:]).max(axis=1)
-            over = np.flatnonzero(block_max >= TWO_PI)
-            if over.size:
-                i += int(over[0])
-                break
-            if block_ts[-1] > horizon:
+        if self.pert.is_none:
+            # the bracket of _earliest_root collapses onto this closed form
+            t_fire = self.t0 + (TWO_PI - self.x0.max()) / self.omega
+            if t_fire > horizon:
                 return None
-            i = self.grid_ts.size
-        if float(self.grid_ts[i - 1]) > horizon:
+            x = self.x0 + self.omega * (t_fire - self.t0)
+            return t_fire, _clamp_firers(x, firing_tol)
+        t_fire = self._earliest_root()
+        if t_fire > horizon:
             return None
-        lo = float(self.grid_ts[i - 1])
-        hi = float(self.grid_ts[i])
-        rate = self.omega + self.pert.bound
-        while (hi - lo) * rate > 0.5 * firing_tol:
-            mid = 0.5 * (lo + hi)
-            # the clamped max reaches 2*pi exactly when the raw one does
-            if self.state(mid).max() >= TWO_PI:
-                hi = mid
-            else:
-                lo = mid
-        if hi > horizon:
-            return None
-        return hi, _clamp_firers(self.state(hi), firing_tol)
+        return t_fire, _clamp_firers(self.state(t_fire), firing_tol)
+
+    def _earliest_root(self) -> float:
+        """Earliest time a coordinate reaches 2*pi, by bracketed Newton.
+
+        Each coordinate rises at a rate within omega -/+ bound, so its root
+        lies in [lo, hi] below; only coordinates whose lo is not past the
+        smallest hi can fire first.  Newton starts at the nominal time and
+        falls back to bisection whenever its step leaves the bracket.
+        """
+        n, t0, omega, pert = self.x0.size, self.t0, self.omega, self.pert
+        rest = TWO_PI - self.x0
+        lo = t0 + rest / (omega + pert.bound)
+        hi = t0 + rest / (omega - pert.bound)
+        cand = np.flatnonzero(lo <= hi.min())
+        rest, lo, hi = rest[cand], lo[cand], hi[cand]
+        rows = np.arange(cand.size)
+        t = t0 + rest / omega
+        # a few ulps of the time, or of one period near t = 0
+        tol = 4.0 * np.spacing(np.maximum(hi, TWO_PI / omega))
+        for _ in range(_NEWTON_ITERS):
+            g = omega * (t - t0) + pert.displacement(t0, t, n)[rows, cand] - rest
+            lo = np.where(g < 0.0, t, lo)
+            hi = np.where(g > 0.0, t, hi)
+            t_new = t - g / (omega + pert.sample(t, n)[rows, cand])
+            t_new = np.where((t_new >= lo) & (t_new <= hi), t_new, 0.5 * (lo + hi))
+            done = np.abs(t_new - t) <= tol
+            t = t_new
+            if done.all():
+                return float(t.min())
+        # out of iterations: hi is at or past each root, so a coordinate fires there
+        return float(hi.min())
 
 
 def _clamp_firers(x: np.ndarray, firing_tol: float) -> np.ndarray:
     """Assign exactly 2*pi to every coordinate in the firing band.
 
-    Coordinates can overshoot 2*pi by at most the location tolerance; they
-    are all within the band and land exactly on the boundary, so the jump
-    map sees an exact firing.
+    The located crossing sits within a few ulps of 2*pi, and any coordinate
+    that reaches the band with it fires too; all land exactly on the
+    boundary, so the jump map sees an exact firing.
     """
     x = x.copy()
     x[x >= TWO_PI - firing_tol] = TWO_PI
     return x
-
-
-def _flow_for(x: np.ndarray, t0: float, omega: float, perturbation: Perturbation,
-              horizon: float):
-    if perturbation.is_none:
-        return _NominalFlow(x, t0, omega)
-    return _PerturbedFlow(x, t0, omega, perturbation, horizon)
 
 
 def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
@@ -448,11 +434,9 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
     _check_rate_bound(pert, omega)
-    flow = _flow_for(arr, t0, omega, pert, horizon)
+    flow = _Flow(arr, t0, omega, pert)
     crossing = flow.first_crossing(horizon, firing_tol)
     if crossing is None:
-        if math.isinf(horizon):
-            raise ValueError("flow_to_next_event needs a finite horizon when no phase fires")
         return horizon, flow.state(horizon), False
     t_fire, x_fire = crossing
     return t_fire, x_fire, True
@@ -530,7 +514,7 @@ def run(config: SimConfig) -> HybridArc:
                 hold_since = None
             continue
 
-        flow = _flow_for(x, t, config.omega, config.perturbation, config.horizon)
+        flow = _Flow(x, t, config.omega, config.perturbation)
         crossing = flow.first_crossing(config.horizon, config.firing_tol)
         t_end = crossing[0] if crossing is not None else config.horizon
         grid = _sample_times(t, t_end, config.sample_dt)
@@ -611,7 +595,7 @@ def read_trajectory_csv(path) -> HybridArc:
     if [h for h in header[2:2 + n]] != [f"x_{i + 1}" for i in range(n)]:
         raise ValueError(f"{path}: unexpected state columns in header {text[0]!r}")
     # structure line by line: column count, an integer j that never
-    # decreases, the event kind; the numbers are parsed in one block below
+    # decreases, a known event kind; the numbers are parsed in one block below
     rows, js, kinds = [], [], []
     for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
@@ -626,9 +610,12 @@ def read_trajectory_csv(path) -> HybridArc:
             raise ValueError(f"{path}:{lineno}: jump index {field!r} is not an integer") from None
         if js and j < js[-1]:
             raise ValueError(f"{path}:{lineno}: jump index {j} follows {js[-1]}")
+        kind = line[line.rindex(",") + 1:]
+        if kind not in _KINDS:
+            raise ValueError(f"{path}:{lineno}: unknown event kind {kind!r}")
         rows.append(line)
         js.append(j)
-        kinds.append(line[line.rindex(",") + 1:])
+        kinds.append(kind)
     values = np.empty((0, 1 + n))
     if rows:
         try:

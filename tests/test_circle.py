@@ -14,6 +14,7 @@ from splaysim.circle import (
     shortest_arc_length,
     shortest_arc_oracle,
     splay_arc_length,
+    splay_gap_deviation,
 )
 
 phase_values = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
@@ -154,3 +155,26 @@ def test_min_pairwise_geodesic_values():
     assert min_pairwise_geodesic([0.0, TWO_PI, 3.0]) == pytest.approx(0.0)
     splay = np.arange(5) * TWO_PI / 5
     assert min_pairwise_geodesic(splay) == pytest.approx(TWO_PI / 5)
+
+
+# -- one gap kernel ------------------------------------------------------------
+
+@given(st.integers(2, 8).flatmap(
+    lambda n: arrays(float, (4, n), elements=phase_values)))
+def test_arc_length_is_bit_identical_to_the_inner_and_wrap_gaps(batch):
+    srt = np.sort(batch, axis=1)
+    inner = np.max(np.diff(srt, axis=1), axis=1)
+    wrap = TWO_PI - srt[:, -1] + srt[:, 0]
+    np.testing.assert_array_equal(shortest_arc_length(batch), TWO_PI - np.maximum(inner, wrap))
+
+
+@given(st.integers(2, 8).flatmap(
+    lambda n: arrays(float, (4, n), elements=phase_values)))
+def test_splay_gap_deviation_matches_the_gap_profile_reference(batch):
+    n = batch.shape[1]
+    for row, dev in zip(batch, splay_gap_deviation(batch)):
+        gaps = gap_profile(row).gaps
+        adjacent = np.minimum(gaps, TWO_PI - gaps)
+        assert dev == np.max(np.abs(adjacent - TWO_PI / n))
+        assert splay_gap_deviation(row) == dev
+

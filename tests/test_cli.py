@@ -292,13 +292,14 @@ class TestCloseness:
         code = main(["closeness", str(bad), str(bad), "--tau", "5.0"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("bad_j", ["0", "1.5"], ids=["decreasing", "not-an-integer"])
-    def test_malformed_jump_index_is_usage_error(self, tmp_path, capsys, bad_j):
+    @pytest.mark.parametrize("column, value", [(1, "0"), (1, "1.5"), (-1, "garbage")],
+                             ids=["decreasing", "not-an-integer", "unknown-kind"])
+    def test_malformed_jump_index_is_usage_error(self, tmp_path, capsys, column, value):
         first, _ = self.run_pair(tmp_path)
         lines = first.read_text().splitlines()
         cut = next(i for i, line in enumerate(lines) if line.split(",")[1] == "1")
         fields = lines[cut + 1].split(",")
-        fields[1] = bad_j
+        fields[column] = value
         lines[cut + 1] = ",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
