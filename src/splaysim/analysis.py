@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circle import TWO_PI, _as_phase_batch, shortest_arc_length, splay_arc_length
+from .circle import TWO_PI, _as_phase_batch, _circular_gaps, splay_arc_length
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import HybridArc
@@ -31,7 +31,9 @@ def lyapunov(x):
     containing arc of n phases cannot exceed 2*pi*(n-1)/n.
     """
     arr, single = _as_phase_batch(x)
-    v = np.maximum(splay_arc_length(arr.shape[1]) - shortest_arc_length(arr), 0.0)
+    # shortest_arc_length's expression, on the batch validated above
+    gamma = TWO_PI - _circular_gaps(np.sort(arr, axis=1)).max(axis=1)
+    v = np.maximum(splay_arc_length(arr.shape[1]) - gamma, 0.0)
     return float(v[0]) if single else v
 
 
@@ -137,18 +139,10 @@ def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
             )
         deltas = values[post] - values[pre]
 
-    # largest |V - V(first sample)| per j-run, then per listed interval;
-    # an interval without samples oscillates by 0
+    # largest |V - V(first sample)| per j-run, that is per tile of arc.intervals
     starts, ends = _j_runs(arc.js)
-    oscillations = np.zeros(len(arc.intervals))
-    if starts.size:
-        first = np.repeat(values[starts], ends - starts)
-        run_osc = np.maximum.reduceat(np.abs(values - first), starts)
-        run_js = arc.js[starts]
-        wanted = np.asarray([j for _, _, j in arc.intervals], dtype=int)
-        pos = np.minimum(np.searchsorted(run_js, wanted), run_js.size - 1)
-        found = run_js[pos] == wanted
-        oscillations[found] = run_osc[pos[found]]
+    first = np.repeat(values[starts], ends - starts)
+    oscillations = np.maximum.reduceat(np.abs(values - first), starts)
 
     flow_checked = not arc.perturbed
     max_osc = float(oscillations.max()) if oscillations.size else 0.0

@@ -9,7 +9,7 @@ study's own assertions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -227,23 +227,6 @@ class RunRecord:
     min_dwell: float
     vtilde_increase_jumps: int
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "n": self.n,
-            "seed": self.seed,
-            "x0": list(self.x0),
-            "jumps": self.jumps,
-            "final_t": self.final_t,
-            "stop_reason": self.stop_reason,
-            "terminal_v": self.terminal_v,
-            "converged": self.converged,
-            "monotone_passed": self.monotone_passed,
-            "min_jump_geodesic": self.min_jump_geodesic,
-            "min_dwell": self.min_dwell,
-            "vtilde_increase_jumps": self.vtilde_increase_jumps,
-        }
-
 
 def corpus_run_config(n: int, x0, seed: int, horizon: float = 250.0) -> SimConfig:
     return SimConfig(
@@ -392,7 +375,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         "min_dwell": min(r.min_dwell for r in records),
         "max_final_t": max(r.final_t for r in records),
     }
-    details["records"] = [r.to_dict() for r in records]
+    details["records"] = [asdict(r) for r in records]
     ok &= all(r.converged and r.monotone_passed for r in records)
     ok &= all(r.min_jump_geodesic > 0.0 for r in records)
     ok &= all(r.min_dwell > 1e-6 for r in records if not np.isnan(r.min_dwell))

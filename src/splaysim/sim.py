@@ -11,8 +11,8 @@ to a few ulps and the earliest crossing fires.  Either way the crossing
 coordinates are assigned exactly 2*pi rather than accumulated.
 
 Executions are recorded as HybridArc objects: state samples indexed by
-(t, j), the jump events with pre/post states, and the interval structure
-of the hybrid time domain.  Runs are deterministic given the
+(t, j) and the jump events with pre/post states; the hybrid time domain
+is read off the samples.  Runs are deterministic given the
 configuration, including the seed that resolves set-valued jumps.
 """
 
@@ -33,7 +33,6 @@ from .model import (
     DEFAULT_FIRING_TOL,
     POLICIES,
     PhaseResponse,
-    in_jump_set,
     in_splay_set,
     jump_map,
 )
@@ -133,7 +132,8 @@ class Perturbation:
             offs = np.asarray(self.offsets, dtype=float)
             return self.amplitude * np.sin(self.frequency * ts[:, None] + offs[None, :])
         if self.kind == "custom":
-            return np.stack([np.asarray(self.func(float(t)), dtype=float) for t in ts])
+            rows = [np.asarray(self.func(float(t)), dtype=float) for t in ts]
+            return np.stack(rows) if rows else np.zeros((0, n))
         return np.zeros((ts.size, n))
 
     def displacement(self, t0: float, ts: np.ndarray, n: int) -> np.ndarray:
@@ -265,9 +265,9 @@ class HybridArc:
     """A recorded execution.
 
     ts, js, states and kinds are parallel arrays of samples ordered by
-    hybrid time; kinds are 'flow', 'pre-jump' or 'post-jump'.  intervals
-    lists the hybrid time domain as (t_start, t_end, j) tiles; events
-    holds one JumpEvent per firing.
+    hybrid time; kinds are 'flow', 'pre-jump' or 'post-jump'.  events
+    holds one JumpEvent per firing.  The hybrid time domain is not stored:
+    intervals reads it off the samples.
     """
 
     ts: np.ndarray
@@ -275,10 +275,20 @@ class HybridArc:
     states: np.ndarray
     kinds: np.ndarray
     events: list[JumpEvent]
-    intervals: list[tuple[float, float, int]]
     omega: float | None
     perturbed: bool
     stop_reason: str
+
+    @property
+    def intervals(self) -> list[tuple[float, float, int]]:
+        """The hybrid time domain as (t_start, t_end, j) tiles, one per run
+        of equal j, spanning that run's sample times.  On a simulated arc
+        tile k runs from the k-th firing to the next (from t = 0 for k = 0,
+        to the final time for the last tile)."""
+        starts, _ = analysis._j_runs(self.js)
+        return list(zip(np.minimum.reduceat(self.ts, starts).tolist(),
+                        np.maximum.reduceat(self.ts, starts).tolist(),
+                        self.js[starts].tolist()))
 
     @property
     def n(self) -> int:
@@ -430,7 +440,7 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     arr = as_phases(x)
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega!r}")
-    if in_jump_set(arr, firing_tol):
+    if arr.max() >= TWO_PI - firing_tol:
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
     _check_rate_bound(pert, omega)
@@ -460,6 +470,9 @@ def run(config: SimConfig) -> HybridArc:
     configured stop rule (V below threshold and/or splay membership) has
     held for a full nominal revolution.  Raises ZenoViolationError when
     consecutive firings are closer than the dwell guard.
+
+    config.x0 is validated and the simulator keeps the state in the box,
+    so the loop tests firing on x.max() directly instead of re-validating.
     """
     x = config.x0.copy()
     t = 0.0
@@ -467,23 +480,21 @@ def run(config: SimConfig) -> HybridArc:
     rng = np.random.default_rng(config.seed)
     rec = _Recorder()
     events: list[JumpEvent] = []
-    intervals: list[tuple[float, float, int]] = []
-    seg_start = 0.0
+    fire_at = TWO_PI - config.firing_tol
     period = TWO_PI / config.omega
     hold_since: float | None = None
     last_jump_t: float | None = None
     stop_reason = "horizon"
 
-    if not in_jump_set(x, config.firing_tol):
+    if x.max() < fire_at:
         rec.add(t, j, x, FLOW)
 
     while True:
-        if in_jump_set(x, config.firing_tol):
+        if x.max() >= fire_at:
             if j >= config.max_jumps:
                 stop_reason = "max-jumps"
                 if not rec.ts or rec.ts[-1] != t or rec.js[-1] != j:
                     rec.add(t, j, x, FLOW)
-                intervals.append((seg_start, t, j))
                 break
             if last_jump_t is not None and t - last_jump_t < config.min_dwell:
                 raise ZenoViolationError(t, j + 1, t - last_jump_t, config.min_dwell)
@@ -491,9 +502,7 @@ def run(config: SimConfig) -> HybridArc:
             branch = branches[0] if len(branches) == 1 else branches[int(rng.integers(len(branches)))]
             rec.add(t, j, x, PRE_JUMP)
             events.append(JumpEvent(t, j, branch.firers, branch.branch, x, branch.post))
-            intervals.append((seg_start, t, j))
             last_jump_t = t
-            seg_start = t
             j += 1
             x = branch.post
             rec.add(t, j, x, POST_JUMP)
@@ -508,7 +517,6 @@ def run(config: SimConfig) -> HybridArc:
                     hold_since = t
                 elif t - hold_since >= period:
                     stop_reason = "stop-rule"
-                    intervals.append((t, t, j))
                     break
             else:
                 hold_since = None
@@ -524,7 +532,6 @@ def run(config: SimConfig) -> HybridArc:
             x = flow.state(config.horizon)
             t = config.horizon
             rec.add(t, j, x, FLOW)
-            intervals.append((seg_start, t, j))
             stop_reason = "horizon"
             break
         t, x = crossing
@@ -535,7 +542,6 @@ def run(config: SimConfig) -> HybridArc:
         states=rec.states(config.n),
         kinds=np.asarray(rec.kinds),
         events=events,
-        intervals=intervals,
         omega=config.omega,
         perturbed=not config.perturbation.is_none,
         stop_reason=stop_reason,
@@ -582,8 +588,8 @@ def write_events_csv(arc: HybridArc, path) -> None:
 
 
 def read_trajectory_csv(path) -> HybridArc:
-    """Rebuild an arc from a trajectory CSV (samples and intervals only;
-    the events list is empty and flow metadata is unknown)."""
+    """Rebuild an arc from a trajectory CSV (samples only; the events list
+    is empty and flow metadata is unknown)."""
     text = Path(path).read_text().splitlines()
     if not text:
         raise ValueError(f"{path}: empty trajectory file")
@@ -623,19 +629,12 @@ def read_trajectory_csv(path) -> HybridArc:
                                 comments=None, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    ts_arr = values[:, 0].copy()
-    js_arr = np.asarray(js, dtype=int)
-    starts, _ = analysis._j_runs(js_arr)
-    intervals = list(zip(np.minimum.reduceat(ts_arr, starts).tolist(),
-                         np.maximum.reduceat(ts_arr, starts).tolist(),
-                         js_arr[starts].tolist()))
     return HybridArc(
-        ts=ts_arr,
-        js=js_arr,
+        ts=values[:, 0].copy(),
+        js=np.asarray(js, dtype=int),
         states=np.ascontiguousarray(values[:, 1:]),
         kinds=np.asarray(kinds),
         events=[],
-        intervals=intervals,
         omega=None,
         perturbed=False,
         stop_reason="loaded",

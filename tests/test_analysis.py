@@ -212,16 +212,6 @@ def test_flow_oscillations_match_the_per_interval_reference(fig2_arc):
     assert t == t_end
 
 
-def test_flow_oscillation_of_an_interval_without_samples_is_zero():
-    arc = run(perturbed_config(0.05, horizon=40.0))
-    assert verify_monotone(arc).trace.flow_oscillation[-1] > 0.0
-    padded = dataclasses.replace(arc, intervals=arc.intervals + [(99.0, 99.0, 10_000)])
-    verdict = verify_monotone(padded)
-    assert verdict.trace.flow_oscillation[-1] == 0.0
-    np.testing.assert_array_equal(verdict.trace.flow_oscillation[:-1],
-                                  verify_monotone(arc).trace.flow_oscillation)
-
-
 def test_monotone_verdict_rejects_unordered_jump_indices(fig2_arc):
     js = fig2_arc.js.copy()
     js[[10, -10]] = js[[-10, 10]]
@@ -300,8 +290,7 @@ def loaded_arc(ts, states):
     """A one-interval arc, as read_trajectory_csv would rebuild it."""
     ts = np.asarray(ts, dtype=float)
     return HybridArc(ts=ts, js=np.zeros(ts.size, dtype=int), states=np.asarray(states, dtype=float),
-                     kinds=np.full(ts.size, "flow"), events=[],
-                     intervals=[(float(ts[0]), float(ts[-1]), 0)], omega=None,
+                     kinds=np.full(ts.size, "flow"), events=[], omega=None,
                      perturbed=False, stop_reason="loaded")
 
 

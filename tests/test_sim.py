@@ -208,19 +208,58 @@ def test_splay_tolerance_stop_rule():
     arc = run(cfg)
     assert arc.stop_reason == "stop-rule"
     assert arc.final_time.t < 50.0
+    # from off the splay set: the rule fires once membership has held a period
+    arc = run(fig2_config(stop_v_threshold=None, stop_splay_tol=1e-6))
+    assert arc.stop_reason == "stop-rule"
+    assert arc.final_time.j == 44
+    assert arc.final_time.t == pytest.approx(90.3148, abs=1e-4)
+    assert in_splay_set(arc.final_state, 1e-6)
+    first = next(e.t for e in arc.events if in_splay_set(e.post, 1e-6))
+    assert arc.final_time.t - first >= TWO_PI / arc.omega
+
+
+@pytest.mark.parametrize("pert", [
+    Perturbation.none(),
+    Perturbation.sinusoidal(0.1, 0.5, (0.0, 1.0, 2.0)),
+    Perturbation.custom(lambda t: np.full(3, 0.1 * math.sin(t)), 0.1),
+], ids=["none", "sinusoidal", "custom"])
+@pytest.mark.parametrize("method", ["sample", "displacement"])
+def test_perturbation_of_no_times_is_an_empty_block(pert, method):
+    if method == "sample":
+        out = pert.sample(np.empty(0), 3)
+    else:
+        out = pert.displacement(1.0, np.empty(0), 3)
+    assert out.shape == (0, 3)
 
 
 # -- hybrid domain structure ------------------------------------------------------
 
 def test_intervals_tile_the_domain(fig2_arc):
-    intervals = fig2_arc.intervals
-    assert intervals[0][0] == 0.0
-    for (t0, t1, j), (s0, s1, k) in zip(intervals, intervals[1:]):
-        assert t1 == s0  # tiles abut at the jump times
-        assert k == j + 1
-        assert t1 >= t0
-    assert intervals[-1][1] == fig2_arc.final_time.t
-    assert [j for _, _, j in intervals] == list(range(len(intervals)))
+    at_two_pi = SimConfig(prc=paper_prc(3), x0=np.array([1.0, 3.0, TWO_PI]),
+                          horizon=20.0, stop_v_threshold=None)
+    arcs = [
+        (fig2_arc, "stop-rule"),
+        (run(fig2_config(max_jumps=5)), "max-jumps"),
+        (run(fig2_config(horizon=10.0)), "horizon"),
+        (run(at_two_pi), "horizon"),
+        (_enumerate_arc(), "horizon"),
+    ]
+    for arc, stop_reason in arcs:
+        assert arc.stop_reason == stop_reason
+        intervals = arc.intervals
+        assert intervals[0][0] == 0.0
+        for (t0, t1, j), (s0, s1, k) in zip(intervals, intervals[1:]):
+            assert t1 == s0  # tiles abut at the jump times
+            assert k == j + 1
+            assert t1 >= t0
+        assert intervals[-1][1] == arc.final_time.t
+        assert [j for _, _, j in intervals] == list(range(len(intervals)))
+        # the domain is fixed by the firings: tile k starts at event k - 1,
+        # where tile k - 1 ends
+        assert len(intervals) == arc.jumps + 1
+        for k, event in enumerate(arc.events, start=1):
+            assert intervals[k][0] == event.t
+            assert intervals[k - 1][1] == event.t
 
 
 def test_dwell_bookkeeping(fig2_arc):

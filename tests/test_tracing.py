@@ -1,0 +1,54 @@
+"""The benchmark tracer against the package: every traced name exists, and
+installing then uninstalling the tracer leaves every binding as it was."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "splaybench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("splaybench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    """Every attribute of every loaded splaysim module and of its classes."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "splaysim" or name.startswith("splaysim.")):
+            continue
+        for attr, value in vars(module).items():
+            out[name, attr] = value
+            if isinstance(value, type):
+                for key, member in vars(value).items():
+                    out[name, attr, key] = member
+    return out
+
+
+def test_traced_names_resolve_and_uninstall_restores_every_binding():
+    tracing = _load_tracing()
+    targets = {}
+    for mod, names in tracing.TRACED.items():
+        module = importlib.import_module(f"splaysim.{mod}")
+        for name in names:
+            owner_name, _, attr = name.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            targets[f"{mod}.{name}"] = (owner, attr, vars(owner)[attr])
+            assert callable(vars(owner)[attr]), f"{mod}.{name}"
+    before = _bindings()
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for label, (owner, attr, original) in targets.items():
+            assert vars(owner)[attr].__wrapped__ is original, label
+    finally:
+        tracer.uninstall()
+
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
