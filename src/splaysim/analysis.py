@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circle import TWO_PI, _as_phase_batch, _circular_gaps, splay_arc_length
+from .circle import TWO_PI, _as_phase_batch, _shortest_arc, splay_arc_length
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import HybridArc
@@ -31,10 +31,14 @@ def lyapunov(x):
     containing arc of n phases cannot exceed 2*pi*(n-1)/n.
     """
     arr, single = _as_phase_batch(x)
-    # shortest_arc_length's expression, on the batch validated above
-    gamma = TWO_PI - _circular_gaps(np.sort(arr, axis=1)).max(axis=1)
-    v = np.maximum(splay_arc_length(arr.shape[1]) - gamma, 0.0)
+    v = _lyapunov(arr)
     return float(v[0]) if single else v
+
+
+def _lyapunov(arr: np.ndarray):
+    """V of a vector (a scalar) or of each row of a batch, for phases
+    already validated; the simulator's stop rule calls it directly."""
+    return np.maximum(splay_arc_length(arr.shape[-1]) - _shortest_arc(arr), 0.0)
 
 
 def _splay_line_distance(arr: np.ndarray, clamp: bool) -> np.ndarray:

@@ -66,17 +66,18 @@ class GapProfile:
 
 
 def _circular_gaps(srt: np.ndarray) -> np.ndarray:
-    """Gap after each phase of a row-sorted (m, n) batch, wrap-around last."""
+    """Gap after each phase of a sorted vector or row-sorted (m, n) batch,
+    wrap-around last."""
     gaps = np.empty_like(srt)
-    np.subtract(srt[:, 1:], srt[:, :-1], out=gaps[:, :-1])  # no (m, n - 1) temporary
-    gaps[:, -1] = TWO_PI - srt[:, -1] + srt[:, 0]
+    np.subtract(srt[..., 1:], srt[..., :-1], out=gaps[..., :-1])  # no (m, n - 1) temporary
+    gaps[..., -1] = TWO_PI - srt[..., -1] + srt[..., 0]
     return gaps
 
 
 def gap_profile(x) -> GapProfile:
     """Sorted phases of x together with the circular gaps between neighbours."""
     srt = np.sort(as_phases(x))
-    return GapProfile(sorted=srt, gaps=_circular_gaps(srt[None, :])[0])
+    return GapProfile(sorted=srt, gaps=_circular_gaps(srt))
 
 
 def shortest_arc_length(x):
@@ -87,8 +88,14 @@ def shortest_arc_length(x):
     float or an array of m floats accordingly.
     """
     arr, single = _as_phase_batch(x)
-    gamma = TWO_PI - _circular_gaps(np.sort(arr, axis=1)).max(axis=1)
+    gamma = _shortest_arc(arr)
     return float(gamma[0]) if single else gamma
+
+
+def _shortest_arc(arr: np.ndarray):
+    """shortest_arc_length of a vector or of each row of a batch, for
+    phases already validated."""
+    return TWO_PI - _circular_gaps(np.sort(arr, axis=-1)).max(axis=-1)
 
 
 def shortest_arc_oracle(x):
@@ -127,10 +134,16 @@ def splay_gap_deviation(x):
     states.  Accepts a single vector or a batch of shape (m, n); returns a
     float or an array of m floats accordingly."""
     arr, single = _as_phase_batch(x)
-    gaps = _circular_gaps(np.sort(arr, axis=1))
-    adjacent = np.minimum(gaps, TWO_PI - gaps)
-    dev = np.max(np.abs(adjacent - TWO_PI / arr.shape[1]), axis=1)
+    dev = _splay_gap_deviation(arr)
     return float(dev[0]) if single else dev
+
+
+def _splay_gap_deviation(arr: np.ndarray):
+    """splay_gap_deviation of a vector or of each row of a batch, for
+    phases already validated."""
+    gaps = _circular_gaps(np.sort(arr, axis=-1))
+    adjacent = np.minimum(gaps, TWO_PI - gaps)
+    return np.max(np.abs(adjacent - TWO_PI / arr.shape[-1]), axis=-1)
 
 
 def splay_arc_length(n: int) -> float:

@@ -120,8 +120,7 @@ class JumpBranch:
 
 def in_flow_set(x) -> bool:
     """Membership in the box [0, 2*pi]^n."""
-    arr = np.asarray(x, dtype=float)
-    return bool(np.all((arr >= 0.0) & (arr <= TWO_PI)))
+    return not _outside(np.asarray(x, dtype=float)).any()
 
 
 def in_jump_set(x, tol: float = DEFAULT_FIRING_TOL) -> bool:
@@ -147,9 +146,9 @@ def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
     single branch where every firer resets; 'enumerate' returns all 2**m
     selections in a fixed order (all-reset first).
 
-    Raises InvalidPhaseResponseError if any branch leaves the box, which is
-    the runtime symptom of a response function violating the range
-    condition.
+    Raises InvalidPhaseResponseError if any branch leaves the box (a NaN
+    response counts as leaving it), which is the runtime symptom of a
+    response function violating the range condition.
     """
     arr = as_phases(x)
     if policy not in POLICIES:
@@ -157,33 +156,85 @@ def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
     firers = np.flatnonzero(arr >= TWO_PI - tol)
     if firers.size == 0:
         raise ValueError("jump_map requires at least one phase at 2*pi")
+    who = tuple(firers.tolist())
+    return [JumpBranch(who, label, post) for label, post in _jump(arr, firers, prc, policy)]
+
+
+def _jump(arr: np.ndarray, firers: np.ndarray, prc: PhaseResponse, policy: str,
+          rng: np.random.Generator | None = None) -> list[tuple[str, np.ndarray]]:
+    """The jump map from a state in the box whose firers are known.
+
+    Evaluates the response once, builds the post states as (branch label,
+    post) pairs and checks the box; arr is not modified.  Under
+    'enumerate' with m >= 2 firers it returns every branch in jump_map's
+    order, or with rng one branch drawn uniformly among them
+    (_draw_selection) and built alone.  Every branch stays in the box iff
+    every listener does and, under 'enumerate', every firer kept as a
+    listener does; that takes one O(n) check of z + Q(z), and a failure
+    names the first failing branch of jump_map's order.
+    """
     moved = arr + np.asarray(prc(arr), dtype=float)
+    m = firers.size
+    if m == 1 or policy == ALL_ZERO:
+        moved[firers] = 0.0
+        label = "single" if m == 1 else ALL_ZERO
+        _check_box(moved, label)
+        return [(label, moved)]
+    if not _in_box(moved):
+        # a failing listener fails the all-reset branch, which comes first;
+        # otherwise the first failure keeps only the last failing firer
+        bits = [1] * m
+        label, post = _select(moved, firers, bits)
+        if _in_box(post):
+            bits[np.flatnonzero(_outside(moved[firers]))[-1]] = 0
+            label, post = _select(moved, firers, bits)
+        _check_box(post, label)
+    if rng is None:
+        return [_select(moved, firers, bits)
+                for bits in itertools.product((1, 0), repeat=m)]
+    return [_select(moved, firers, _draw_selection(rng, m))]
 
-    branches: list[JumpBranch] = []
-    if firers.size == 1:
-        post = moved.copy()
-        post[firers[0]] = 0.0
-        branches.append(JumpBranch((int(firers[0]),), "single", post))
-    elif policy == ALL_ZERO:
-        post = moved.copy()
-        post[firers] = 0.0
-        branches.append(JumpBranch(tuple(int(i) for i in firers), ALL_ZERO, post))
-    else:
-        for bits in itertools.product((1, 0), repeat=firers.size):
-            post = moved.copy()
-            for i, bit in zip(firers, bits):
-                if bit:
-                    post[i] = 0.0
-            label = "enumerate:" + "".join(str(b) for b in bits)
-            branches.append(JumpBranch(tuple(int(i) for i in firers), label, post))
 
-    for b in branches:
-        if not in_flow_set(b.post):
-            bad = b.post[(b.post < 0.0) | (b.post > TWO_PI)][0]
-            raise InvalidPhaseResponseError(
-                f"reset left the box [0, 2*pi]: branch {b.branch!r} produced {bad!r}"
-            )
-    return branches
+def _draw_selection(rng: np.random.Generator, m: int) -> list[int]:
+    """Bits of one 'enumerate' branch of an m-firer jump, uniformly drawn.
+
+    While 2**m fits the int64 draw (m <= 63) this is the branch at index
+    rng.integers(2**m) of jump_map's order, the draw that picking from the
+    full list makes, without building the list.  Beyond that the m bits
+    are drawn directly, one rng.integers(2) each.
+    """
+    if m > 63:
+        return rng.integers(2, size=m).tolist()
+    k = int(rng.integers(2**m))
+    # jump_map's order counts through the selections with 1 before 0
+    return [1 - ((k >> (m - 1 - i)) & 1) for i in range(m)]
+
+
+def _select(moved: np.ndarray, firers: np.ndarray, bits) -> tuple[str, np.ndarray]:
+    """The 'enumerate' branch with one bit per firer (1 = reset to zero)."""
+    post = moved.copy()
+    post[firers[np.asarray(bits, dtype=bool)]] = 0.0
+    return "enumerate:" + "".join(map(str, bits)), post
+
+
+def _in_box(v: np.ndarray) -> bool:
+    """Whether every entry lies in [0, 2*pi]; NaN fails both comparisons."""
+    return bool(v.min() >= 0.0 and v.max() <= TWO_PI)
+
+
+def _outside(v: np.ndarray) -> np.ndarray:
+    """Mask of the entries outside [0, 2*pi], NaN included."""
+    return ~((v >= 0.0) & (v <= TWO_PI))
+
+
+def _check_box(post: np.ndarray, label: str) -> None:
+    """Post-jump box check: raises naming the branch and its first entry
+    outside [0, 2*pi] (NaN included)."""
+    if not _in_box(post):
+        bad = post[_outside(post)][0]
+        raise InvalidPhaseResponseError(
+            f"reset left the box [0, 2*pi]: branch {label!r} produced {bad!r}"
+        )
 
 
 def _eval_response(func, zs: np.ndarray) -> np.ndarray:

@@ -26,16 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis
-from .circle import TWO_PI, as_phases
-from .model import (
-    ALL_ZERO,
-    DEFAULT_FIRING_TOL,
-    POLICIES,
-    PhaseResponse,
-    in_splay_set,
-    jump_map,
-)
+from . import analysis, model
+from .circle import TWO_PI, _splay_gap_deviation, as_phases
+from .model import ALL_ZERO, DEFAULT_FIRING_TOL, POLICIES, PhaseResponse
 
 FLOW = "flow"
 PRE_JUMP = "pre-jump"
@@ -371,17 +364,19 @@ class _Flow:
         return self.states(np.asarray([t]))[0]
 
     def first_crossing(self, horizon: float, firing_tol: float):
+        """(t_fire, x_fire, firers) at the first firing, or None past the
+        horizon; see _clamp_firers."""
         if self.pert.is_none:
             # the bracket of _earliest_root collapses onto this closed form
             t_fire = self.t0 + (TWO_PI - self.x0.max()) / self.omega
             if t_fire > horizon:
                 return None
             x = self.x0 + self.omega * (t_fire - self.t0)
-            return t_fire, _clamp_firers(x, firing_tol)
+            return (t_fire, *_clamp_firers(x, firing_tol))
         t_fire = self._earliest_root()
         if t_fire > horizon:
             return None
-        return t_fire, _clamp_firers(self.state(t_fire), firing_tol)
+        return (t_fire, *_clamp_firers(self.state(t_fire), firing_tol))
 
     def _earliest_root(self) -> float:
         """Earliest time a coordinate reaches 2*pi, by bracketed Newton.
@@ -415,16 +410,17 @@ class _Flow:
         return float(hi.min())
 
 
-def _clamp_firers(x: np.ndarray, firing_tol: float) -> np.ndarray:
-    """Assign exactly 2*pi to every coordinate in the firing band.
+def _clamp_firers(x: np.ndarray, firing_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Assign exactly 2*pi, in place, to every coordinate in the firing
+    band; returns x and the indices of those coordinates, the firers.
 
     The located crossing sits within a few ulps of 2*pi, and any coordinate
     that reaches the band with it fires too; all land exactly on the
     boundary, so the jump map sees an exact firing.
     """
-    x = x.copy()
-    x[x >= TWO_PI - firing_tol] = TWO_PI
-    return x
+    firers = (x >= TWO_PI - firing_tol).nonzero()[0]
+    x[firers] = TWO_PI
+    return x, firers
 
 
 def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
@@ -448,7 +444,7 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     crossing = flow.first_crossing(horizon, firing_tol)
     if crossing is None:
         return horizon, flow.state(horizon), False
-    t_fire, x_fire = crossing
+    t_fire, x_fire, _ = crossing
     return t_fire, x_fire, True
 
 
@@ -471,8 +467,12 @@ def run(config: SimConfig) -> HybridArc:
     held for a full nominal revolution.  Raises ZenoViolationError when
     consecutive firings are closer than the dwell guard.
 
-    config.x0 is validated and the simulator keeps the state in the box,
-    so the loop tests firing on x.max() directly instead of re-validating.
+    Validation happens at the boundary: SimConfig has checked x0, and
+    the post-jump box check keeps every state the loop makes in the box,
+    so the loop calls the private kernels behind jump_map, lyapunov and
+    in_splay_set instead of the re-validating public functions.  A
+    crossing hands over its firers; a post-jump state is scanned for
+    firers once.  Under 'enumerate' only the drawn branch is built.
     """
     x = config.x0.copy()
     t = 0.0
@@ -486,11 +486,12 @@ def run(config: SimConfig) -> HybridArc:
     last_jump_t: float | None = None
     stop_reason = "horizon"
 
-    if x.max() < fire_at:
+    firers = (x >= fire_at).nonzero()[0]
+    if not firers.size:
         rec.add(t, j, x, FLOW)
 
     while True:
-        if x.max() >= fire_at:
+        if firers.size:
             if j >= config.max_jumps:
                 stop_reason = "max-jumps"
                 if not rec.ts or rec.ts[-1] != t or rec.js[-1] != j:
@@ -498,20 +499,19 @@ def run(config: SimConfig) -> HybridArc:
                 break
             if last_jump_t is not None and t - last_jump_t < config.min_dwell:
                 raise ZenoViolationError(t, j + 1, t - last_jump_t, config.min_dwell)
-            branches = jump_map(x, config.prc, config.policy, config.firing_tol)
-            branch = branches[0] if len(branches) == 1 else branches[int(rng.integers(len(branches)))]
+            label, post = model._jump(x, firers, config.prc, config.policy, rng)[0]
             rec.add(t, j, x, PRE_JUMP)
-            events.append(JumpEvent(t, j, branch.firers, branch.branch, x, branch.post))
+            events.append(JumpEvent(t, j, tuple(firers.tolist()), label, x, post))
             last_jump_t = t
             j += 1
-            x = branch.post
+            x = post
             rec.add(t, j, x, POST_JUMP)
 
             hit = False
             if config.stop_v_threshold is not None:
-                hit = analysis.lyapunov(x) < config.stop_v_threshold
+                hit = analysis._lyapunov(x) < config.stop_v_threshold
             if not hit and config.stop_splay_tol is not None:
-                hit = in_splay_set(x, config.stop_splay_tol)
+                hit = _splay_gap_deviation(x) <= config.stop_splay_tol
             if hit:
                 if hold_since is None:
                     hold_since = t
@@ -520,6 +520,7 @@ def run(config: SimConfig) -> HybridArc:
                     break
             else:
                 hold_since = None
+            firers = (x >= fire_at).nonzero()[0]
             continue
 
         flow = _Flow(x, t, config.omega, config.perturbation)
@@ -534,7 +535,7 @@ def run(config: SimConfig) -> HybridArc:
             rec.add(t, j, x, FLOW)
             stop_reason = "horizon"
             break
-        t, x = crossing
+        t, x, firers = crossing
 
     return HybridArc(
         ts=np.asarray(rec.ts),

@@ -156,6 +156,15 @@ class TestSimulate:
         assert code == EXIT_FAIL
         assert "zeno violation:" in capsys.readouterr().err
 
+    def test_response_leaving_the_box_exits_one_without_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "steep.json", prc="linear:20")
+        out = tmp_path / "o"
+        code = main(["simulate", str(cfg), "--out", str(out)])
+        assert code == EXIT_FAIL
+        assert "invalid response function:" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "events.csv").exists()
+
     def test_perturbation_block_round_trips(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "run.json",

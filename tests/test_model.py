@@ -1,5 +1,7 @@
 """Hybrid model data: flow/jump sets, the jump map, and set membership."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from splaysim.circle import TWO_PI
 from splaysim.model import (
     InvalidPhaseResponseError,
+    PhaseResponse,
     firing_indices,
     in_bad_set,
     in_flow_set,
@@ -120,6 +123,47 @@ def test_out_of_box_reset_raises():
     x = np.array([TWO_PI, 6.0, 1.0])
     with pytest.raises(InvalidPhaseResponseError):
         jump_map(x, bad)
+
+
+def test_nan_response_fails_the_box_check():
+    nan_above_five = PhaseResponse("nan-above-5",
+                                   lambda z: np.where(z > 5.0, np.nan, 0.0), 3)
+    with pytest.raises(InvalidPhaseResponseError, match=r"branch 'single' produced .*nan"):
+        jump_map(np.array([1.0, 5.5, TWO_PI]), nan_above_five)
+
+
+@pytest.mark.parametrize("x", [
+    [TWO_PI, TWO_PI, TWO_PI, 6.0],
+    [TWO_PI, TWO_PI, 1.0, 2.0],
+    [TWO_PI, 6.0, TWO_PI, 1.0],
+    [1.0, TWO_PI, 2.0, TWO_PI],
+])
+@pytest.mark.parametrize("policy", ["all-zero", "enumerate"])
+def test_box_check_names_the_first_branch_to_leave(x, policy):
+    # a positive response above the corner pushes listeners, and firers
+    # kept as listeners, past 2*pi; brute force over every branch in
+    # jump_map's order finds the first to leave the box
+    push = piecewise_linear(4, -0.5, name="push-up")
+    x = np.array(x)
+    firers = np.flatnonzero(x == TWO_PI)
+    moved = x + push(x)
+    selections = ([(1,) * firers.size] if policy == "all-zero"
+                  else list(itertools.product((1, 0), repeat=firers.size)))
+    first_bad = None
+    for bits in selections:
+        post = moved.copy()
+        post[firers[np.array(bits, dtype=bool)]] = 0.0
+        outside = (post < 0.0) | (post > TWO_PI)
+        if outside.any():
+            label = "all-zero" if policy == "all-zero" else "enumerate:" + "".join(map(str, bits))
+            first_bad = f"branch {label!r} produced {post[outside][0]!r}"
+            break
+    if first_bad is None:
+        assert len(jump_map(x, push, policy)) == len(selections)
+    else:
+        with pytest.raises(InvalidPhaseResponseError) as exc:
+            jump_map(x, push, policy)
+        assert str(exc.value).endswith(first_bad)
 
 
 @given(st.floats(0.0, TWO_PI - 1e-6, allow_nan=False),

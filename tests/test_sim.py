@@ -2,6 +2,7 @@
 guards, stop rules, and the CSV round trip."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splaysim import sim
+from splaysim import circle, sim
 from splaysim.analysis import lyapunov, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
-from splaysim.experiments import fig2_config, perturbed_config
-from splaysim.model import in_splay_set
-from splaysim.prc import broken_zero, paper_prc
+from splaysim.experiments import draw_start, fig2_config, perturbed_config
+from splaysim.model import InvalidPhaseResponseError, PhaseResponse, in_splay_set, jump_map
+from splaysim.prc import broken_zero, paper_prc, prc_from_spec
 from splaysim.sim import (
     Perturbation,
     SimConfig,
@@ -174,6 +175,150 @@ def test_zeno_guard_trips_on_the_zero_response():
     assert err.dwell <= 1e-6 + 1e-12
     assert err.min_dwell == 1e-3
     assert err.t == pytest.approx(1e-6, abs=1e-9)
+
+
+# -- the per-jump path: branch draws, the box check, boundary validation -------------
+
+@pytest.mark.parametrize("m", [2, 3, 7, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_enumerate_draw_builds_the_branch_jump_map_lists(m, seed):
+    # run builds only the drawn branch; it is the one that picking
+    # rng.integers(2**m) from jump_map's full list gives
+    n = m + 2
+    x0 = np.concatenate([np.full(m, TWO_PI), [1.0, 2.0]])
+    arc = run(SimConfig(prc=paper_prc(n), x0=x0, policy="enumerate", seed=seed,
+                        max_jumps=1))
+    k = int(np.random.default_rng(seed).integers(2**m))
+    expected = jump_map(x0, paper_prc(n), policy="enumerate")[k]
+    event = arc.events[0]
+    assert (event.firers, event.branch) == (expected.firers, expected.branch)
+    assert event.post.tobytes() == expected.post.tobytes()
+
+
+@pytest.mark.parametrize("m", [40, 70])
+def test_enumerate_with_many_firers_builds_one_branch(m):
+    # 2**m branches could never be listed; m = 70 is past the int64 draw,
+    # so its branch bits are drawn one by one
+    cfg = SimConfig(prc=paper_prc(m), x0=np.full(m, TWO_PI), policy="enumerate",
+                    horizon=20.0, stop_v_threshold=None)
+    t0 = time.perf_counter()
+    arc = run(cfg)
+    wall = time.perf_counter() - t0
+    assert wall < 1.0
+    first = arc.events[0]
+    bits = first.branch.removeprefix("enumerate:")
+    assert len(bits) == m and set(bits) <= {"0", "1"}
+    reset = np.array([b == "1" for b in bits])
+    assert np.all(first.post[reset] == 0.0)
+    assert np.all(first.post[~reset] == TWO_PI + paper_prc(m)(TWO_PI))
+
+
+def nan_above_five(n):
+    return PhaseResponse("nan-above-5", lambda z: np.where(z > 5.0, np.nan, 0.0), n)
+
+
+def test_nan_response_fails_the_box_check_in_run():
+    # the listener at 5.5 fires on the first jump, at t = 0
+    cfg = SimConfig(prc=nan_above_five(3), x0=[1.0, 5.5, TWO_PI], stop_v_threshold=None)
+    with pytest.raises(InvalidPhaseResponseError, match=r"branch 'single' produced .*nan"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("x0, policy, branch", [
+    ([1.0, 4.5, 5.0], "all-zero", "single"),
+    ([TWO_PI, TWO_PI, 4.5], "all-zero", "all-zero"),
+    ([TWO_PI, TWO_PI, 4.5], "enumerate", "enumerate:11"),
+    # the listener stays in the box; a firer kept as a listener does not
+    ([TWO_PI, TWO_PI, 1.0], "enumerate", "enumerate:10"),
+])
+def test_run_raises_when_a_jump_leaves_the_box(x0, policy, branch):
+    # slope 20 throws a listener above the corner far below 0
+    cfg = SimConfig(prc=prc_from_spec("linear:20", 3), x0=x0, policy=policy,
+                    stop_v_threshold=None)
+    with pytest.raises(InvalidPhaseResponseError, match=f"branch '{branch}'"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("stop", [
+    {"stop_v_threshold": 1e-300},
+    {"stop_v_threshold": None, "stop_splay_tol": 1e-300},
+], ids=["lyapunov", "splay"])
+def test_range_checks_stay_at_the_boundary(monkeypatch, stop):
+    # SimConfig validates x0; the firing loop itself re-validates nothing,
+    # so a run's range checks do not grow with its jumps
+    configs = [SimConfig(prc=paper_prc(5), x0=[0.3, 1.0, 2.2, 4.0, 5.1], horizon=1e4,
+                         sample_dt=1.0, max_jumps=jumps, **stop)
+               for jumps in (10, 1000)]
+    calls = []
+    check_range = circle._check_range
+
+    def counted(arr):
+        calls.append(arr.size)
+        check_range(arr)
+
+    monkeypatch.setattr(circle, "_check_range", counted)
+    counts = []
+    for cfg in configs:
+        calls.clear()
+        arc = run(cfg)
+        assert arc.jumps == cfg.max_jumps
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
+def reference_run(cfg):
+    """The arc's events rebuilt from the public, validating functions
+    alone: (events, stop reason, final j), each event (t, firers, branch, post)."""
+    x, t, j = cfg.x0, 0.0, 0
+    rng = np.random.default_rng(cfg.seed)
+    events, hold_since = [], None
+    while True:
+        if x.max() >= TWO_PI - cfg.firing_tol:
+            if j >= cfg.max_jumps:
+                return events, "max-jumps", j
+            branches = jump_map(x, cfg.prc, cfg.policy, cfg.firing_tol)
+            b = branches[0] if len(branches) == 1 else branches[int(rng.integers(len(branches)))]
+            events.append((t, b.firers, b.branch, b.post))
+            j += 1
+            x = b.post
+            hit = cfg.stop_v_threshold is not None and lyapunov(x) < cfg.stop_v_threshold
+            if not hit and cfg.stop_splay_tol is not None:
+                hit = in_splay_set(x, cfg.stop_splay_tol)
+            if not hit:
+                hold_since = None
+            elif hold_since is None:
+                hold_since = t
+            elif t - hold_since >= TWO_PI / cfg.omega:
+                return events, "stop-rule", j
+            continue
+        t, x, fired = flow_to_next_event(x, cfg.omega, cfg.perturbation, t,
+                                         cfg.horizon, cfg.firing_tol)
+        if not fired:
+            return events, "horizon", j
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda: SimConfig(prc=paper_prc(2), x0=[0.5, 3.0]),
+    lambda: fig2_config(),
+    lambda: fig2_config(stop_v_threshold=None, stop_splay_tol=1e-6),
+    lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, TWO_PI, 1.0, 3.0, 5.0],
+                      policy="all-zero", horizon=60.0),
+    lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, 1.0, TWO_PI, 3.0, TWO_PI],
+                      policy="enumerate", seed=4, horizon=60.0),
+    lambda: SimConfig(prc=paper_prc(50), x0=draw_start(np.random.default_rng(5), 50),
+                      max_jumps=400),
+    lambda: perturbed_config(0.05),
+], ids=["n2", "n3-v", "n3-splay", "n5-all-zero", "n5-enumerate", "n50-max-jumps",
+        "n3-perturbed"])
+def test_run_matches_the_public_function_reference(make_config):
+    cfg = make_config()
+    arc = run(cfg)
+    events, reason, final_j = reference_run(cfg)
+    assert (arc.stop_reason, arc.final_time.j) == (reason, final_j)
+    assert len(arc.events) == len(events)
+    for e, (t, firers, branch, post) in zip(arc.events, events):
+        assert (e.t, e.firers, e.branch) == (t, firers, branch)
+        assert e.post.tobytes() == post.tobytes()
 
 
 # -- stop conditions -------------------------------------------------------------
