@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +38,15 @@ CONFIG_SCHEMA = "simconfig/1"
 OUT_ENV = "SPLAYSIM_OUT"
 DEFAULT_OUT = "splaysim_out"
 
-_CONFIG_KEYS = {
-    "schema", "n", "omega", "prc", "x0", "horizon", "max_jumps", "firing_tol",
-    "min_dwell", "stop_v_threshold", "stop_splay_tol", "policy", "seed",
-    "sample_dt", "perturbation",
-}
+_FIELDS = dataclasses.fields(SimConfig)
+_CONFIG_KEYS = {"schema"} | {f.name for f in _FIELDS}
 _PERTURBATION_KEYS = {"kind", "amplitude", "frequency", "offsets"}
 #: run parameters the config and flags leave unset take SimConfig's defaults
-_SIM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SimConfig)
-                 if f.default is not dataclasses.MISSING}
+_SIM_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING}
+#: plain float and int fields are cast, so JSON integers and numeric strings
+#: pass as before; optional ones (None: off or unseeded) reach SimConfig as given
+_CASTS = {name: hint for name, hint in typing.get_type_hints(SimConfig).items()
+          if hint in (float, int)}
 
 
 class ConfigError(ValueError):
@@ -81,91 +82,61 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _parse_x0(text: str) -> np.ndarray:
-    try:
-        return np.asarray([float(p) for p in text.split(",")])
-    except ValueError:
-        raise ConfigError(f"could not parse phase vector {text!r}") from None
-
-
-def _build_perturbation(data: dict | None, args, n: int) -> Perturbation:
-    kind = None
-    amplitude = frequency = None
-    offsets = None
-    if data:
-        kind = data.get("kind")
-        amplitude = data.get("amplitude")
-        frequency = data.get("frequency")
-        offsets = data.get("offsets")
+def _build_perturbation(block: dict | None, args, n: int) -> Perturbation:
+    """The config's perturbation block with the --perturb-* flags laid over
+    it; a sinusoid defaults to frequency 0.5 and offsets 2*pi*k/n."""
+    params = dict(block or {})
+    for key in _PERTURBATION_KEYS - {"kind"}:
+        flag = getattr(args, f"perturb_{key}")
+        if flag is not None:
+            params[key] = flag.split(",") if key == "offsets" else flag
     if args.perturb_amplitude is not None:
-        amplitude = args.perturb_amplitude
-        kind = kind or "sinusoidal"
-    if args.perturb_frequency is not None:
-        frequency = args.perturb_frequency
-    if args.perturb_offsets is not None:
-        offsets = [float(p) for p in args.perturb_offsets.split(",")]
+        params["kind"] = params.get("kind") or "sinusoidal"
+    kind = params.get("kind")
     if kind in (None, "none"):
         return Perturbation.none()
     if kind != "sinusoidal":
         raise ConfigError(f"unknown perturbation kind {kind!r}")
-    if amplitude is None:
+    if params.get("amplitude") is None:
         raise ConfigError("sinusoidal perturbation needs an amplitude")
-    if frequency is None:
-        frequency = 0.5
-    if offsets is None:
-        offsets = [2.0 * np.pi * k / n for k in range(n)]
-    if len(offsets) != n:
-        raise ConfigError(f"perturbation has {len(offsets)} offsets for n={n}")
-    return Perturbation.sinusoidal(float(amplitude), float(frequency), offsets)
+    frequency = params.get("frequency")
+    offsets = params.get("offsets")
+    return Perturbation.sinusoidal(
+        params["amplitude"],
+        0.5 if frequency is None else frequency,
+        [2.0 * np.pi * k / n for k in range(n)] if offsets is None else offsets,
+    )
 
 
 def _build_sim_config(args) -> SimConfig:
+    """Each SimConfig field from its flag (same dest), else the config key
+    of the same name, else the field's default.  Any ValueError or TypeError
+    on the way, the library's checks included, is a ConfigError."""
     data = _load_config(args.config) if args.config else {}
     config_dir = Path(args.config).parent if args.config else Path.cwd()
-
-    x0 = args.x0 if args.x0 is not None else data.get("x0")
-    if x0 is None:
-        raise ConfigError("a start state is required (config key 'x0' or flag --x0)")
-    x0 = _parse_x0(x0) if isinstance(x0, str) else np.asarray(x0, dtype=float)
-
-    n = args.n if args.n is not None else data.get("n")
-    n = int(n) if n is not None else x0.size
-
-    prc_spec = args.prc if args.prc is not None else data.get("prc")
-    if prc_spec is None:
-        raise ConfigError("a response function is required (config key 'prc' or flag --prc)")
-    if prc_spec.startswith("table:"):
-        rel = prc_spec[len("table:"):]
-        prc_spec = f"table:{(config_dir / rel)}" if not Path(rel).is_absolute() else prc_spec
     try:
-        prc = prc_from_spec(prc_spec, n)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    def pick(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        return data.get(key, _SIM_DEFAULTS[key])
-
-    pert = _build_perturbation(data.get("perturbation"), args, n)
-    try:
-        return SimConfig(
-            prc=prc,
-            x0=x0,
-            n=n,
-            omega=float(pick(args.omega, "omega")),
-            perturbation=pert,
-            horizon=float(pick(args.horizon, "horizon")),
-            max_jumps=int(pick(args.max_jumps, "max_jumps")),
-            firing_tol=float(pick(args.firing_tol, "firing_tol")),
-            min_dwell=float(pick(args.min_dwell, "min_dwell")),
-            stop_v_threshold=pick(args.stop_v, "stop_v_threshold"),
-            stop_splay_tol=pick(None, "stop_splay_tol"),
-            policy=pick(args.policy, "policy"),
-            seed=pick(args.seed, "seed"),
-            sample_dt=float(pick(args.sample_dt, "sample_dt")),
-        )
-    except ValueError as exc:
+        values = {}
+        for f in _FIELDS:
+            value = getattr(args, f.name, None)
+            if value is None:
+                value = data.get(f.name, _SIM_DEFAULTS.get(f.name))
+            values[f.name] = _CASTS[f.name](value) if f.name in _CASTS else value
+        x0 = values["x0"]
+        if x0 is None:
+            raise ConfigError("a start state is required (config key 'x0' or flag --x0)")
+        if isinstance(x0, str):
+            x0 = [float(p) for p in x0.split(",")]
+        x0 = values["x0"] = np.asarray(x0, dtype=float)
+        n = values["n"] = x0.size if values["n"] is None else int(values["n"])
+        spec = values["prc"]
+        if spec is None:
+            raise ConfigError("a response function is required (config key 'prc' or flag --prc)")
+        if isinstance(spec, str) and spec.startswith("table:"):
+            spec = f"table:{config_dir / spec[len('table:'):]}"
+        values["prc"] = prc_from_spec(spec, n)
+        values["perturbation"] = _build_perturbation(data.get("perturbation"), args, n)
+        return SimConfig(**values)
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -181,8 +152,6 @@ def cmd_simulate(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         arc = run(config)
     except ZenoViolationError as exc:
@@ -191,6 +160,8 @@ def cmd_simulate(args) -> int:
     except InvalidPhaseResponseError as exc:
         print(f"invalid response function: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     traj = out / "trajectory.csv"
     events = out / "events.csv"
     write_trajectory_csv(arc, traj)
@@ -237,7 +208,11 @@ def cmd_experiment(args) -> int:
             kwargs["runs"] = args.runs
         if args.seed is not None:
             kwargs["seed"] = args.seed
-    report = runner(out, **kwargs)
+    try:
+        report = runner(out, **kwargs)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for line in report.lines():
         print(line)
     print(f"summary: {out / 'summary.json'}")
@@ -285,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--max-jumps", type=int, dest="max_jumps")
     sim.add_argument("--firing-tol", type=float, dest="firing_tol")
     sim.add_argument("--min-dwell", type=float, dest="min_dwell")
-    sim.add_argument("--stop-v", type=float, dest="stop_v",
+    sim.add_argument("--stop-v", type=float, dest="stop_v_threshold",
                      help="stop once V stays below this for a full revolution")
     sim.add_argument("--policy", choices=("all-zero", "enumerate"),
                      help="resolution of simultaneous firings")

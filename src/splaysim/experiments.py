@@ -20,6 +20,7 @@ from .circle import (
     min_pairwise_geodesic,
     shortest_arc_length,
     shortest_arc_oracle,
+    splay_arc_length,
     splay_gap_deviation,
 )
 from .model import in_bad_set, in_splay_set, validate_prc
@@ -321,8 +322,13 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
 
     Sections: circle geometry (arc bound, invariances, oracle agreement),
     splay detection, the convergence run corpus, and validator behaviour on
-    the broken catalog including the constructed V-increase run.
+    the broken catalog including the constructed V-increase run.  Every
+    budget must be at least 1.
     """
+    for name, budget in (("geometry_samples", geometry_samples),
+                         ("oracle_samples", oracle_samples), ("runs", runs)):
+        if budget < 1:
+            raise ValueError(f"{name} must be at least 1, got {budget!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -335,7 +341,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
     for n in range(2, 9):
         xs = rng.uniform(0.0, TWO_PI, size=(geometry_samples, n))
         gamma = shortest_arc_length(xs)
-        bound = TWO_PI * (n - 1) / n
+        bound = splay_arc_length(n)
         over = float((gamma - bound).max())
         sub = xs[:min(oracle_samples, geometry_samples)]
         oracle_dev = float(np.abs(shortest_arc_length(sub) - shortest_arc_oracle(sub)).max())

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import TWO_PI, as_phases, min_pairwise_geodesic, splay_gap_deviation
+from .circle import (TWO_PI, as_phases, min_pairwise_geodesic, splay_arc_length,
+                     splay_gap_deviation)
 
 ALL_ZERO = "all-zero"
 ENUMERATE = "enumerate"
@@ -37,10 +38,9 @@ class InvalidPhaseResponseError(RuntimeError):
 
 def knee(n: int) -> float:
     """Corner of the response sector, 2*pi*(n-1)/n: phases at or below it
-    must be left alone, phases above it must be pulled back."""
-    if n < 2:
-        raise ValueError(f"need at least 2 oscillators, got {n}")
-    return TWO_PI * (n - 1) / n
+    must be left alone, phases above it must be pulled back.  It is the
+    splay state's shortest containing arc, circle.splay_arc_length."""
+    return splay_arc_length(n)
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,8 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
     than rejecting out-of-range values, so misdesigned responses can still
     be probed from the command line.
     """
+    if not isinstance(spec, str):
+        raise TypeError(f"response selector must be a string, got {spec!r}")
     if spec == "paper":
         return paper_prc(n)
     kind, _, arg = spec.partition(":")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -88,17 +89,19 @@ class Perturbation:
     @staticmethod
     def sinusoidal(amplitude: float, frequency: float,
                    offsets) -> "Perturbation":
-        """d_i(t) = amplitude * sin(frequency * t + offsets[i])."""
-        amplitude = float(amplitude)
+        """d_i(t) = amplitude * sin(frequency * t + offsets[i]); every
+        parameter must be finite and the amplitude nonnegative."""
+        amplitude, frequency = float(amplitude), float(frequency)
+        offsets = tuple(float(o) for o in offsets)
+        if not all(map(math.isfinite, (amplitude, frequency, *offsets))):
+            raise ValueError(
+                f"sinusoid parameters must be finite, got amplitude={amplitude!r}, "
+                f"frequency={frequency!r}, offsets={offsets!r}"
+            )
         if amplitude < 0.0:
             raise ValueError(f"amplitude must be nonnegative, got {amplitude!r}")
-        return Perturbation(
-            kind="sinusoidal",
-            amplitude=amplitude,
-            frequency=float(frequency),
-            offsets=tuple(float(o) for o in offsets),
-            bound=amplitude,
-        )
+        return Perturbation(kind="sinusoidal", amplitude=amplitude, frequency=frequency,
+                            offsets=offsets, bound=amplitude)
 
     @staticmethod
     def custom(func: Callable[[float], np.ndarray], bound: float) -> "Perturbation":
@@ -227,8 +230,11 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         for name in ("stop_v_threshold", "stop_splay_tol"):
             val = getattr(self, name)
-            if val is not None and val < 0.0:
-                raise ValueError(f"{name} must be nonnegative or None, got {val!r}")
+            if val is not None and (not isinstance(val, numbers.Real) or val < 0.0):
+                raise ValueError(f"{name} must be a nonnegative number or None, got {val!r}")
+        if self.seed is not None and (not isinstance(self.seed, numbers.Integral)
+                                      or self.seed < 0):
+            raise ValueError(f"seed must be a nonnegative integer or None, got {self.seed!r}")
         pert = self.perturbation
         if not pert.is_none and pert.kind == "sinusoidal" and len(pert.offsets) != self.n:
             raise ValueError(

@@ -15,7 +15,7 @@ import pytest
 
 from splaysim import cli
 from splaysim.cli import CONFIG_SCHEMA, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from splaysim.sim import SimConfig, read_trajectory_csv, run
+from splaysim.sim import Perturbation, SimConfig, read_trajectory_csv, run
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +36,46 @@ def write_config(path, **overrides):
     data.update(overrides)
     path.write_text(json.dumps(data))
     return path
+
+
+#: a config value for each SimConfig run parameter, off its default, and
+#: what SimConfig must hold; float parameters take JSON integers, and null
+#: turns the stop rule off and leaves the jumps unseeded
+NON_DEFAULTS = {
+    "omega": (2, 2.0),
+    "perturbation": ({"kind": "sinusoidal", "amplitude": 0.03},
+                     Perturbation.sinusoidal(0.03, 0.5, [2.0 * np.pi * k / 3 for k in range(3)])),
+    "horizon": (4, 4.0),
+    "max_jumps": (3, 3),
+    "firing_tol": (1e-10, 1e-10),
+    "min_dwell": (0, 0.0),
+    "stop_v_threshold": (None, None),
+    "stop_splay_tol": (1e-3, 1e-3),
+    "policy": ("enumerate", "enumerate"),
+    "seed": (None, None),
+    "sample_dt": (1, 1.0),
+}
+
+_SINUSOID = {"kind": "sinusoidal", "amplitude": 0.03}
+#: inputs that must end in "config error:" and exit 2: (config overrides, flags)
+MALFORMED = {
+    "seed-string": ({"seed": "abc"}, []),
+    "seed-fraction": ({"seed": 3.7}, []),
+    "seed-negative": ({"seed": -1}, []),
+    "stop-v-string": ({"stop_v_threshold": "abc"}, []),
+    "stop-splay-string": ({"stop_splay_tol": "x"}, []),
+    "n-string": ({"n": "abc"}, []),
+    "omega-null": ({"omega": None}, []),
+    "x0-string-entry": ({"x0": ["a", 1, 2]}, []),
+    "prc-number": ({"prc": 5}, []),
+    "amplitude-negative": ({"perturbation": {**_SINUSOID, "amplitude": -0.01}}, []),
+    "amplitude-string": ({"perturbation": {**_SINUSOID, "amplitude": "abc"}}, []),
+    "offset-string": ({"perturbation": {**_SINUSOID, "offsets": [0, 1, "z"]}}, []),
+    "frequency-nan": ({"perturbation": {**_SINUSOID, "frequency": "nan"}}, []),
+    "flag-amplitude-negative": ({}, ["--perturb-amplitude", "-0.1"]),
+    "flag-offset-string": ({}, ["--perturb-amplitude", "0.03", "--perturb-offsets", "1,x,2"]),
+    "flag-frequency-nan": ({}, ["--perturb-amplitude", "0.03", "--perturb-frequency", "nan"]),
+}
 
 
 class TestSimulate:
@@ -78,6 +118,31 @@ class TestSimulate:
         for f in dataclasses.fields(SimConfig):
             if f.name != "x0":
                 assert getattr(config, f.name) == getattr(defaults, f.name), f.name
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimConfig)
+                                      if f.name not in ("prc", "x0", "n")])
+    def test_each_config_key_reaches_simconfig(self, tmp_path, monkeypatch, name):
+        # n is left out: x0 fixes it, and a conflicting n is a config error
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or run(config))
+        value, expected = NON_DEFAULTS[name]
+        cfg = write_config(tmp_path / "run.json", **{"horizon": 5.0, name: value})
+        code = main(["simulate", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        (config,) = seen
+        assert expected != getattr(SimConfig(prc=config.prc, x0=config.x0), name)
+        assert getattr(config, name) == expected
+        assert type(getattr(config, name)) is type(expected)
+
+    @pytest.mark.parametrize("overrides, flags", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_input_is_a_config_error_without_output(self, tmp_path, capsys,
+                                                             overrides, flags):
+        cfg = write_config(tmp_path / "run.json", **overrides)
+        out = tmp_path / "o"
+        code = main(["simulate", str(cfg), "--out", str(out), *flags])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_flags_override_config_values(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json", horizon=80.0)
@@ -152,9 +217,11 @@ class TestSimulate:
             x0=[2.0 * np.pi, 2.0 * np.pi - 1e-6, 1.0],
             min_dwell=1e-3,
         )
-        code = main(["simulate", str(cfg), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["simulate", str(cfg), "--out", str(out)])
         assert code == EXIT_FAIL
         assert "zeno violation:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_response_leaving_the_box_exits_one_without_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "steep.json", prc="linear:20")
@@ -164,6 +231,7 @@ class TestSimulate:
         assert "invalid response function:" in capsys.readouterr().err
         assert not (out / "trajectory.csv").exists()
         assert not (out / "events.csv").exists()
+        assert not out.exists()
 
     def test_perturbation_block_round_trips(self, tmp_path, capsys):
         cfg = write_config(
@@ -262,6 +330,14 @@ class TestExperiment:
         assert code == EXIT_OK
         data = json.loads((tmp_path / "corpus" / "summary.json").read_text())
         assert data["passed"] is True
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-3"),
+                                             ("--samples", "0")])
+    def test_corpus_budget_below_one_is_a_config_error(self, tmp_path, capsys, flag, value):
+        code = main(["experiment", "corpus", flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "corpus").exists()
 
 
 class TestCloseness:

@@ -54,6 +54,9 @@ def test_config_infers_and_checks_n():
     dict(policy="sometimes"),
     dict(stop_v_threshold=-1e-6),
     dict(stop_splay_tol=-0.1),
+    dict(seed="abc"),
+    dict(seed=3.7),
+    dict(seed=-1),
 ])
 def test_config_rejects_bad_parameters(bad):
     with pytest.raises(ValueError):
@@ -480,6 +483,18 @@ def test_perturbation_constructors_validate():
         Perturbation.sinusoidal(-0.1, 0.5, (0.0,))
     with pytest.raises(ValueError):
         Perturbation.custom(lambda t: np.zeros(3), bound=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("param", ["amplitude", "frequency", "offset"])
+def test_sinusoid_rejects_non_finite_parameters(param, value):
+    args = {"amplitude": 0.03, "frequency": 0.5, "offsets": [0.0, 2.0, 4.0]}
+    if param == "offset":
+        args["offsets"][1] = value
+    else:
+        args[param] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        Perturbation.sinusoidal(**args)
 
 
 @pytest.mark.parametrize("bound", [1.0, 1.5])
