@@ -108,6 +108,13 @@ def _build_perturbation(block: dict | None, args, n: int) -> Perturbation:
     )
 
 
+def _cast(name: str, kind: type, value):
+    try:
+        return kind(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _build_sim_config(args) -> SimConfig:
     """Each SimConfig field from its flag (same dest), else the config key
     of the same name, else the field's default.  Any ValueError or TypeError
@@ -120,14 +127,14 @@ def _build_sim_config(args) -> SimConfig:
             value = getattr(args, f.name, None)
             if value is None:
                 value = data.get(f.name, _SIM_DEFAULTS.get(f.name))
-            values[f.name] = _CASTS[f.name](value) if f.name in _CASTS else value
+            values[f.name] = _cast(f.name, _CASTS[f.name], value) if f.name in _CASTS else value
         x0 = values["x0"]
         if x0 is None:
             raise ConfigError("a start state is required (config key 'x0' or flag --x0)")
         if isinstance(x0, str):
             x0 = [float(p) for p in x0.split(",")]
         x0 = values["x0"] = np.asarray(x0, dtype=float)
-        n = values["n"] = x0.size if values["n"] is None else int(values["n"])
+        n = values["n"] = x0.size if values["n"] is None else _cast("n", int, values["n"])
         spec = values["prc"]
         if spec is None:
             raise ConfigError("a response function is required (config key 'prc' or flag --prc)")

@@ -267,13 +267,15 @@ def validate_prc(func, n: int, grid: int = 100_000,
                    beyond the 1e-12 exactness floor (an injectivity
                    surrogate: listeners can never swap or merge)
 
-    Sampling can only refute, never prove; grid >= 10_000 is required so the
-    surrogates are meaningful.
+    Sampling can only refute, never prove; grid >= 10_000 and a positive
+    finite lipschitz are required so the surrogates are meaningful.
     """
     if n < 2:
         raise ValueError(f"need at least 2 oscillators, got {n}")
     if grid < 10_000:
         raise ValueError(f"grid must be at least 10000 points, got {grid}")
+    if not 0.0 < lipschitz < np.inf:
+        raise ValueError(f"lipschitz must be positive and finite, got {lipschitz!r}")
     corner = knee(n)
     zs = np.union1d(np.linspace(0.0, TWO_PI, int(grid)), [0.0, corner, TWO_PI])
     # the corner can land within one ulp of a lattice point; collapse any

@@ -10,10 +10,11 @@ which brackets its crossing of 2*pi; Newton inside that bracket finds it
 to a few ulps and the earliest crossing fires.  Either way the crossing
 coordinates are assigned exactly 2*pi rather than accumulated.
 
-Executions are recorded as HybridArc objects: state samples indexed by
-(t, j) and the jump events with pre/post states; the hybrid time domain
-is read off the samples.  Runs are deterministic given the
-configuration, including the seed that resolves set-valued jumps.
+A run records its firings (jump events with pre/post states), its final
+(t, x) and why it stopped; the HybridArc's samples, indexed by (t, j), are
+derived from those on the global grid, and the hybrid time domain is read
+off the samples.  Runs are deterministic given the configuration,
+including the seed that resolves set-valued jumps.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ _KINDS = frozenset((FLOW, PRE_JUMP, POST_JUMP))
 _NEWTON_ITERS = 64
 #: nodes per Gauss-Legendre panel in the integral of a custom disturbance
 _GAUSS_ORDER = 8
+#: cap on horizon / sample_dt, the flow samples of one run (studies need 1.2e4)
+MAX_GRID_POINTS = 1_000_000
 
 
 class ZenoViolationError(RuntimeError):
@@ -226,6 +229,9 @@ class SimConfig:
             raise ValueError(f"min_dwell must be nonnegative, got {self.min_dwell!r}")
         if not self.sample_dt > 0.0:
             raise ValueError(f"sample_dt must be positive, got {self.sample_dt!r}")
+        if not self.horizon / self.sample_dt <= MAX_GRID_POINTS:
+            raise ValueError(f"horizon / sample_dt must be at most {MAX_GRID_POINTS}, "
+                             f"got {self.horizon / self.sample_dt!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         for name in ("stop_v_threshold", "stop_splay_tol"):
@@ -265,8 +271,10 @@ class HybridArc:
 
     ts, js, states and kinds are parallel arrays of samples ordered by
     hybrid time; kinds are 'flow', 'pre-jump' or 'post-jump'.  events
-    holds one JumpEvent per firing.  The hybrid time domain is not stored:
-    intervals reads it off the samples.
+    holds one JumpEvent per firing.  A simulated arc derives its samples
+    from the events, so each pre-jump and post-jump row holds its event's
+    pre and post state.  The hybrid time domain is not stored: intervals
+    reads it off the samples.
     """
 
     ts: np.ndarray
@@ -315,38 +323,6 @@ class HybridArc:
         than two firings occurred."""
         d = self.dwells()
         return float(d.min()) if d.size else float("nan")
-
-
-class _Recorder:
-    """Samples in hybrid-time order.
-
-    A flow segment's samples are kept as one (k, n) block and each jump's
-    pre and post states as one row each; ts, js and kinds stay Python
-    lists.  The state rows are concatenated once, in states().
-    """
-
-    def __init__(self):
-        self.ts: list[float] = []
-        self.js: list[int] = []
-        self.kinds: list[str] = []
-        self._states: list[np.ndarray] = []
-
-    def add(self, t: float, j: int, x: np.ndarray, kind: str) -> None:
-        """Record one state; x is kept by reference, callers never mutate it."""
-        self.ts.append(float(t))
-        self.js.append(int(j))
-        self.kinds.append(kind)
-        self._states.append(x)
-
-    def extend_flow(self, ts: np.ndarray, j: int, xs: np.ndarray) -> None:
-        k = len(ts)
-        self.ts.extend(ts.tolist())
-        self.js.extend([j] * k)
-        self.kinds.extend([FLOW] * k)
-        self._states.append(xs)
-
-    def states(self, n: int) -> np.ndarray:
-        return np.vstack(self._states) if self._states else np.empty((0, n))
 
 
 class _Flow:
@@ -454,15 +430,6 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     return t_fire, x_fire, True
 
 
-def _sample_times(t_start: float, t_end: float, dt: float) -> np.ndarray:
-    """Global grid times k * dt strictly inside (t_start, t_end)."""
-    k0 = math.floor(t_start / dt + 1e-9) + 1
-    k1 = math.ceil(t_end / dt - 1e-9) - 1
-    if k1 < k0:
-        return np.empty(0)
-    return dt * np.arange(k0, k1 + 1)
-
-
 def run(config: SimConfig) -> HybridArc:
     """Execute the network and record the arc.
 
@@ -473,6 +440,7 @@ def run(config: SimConfig) -> HybridArc:
     held for a full nominal revolution.  Raises ZenoViolationError when
     consecutive firings are closer than the dwell guard.
 
+    The loop records only the firings, the final (t, x) and the stop reason.
     Validation happens at the boundary: SimConfig has checked x0, and
     the post-jump box check keeps every state the loop makes in the box,
     so the loop calls the private kernels behind jump_map, lyapunov and
@@ -482,36 +450,23 @@ def run(config: SimConfig) -> HybridArc:
     """
     x = config.x0.copy()
     t = 0.0
-    j = 0
     rng = np.random.default_rng(config.seed)
-    rec = _Recorder()
     events: list[JumpEvent] = []
     fire_at = TWO_PI - config.firing_tol
     period = TWO_PI / config.omega
     hold_since: float | None = None
-    last_jump_t: float | None = None
-    stop_reason = "horizon"
 
     firers = (x >= fire_at).nonzero()[0]
-    if not firers.size:
-        rec.add(t, j, x, FLOW)
-
     while True:
         if firers.size:
-            if j >= config.max_jumps:
+            if len(events) >= config.max_jumps:
                 stop_reason = "max-jumps"
-                if not rec.ts or rec.ts[-1] != t or rec.js[-1] != j:
-                    rec.add(t, j, x, FLOW)
                 break
-            if last_jump_t is not None and t - last_jump_t < config.min_dwell:
-                raise ZenoViolationError(t, j + 1, t - last_jump_t, config.min_dwell)
+            if events and t - events[-1].t < config.min_dwell:
+                raise ZenoViolationError(t, len(events) + 1, t - events[-1].t, config.min_dwell)
             label, post = model._jump(x, firers, config.prc, config.policy, rng)[0]
-            rec.add(t, j, x, PRE_JUMP)
-            events.append(JumpEvent(t, j, tuple(firers.tolist()), label, x, post))
-            last_jump_t = t
-            j += 1
+            events.append(JumpEvent(t, len(events), tuple(firers.tolist()), label, x, post))
             x = post
-            rec.add(t, j, x, POST_JUMP)
 
             hit = False
             if config.stop_v_threshold is not None:
@@ -531,23 +486,58 @@ def run(config: SimConfig) -> HybridArc:
 
         flow = _Flow(x, t, config.omega, config.perturbation)
         crossing = flow.first_crossing(config.horizon, config.firing_tol)
-        t_end = crossing[0] if crossing is not None else config.horizon
-        grid = _sample_times(t, t_end, config.sample_dt)
-        if grid.size:
-            rec.extend_flow(grid, j, flow.states(grid))
         if crossing is None:
-            x = flow.state(config.horizon)
-            t = config.horizon
-            rec.add(t, j, x, FLOW)
+            t, x = config.horizon, flow.state(config.horizon)
             stop_reason = "horizon"
             break
         t, x, firers = crossing
 
+    return _sampled_arc(config, events, t, x, stop_reason)
+
+
+def _sampled_arc(config: SimConfig, events: list[JumpEvent], t_end: float,
+                 x_end: np.ndarray, stop_reason: str) -> HybridArc:
+    """The arc of a run, its samples derived in one pass from its firings,
+    its final time and state, and the global grid k * sample_dt.
+
+    Segment k runs from firing k - 1 (x0 at t = 0 for k = 0) to firing k
+    (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
+    unless x0 is on the jump set, else 'post-jump'), its exact flow on the
+    grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
+    unless the run ended on a jump).
+    """
+    m, dt = len(events), config.sample_dt
+    starts = np.array([0.0, *(e.t for e in events)])
+    ends = np.append(starts[1:], t_end)
+    # grid indices strictly inside each segment, to within 1e-9 of a step
+    k0 = np.floor(starts / dt + 1e-9).astype(int) + 1
+    counts = np.maximum(np.ceil(ends / dt - 1e-9).astype(int) - k0, 0)
+    # rows in each segment's (start, grid, end) pieces
+    reps = np.ones((m + 1, 3), dtype=int)
+    reps[:, 1] = counts
+    reps[0, 0] = config.x0.max() < TWO_PI - config.firing_tol
+    reps[-1, 2] = not (events and x_end is events[-1].post)
+    js = np.repeat(np.arange(m + 1), reps.sum(axis=1))
+    reps = reps.ravel()
+    piece_at = np.cumsum(reps) - reps
+    ts = np.repeat(np.column_stack([starts, starts, ends]).ravel(), reps)
+    kinds = np.repeat(np.array([FLOW, FLOW, *[PRE_JUMP, POST_JUMP, FLOW] * m, FLOW]), reps)
+    states = np.empty((ts.size, config.n))
+    # whatever their kinds, the first row holds x0 and the last x_end
+    states[0], states[-1] = config.x0, x_end
+    for row, e in zip(piece_at[2:-1:3].tolist(), events):
+        states[row], states[row + 1] = e.pre, e.post
+    grids = zip(starts.tolist(), k0.tolist(), counts.tolist(), piece_at[1::3].tolist())
+    for t, first, count, row in grids:
+        if count:  # then the segment's start row is the one above its grid rows
+            at = slice(row, row + count)
+            grid = ts[at] = dt * np.arange(first, first + count)
+            states[at] = _Flow(states[row - 1], t, config.omega, config.perturbation).states(grid)
     return HybridArc(
-        ts=np.asarray(rec.ts),
-        js=np.asarray(rec.js, dtype=int),
-        states=rec.states(config.n),
-        kinds=np.asarray(rec.kinds),
+        ts=ts,
+        js=js,
+        states=states,
+        kinds=kinds,
         events=events,
         omega=config.omega,
         perturbed=not config.perturbation.is_none,

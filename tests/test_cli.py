@@ -75,7 +75,12 @@ MALFORMED = {
     "flag-amplitude-negative": ({}, ["--perturb-amplitude", "-0.1"]),
     "flag-offset-string": ({}, ["--perturb-amplitude", "0.03", "--perturb-offsets", "1,x,2"]),
     "flag-frequency-nan": ({}, ["--perturb-amplitude", "0.03", "--perturb-frequency", "nan"]),
+    "max-jumps-string": ({"max_jumps": "x"}, []),
+    "flag-sample-dt-1e-15": ({}, ["--sample-dt", "1e-15"]),
+    "flag-sample-dt-1e-8": ({}, ["--sample-dt", "1e-8"]),
 }
+#: the malformed inputs that fail a cast, and the key the message must name
+CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps"}
 
 
 class TestSimulate:
@@ -134,14 +139,17 @@ class TestSimulate:
         assert getattr(config, name) == expected
         assert type(getattr(config, name)) is type(expected)
 
-    @pytest.mark.parametrize("overrides, flags", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_malformed_input_is_a_config_error_without_output(self, tmp_path, capsys,
-                                                             overrides, flags):
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_input_is_a_config_error_without_output(self, tmp_path, capsys, case):
+        overrides, flags = MALFORMED[case]
         cfg = write_config(tmp_path / "run.json", **overrides)
         out = tmp_path / "o"
         code = main(["simulate", str(cfg), "--out", str(out), *flags])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        if case in CAST_KEYS:
+            assert err.startswith(f"config error: {CAST_KEYS[case]}: ")
         assert not out.exists()
 
     def test_flags_override_config_values(self, tmp_path, capsys):
@@ -308,6 +316,14 @@ class TestValidatePrc:
     def test_unknown_selector_is_usage_error(self, capsys):
         code = main(["validate-prc", "--prc", "nonsense", "--n", "3"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("lipschitz", ["nan", "inf", "0", "-1"])
+    def test_bad_lipschitz_constant_is_usage_error(self, capsys, lipschitz):
+        code = main(["validate-prc", "--prc", "paper", "--n", "3", "--lipschitz", lipschitz])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: lipschitz must be")
+        assert captured.out == ""
 
 
 class TestExperiment:

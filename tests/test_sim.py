@@ -51,6 +51,7 @@ def test_config_infers_and_checks_n():
     dict(firing_tol=0.0),
     dict(min_dwell=-1.0),
     dict(sample_dt=0.0),
+    dict(sample_dt=1e-15),
     dict(policy="sometimes"),
     dict(stop_v_threshold=-1e-6),
     dict(stop_splay_tol=-0.1),
@@ -408,6 +409,61 @@ def test_intervals_tile_the_domain(fig2_arc):
         for k, event in enumerate(arc.events, start=1):
             assert intervals[k][0] == event.t
             assert intervals[k - 1][1] == event.t
+
+
+@pytest.mark.parametrize("make_config, stop_reason, last_kind", [
+    (lambda: SimConfig(prc=paper_prc(3), x0=[TWO_PI, 1.0, 2.0], horizon=5.0,
+                       stop_v_threshold=None), "horizon", "flow"),
+    (lambda: fig2_config(), "stop-rule", "post-jump"),
+    (lambda: fig2_config(horizon=10.0), "horizon", "flow"),
+    (lambda: fig2_config(max_jumps=5), "max-jumps", "flow"),
+    # the drawn branch keeps one firer at 2*pi, so the post state fires again
+    (lambda: SimConfig(prc=broken_zero(3), x0=[TWO_PI, TWO_PI, 1.0], policy="enumerate",
+                       seed=1, max_jumps=1, min_dwell=0.0), "max-jumps", "post-jump"),
+    (lambda: perturbed_config(0.05), "horizon", "flow"),
+], ids=["jump-set-start", "stop-rule", "horizon", "max-jumps-after-crossing",
+        "max-jumps-after-jump", "perturbed"])
+def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
+    cfg = make_config()
+    arc = run(cfg)
+    assert arc.stop_reason == stop_reason
+    # each firing is a pre-jump row at (t, j) and then a post-jump row at
+    # (t, j + 1), holding the event's own states
+    pre = np.flatnonzero(arc.kinds == "pre-jump")
+    post = np.flatnonzero(arc.kinds == "post-jump")
+    assert len(pre) == len(post) == arc.jumps
+    np.testing.assert_array_equal(post, pre + 1)
+    for e, a, b in zip(arc.events, pre, post):
+        assert (arc.ts[a], arc.js[a], arc.ts[b], arc.js[b]) == (e.t, e.j, e.t, e.j + 1)
+        assert arc.states[a].tobytes() == e.pre.tobytes()
+        assert arc.states[b].tobytes() == e.post.tobytes()
+    # the first row is x0 at t = 0, a flow row unless x0 is on the jump set
+    on_jump_set = cfg.x0.max() >= TWO_PI - cfg.firing_tol
+    assert (arc.ts[0], arc.js[0]) == (0.0, 0)
+    assert arc.kinds[0] == ("pre-jump" if on_jump_set else "flow")
+    assert arc.states[0].tobytes() == cfg.x0.tobytes()
+    # the last row is the last post-jump row when the run ended on a jump,
+    # else a flow row at the final j: at the horizon, or on the jump set
+    # at the firing the jump budget did not take
+    assert arc.kinds[-1] == last_kind
+    final_on_jump_set = arc.final_state.max() >= TWO_PI - cfg.firing_tol
+    assert final_on_jump_set == (stop_reason == "max-jumps")
+    if last_kind == "post-jump":
+        assert post[-1] == arc.ts.size - 1
+    else:
+        assert arc.js[-1] == arc.jumps
+        if stop_reason == "horizon":
+            assert arc.ts[-1] == cfg.horizon
+    # every other flow row sits on the global grid k * sample_dt, strictly
+    # inside its segment, at consecutive k
+    flow = np.flatnonzero(arc.kinds == "flow")
+    inner = flow[(flow > 0) & (flow < arc.ts.size - 1)]
+    ts, js = arc.ts[inner], arc.js[inner]
+    k = np.round(ts / cfg.sample_dt)
+    np.testing.assert_array_equal(ts, cfg.sample_dt * k)
+    bounds = np.array([0.0, *(e.t for e in arc.events), arc.ts[-1]])
+    assert np.all((bounds[js] < ts) & (ts < bounds[js + 1]))
+    assert np.all(np.diff(k)[np.diff(js) == 0] == 1)
 
 
 def test_dwell_bookkeeping(fig2_arc):
