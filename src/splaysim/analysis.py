@@ -21,6 +21,19 @@ from .circle import TWO_PI, _as_phase_batch, _shortest_arc, splay_arc_length
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import HybridArc
 
+#: most floats one temporary of a batch kernel may hold: V, the splay-line
+#: distances and closeness go through a batch in row blocks of this size
+#: (always at least one row), so no temporary grows with the batch
+_BLOCK_FLOATS = 65_536
+
+
+def _row_blocks(start: int, stop: int, row_floats: int):
+    """Slices that cover rows start..stop in order, each of at most
+    _BLOCK_FLOATS // row_floats rows and at least one."""
+    rows = max(1, _BLOCK_FLOATS // row_floats)
+    for lo in range(start, stop, rows):
+        yield slice(lo, min(lo + rows, stop))
+
 
 def lyapunov(x):
     """V(x) = 2*pi*(n-1)/n - shortest_arc_length(x), clipped at 0.
@@ -37,8 +50,16 @@ def lyapunov(x):
 
 def _lyapunov(arr: np.ndarray):
     """V of a vector (a scalar) or of each row of a batch, for phases
-    already validated; the simulator's stop rule calls it directly."""
-    return np.maximum(splay_arc_length(arr.shape[-1]) - _shortest_arc(arr), 0.0)
+    already validated; the simulator's stop rule calls it directly.  A
+    batch goes through in row blocks, so its sorted copy and gaps are never
+    the size of the batch."""
+    if arr.ndim == 1:
+        gamma = _shortest_arc(arr)
+    else:
+        gamma = np.empty(arr.shape[0])
+        for rows in _row_blocks(0, arr.shape[0], arr.shape[1]):
+            gamma[rows] = _shortest_arc(arr[rows])
+    return np.maximum(splay_arc_length(arr.shape[-1]) - gamma, 0.0)
 
 
 def _splay_line_distance(arr: np.ndarray, clamp: bool) -> np.ndarray:
@@ -50,15 +71,19 @@ def _splay_line_distance(arr: np.ndarray, clamp: bool) -> np.ndarray:
     the sorted phases with the ascending offsets 2*pi*k/n (rearrangement
     inequality), so no permutation needs enumerating: the residual of the
     sorted row against those offsets, minus its (clamped) mean, is the
-    optimum for every a at once.  O(n log n) per row.
+    optimum for every a at once.  O(n log n) per row, in row blocks.
     """
     n = arr.shape[1]
-    diff = np.sort(arr, axis=1) - np.arange(n) * (TWO_PI / n)
-    a = diff.mean(axis=1)
-    if clamp:
-        a = np.clip(a, 0.0, TWO_PI / n)
-    resid = diff - a[:, None]
-    return np.sqrt(np.sum(resid * resid, axis=1))
+    offsets = np.arange(n) * (TWO_PI / n)
+    dist = np.empty(arr.shape[0])
+    for rows in _row_blocks(0, arr.shape[0], n):
+        diff = np.sort(arr[rows], axis=1) - offsets
+        a = diff.mean(axis=1)
+        if clamp:
+            a = np.clip(a, 0.0, TWO_PI / n)
+        resid = diff - a[:, None]
+        dist[rows] = np.sqrt(np.sum(resid * resid, axis=1))
+    return dist
 
 
 def distance_to_splay(x):
@@ -126,7 +151,10 @@ class MonotoneVerdict:
 
 
 def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
-    """Check V's flow-constancy and jump-monotonicity over a recorded arc."""
+    """Check V's flow-constancy and jump-monotonicity over a recorded arc.
+
+    V is evaluated on the samples in row blocks, so apart from the trace's
+    per-sample arrays the check allocates nothing the size of arc.states."""
     from .sim import POST_JUMP, PRE_JUMP  # sim imports this module
 
     values = lyapunov(arc.states)
@@ -228,11 +256,6 @@ def _interval_index(arc: "HybridArc") -> dict[int, tuple[np.ndarray, np.ndarray]
             for j, s, e in zip(arc.js[starts].tolist(), starts.tolist(), ends.tolist())}
 
 
-#: most floats one broadcast temporary of _one_sided may hold (it always
-#: takes at least one sample, however long the other arc's interval)
-_CLOSENESS_CHUNK = 65_536
-
-
 def _one_sided(a: "HybridArc", b: "HybridArc", tau: float) -> tuple[float, float, int]:
     b_index = _interval_index(b)
     worst = 0.0
@@ -246,10 +269,9 @@ def _one_sided(a: "HybridArc", b: "HybridArc", tau: float) -> tuple[float, float
         if entry is None:
             return float("inf"), float(a_ts[start]), j
         ts, xs = entry
-        rows = max(1, _CLOSENESS_CHUNK // (ts.size * xs.shape[1]))
-        for lo in range(start, end, rows):
-            hi = min(lo + rows, end)
-            t, x = a_ts[lo:hi], a_xs[lo:hi]
+        # one row of the broadcast temporaries spans the other arc's whole interval
+        for rows in _row_blocks(start, end, ts.size * xs.shape[1]):
+            t, x = a_ts[rows], a_xs[rows]
             gap_t = np.abs(ts[None, :] - t[:, None])
             gap_x = np.sqrt(np.sum((xs[None, :, :] - x[:, None, :]) ** 2, axis=2))
             best = np.maximum(gap_t, gap_x).min(axis=1)

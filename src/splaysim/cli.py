@@ -108,7 +108,14 @@ def _build_perturbation(block: dict | None, args, n: int) -> Perturbation:
     )
 
 
-def _cast(name: str, kind: type, value):
+def _start_state(value) -> np.ndarray:
+    """x0 from a config list or a comma-separated --x0."""
+    if isinstance(value, str):
+        value = [float(p) for p in value.split(",")]
+    return np.asarray(value, dtype=float)
+
+
+def _cast(name: str, kind: typing.Callable, value):
     try:
         return kind(value)
     except (ValueError, TypeError) as exc:
@@ -131,9 +138,7 @@ def _build_sim_config(args) -> SimConfig:
         x0 = values["x0"]
         if x0 is None:
             raise ConfigError("a start state is required (config key 'x0' or flag --x0)")
-        if isinstance(x0, str):
-            x0 = [float(p) for p in x0.split(",")]
-        x0 = values["x0"] = np.asarray(x0, dtype=float)
+        x0 = values["x0"] = _cast("x0", _start_state, x0)
         n = values["n"] = x0.size if values["n"] is None else _cast("n", int, values["n"])
         spec = values["prc"]
         if spec is None:

@@ -10,11 +10,12 @@ which brackets its crossing of 2*pi; Newton inside that bracket finds it
 to a few ulps and the earliest crossing fires.  Either way the crossing
 coordinates are assigned exactly 2*pi rather than accumulated.
 
-A run records its firings (jump events with pre/post states), its final
-(t, x) and why it stopped; the HybridArc's samples, indexed by (t, j), are
-derived from those on the global grid, and the hybrid time domain is read
-off the samples.  Runs are deterministic given the configuration,
-including the seed that resolves set-valued jumps.
+A run records its firings (time, firers, branch, pre/post states), its
+final (t, x) and why it stopped; the HybridArc's samples, indexed by
+(t, j), are derived from those on the global grid, each jump event views
+its two sample rows, and the hybrid time domain is read off the samples.
+An arc thus holds each state once.  Runs are deterministic given the
+configuration, including the seed that resolves set-valued jumps.
 """
 
 from __future__ import annotations
@@ -253,9 +254,8 @@ class SimConfig:
 class JumpEvent:
     """One firing: the pre state at jump index j maps to the post state at
     j + 1.  firers are the coordinates at 2*pi; branch records how the
-    set-valued cases were resolved.  pre and post are the simulator's own
-    state arrays, not copies (one can be the next event's pre when a state
-    fires again at once); treat them as read-only."""
+    set-valued cases were resolved.  On a simulated arc pre and post are
+    read-only views of the arc's pre-jump and post-jump sample rows."""
 
     t: float
     j: int
@@ -272,9 +272,10 @@ class HybridArc:
     ts, js, states and kinds are parallel arrays of samples ordered by
     hybrid time; kinds are 'flow', 'pre-jump' or 'post-jump'.  events
     holds one JumpEvent per firing.  A simulated arc derives its samples
-    from the events, so each pre-jump and post-jump row holds its event's
-    pre and post state.  The hybrid time domain is not stored: intervals
-    reads it off the samples.
+    from the firings, and each event's pre and post view its pre-jump and
+    post-jump rows, so the arc's memory is its samples plus the events'
+    small fields.  The hybrid time domain is not stored: intervals reads it
+    off the samples.
     """
 
     ts: np.ndarray
@@ -440,7 +441,8 @@ def run(config: SimConfig) -> HybridArc:
     held for a full nominal revolution.  Raises ZenoViolationError when
     consecutive firings are closer than the dwell guard.
 
-    The loop records only the firings, the final (t, x) and the stop reason.
+    The loop records only the firings, the final (t, x) and the stop
+    reason; _sampled_arc turns them into the samples and the events.
     Validation happens at the boundary: SimConfig has checked x0, and
     the post-jump box check keeps every state the loop makes in the box,
     so the loop calls the private kernels behind jump_map, lyapunov and
@@ -451,7 +453,8 @@ def run(config: SimConfig) -> HybridArc:
     x = config.x0.copy()
     t = 0.0
     rng = np.random.default_rng(config.seed)
-    events: list[JumpEvent] = []
+    # (t, firers, branch, pre, post) of each firing
+    firings: list[tuple[float, tuple[int, ...], str, np.ndarray, np.ndarray]] = []
     fire_at = TWO_PI - config.firing_tol
     period = TWO_PI / config.omega
     hold_since: float | None = None
@@ -459,13 +462,14 @@ def run(config: SimConfig) -> HybridArc:
     firers = (x >= fire_at).nonzero()[0]
     while True:
         if firers.size:
-            if len(events) >= config.max_jumps:
+            if len(firings) >= config.max_jumps:
                 stop_reason = "max-jumps"
                 break
-            if events and t - events[-1].t < config.min_dwell:
-                raise ZenoViolationError(t, len(events) + 1, t - events[-1].t, config.min_dwell)
+            if firings and t - firings[-1][0] < config.min_dwell:
+                raise ZenoViolationError(t, len(firings) + 1, t - firings[-1][0],
+                                         config.min_dwell)
             label, post = model._jump(x, firers, config.prc, config.policy, rng)[0]
-            events.append(JumpEvent(t, len(events), tuple(firers.tolist()), label, x, post))
+            firings.append((t, tuple(firers.tolist()), label, x, post))
             x = post
 
             hit = False
@@ -492,22 +496,25 @@ def run(config: SimConfig) -> HybridArc:
             break
         t, x, firers = crossing
 
-    return _sampled_arc(config, events, t, x, stop_reason)
+    return _sampled_arc(config, firings, t, x, stop_reason)
 
 
-def _sampled_arc(config: SimConfig, events: list[JumpEvent], t_end: float,
+def _sampled_arc(config: SimConfig, firings: list, t_end: float,
                  x_end: np.ndarray, stop_reason: str) -> HybridArc:
-    """The arc of a run, its samples derived in one pass from its firings,
-    its final time and state, and the global grid k * sample_dt.
+    """The arc of a run, its samples derived in one pass from its firings
+    (t, firers, branch, pre, post), its final time and state, and the
+    global grid k * sample_dt.
 
     Segment k runs from firing k - 1 (x0 at t = 0 for k = 0) to firing k
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).
+    unless the run ended on a jump).  Each firing's states are copied into
+    its two rows once, and its JumpEvent views those rows, so the firing's
+    own arrays are freed with the list.
     """
-    m, dt = len(events), config.sample_dt
-    starts = np.array([0.0, *(e.t for e in events)])
+    m, dt = len(firings), config.sample_dt
+    starts = np.array([0.0, *(f[0] for f in firings)])
     ends = np.append(starts[1:], t_end)
     # grid indices strictly inside each segment, to within 1e-9 of a step
     k0 = np.floor(starts / dt + 1e-9).astype(int) + 1
@@ -516,7 +523,7 @@ def _sampled_arc(config: SimConfig, events: list[JumpEvent], t_end: float,
     reps = np.ones((m + 1, 3), dtype=int)
     reps[:, 1] = counts
     reps[0, 0] = config.x0.max() < TWO_PI - config.firing_tol
-    reps[-1, 2] = not (events and x_end is events[-1].post)
+    reps[-1, 2] = not (firings and x_end is firings[-1][4])
     js = np.repeat(np.arange(m + 1), reps.sum(axis=1))
     reps = reps.ravel()
     piece_at = np.cumsum(reps) - reps
@@ -525,8 +532,13 @@ def _sampled_arc(config: SimConfig, events: list[JumpEvent], t_end: float,
     states = np.empty((ts.size, config.n))
     # whatever their kinds, the first row holds x0 and the last x_end
     states[0], states[-1] = config.x0, x_end
-    for row, e in zip(piece_at[2:-1:3].tolist(), events):
-        states[row], states[row + 1] = e.pre, e.post
+    frozen = states.view()  # read-only, as is each event's view of its rows
+    frozen.flags.writeable = False
+    events = []
+    for j, (row, (t, firers, branch, pre, post)) in enumerate(
+            zip(piece_at[2:-1:3].tolist(), firings)):
+        states[row], states[row + 1] = pre, post
+        events.append(JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1]))
     grids = zip(starts.tolist(), k0.tolist(), counts.tolist(), piece_at[1::3].tolist())
     for t, first, count, row in grids:
         if count:  # then the segment's start row is the one above its grid rows

@@ -69,6 +69,17 @@ def test_lyapunov_batch_matches_single():
     np.testing.assert_array_equal(batch, [lyapunov(row) for row in xs])
 
 
+@pytest.mark.parametrize("n", [3, 200])
+def test_batch_kernels_match_row_by_row_across_blocks(n):
+    # three full row blocks and one more row, splay rows among them for the clip
+    m = 3 * (analysis._BLOCK_FLOATS // n) + 1
+    xs = np.random.default_rng(n).uniform(0.0, TWO_PI, size=(m, n))
+    xs[::97] = splay_vector(n, 0.4)
+    for kernel in (lyapunov, vtilde, distance_to_splay):
+        rows = np.array([kernel(x) for x in xs])
+        assert kernel(xs).tobytes() == rows.tobytes()
+
+
 # -- splay distances -----------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -300,7 +311,7 @@ def test_closeness_witness_is_the_first_of_tied_maxima(monkeypatch):
     expected = ClosenessReport(5.0, 0.5, 1.0, 0, "first-vs-second")
     assert reference_closeness(a, b, 5.0) == expected
     assert closeness(a, b, 5.0) == expected
-    monkeypatch.setattr(analysis, "_CLOSENESS_CHUNK", 1)  # one sample per chunk
+    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 1)  # one sample per block
     assert closeness(a, b, 5.0) == expected
 
 
@@ -317,7 +328,7 @@ def test_closeness_holds_the_other_interval_at_its_end():
 def test_closeness_is_unchanged_by_the_chunk_size(monkeypatch, perturbed_trio, budget):
     nominal, _, high = perturbed_trio
     expected = reference_closeness(nominal, high, 40.0)
-    monkeypatch.setattr(analysis, "_CLOSENESS_CHUNK", budget)
+    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", budget)
     assert closeness(nominal, high, 40.0) == expected
 
 

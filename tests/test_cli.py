@@ -74,13 +74,15 @@ MALFORMED = {
     "frequency-nan": ({"perturbation": {**_SINUSOID, "frequency": "nan"}}, []),
     "flag-amplitude-negative": ({}, ["--perturb-amplitude", "-0.1"]),
     "flag-offset-string": ({}, ["--perturb-amplitude", "0.03", "--perturb-offsets", "1,x,2"]),
+    "flag-x0-string": ({}, ["--x0", "1,x,2"]),
     "flag-frequency-nan": ({}, ["--perturb-amplitude", "0.03", "--perturb-frequency", "nan"]),
     "max-jumps-string": ({"max_jumps": "x"}, []),
     "flag-sample-dt-1e-15": ({}, ["--sample-dt", "1e-15"]),
     "flag-sample-dt-1e-8": ({}, ["--sample-dt", "1e-8"]),
 }
 #: the malformed inputs that fail a cast, and the key the message must name
-CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps"}
+CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps",
+             "x0-string-entry": "x0", "flag-x0-string": "x0"}
 
 
 class TestSimulate:

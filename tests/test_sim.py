@@ -3,6 +3,7 @@ guards, stop rules, and the CSV round trip."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splaysim import circle, sim
-from splaysim.analysis import lyapunov, vtilde
+from splaysim.analysis import lyapunov, verify_monotone, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import draw_start, fig2_config, perturbed_config
 from splaysim.model import InvalidPhaseResponseError, PhaseResponse, in_splay_set, jump_map
@@ -428,7 +429,8 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
     arc = run(cfg)
     assert arc.stop_reason == stop_reason
     # each firing is a pre-jump row at (t, j) and then a post-jump row at
-    # (t, j + 1), holding the event's own states
+    # (t, j + 1), and the event's states are read-only views of those rows
+    # (also when a post state fires again at once, as under broken_zero)
     pre = np.flatnonzero(arc.kinds == "pre-jump")
     post = np.flatnonzero(arc.kinds == "post-jump")
     assert len(pre) == len(post) == arc.jumps
@@ -437,6 +439,8 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
         assert (arc.ts[a], arc.js[a], arc.ts[b], arc.js[b]) == (e.t, e.j, e.t, e.j + 1)
         assert arc.states[a].tobytes() == e.pre.tobytes()
         assert arc.states[b].tobytes() == e.post.tobytes()
+        assert np.shares_memory(e.pre, arc.states[a]) and np.shares_memory(e.post, arc.states[b])
+        assert not (e.pre.flags.writeable or e.post.flags.writeable)
     # the first row is x0 at t = 0, a flow row unless x0 is on the jump set
     on_jump_set = cfg.x0.max() >= TWO_PI - cfg.firing_tol
     assert (arc.ts[0], arc.js[0]) == (0.0, 0)
@@ -464,6 +468,29 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
     bounds = np.array([0.0, *(e.t for e in arc.events), arc.ts[-1]])
     assert np.all((bounds[js] < ts) & (ts < bounds[js + 1]))
     assert np.all(np.diff(k)[np.diff(js) == 0] == 1)
+
+
+def test_an_arc_holds_each_state_once():
+    """Memory gate, from tracemalloc on n=200, horizon 60, sample_dt 0.1
+    (states 7.1 MB): run keeps 1.18x states.nbytes and verify_monotone
+    peaks at 1.43x with the arc alive.  Holding each event's pre and post
+    apart from the samples is 2.0x, and a whole-batch sort and gap array in
+    verify_monotone is 4.0x."""
+    cfg = SimConfig(prc=paper_prc(200), x0=draw_start(np.random.default_rng(0), 200),
+                    horizon=60.0, sample_dt=0.1)
+    run(cfg)  # first-call set-up stays out of the measurement
+    tracemalloc.start()
+    try:
+        arc = run(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert verify_monotone(arc).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arc.jumps > 1000
+    assert held <= 1.5 * arc.states.nbytes
+    assert peak <= 2.0 * arc.states.nbytes
 
 
 def test_dwell_bookkeeping(fig2_arc):
