@@ -27,12 +27,25 @@ if TYPE_CHECKING:  # pragma: no cover
 _BLOCK_FLOATS = 65_536
 
 
-def _row_blocks(start: int, stop: int, row_floats: int):
+def _row_blocks(start: int, stop: int, row_floats: int, cuts=None):
     """Slices that cover rows start..stop in order, each of at most
-    _BLOCK_FLOATS // row_floats rows and at least one."""
+    _BLOCK_FLOATS // row_floats rows and at least one.
+
+    Given cuts, a sorted array of row indices, a block also ends only at a
+    cut (or at stop): it holds whole runs between cuts, and exceeds the
+    bound only when one run alone does."""
     rows = max(1, _BLOCK_FLOATS // row_floats)
-    for lo in range(start, stop, rows):
-        yield slice(lo, min(lo + rows, stop))
+    lo = start
+    while lo < stop:
+        hi = min(lo + rows, stop)
+        if cuts is not None and hi < stop:
+            k = int(np.searchsorted(cuts, hi, side="right"))  # cuts[:k] <= hi
+            if k and cuts[k - 1] > lo:
+                hi = int(cuts[k - 1])
+            else:  # the run from lo is longer than a block
+                hi = int(min(cuts[k], stop)) if k < cuts.size else stop
+        yield slice(lo, hi)
+        lo = hi
 
 
 def lyapunov(x):

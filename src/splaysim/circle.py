@@ -25,10 +25,22 @@ def as_phases(x) -> np.ndarray:
     return arr
 
 
+def _in_box(v: np.ndarray) -> bool:
+    """Whether every entry lies in [0, 2*pi]; NaN fails both comparisons.
+    Two reductions and no temporary; v must not be empty."""
+    return bool(v.min() >= 0.0 and v.max() <= TWO_PI)
+
+
+def _outside(v: np.ndarray) -> np.ndarray:
+    """Mask of the entries outside [0, 2*pi], NaN included."""
+    return ~((v >= 0.0) & (v <= TWO_PI))
+
+
 def _check_range(arr: np.ndarray) -> None:
-    ok = (arr >= 0.0) & (arr <= TWO_PI)
-    if not np.all(ok):
-        raise ValueError(f"phases must lie in [0, 2*pi], got {arr[~ok].ravel()[0]!r}")
+    """Raise naming the first entry of arr outside [0, 2*pi], NaN included;
+    the mask is built only once an entry is known to be outside."""
+    if arr.size and not _in_box(arr):
+        raise ValueError(f"phases must lie in [0, 2*pi], got {arr[_outside(arr)][0].item()!r}")
 
 
 def _as_phase_batch(x) -> tuple[np.ndarray, bool]:

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import (TWO_PI, as_phases, min_pairwise_geodesic, splay_arc_length,
-                     splay_gap_deviation)
+from .circle import (TWO_PI, _in_box, _outside, as_phases, min_pairwise_geodesic,
+                     splay_arc_length, splay_gap_deviation)
 
 ALL_ZERO = "all-zero"
 ENUMERATE = "enumerate"
@@ -215,16 +215,6 @@ def _select(moved: np.ndarray, firers: np.ndarray, bits) -> tuple[str, np.ndarra
     post = moved.copy()
     post[firers[np.asarray(bits, dtype=bool)]] = 0.0
     return "enumerate:" + "".join(map(str, bits)), post
-
-
-def _in_box(v: np.ndarray) -> bool:
-    """Whether every entry lies in [0, 2*pi]; NaN fails both comparisons."""
-    return bool(v.min() >= 0.0 and v.max() <= TWO_PI)
-
-
-def _outside(v: np.ndarray) -> np.ndarray:
-    """Mask of the entries outside [0, 2*pi], NaN included."""
-    return ~((v >= 0.0) & (v <= TWO_PI))
 
 
 def _check_box(post: np.ndarray, label: str) -> None:

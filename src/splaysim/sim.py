@@ -4,7 +4,9 @@ Between firings every phase flows by x' = omega + d(t), and the right-hand
 side does not depend on the state, so the flow is the exact expression
 x(t) = x0 + omega * (t - t0) + D(t0, t), D the integral of the disturbance
 (zero on nominal runs, closed form for a sinusoid, Gauss-Legendre panels
-for a custom disturbance).  Nominal firing times are closed-form as well.
+for a custom disturbance).  One elementwise function, _flow, with a start
+(x0, t0) per row, gives every flow state of a run: each crossing, the
+horizon and all grid samples.  Nominal firing times are closed-form too.
 Under a disturbance each coordinate rises at a rate within omega -/+ bound,
 which brackets its crossing of 2*pi; Newton inside that bracket finds it
 to a few ulps and the earliest crossing fires.  Either way the crossing
@@ -12,10 +14,11 @@ coordinates are assigned exactly 2*pi rather than accumulated.
 
 A run records its firings (time, firers, branch, pre/post states), its
 final (t, x) and why it stopped; the HybridArc's samples, indexed by
-(t, j), are derived from those on the global grid, each jump event views
-its two sample rows, and the hybrid time domain is read off the samples.
-An arc thus holds each state once.  Runs are deterministic given the
-configuration, including the seed that resolves set-valued jumps.
+(t, j), are derived from those on the global grid in bounded row blocks,
+each jump event views its two sample rows, and the hybrid time domain is
+read off the samples.  An arc thus holds each state once.  Runs are
+deterministic given the configuration, including the seed that resolves
+set-valued jumps.
 """
 
 from __future__ import annotations
@@ -51,10 +54,8 @@ class ZenoViolationError(RuntimeError):
     configured dwell guard; the execution is aborted instead of chattering."""
 
     def __init__(self, t: float, j: int, dwell: float, min_dwell: float):
-        super().__init__(
-            f"dwell {dwell!r} s between jumps {j - 1} and {j} at t={t!r} "
-            f"is below the guard {min_dwell!r} s"
-        )
+        super().__init__(f"dwell {dwell!r} s between jumps {j - 1} and {j} at t={t!r} "
+                         f"is below the guard {min_dwell!r} s")
         self.t = t
         self.j = j
         self.dwell = dwell
@@ -98,10 +99,8 @@ class Perturbation:
         amplitude, frequency = float(amplitude), float(frequency)
         offsets = tuple(float(o) for o in offsets)
         if not all(map(math.isfinite, (amplitude, frequency, *offsets))):
-            raise ValueError(
-                f"sinusoid parameters must be finite, got amplitude={amplitude!r}, "
-                f"frequency={frequency!r}, offsets={offsets!r}"
-            )
+            raise ValueError(f"sinusoid parameters must be finite, got amplitude={amplitude!r}, "
+                             f"frequency={frequency!r}, offsets={offsets!r}")
         if amplitude < 0.0:
             raise ValueError(f"amplitude must be nonnegative, got {amplitude!r}")
         return Perturbation(kind="sinusoidal", amplitude=amplitude, frequency=frequency,
@@ -115,36 +114,53 @@ class Perturbation:
         error control, which is exact to rounding for a func that is smooth
         on the scale of one inter-firing interval; a discontinuous func
         loses accuracy."""
-        if bound < 0.0:
-            raise ValueError(f"bound must be nonnegative, got {bound!r}")
-        return Perturbation(kind="custom", func=func, bound=float(bound))
+        bound = float(bound)
+        if not (math.isfinite(bound) and bound >= 0.0):
+            raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
+        return Perturbation(kind="custom", func=func, bound=bound)
 
     @property
     def is_none(self) -> bool:
-        if self.kind == "none":
-            return True
-        return self.kind == "sinusoidal" and self.amplitude == 0.0
+        return self.kind == "none" or (self.kind == "sinusoidal" and self.amplitude == 0.0)
 
     def sample(self, ts: np.ndarray, n: int) -> np.ndarray:
-        """Evaluate d on an array of times; returns shape (len(ts), n)."""
+        """Evaluate d on an array of times; returns shape (len(ts), n).
+
+        A custom func must give n finite values at each time; ValueError
+        names the first time at which it does not."""
         ts = np.asarray(ts, dtype=float)
         if self.kind == "sinusoidal":
             offs = np.asarray(self.offsets, dtype=float)
             return self.amplitude * np.sin(self.frequency * ts[:, None] + offs[None, :])
         if self.kind == "custom":
-            rows = [np.asarray(self.func(float(t)), dtype=float) for t in ts]
-            return np.stack(rows) if rows else np.zeros((0, n))
+            out = np.empty((ts.size, n))
+            for i, t in enumerate(ts.tolist()):
+                d = np.asarray(self.func(t), dtype=float)
+                if d.shape != (n,):
+                    raise ValueError(f"custom disturbance at t={t!r} has shape {d.shape}, "
+                                     f"not ({n},)")
+                out[i] = d
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))  # one check per block
+            if bad.size:
+                raise ValueError(f"custom disturbance at t={ts[bad[0]].item()!r} is not "
+                                 f"finite: {out[bad[0]]!r}")
+            return out
         return np.zeros((ts.size, n))
 
-    def displacement(self, t0: float, ts: np.ndarray, n: int) -> np.ndarray:
+    def displacement(self, t0, ts: np.ndarray, n: int) -> np.ndarray:
         """D(t0, t), the integral of d over [t0, t], for an array of times;
-        returns shape (len(ts), n).
+        returns shape (len(ts), n).  t0 is one start time for every row, or
+        an array with one per row.
 
         Exact for a sinusoid: -(a/f) [cos(f t + o) - cos(f t0 + o)], written
         as a product of sines so that short intervals and small f lose no
-        digits, and a sin(o) (t - t0) when f = 0.  A custom disturbance is
-        integrated by one Gauss-Legendre panel between consecutive sorted
-        times, starting from t0, and the panels are summed.
+        digits, and a sin(o) (t - t0) when f = 0; both are elementwise in
+        (t0, t).  A custom disturbance is integrated by Gauss-Legendre
+        panels that restart at each run of consecutive rows with equal t0:
+        within a run, one panel from t0 to the earliest time and one between
+        consecutive sorted times, summed in that order.  A run's rows thus
+        get the same floats as a call with that scalar t0 and those times
+        alone, whatever the other rows hold.
         """
         ts = np.asarray(ts, dtype=float)
         if self.kind == "sinusoidal":
@@ -157,15 +173,23 @@ class Perturbation:
                     * np.sin(half * (ts - t0))[:, None])
         if self.kind == "custom":
             unit_nodes, weights = _gauss_legendre()
-            order = np.argsort(ts, kind="stable")
-            ends = np.concatenate([[t0], ts[order]])
-            mid = 0.5 * (ends[1:] + ends[:-1])
-            half = 0.5 * (ends[1:] - ends[:-1])
+            t0 = np.broadcast_to(np.asarray(t0, dtype=float), ts.shape)
+            fresh = np.diff(t0, prepend=np.nan) != 0.0  # a run of equal t0 starts
+            first = np.flatnonzero(fresh)
+            # sorted by time within each run; the runs keep their rows
+            order = np.lexsort((ts, np.cumsum(fresh)))
+            right = ts[order]
+            left = np.roll(right, 1)
+            left[first] = t0[first]
+            mid = 0.5 * (right + left)
+            half = 0.5 * (right - left)
             nodes = mid[:, None] + half[:, None] * unit_nodes[None, :]
             d = self.sample(nodes.ravel(), n).reshape(ts.size, _GAUSS_ORDER, n)
             panels = half[:, None] * np.einsum("k,mkn->mn", weights, d)
+            for part in np.split(panels, first[1:]):
+                np.cumsum(part, axis=0, out=part)
             out = np.empty((ts.size, n))
-            out[order] = np.cumsum(panels, axis=0)
+            out[order] = panels
             return out
         return np.zeros((ts.size, n))
 
@@ -183,10 +207,8 @@ def _check_rate_bound(pert: Perturbation, omega: float) -> None:
     """A disturbance must stay below the nominal rate so phases keep
     advancing and every crossing can be bracketed."""
     if not pert.is_none and not pert.bound < omega:
-        raise ValueError(
-            f"perturbation bound {pert.bound!r} must stay below omega={omega!r} "
-            "so phases keep advancing"
-        )
+        raise ValueError(f"perturbation bound {pert.bound!r} must stay below "
+                         f"omega={omega!r} so phases keep advancing")
 
 
 @dataclass
@@ -215,9 +237,8 @@ class SimConfig:
         if self.n != self.x0.size:
             raise ValueError(f"n={self.n} does not match x0 of length {self.x0.size}")
         if self.prc.n != self.n:
-            raise ValueError(
-                f"response function was built for n={self.prc.n}, run has n={self.n}"
-            )
+            raise ValueError(f"response function was built for n={self.prc.n}, "
+                             f"run has n={self.n}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega!r}")
         if not self.horizon > 0.0:
@@ -244,9 +265,7 @@ class SimConfig:
             raise ValueError(f"seed must be a nonnegative integer or None, got {self.seed!r}")
         pert = self.perturbation
         if not pert.is_none and pert.kind == "sinusoidal" and len(pert.offsets) != self.n:
-            raise ValueError(
-                f"perturbation has {len(pert.offsets)} phase offsets for n={self.n}"
-            )
+            raise ValueError(f"perturbation has {len(pert.offsets)} phase offsets for n={self.n}")
         _check_rate_bound(pert, self.omega)
 
 
@@ -316,8 +335,7 @@ class HybridArc:
 
     def dwells(self) -> np.ndarray:
         """Flow time between consecutive firings (length jumps - 1)."""
-        times = np.asarray([e.t for e in self.events])
-        return np.diff(times)
+        return np.diff([e.t for e in self.events])
 
     def min_dwell_after_first(self) -> float:
         """Shortest flow time separating consecutive firings, nan if fewer
@@ -326,84 +344,73 @@ class HybridArc:
         return float(d.min()) if d.size else float("nan")
 
 
-class _Flow:
-    """Exact flow x(t) = x0 + omega * (t - t0) + D(t0, t), D the disturbance
-    integral (zero without a disturbance)."""
+def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation) -> np.ndarray:
+    """The exact flow x(t) = x0 + omega * (t - t0) + D(t0, t), D the
+    disturbance integral, clamped at 2*pi.
 
-    def __init__(self, x0: np.ndarray, t0: float, omega: float, pert: Perturbation):
-        self.x0 = x0
-        self.t0 = t0
-        self.omega = omega
-        self.pert = pert
-
-    def states(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        x = self.x0[None, :] + self.omega * (ts - self.t0)[:, None]
-        if not self.pert.is_none:
-            x = x + self.pert.displacement(self.t0, ts, self.x0.size)
-        return np.minimum(x, TWO_PI)
-
-    def state(self, t: float) -> np.ndarray:
-        return self.states(np.asarray([t]))[0]
-
-    def first_crossing(self, horizon: float, firing_tol: float):
-        """(t_fire, x_fire, firers) at the first firing, or None past the
-        horizon; see _clamp_firers."""
-        if self.pert.is_none:
-            # the bracket of _earliest_root collapses onto this closed form
-            t_fire = self.t0 + (TWO_PI - self.x0.max()) / self.omega
-            if t_fire > horizon:
-                return None
-            x = self.x0 + self.omega * (t_fire - self.t0)
-            return (t_fire, *_clamp_firers(x, firing_tol))
-        t_fire = self._earliest_root()
-        if t_fire > horizon:
-            return None
-        return (t_fire, *_clamp_firers(self.state(t_fire), firing_tol))
-
-    def _earliest_root(self) -> float:
-        """Earliest time a coordinate reaches 2*pi, by bracketed Newton.
-
-        Each coordinate rises at a rate within omega -/+ bound, so its root
-        lies in [lo, hi] below; only coordinates whose lo is not past the
-        smallest hi can fire first.  Newton starts at the nominal time and
-        falls back to bisection whenever its step leaves the bracket.
-        """
-        n, t0, omega, pert = self.x0.size, self.t0, self.omega, self.pert
-        rest = TWO_PI - self.x0
-        lo = t0 + rest / (omega + pert.bound)
-        hi = t0 + rest / (omega - pert.bound)
-        cand = np.flatnonzero(lo <= hi.min())
-        rest, lo, hi = rest[cand], lo[cand], hi[cand]
-        rows = np.arange(cand.size)
-        t = t0 + rest / omega
-        # a few ulps of the time, or of one period near t = 0
-        tol = 4.0 * np.spacing(np.maximum(hi, TWO_PI / omega))
-        for _ in range(_NEWTON_ITERS):
-            g = omega * (t - t0) + pert.displacement(t0, t, n)[rows, cand] - rest
-            lo = np.where(g < 0.0, t, lo)
-            hi = np.where(g > 0.0, t, hi)
-            t_new = t - g / (omega + pert.sample(t, n)[rows, cand])
-            t_new = np.where((t_new >= lo) & (t_new <= hi), t_new, 0.5 * (lo + hi))
-            done = np.abs(t_new - t) <= tol
-            t = t_new
-            if done.all():
-                return float(t.min())
-        # out of iterations: hi is at or past each root, so a coordinate fires there
-        return float(hi.min())
+    A scalar t gives the state of shape (n,).  An array of times gives one
+    state per time, shape (len(t), n), row i flowing from x0[i] at t0[i];
+    a single x0 of shape (n,), or a scalar t0, serves every row."""
+    shift = omega * (t - t0)
+    x = x0 + (shift[:, None] if np.ndim(shift) else shift)
+    if not pert.is_none:
+        x += pert.displacement(t0, np.atleast_1d(t), x.shape[-1]).reshape(x.shape)
+    return np.minimum(x, TWO_PI, out=x)
 
 
-def _clamp_firers(x: np.ndarray, firing_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Assign exactly 2*pi, in place, to every coordinate in the firing
-    band; returns x and the indices of those coordinates, the firers.
+def _first_crossing(x0: np.ndarray, t0: float, omega: float, pert: Perturbation,
+                    horizon: float, firing_tol: float):
+    """(t, x, firers) at the first firing of the flow from x0 at t0, or
+    (horizon, x, None) when the horizon comes first.
 
     The located crossing sits within a few ulps of 2*pi, and any coordinate
-    that reaches the band with it fires too; all land exactly on the
-    boundary, so the jump map sees an exact firing.
+    that reaches the firing band with it fires too; all are assigned exactly
+    2*pi, so the jump map sees an exact firing.
     """
+    if pert.is_none:
+        # the bracket of _earliest_root collapses onto this closed form
+        t_fire = t0 + (TWO_PI - x0.max()) / omega
+    else:
+        t_fire = _earliest_root(x0, t0, omega, pert)
+    if t_fire > horizon:
+        return horizon, _flow(x0, t0, horizon, omega, pert), None
+    x = _flow(x0, t0, t_fire, omega, pert)
     firers = (x >= TWO_PI - firing_tol).nonzero()[0]
     x[firers] = TWO_PI
-    return x, firers
+    return t_fire, x, firers
+
+
+def _earliest_root(x0: np.ndarray, t0: float, omega: float, pert: Perturbation) -> float:
+    """Earliest time a coordinate of the flow from x0 at t0 reaches 2*pi,
+    by bracketed Newton.
+
+    Each coordinate rises at a rate within omega -/+ bound, so its root
+    lies in [lo, hi] below; only coordinates whose lo is not past the
+    smallest hi can fire first.  Newton starts at the nominal time and
+    falls back to bisection whenever its step leaves the bracket.
+    """
+    n = x0.size
+    rest = TWO_PI - x0
+    lo = t0 + rest / (omega + pert.bound)
+    hi = t0 + rest / (omega - pert.bound)
+    cand = np.flatnonzero(lo <= hi.min())
+    rest, lo, hi = rest[cand], lo[cand], hi[cand]
+    rows = np.arange(cand.size)
+    t = t0 + rest / omega
+    # a few ulps of the time, or of one period near t = 0
+    tol = 4.0 * np.spacing(np.maximum(hi, TWO_PI / omega))
+    for _ in range(_NEWTON_ITERS):
+        g = omega * (t - t0) + pert.displacement(t0, t, n)[rows, cand] - rest
+        lo = np.where(g < 0.0, t, lo)
+        hi = np.where(g > 0.0, t, hi)
+        t_new = t - g / (omega + pert.sample(t, n)[rows, cand])
+        t_new = np.where((t_new >= lo) & (t_new <= hi), t_new, 0.5 * (lo + hi))
+        done = np.abs(t_new - t) <= tol
+        t = t_new
+        if done.all():
+            return float(t.min())
+    # out of iterations: hi is at or past each root, so a coordinate fires there
+    return float(hi.min())
 
 
 def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
@@ -414,21 +421,21 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     Returns (t_fire, x_at_fire, True) at a crossing, with the crossing
     coordinates clamped exactly to 2*pi, or (horizon, x_at_horizon, False)
     when no phase fires before the horizon.  x must be in the box with no
-    coordinate already at 2*pi.
+    coordinate already at 2*pi, t0 finite and the horizon not before t0.
     """
     arr = as_phases(x)
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega!r}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    if not horizon >= t0:
+        raise ValueError(f"horizon {horizon!r} must not be earlier than t0={t0!r}")
     if arr.max() >= TWO_PI - firing_tol:
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
     _check_rate_bound(pert, omega)
-    flow = _Flow(arr, t0, omega, pert)
-    crossing = flow.first_crossing(horizon, firing_tol)
-    if crossing is None:
-        return horizon, flow.state(horizon), False
-    t_fire, x_fire, _ = crossing
-    return t_fire, x_fire, True
+    t, x, firers = _first_crossing(arr, t0, omega, pert, horizon, firing_tol)
+    return t, x, firers is not None
 
 
 def run(config: SimConfig) -> HybridArc:
@@ -488,13 +495,11 @@ def run(config: SimConfig) -> HybridArc:
             firers = (x >= fire_at).nonzero()[0]
             continue
 
-        flow = _Flow(x, t, config.omega, config.perturbation)
-        crossing = flow.first_crossing(config.horizon, config.firing_tol)
-        if crossing is None:
-            t, x = config.horizon, flow.state(config.horizon)
+        t, x, firers = _first_crossing(x, t, config.omega, config.perturbation,
+                                       config.horizon, config.firing_tol)
+        if firers is None:
             stop_reason = "horizon"
             break
-        t, x, firers = crossing
 
     return _sampled_arc(config, firings, t, x, stop_reason)
 
@@ -511,7 +516,10 @@ def _sampled_arc(config: SimConfig, firings: list, t_end: float,
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
     unless the run ended on a jump).  Each firing's states are copied into
     its two rows once, and its JumpEvent views those rows, so the firing's
-    own arrays are freed with the list.
+    own arrays are freed with the list.  The grid rows of all segments are
+    then flowed, each from its segment's start row, in row blocks of whole
+    segments (a custom disturbance's integral restarts at a segment start
+    and nowhere else).
     """
     m, dt = len(firings), config.sample_dt
     starts = np.array([0.0, *(f[0] for f in firings)])
@@ -539,22 +547,20 @@ def _sampled_arc(config: SimConfig, firings: list, t_end: float,
             zip(piece_at[2:-1:3].tolist(), firings)):
         states[row], states[row + 1] = pre, post
         events.append(JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1]))
-    grids = zip(starts.tolist(), k0.tolist(), counts.tolist(), piece_at[1::3].tolist())
-    for t, first, count, row in grids:
-        if count:  # then the segment's start row is the one above its grid rows
-            at = slice(row, row + count)
-            grid = ts[at] = dt * np.arange(first, first + count)
-            states[at] = _Flow(states[row - 1], t, config.omega, config.perturbation).states(grid)
-    return HybridArc(
-        ts=ts,
-        js=js,
-        states=states,
-        kinds=kinds,
-        events=events,
-        omega=config.omega,
-        perturbed=not config.perturbation.is_none,
-        stop_reason=stop_reason,
-    )
+    # the rows of each segment's grid piece, and the first of them; a
+    # segment with grid rows has its start row just above them
+    grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))
+    first = piece_at[1::3]
+    for block in analysis._row_blocks(0, grid.size, config.n,
+                                      cuts=np.cumsum(counts) - counts):
+        at = grid[block]
+        seg = js[at]
+        ts[at] = dt * (k0[seg] + (at - first[seg]))
+        states[at] = _flow(states[first[seg] - 1], starts[seg], ts[at],
+                           config.omega, config.perturbation)
+    return HybridArc(ts=ts, js=js, states=states, kinds=kinds, events=events,
+                     omega=config.omega, perturbed=not config.perturbation.is_none,
+                     stop_reason=stop_reason)
 
 
 # -- CSV persistence ---------------------------------------------------------
@@ -638,13 +644,6 @@ def read_trajectory_csv(path) -> HybridArc:
                                 comments=None, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    return HybridArc(
-        ts=values[:, 0].copy(),
-        js=np.asarray(js, dtype=int),
-        states=np.ascontiguousarray(values[:, 1:]),
-        kinds=np.asarray(kinds),
-        events=[],
-        omega=None,
-        perturbed=False,
-        stop_reason="loaded",
-    )
+    return HybridArc(ts=values[:, 0].copy(), js=np.asarray(js, dtype=int),
+                     states=np.ascontiguousarray(values[:, 1:]), kinds=np.asarray(kinds),
+                     events=[], omega=None, perturbed=False, stop_reason="loaded")

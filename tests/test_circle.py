@@ -1,5 +1,7 @@
 """Circle geometry: oracle agreement, invariances, and the arc-length bound."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -76,6 +78,17 @@ def test_phase_vector_validation():
     with pytest.raises(ValueError):
         gap_profile([0.0, TWO_PI + 1e-6])  # outside the box
     gap_profile([0.0, TWO_PI])  # boundary values are fine
+
+
+@pytest.mark.parametrize("bad, named", [(np.nan, "nan"), (TWO_PI + 1e-9, repr(TWO_PI + 1e-9)),
+                                        (-0.5, "-0.5")])
+def test_batch_validation_names_the_first_entry_outside_the_box(bad, named):
+    batch = np.full((4, 3), 1.0)
+    batch[2, 1] = bad
+    batch[3, 0] = 7.0  # a later bad entry is not the one named
+    with pytest.raises(ValueError, match=f"got {re.escape(named)}$"):
+        shortest_arc_length(batch)
+    assert shortest_arc_length(np.empty((0, 3))).shape == (0,)
 
 
 # -- shortest containing arc -------------------------------------------------

@@ -1,6 +1,7 @@
 """Event-driven execution: exact nominal and perturbed flow,
 guards, stop rules, and the CSV round trip."""
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splaysim import circle, sim
+from splaysim import analysis, circle, sim
 from splaysim.analysis import lyapunov, verify_monotone, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import draw_start, fig2_config, perturbed_config
@@ -104,6 +105,17 @@ def test_flow_returns_horizon_segment_when_nothing_fires():
     with pytest.raises(ValueError):
         flow_to_next_event(np.array([TWO_PI, 1.0]), omega=1.0,
                            perturbation=None, t0=0.0, horizon=1.0)
+
+
+@pytest.mark.parametrize("t0, horizon, match", [
+    (10.0, 5.0, "must not be earlier than t0"),  # would flow backwards, out of the box
+    (math.nan, 5.0, "t0 must be finite"),
+    (math.inf, math.inf, "t0 must be finite"),
+    (0.0, math.nan, "must not be earlier than t0"),
+])
+def test_flow_to_next_event_rejects_a_bad_time_span(t0, horizon, match):
+    with pytest.raises(ValueError, match=match):
+        flow_to_next_event([0.3, 2.0, 4.1], 1.0, None, t0=t0, horizon=horizon)
 
 
 @given(arrays(float, 3, elements=st.floats(0.0, TWO_PI - 1e-3, allow_nan=False)),
@@ -373,13 +385,62 @@ def test_splay_tolerance_stop_rule():
     Perturbation.sinusoidal(0.1, 0.5, (0.0, 1.0, 2.0)),
     Perturbation.custom(lambda t: np.full(3, 0.1 * math.sin(t)), 0.1),
 ], ids=["none", "sinusoidal", "custom"])
-@pytest.mark.parametrize("method", ["sample", "displacement"])
+@pytest.mark.parametrize("method", ["sample", "displacement", "displacement-row-t0"])
 def test_perturbation_of_no_times_is_an_empty_block(pert, method):
     if method == "sample":
         out = pert.sample(np.empty(0), 3)
-    else:
+    elif method == "displacement":
         out = pert.displacement(1.0, np.empty(0), 3)
+    else:
+        out = pert.displacement(np.empty(0), np.empty(0), 3)
     assert out.shape == (0, 3)
+
+
+@pytest.mark.parametrize("pert", [
+    Perturbation.none(),
+    Perturbation.sinusoidal(0.1, 0.5, (0.0, 1.0, 2.0)),
+    Perturbation.sinusoidal(0.1, 0.0, (0.5, 1.5, 4.0)),
+    Perturbation.custom(lambda t: 0.04 * np.array([np.cos(t), np.sin(2.0 * t), -1.0]), 0.04),
+], ids=["none", "sinusoidal", "sinusoid-f0", "custom"])
+def test_displacement_with_a_start_per_row_is_row_by_row(pert):
+    # a new start on every row: each row is the scalar-t0 call of its own
+    t0 = np.array([0.0, 2.5, 0.3, 4.0, 2.5])
+    ts = np.array([0.1, 3.9, 2.6, 4.0, 2.6])
+    rows = pert.displacement(t0, ts, 3)
+    assert rows.shape == (5, 3)
+    expected = np.concatenate([pert.displacement(a, [b], 3) for a, b in zip(t0, ts)])
+    assert rows.tobytes() == expected.tobytes()
+    # rows that share a start: each run of equal t0 is the scalar-t0 call
+    # over its times (a custom integral sums its panels along the run); the
+    # second run is unsorted with a repeated time, and the first start
+    # comes back after the others as a run of its own
+    t0 = np.array([0.0, 0.0, 0.0, 2.5, 2.5, 2.5, 2.5, 4.0, 0.0])
+    ts = np.array([0.1, 0.7, 2.5, 3.9, 2.6, 3.1, 2.6, 4.0, 0.3])
+    runs = [slice(0, 3), slice(3, 7), slice(7, 8), slice(8, 9)]
+    expected = np.concatenate([pert.displacement(t0[r][0], ts[r], 3) for r in runs])
+    assert pert.displacement(t0, ts, 3).tobytes() == expected.tobytes()
+
+
+def test_custom_bound_must_be_finite():
+    for bound in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            Perturbation.custom(lambda t: np.zeros(3), bound)
+
+
+@pytest.mark.parametrize("func, match", [
+    (lambda t: np.zeros(4), r"t=0\.5 has shape \(4,\), not \(3,\)"),
+    (lambda t: 0.01, r"t=0\.5 has shape \(\), not \(3,\)"),
+    (lambda t: np.array([0.0, np.nan if t > 1.0 else 0.0, 0.0]), r"t=1\.5 is not finite: .*nan"),
+], ids=["length", "scalar", "nan"])
+def test_custom_disturbance_values_are_checked(func, match):
+    pert = Perturbation.custom(func, 0.04)
+    with pytest.raises(ValueError, match=match):
+        pert.sample(np.array([0.5, 1.5]), 3)
+    # a run fails with the same error, not a reshape or an empty reduction
+    cfg = SimConfig(prc=paper_prc(3), x0=np.array([0.3, 2.0, 4.1]), perturbation=pert,
+                    horizon=10.0, stop_v_threshold=None)
+    with pytest.raises(ValueError, match="custom disturbance at t="):
+        run(cfg)
 
 
 # -- hybrid domain structure ------------------------------------------------------
@@ -676,6 +737,17 @@ def test_perturbed_events_match_the_closed_form_flow(make_config):
     assert worst_firer <= 1e-12
 
 
+@pytest.mark.parametrize("block_floats", [1, 150, 3_000])
+def test_custom_arc_is_unchanged_by_the_row_blocks(monkeypatch, block_floats):
+    # the grid rows are flowed in blocks of whole segments: a block that cut
+    # a segment would restart the custom integral there and move its samples
+    expected = run(_custom_config())
+    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_floats)
+    arc = run(_custom_config())
+    assert arc.ts.tobytes() == expected.ts.tobytes()
+    assert arc.states.tobytes() == expected.states.tobytes()
+
+
 def test_custom_sinusoid_reproduces_the_sinusoidal_arc():
     cfg = perturbed_config(0.05)
     pert = cfg.perturbation
@@ -730,6 +802,45 @@ def test_flow_to_next_event_without_a_horizon_finds_the_firing():
     assert x[firer] == TWO_PI and abs(expect[firer] - TWO_PI) <= 1e-12
     others = np.arange(3) != firer
     np.testing.assert_allclose(x[others], expect[others], rtol=0.0, atol=1e-12)
+
+
+# -- pinned nominal arcs ---------------------------------------------------------------
+
+def _arc_digests(arc):
+    """SHA-256 of an arc's samples and of its events, laid out the same on
+    every platform: little-endian floats and integers, text as UTF-8."""
+    samples = hashlib.sha256()
+    for part in (arc.ts.astype("<f8"), arc.js.astype("<i8"), arc.states.astype("<f8")):
+        samples.update(part.tobytes())
+    samples.update("\n".join(arc.kinds.tolist()).encode())
+    events = hashlib.sha256()
+    for e in arc.events:
+        events.update(np.array([e.t], "<f8").tobytes()
+                      + np.array([e.j, len(e.firers), *e.firers], "<i8").tobytes()
+                      + e.branch.encode() + b"\0"
+                      + e.pre.astype("<f8").tobytes() + e.post.astype("<f8").tobytes())
+    return samples.hexdigest(), events.hexdigest()
+
+
+PINNED_ARCS = {
+    "fig2": (lambda: fig2_config(),
+             "08afa3a40f0868f02d023dcd1ed8111beadc39fc4d2d08d1010eb4610e6e434b",
+             "aaae9e8ea383a3df16106640edf2fc124f740f2f69258b123d6ec9ad40ff0fad"),
+    "enumerate-n5": (lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, TWO_PI, TWO_PI, 1.0, 2.0],
+                                       policy="enumerate", seed=4, horizon=40.0),
+                     "c2718d8280ff577e3a36d56fe24790c17c4cdec9d0f773f31368385ad33dab0f",
+                     "7c681a29d52346f6279ab133e4338f0b48036922929b03760037c8b3492c4de7"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_ARCS)
+def test_nominal_arcs_keep_their_bytes(name):
+    """Nominal arcs use only IEEE +, -, *, /, sorting and min/max, so their
+    bytes are the same on every platform; a change to the engine that moves
+    one bit of a sample or an event fails here.  (Sinusoidal arcs go through
+    np.sin, whose last bit may differ between platforms, and are left out.)"""
+    make_config, samples, events = PINNED_ARCS[name]
+    assert _arc_digests(run(make_config())) == (samples, events)
 
 
 # -- CSV round trip ------------------------------------------------------------------
