@@ -61,18 +61,15 @@ def lyapunov(x):
     return float(v[0]) if single else v
 
 
-def _lyapunov(arr: np.ndarray):
-    """V of a vector (a scalar) or of each row of a batch, for phases
-    already validated; the simulator's stop rule calls it directly.  A
-    batch goes through in row blocks, so its sorted copy and gaps are never
-    the size of the batch."""
-    if arr.ndim == 1:
-        gamma = _shortest_arc(arr)
-    else:
-        gamma = np.empty(arr.shape[0])
-        for rows in _row_blocks(0, arr.shape[0], arr.shape[1]):
-            gamma[rows] = _shortest_arc(arr[rows])
-    return np.maximum(splay_arc_length(arr.shape[-1]) - gamma, 0.0)
+def _lyapunov(arr: np.ndarray) -> np.ndarray:
+    """V of each row of an (m, n) batch, for phases already validated; the
+    simulator's stop rule calls it directly on a batch of post-jump states.
+    The batch goes through in row blocks, so its sorted copy and gaps are
+    never the size of the batch."""
+    gamma = np.empty(arr.shape[0])
+    for rows in _row_blocks(0, arr.shape[0], arr.shape[1]):
+        gamma[rows] = _shortest_arc(arr[rows])
+    return np.maximum(splay_arc_length(arr.shape[1]) - gamma, 0.0)
 
 
 def _splay_line_distance(arr: np.ndarray, clamp: bool) -> np.ndarray:

@@ -81,14 +81,8 @@ def _circular_gaps(srt: np.ndarray) -> np.ndarray:
     """Gap after each phase of a sorted vector or row-sorted (m, n) batch,
     wrap-around last."""
     gaps = np.empty_like(srt)
-    if srt.ndim == 1:
-        # the simulator's per-firing case: the wrap-around in Python floats,
-        # the same IEEE operations without 0-d array arithmetic
-        np.subtract(srt[1:], srt[:-1], out=gaps[:-1])
-        gaps[-1] = TWO_PI - float(srt[-1]) + float(srt[0])
-    else:
-        np.subtract(srt[:, 1:], srt[:, :-1], out=gaps[:, :-1])  # no (m, n - 1) temporary
-        gaps[:, -1] = TWO_PI - srt[:, -1] + srt[:, 0]
+    np.subtract(srt[..., 1:], srt[..., :-1], out=gaps[..., :-1])  # no (m, n - 1) temporary
+    gaps[..., -1] = TWO_PI - srt[..., -1] + srt[..., 0]
     return gaps
 
 

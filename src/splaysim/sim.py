@@ -12,9 +12,12 @@ which brackets its crossing of 2*pi; Newton inside that bracket finds it
 to a few ulps and the earliest crossing fires.  Either way the crossing
 coordinates are assigned exactly 2*pi rather than accumulated.
 
-A run records its firings (time, firers, branch, pre/post states), its
-final (t, x) and why it stopped; the HybridArc's samples, indexed by
-(t, j), are derived from those on the global grid in bounded row blocks,
+A run writes each firing once: (time, firers, branch) in a list, and its
+pre and post states into two rows of fixed-size chunks.  The stop rule is
+read off those rows a batch of about one revolution at a time, and a run
+still ends at the very firing where the rule first holds.  From the
+firings, the final (t, x) and the stop reason the HybridArc's samples,
+indexed by (t, j), are derived on the global grid in bounded row blocks;
 each jump event views its two sample rows, and the hybrid time domain is
 read off the samples.  An arc thus holds each state once.  Runs are
 deterministic given the configuration, including the seed that resolves
@@ -40,6 +43,9 @@ FLOW = "flow"
 PRE_JUMP = "pre-jump"
 POST_JUMP = "post-jump"
 _KINDS = frozenset((FLOW, PRE_JUMP, POST_JUMP))
+#: the jump indices a trajectory CSV may hold: those of the int array it is
+#: read into (plain ints, compared once per line)
+_J_MIN, _J_MAX = int(np.iinfo(int).min), int(np.iinfo(int).max)
 
 #: cap on the Newton iterations that locate one perturbed crossing
 _NEWTON_ITERS = 64
@@ -239,8 +245,8 @@ class SimConfig:
         if self.prc.n != self.n:
             raise ValueError(f"response function was built for n={self.prc.n}, "
                              f"run has n={self.n}")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega!r}")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if self.max_jumps < 1:
@@ -421,11 +427,12 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     Returns (t_fire, x_at_fire, True) at a crossing, with the crossing
     coordinates clamped exactly to 2*pi, or (horizon, x_at_horizon, False)
     when no phase fires before the horizon.  x must be in the box with no
-    coordinate already at 2*pi, t0 finite and the horizon not before t0.
+    coordinate already at 2*pi, omega positive and finite, t0 finite and the
+    horizon not before t0.
     """
     arr = as_phases(x)
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
     if not horizon >= t0:
@@ -438,6 +445,80 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     return t, x, firers is not None
 
 
+class _Firings:
+    """The firings of one run, each written once: (t, firers, branch) in a
+    list, and the pre and post states in rows 2i and 2i + 1 of fixed-size
+    chunks of analysis._BLOCK_FLOATS // (2n) firings, so no array is ever
+    regrown.
+
+    The stop rule (V below threshold and/or splay membership, held for a
+    full nominal revolution) is read off the post rows a batch at a time,
+    once min(n, firings per chunk) firings are pending or their chunk is
+    full, and by settle() before the run ends.  When it has held at firing
+    k, the firings past k are dropped: the record is the one a check after
+    every firing would have left, and at most n - 1 firings run ahead.
+    """
+
+    def __init__(self, config: SimConfig):
+        self.config = config
+        self.facts: list[tuple[float, tuple[int, ...], str]] = []
+        self.chunks: list[np.ndarray] = []
+        self.per_chunk = max(1, analysis._BLOCK_FLOATS // (2 * config.n))
+        self.batch = min(config.n, self.per_chunk)
+        self.period = TWO_PI / config.omega
+        self.checks = config.stop_v_threshold is not None or config.stop_splay_tol is not None
+        self.settled = 0  # firings the stop rule has seen
+        self.hold_since: float | None = None
+        self.stopped = False
+
+    def add(self, t: float, firers: np.ndarray, branch: str, pre: np.ndarray,
+            post: np.ndarray) -> None:
+        m = len(self.facts)
+        row = 2 * (m % self.per_chunk)
+        if not row:
+            self.chunks.append(np.empty((2 * self.per_chunk, self.config.n)))
+        chunk = self.chunks[-1]
+        chunk[row] = pre
+        chunk[row + 1] = post
+        self.facts.append((t, tuple(firers.tolist()), branch))
+        if m + 1 - self.settled == self.batch or row + 2 == chunk.shape[0]:
+            self.settle()
+
+    def post(self, k: int) -> np.ndarray:
+        """The post state of firing k, a view of its chunk row."""
+        return self.chunks[k // self.per_chunk][2 * (k % self.per_chunk) + 1]
+
+    def settle(self) -> bool:
+        """Hold the stop rule over the pending firings, which share a chunk;
+        whether it has fired."""
+        lo, hi = self.settled, len(self.facts)
+        self.settled = hi
+        if self.stopped or lo == hi or not self.checks:
+            return self.stopped
+        cfg = self.config
+        at = 2 * (lo % self.per_chunk)
+        posts = self.chunks[lo // self.per_chunk][at + 1:at + 2 * (hi - lo):2]
+        hits = np.zeros(hi - lo, dtype=bool)
+        if cfg.stop_v_threshold is not None:
+            hits |= analysis._lyapunov(posts) < cfg.stop_v_threshold
+        if cfg.stop_splay_tol is not None:
+            hits |= _splay_gap_deviation(posts) <= cfg.stop_splay_tol
+        if not hits.any():
+            self.hold_since = None
+            return False
+        for k, hit in enumerate(hits.tolist(), start=lo):
+            t = self.facts[k][0]
+            if not hit:
+                self.hold_since = None
+            elif self.hold_since is None:
+                self.hold_since = t
+            elif t - self.hold_since >= self.period:
+                del self.facts[k + 1:]
+                self.stopped = True
+                break
+        return self.stopped
+
+
 def run(config: SimConfig) -> HybridArc:
     """Execute the network and record the arc.
 
@@ -448,8 +529,17 @@ def run(config: SimConfig) -> HybridArc:
     held for a full nominal revolution.  Raises ZenoViolationError when
     consecutive firings are closer than the dwell guard.
 
-    The loop records only the firings, the final (t, x) and the stop
-    reason; _sampled_arc turns them into the samples and the events.
+    The loop writes each firing once into a _Firings record: (t, firers,
+    branch) in a list, the pre and post states into two rows of a
+    preallocated chunk.  The stop rule is evaluated on batches of those
+    rows, so the loop may run up to n - 1 firings past the firing at which
+    it holds; the pending firings are settled before the loop exits by
+    horizon or jump budget and before any exception from the loop is
+    re-raised, and a stop among them ends the run there with that firing's
+    post state.  A run thus ends exactly where a check after every firing
+    would end it.  _sampled_arc turns the record, the final (t, x) and the
+    stop reason into the samples and the events.
+
     Validation happens at the boundary: SimConfig has checked x0, and
     the post-jump box check keeps every state the loop makes in the box,
     so the loop calls the private kernels behind jump_map, lyapunov and
@@ -460,63 +550,59 @@ def run(config: SimConfig) -> HybridArc:
     x = config.x0.copy()
     t = 0.0
     rng = np.random.default_rng(config.seed)
-    # (t, firers, branch, pre, post) of each firing
-    firings: list[tuple[float, tuple[int, ...], str, np.ndarray, np.ndarray]] = []
+    record = _Firings(config)
+    facts = record.facts
     fire_at = TWO_PI - config.firing_tol
-    period = TWO_PI / config.omega
-    hold_since: float | None = None
 
+    on_jump = False  # whether x is the post state of the last firing
     firers = (x >= fire_at).nonzero()[0]
-    while True:
-        if firers.size:
-            if len(firings) >= config.max_jumps:
-                stop_reason = "max-jumps"
-                break
-            if firings and t - firings[-1][0] < config.min_dwell:
-                raise ZenoViolationError(t, len(firings) + 1, t - firings[-1][0],
-                                         config.min_dwell)
-            label, post = model._jump(x, firers, config.prc, config.policy, rng)[0]
-            firings.append((t, tuple(firers.tolist()), label, x, post))
-            x = post
-
-            hit = False
-            if config.stop_v_threshold is not None:
-                hit = analysis._lyapunov(x) < config.stop_v_threshold
-            if not hit and config.stop_splay_tol is not None:
-                hit = _splay_gap_deviation(x) <= config.stop_splay_tol
-            if hit:
-                if hold_since is None:
-                    hold_since = t
-                elif t - hold_since >= period:
-                    stop_reason = "stop-rule"
+    try:
+        while not record.stopped:
+            if firers.size:
+                if len(facts) >= config.max_jumps:
+                    stop_reason = "max-jumps"
                     break
-            else:
-                hold_since = None
-            firers = (x >= fire_at).nonzero()[0]
-            continue
+                if facts and t - facts[-1][0] < config.min_dwell:
+                    raise ZenoViolationError(t, len(facts) + 1, t - facts[-1][0],
+                                             config.min_dwell)
+                label, x_post = model._jump(x, firers, config.prc, config.policy, rng)[0]
+                record.add(t, firers, label, x, x_post)
+                x, on_jump = x_post, True
+                firers = (x >= fire_at).nonzero()[0]
+                continue
 
-        t, x, firers = _first_crossing(x, t, config.omega, config.perturbation,
-                                       config.horizon, config.firing_tol)
-        if firers is None:
-            stop_reason = "horizon"
-            break
+            t, x, firers = _first_crossing(x, t, config.omega, config.perturbation,
+                                           config.horizon, config.firing_tol)
+            on_jump = False
+            if firers is None:
+                stop_reason = "horizon"
+                break
+    except Exception:
+        # a failure past the firing at which the stop rule held never happened
+        if not record.settle():
+            raise
+    else:
+        record.settle()
+    if record.stopped:
+        stop_reason, on_jump = "stop-rule", True
+        t, x = facts[-1][0], record.post(len(facts) - 1)
+    return _sampled_arc(config, facts, record.chunks, t, x, on_jump, stop_reason)
 
-    return _sampled_arc(config, firings, t, x, stop_reason)
 
-
-def _sampled_arc(config: SimConfig, firings: list, t_end: float,
-                 x_end: np.ndarray, stop_reason: str) -> HybridArc:
+def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
+                 x_end: np.ndarray, on_jump: bool, stop_reason: str) -> HybridArc:
     """The arc of a run, its samples derived in one pass from its firings
-    (t, firers, branch, pre, post), its final time and state, and the
-    global grid k * sample_dt.
+    (t, firers, branch), the chunks that hold their pre and post states in
+    consecutive rows, its final time and state (on_jump when that state is
+    the last firing's post state), and the global grid k * sample_dt.
 
     Segment k runs from firing k - 1 (x0 at t = 0 for k = 0) to firing k
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).  Each firing's states are copied into
-    its two rows once, and its JumpEvent views those rows, so the firing's
-    own arrays are freed with the list.  The grid rows of all segments are
+    unless the run ended on a jump).  Each chunk's pre and post rows are
+    copied into their rows with two assignments and the chunk is dropped;
+    each JumpEvent views its two rows.  The grid rows of all segments are
     then flowed, each from its segment's start row, in row blocks of whole
     segments (a custom disturbance's integral restarts at a segment start
     and nowhere else).
@@ -531,7 +617,7 @@ def _sampled_arc(config: SimConfig, firings: list, t_end: float,
     reps = np.ones((m + 1, 3), dtype=int)
     reps[:, 1] = counts
     reps[0, 0] = config.x0.max() < TWO_PI - config.firing_tol
-    reps[-1, 2] = not (firings and x_end is firings[-1][4])
+    reps[-1, 2] = not on_jump
     js = np.repeat(np.arange(m + 1), reps.sum(axis=1))
     reps = reps.ravel()
     piece_at = np.cumsum(reps) - reps
@@ -540,13 +626,18 @@ def _sampled_arc(config: SimConfig, firings: list, t_end: float,
     states = np.empty((ts.size, config.n))
     # whatever their kinds, the first row holds x0 and the last x_end
     states[0], states[-1] = config.x0, x_end
+    pre_rows = piece_at[2:-1:3]  # each firing's post-jump row follows its pre-jump row
+    done = 0
+    while chunks:
+        chunk = chunks.pop(0)
+        rows = pre_rows[done:done + chunk.shape[0] // 2]
+        states[rows] = chunk[0:2 * rows.size:2]
+        states[rows + 1] = chunk[1:2 * rows.size:2]
+        done += rows.size
     frozen = states.view()  # read-only, as is each event's view of its rows
     frozen.flags.writeable = False
-    events = []
-    for j, (row, (t, firers, branch, pre, post)) in enumerate(
-            zip(piece_at[2:-1:3].tolist(), firings)):
-        states[row], states[row + 1] = pre, post
-        events.append(JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1]))
+    events = [JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1])
+              for j, (row, (t, firers, branch)) in enumerate(zip(pre_rows.tolist(), firings))]
     # the rows of each segment's grid piece, and the first of them; a
     # segment with grid rows has its start row just above them
     grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))
@@ -579,12 +670,12 @@ def write_trajectory_csv(arc: HybridArc, path) -> None:
     v = analysis.lyapunov(arc.states).tolist()
     vt = analysis.vtilde(arc.states).tolist()
     header = "t,j," + ",".join(f"x_{i + 1}" for i in range(n)) + ",V,Vtilde,event"
+    # formatted column by column, then joined row by row
+    columns = [map(repr, arc.ts.tolist()), map(repr, arc.js.tolist()),
+               *(map(repr, col) for col in arc.states.T.tolist()),
+               map(repr, v), map(repr, vt), arc.kinds.tolist()]
     lines = [header]
-    lines.extend(
-        f"{t!r},{j},{','.join(map(repr, x))},{vi!r},{vti!r},{kind}"
-        for t, j, x, vi, vti, kind in zip(arc.ts.tolist(), arc.js.tolist(),
-                                          arc.states.tolist(), v, vt, arc.kinds.tolist())
-    )
+    lines.extend(map(",".join, zip(*columns)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -629,6 +720,8 @@ def read_trajectory_csv(path) -> HybridArc:
             j = int(field)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: jump index {field!r} is not an integer") from None
+        if not _J_MIN <= j <= _J_MAX:
+            raise ValueError(f"{path}:{lineno}: jump index {field!r} is out of range")
         if js and j < js[-1]:
             raise ValueError(f"{path}:{lineno}: jump index {j} follows {js[-1]}")
         kind = line[line.rindex(",") + 1:]

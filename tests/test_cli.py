@@ -79,6 +79,7 @@ MALFORMED = {
     "max-jumps-string": ({"max_jumps": "x"}, []),
     "flag-sample-dt-1e-15": ({}, ["--sample-dt", "1e-15"]),
     "flag-sample-dt-1e-8": ({}, ["--sample-dt", "1e-8"]),
+    "flag-omega-inf": ({}, ["--omega", "inf"]),
 }
 #: the malformed inputs that fail a cast, and the key the message must name
 CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps",

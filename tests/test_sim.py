@@ -2,6 +2,7 @@
 guards, stop rules, and the CSV round trip."""
 
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -64,6 +65,16 @@ def test_config_infers_and_checks_n():
 def test_config_rejects_bad_parameters(bad):
     with pytest.raises(ValueError):
         SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]), **bad)
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan])
+def test_omega_must_be_positive_and_finite(omega):
+    # an infinite rate makes omega * (t - t0) = inf * 0 = nan at every
+    # crossing, and the run never ends
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        SimConfig(prc=paper_prc(3), x0=np.array([0.5, 1.5, 3.0]), omega=omega)
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        flow_to_next_event(np.array([0.5, 1.5, 3.0]), omega, None, 0.0, 10.0)
 
 
 def test_config_rejects_disturbance_at_or_above_rate():
@@ -285,7 +296,10 @@ def test_range_checks_stay_at_the_boundary(monkeypatch, stop):
 
 def reference_run(cfg):
     """The arc's events rebuilt from the public, validating functions
-    alone: (events, stop reason, final j), each event (t, firers, branch, post)."""
+    alone: (events, stop reason, final j), each event (t, firers, branch, post).
+
+    A plain per-firing loop: the stop rule is checked after every firing,
+    so it is also the oracle for run's stop rule read off batches of firings."""
     x, t, j = cfg.x0, 0.0, 0
     rng = np.random.default_rng(cfg.seed)
     events, hold_since = [], None
@@ -293,6 +307,8 @@ def reference_run(cfg):
         if x.max() >= TWO_PI - cfg.firing_tol:
             if j >= cfg.max_jumps:
                 return events, "max-jumps", j
+            if events and t - events[-1][0] < cfg.min_dwell:
+                raise ZenoViolationError(t, j + 1, t - events[-1][0], cfg.min_dwell)
             branches = jump_map(x, cfg.prc, cfg.policy, cfg.firing_tol)
             b = branches[0] if len(branches) == 1 else branches[int(rng.integers(len(branches)))]
             events.append((t, b.firers, b.branch, b.post))
@@ -329,7 +345,10 @@ def reference_run(cfg):
         "n3-perturbed"])
 def test_run_matches_the_public_function_reference(make_config):
     cfg = make_config()
-    arc = run(cfg)
+    assert_matches_reference(run(cfg), cfg)
+
+
+def assert_matches_reference(arc, cfg):
     events, reason, final_j = reference_run(cfg)
     assert (arc.stop_reason, arc.final_time.j) == (reason, final_j)
     assert len(arc.events) == len(events)
@@ -378,6 +397,134 @@ def test_splay_tolerance_stop_rule():
     assert in_splay_set(arc.final_state, 1e-6)
     first = next(e.t for e in arc.events if in_splay_set(e.post, 1e-6))
     assert arc.final_time.t - first >= TWO_PI / arc.omega
+
+
+# -- the stop rule read off batches of firings -------------------------------------
+#
+# run evaluates the stop rule once per batch of min(n, firings per chunk)
+# firings, so it may fire up to n - 1 times past the firing at which the rule
+# holds; it must still end exactly where a check after every firing ends.
+
+#: n = 5 starts, and the index of the firing at which the stop rule (V below
+#: 1e-6, or splay within 1e-6) has held a revolution: the first, a middle
+#: and the last firing of a batch of five
+LOOKAHEAD_STARTS = {
+    "first": ([1.6, 1.9, 5.1, 0.6, 3.8], 90),
+    "middle": ([5.9, 3.2, 6.1, 0.5, 3.8], 87),
+    "last": ([3.4, 2.2, 2.3, 2.4, 6.2], 84),
+}
+LOOKAHEAD_RULES = {
+    "v": dict(stop_v_threshold=1e-6),
+    "splay": dict(stop_v_threshold=None, stop_splay_tol=1e-6),
+}
+
+
+def _lookahead_config(where, rule, **overrides):
+    return SimConfig(**{"prc": paper_prc(5), "x0": LOOKAHEAD_STARTS[where][0],
+                        "horizon": 300.0, **LOOKAHEAD_RULES[rule], **overrides})
+
+
+@pytest.mark.parametrize("block_floats", [None, 20, 70], ids=["default", "chunk-2", "chunk-7"])
+@pytest.mark.parametrize("rule", LOOKAHEAD_RULES)
+@pytest.mark.parametrize("where", LOOKAHEAD_STARTS)
+def test_batched_stop_rule_stops_where_a_per_firing_check_does(monkeypatch, where, rule,
+                                                              block_floats):
+    cfg = _lookahead_config(where, rule)
+    stop = LOOKAHEAD_STARTS[where][1]
+    _, reason, final_j = reference_run(cfg)
+    assert (reason, final_j) == ("stop-rule", stop + 1)
+    batch = min(5, analysis._BLOCK_FLOATS // 10)
+    assert stop % batch == {"first": 0, "middle": 2, "last": 4}[where]
+    expected = run(cfg)
+    if block_floats:
+        # chunks of 2 or 7 firings: batches of 2, or of 5 cut short where a chunk fills
+        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_floats)
+    arc = run(cfg)
+    assert_matches_reference(arc, cfg)
+    assert _arc_digests(arc) == _arc_digests(expected)
+
+
+def _response_failing_from(call, fail):
+    """The reference response for its first `call` calls (one per firing),
+    then fail(z, q) of the state z and the reference increments q."""
+    paper, calls = paper_prc(5), itertools.count()
+
+    def func(z):
+        q = paper.func(z)
+        return fail(z, q) if next(calls) >= call else q
+
+    return PhaseResponse("fails-late", func, 5)
+
+
+def _lift_top_listener(z, q):
+    """Put the highest listener 1e-6 below 2*pi: the next dwell is 1e-6."""
+    listeners = np.flatnonzero(z < TWO_PI - 1e-9)
+    top = listeners[np.argmax(z[listeners])]
+    q[top] = TWO_PI - 1e-6 - z[top]
+    return q
+
+
+def _zero_disturbance_until(t_fail):
+    def func(t):
+        if t > t_fail:
+            raise ValueError(f"no disturbance past t={t_fail!r}")
+        return np.zeros(5)
+
+    return Perturbation.custom(func, bound=0.0)
+
+
+def _failing_past_the_stop(where, rule, failure):
+    """(a maker of fresh configs, their stateful parts included, that meet a
+    failure at the firing after the stop firing; the same config without
+    the failure; the error the failure raises)."""
+    stop = LOOKAHEAD_STARTS[where][1]
+    if failure == "nan-response":
+        return (lambda **kw: _lookahead_config(
+                    where, rule, prc=_response_failing_from(stop + 1, lambda z, q: q * np.nan),
+                    **kw),
+                _lookahead_config(where, rule), InvalidPhaseResponseError)
+    if failure == "min-dwell":
+        return (lambda **kw: _lookahead_config(
+                    where, rule, min_dwell=1e-4,
+                    prc=_response_failing_from(stop + 1, _lift_top_listener), **kw),
+                _lookahead_config(where, rule), ZenoViolationError)
+    # a custom disturbance that raises halfway between the stop firing and the next
+    free = run(_lookahead_config(where, rule, stop_v_threshold=None, stop_splay_tol=None,
+                                 max_jumps=stop + 2))
+    t_fail = 0.5 * (free.events[stop].t + free.events[stop + 1].t)
+    return (lambda **kw: _lookahead_config(
+                where, rule, perturbation=_zero_disturbance_until(t_fail), **kw),
+            _lookahead_config(where, rule, perturbation=_zero_disturbance_until(math.inf)),
+            ValueError)
+
+
+@pytest.mark.parametrize("failure", ["nan-response", "min-dwell", "custom-disturbance"])
+@pytest.mark.parametrize("rule", LOOKAHEAD_RULES)
+@pytest.mark.parametrize("where", LOOKAHEAD_STARTS)
+def test_a_failure_past_the_stop_firing_never_surfaces(where, rule, failure):
+    make_failing, clean, error = _failing_past_the_stop(where, rule, failure)
+    # the failure is real: without a stop rule the run meets it
+    with pytest.raises(error):
+        run(make_failing(stop_v_threshold=None, stop_splay_tol=None))
+    arc = run(make_failing())
+    assert arc.stop_reason == "stop-rule"
+    assert arc.jumps == LOOKAHEAD_STARTS[where][1] + 1
+    assert _arc_digests(arc) == _arc_digests(run(clean))
+    assert_matches_reference(arc, make_failing())
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("rule", LOOKAHEAD_RULES)
+@pytest.mark.parametrize("where", LOOKAHEAD_STARTS)
+def test_jump_budget_next_to_the_stop_firing(where, rule, extra):
+    # a budget of stop + 1 jumps or more reaches the stop firing, and the
+    # stop rule ends the run there; one less ends it on the budget
+    stop = LOOKAHEAD_STARTS[where][1]
+    cfg = _lookahead_config(where, rule, max_jumps=stop + extra)
+    arc = run(cfg)
+    assert arc.stop_reason == ("max-jumps" if extra == 0 else "stop-rule")
+    assert arc.jumps == stop + min(extra, 1)
+    assert_matches_reference(arc, cfg)
 
 
 @pytest.mark.parametrize("pert", [
@@ -843,6 +990,25 @@ def test_nominal_arcs_keep_their_bytes(name):
     assert _arc_digests(run(make_config())) == (samples, events)
 
 
+#: SHA-256 of the trajectory and events CSVs of each pinned arc; n < 8 keeps
+#: numpy's row sums in the Vtilde column sequential, so these hold everywhere
+PINNED_CSVS = {
+    "fig2": ("f3992db3e513a5b8565d078986ae9d0fca6b1e792ee8f05adfcb0419550f9e0b",
+             "49984c841104f27c6c556665498f4cf3c35ddb0ad3ea278a13e5181b885365fd"),
+    "enumerate-n5": ("f7d5d8df58a57461b3fdc5ff730492ddcb78d2b33cbd139045c5c7b5db2e622f",
+                     "c009114cae98685f4156e47958515030dfc961afc9a5fd107fad9ab589854903"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CSVS)
+def test_nominal_csv_files_keep_their_bytes(tmp_path, name):
+    arc = run(PINNED_ARCS[name][0]())
+    write_trajectory_csv(arc, tmp_path / "trajectory.csv")
+    write_events_csv(arc, tmp_path / "events.csv")
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in ("trajectory.csv", "events.csv")) == PINNED_CSVS[name]
+
+
 # -- CSV round trip ------------------------------------------------------------------
 
 def test_trajectory_round_trip(tmp_path, fig2_arc):
@@ -894,7 +1060,8 @@ def _trajectory_text(rows):
     ([("0.0", "0"), ("0.5", "one")], 3),
     ([("0.0", "")], 2),
     ([("0.0", "0"), ("0.5", "0", "garbage")], 3),
-], ids=["decreasing", "float", "word", "empty", "unknown-kind"])
+    ([("0.0", "0"), ("0.5", "100000000000000000000")], 3),
+], ids=["decreasing", "float", "word", "empty", "unknown-kind", "beyond-int64"])
 def test_trajectory_jump_index_must_be_an_ordered_integer(tmp_path, rows, lineno):
     path = tmp_path / "bad.csv"
     path.write_text(_trajectory_text(rows))
