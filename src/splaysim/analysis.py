@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circle import TWO_PI, _as_phase_batch, _shortest_arc, splay_arc_length
+from .circle import (TWO_PI, _as_phase_batch, _in_box, _outside, _shortest_arc,
+                     splay_arc_length)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import HybridArc
@@ -236,16 +237,66 @@ def closeness(arc1: "HybridArc", arc2: "HybridArc", tau: float) -> ClosenessRepo
     state mismatch both below eps; eps_star is the largest such requirement
     over both directions.  A jump index missing entirely from the other arc
     yields eps_star = inf.
+
+    Each sample's requirement is the least of max(|t - s|, |x - x(s)|) over
+    the other interval's samples s and the interpolated point s = t (held
+    at the interval's ends).  That point's value c bounds the least from
+    above, and a sample with |t - s| >= c cannot go below it, so only the
+    samples with t - c <= s <= t + c are compared: the window that
+    np.searchsorted finds in the interval's sorted times.  The window is
+    exact in floating point too.  A float s below the float t - c lies
+    at or below the exact t - c, because t - c rounds to the nearest float;
+    so |t - s| rounds to at least c (likewise above t + c), and every
+    sample left out would give at least c.  A row block compares each
+    sample with as many consecutive samples as its widest window, all of
+    them in the interval, so the extra ones change nothing either.  The
+    report is thus the one a comparison with every sample gives, witness
+    included, at O(samples x window) cost.
+
+    Both arcs must have finite times, states in [0, 2*pi]^n and times that
+    never decrease within a run of equal j; ValueError names the arc and
+    the first sample that breaks this.
     """
     if arc1.n != arc2.n:
         raise ValueError(f"arcs have different network sizes: {arc1.n} vs {arc2.n}")
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
+    for name, arc in (("first", arc1), ("second", arc2)):
+        bad = _first_bad_sample(arc.ts, arc.js, arc.states)
+        if bad is not None:
+            raise ValueError(f"{name} arc, sample {bad[0]}: {bad[1]}")
     e1, t1, j1 = _one_sided(arc1, arc2, tau)
     e2, t2, j2 = _one_sided(arc2, arc1, tau)
     if e1 >= e2:
         return ClosenessReport(tau, e1, t1, j1, "first-vs-second")
     return ClosenessReport(tau, e2, t2, j2, "second-vs-first")
+
+
+def _first_bad_sample(ts: np.ndarray, js: np.ndarray,
+                      states: np.ndarray) -> tuple[int, str] | None:
+    """Row and reason of the first sample of an arc that breaks what
+    closeness relies on, or None: jump indices nonnegative and
+    nondecreasing, times finite, states in [0, 2*pi]^n, times
+    nondecreasing within each run of equal j.  Checked in that order, one
+    vectorised pass each; read_trajectory_csv applies the same checks."""
+    step_j = np.diff(js)
+    if step_j.size and step_j.min() < 0:
+        k = int(np.argmax(step_j < 0)) + 1
+        return k, f"jump index {js[k]} follows {js[k - 1]}"
+    if js.size and js[0] < 0:
+        return 0, f"jump index {js[0]} is negative"
+    finite = np.isfinite(ts)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        return k, f"time {ts[k].item()!r} is not finite"
+    if states.size and not _in_box(states):
+        k = int(np.argmax(_outside(states).any(axis=1)))
+        return k, f"phase {states[k][_outside(states[k])][0].item()!r} lies outside [0, 2*pi]"
+    back = (np.diff(ts) < 0) & (step_j == 0)
+    if back.any():
+        k = int(np.argmax(back)) + 1
+        return k, f"time {ts[k].item()!r} follows {ts[k - 1].item()!r} within jump index {js[k]}"
+    return None
 
 
 def _j_runs(js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,23 +324,32 @@ def _one_sided(a: "HybridArc", b: "HybridArc", tau: float) -> tuple[float, float
     worst_j = int(a.js[0]) if len(a.js) else 0
     within = (a.ts + a.js) <= tau + 1e-12
     a_ts, a_js, a_xs = a.ts[within], a.js[within], a.states[within]
+    n = a_xs.shape[1]
     starts, ends = _j_runs(a_js)
     for j, start, end in zip(a_js[starts].tolist(), starts.tolist(), ends.tolist()):
         entry = b_index.get(j)
         if entry is None:
             return float("inf"), float(a_ts[start]), j
         ts, xs = entry
-        # one row of the broadcast temporaries spans the other arc's whole interval
-        for rows in _row_blocks(start, end, ts.size * xs.shape[1]):
+        for rows in _row_blocks(start, end, n):
             t, x = a_ts[rows], a_xs[rows]
-            gap_t = np.abs(ts[None, :] - t[:, None])
-            gap_x = np.sqrt(np.sum((xs[None, :, :] - x[:, None, :]) ** 2, axis=2))
-            best = np.maximum(gap_t, gap_x).min(axis=1)
             # interpolated candidate at s = t clamped into the interval
             s = np.minimum(np.maximum(t, ts[0]), ts[-1])
-            xi = np.stack([np.interp(s, ts, xs[:, k]) for k in range(xs.shape[1])], axis=1)
-            cand = np.maximum(np.abs(t - s), np.sqrt(np.sum((xi - x) ** 2, axis=1)))
-            best = np.minimum(best, cand)
+            xi = np.stack([np.interp(s, ts, xs[:, k]) for k in range(n)], axis=1)
+            best = np.maximum(np.abs(t - s), np.sqrt(np.sum((xi - x) ** 2, axis=1)))
+            # the samples that can beat it: ts[lo:hi] (see closeness)
+            lo = np.searchsorted(ts, t - best, side="left")
+            hi = np.searchsorted(ts, t + best, side="right")
+            widest = max(1, int((hi - lo).max()))
+            for sub in _row_blocks(0, t.size, widest * n):
+                width = int((hi[sub] - lo[sub]).max())
+                if not width:  # no sample can beat these rows' bounds
+                    continue
+                # width consecutive samples from lo, moved back to end in the interval
+                near = np.minimum(lo[sub], ts.size - width)[:, None] + np.arange(width)
+                gap_t = np.abs(ts[near] - t[sub, None])
+                gap_x = np.sqrt(np.sum((xs[near] - x[sub, None, :]) ** 2, axis=2))
+                np.minimum(best[sub], np.maximum(gap_t, gap_x).min(axis=1), out=best[sub])
             # first strict maximum, as a sample-by-sample scan would keep it
             top = np.fmax.reduce(best)
             if top > worst:

@@ -695,7 +695,12 @@ def write_events_csv(arc: HybridArc, path) -> None:
 
 def read_trajectory_csv(path) -> HybridArc:
     """Rebuild an arc from a trajectory CSV (samples only; the events list
-    is empty and flow metadata is unknown)."""
+    is empty and flow metadata is unknown).
+
+    ValueError names `<path>:<line>:` for a malformed row, a jump index
+    that is negative, beyond int64 or decreasing, a time that is not
+    finite, a phase outside [0, 2*pi] (NaN included) or a time that
+    decreases within a run of equal j."""
     text = Path(path).read_text().splitlines()
     if not text:
         raise ValueError(f"{path}: empty trajectory file")
@@ -706,8 +711,8 @@ def read_trajectory_csv(path) -> HybridArc:
     n = len(header) - 5
     if [h for h in header[2:2 + n]] != [f"x_{i + 1}" for i in range(n)]:
         raise ValueError(f"{path}: unexpected state columns in header {text[0]!r}")
-    # structure line by line: column count, an integer j that never
-    # decreases, a known event kind; the numbers are parsed in one block below
+    # structure line by line: column count, an integer j, a known event
+    # kind; the numbers are parsed in one block and checked vectorised below
     rows, js, kinds = [], [], []
     for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
@@ -722,8 +727,6 @@ def read_trajectory_csv(path) -> HybridArc:
             raise ValueError(f"{path}:{lineno}: jump index {field!r} is not an integer") from None
         if not _J_MIN <= j <= _J_MAX:
             raise ValueError(f"{path}:{lineno}: jump index {field!r} is out of range")
-        if js and j < js[-1]:
-            raise ValueError(f"{path}:{lineno}: jump index {j} follows {js[-1]}")
         kind = line[line.rindex(",") + 1:]
         if kind not in _KINDS:
             raise ValueError(f"{path}:{lineno}: unknown event kind {kind!r}")
@@ -737,6 +740,12 @@ def read_trajectory_csv(path) -> HybridArc:
                                 comments=None, ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    return HybridArc(ts=values[:, 0].copy(), js=np.asarray(js, dtype=int),
-                     states=np.ascontiguousarray(values[:, 1:]), kinds=np.asarray(kinds),
+    ts, js = values[:, 0].copy(), np.asarray(js, dtype=int)
+    states = np.ascontiguousarray(values[:, 1:])
+    bad = analysis._first_bad_sample(ts, js, states)
+    if bad is not None:
+        row, why = bad
+        lineno = [k for k, line in enumerate(text[1:], start=2) if line.strip()][row]
+        raise ValueError(f"{path}:{lineno}: {why}")
+    return HybridArc(ts=ts, js=js, states=states, kinds=np.asarray(kinds),
                      events=[], omega=None, perturbed=False, stop_reason="loaded")

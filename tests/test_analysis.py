@@ -2,10 +2,11 @@
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -341,6 +342,65 @@ def test_closeness_is_unchanged_by_the_chunk_size(monkeypatch, perturbed_trio, b
     expected = reference_closeness(nominal, high, 40.0)
     monkeypatch.setattr(analysis, "_BLOCK_FLOATS", budget)
     assert closeness(nominal, high, 40.0) == expected
+
+
+@st.composite
+def sampled_arcs(draw, n):
+    """A multi-interval arc on a coarse grid, so that sample times repeat,
+    steps are uneven, states tie and some jump indices are skipped."""
+    steps = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 2.0)
+    ts, js = [], []
+    t = draw(st.sampled_from([0.0, 0.5]))
+    for j in draw(st.lists(st.integers(0, 4), min_size=1, max_size=4, unique=True)
+                  .map(sorted)):
+        for dt in [0.0] + draw(st.lists(steps, max_size=7)):
+            t += dt
+            ts.append(t)
+            js.append(j)
+    phases = st.sampled_from([0.0, 1.0, 1.5, TWO_PI]) | st.floats(0.0, TWO_PI)
+    states = draw(arrays(float, (len(ts), n), elements=phases))
+    return HybridArc(ts=np.asarray(ts), js=np.asarray(js), states=states,
+                     kinds=np.full(len(ts), "flow"), events=[], omega=None,
+                     perturbed=False, stop_reason="loaded")
+
+
+@settings(max_examples=300, deadline=None)
+# the bound at t = 1.0 is 0.1, and 1.0 - 0.1 rounds up onto the sample at
+# 0.9, which lies 0.09999999999999998 from t: a window that leaves out the
+# sample at its rounded edge misses the least value
+@example(arcs=(loaded_arc([1.0], [[1.0, 0.0]]),
+               loaded_arc([0.9, 1.0], [[1.0, 0.0], [1.0, 0.1]])), tau=3.0)
+# the least value at t = 0 is at the last sample of its window
+@example(arcs=(loaded_arc([0.0], [[0.0, 0.0]]),
+               loaded_arc([0.0, 0.25], [[1.0, 0.0], [0.0, 0.0]])), tau=0.5)
+@given(st.sampled_from([2, 3, 8]).flatmap(
+           lambda n: st.tuples(sampled_arcs(n), sampled_arcs(n) | st.none())),
+       st.sampled_from([0.5, 3.0, 40.0]))
+def test_closeness_window_matches_the_sample_by_sample_reference(arcs, tau):
+    a, b = arcs
+    b = a if b is None else b  # an arc against itself: every bound is 0
+    expected = reference_closeness(a, b, tau)
+    for budget in (analysis._BLOCK_FLOATS, 1):
+        with mock.patch.object(analysis, "_BLOCK_FLOATS", budget):
+            assert closeness(a, b, tau) == expected
+
+
+@pytest.mark.parametrize("field, row, value, reason", [
+    ("ts", 3, np.nan, "time nan is not finite"),
+    ("ts", 3, np.inf, "time inf is not finite"),
+    ("states", 3, 7.0, "phase 7.0 lies outside"),
+    ("states", 3, np.nan, "phase nan lies outside"),
+    ("ts", 3, 0.0, "time 0.0 follows"),
+], ids=["nan-time", "inf-time", "outside-box", "nan-phase", "time-decreases"])
+def test_closeness_rejects_arcs_it_cannot_window(fig2_arc, field, row, value, reason):
+    bad = {"ts": fig2_arc.ts.copy(), "states": fig2_arc.states.copy()}
+    if field == "ts":
+        bad["ts"][row] = value
+    else:
+        bad["states"][row, 1] = value
+    other = dataclasses.replace(fig2_arc, **bad)
+    with pytest.raises(ValueError, match=f"second arc, sample {row}: {reason}"):
+        closeness(fig2_arc, other, tau=5.0)
 
 
 def test_closeness_of_an_arc_with_itself(fig2_arc):

@@ -396,8 +396,10 @@ class TestCloseness:
         code = main(["closeness", str(bad), str(bad), "--tau", "5.0"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("column, value", [(1, "0"), (1, "1.5"), (-1, "garbage")],
-                             ids=["decreasing", "not-an-integer", "unknown-kind"])
+    @pytest.mark.parametrize("column, value", [
+        (1, "0"), (1, "1.5"), (-1, "garbage"), (0, "nan"), (2, "nan"), (2, "9.0"), (0, "0.0"),
+    ], ids=["decreasing", "not-an-integer", "unknown-kind", "nan-time", "nan-phase",
+            "outside-box", "time-decreases"])
     def test_malformed_jump_index_is_usage_error(self, tmp_path, capsys, column, value):
         first, _ = self.run_pair(tmp_path)
         lines = first.read_text().splitlines()

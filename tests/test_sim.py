@@ -4,6 +4,7 @@ guards, stop rules, and the CSV round trip."""
 import hashlib
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -1066,6 +1067,26 @@ def test_trajectory_jump_index_must_be_an_ordered_integer(tmp_path, rows, lineno
     path = tmp_path / "bad.csv"
     path.write_text(_trajectory_text(rows))
     with pytest.raises(ValueError, match=f"bad.csv:{lineno}: "):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("rows, lineno, reason", [
+    (["0.0,-3,1.0,2.0", "0.5,-3,1.0,2.0"], 2, "jump index -3 is negative"),
+    (["0.0,0,1.0,2.0", "nan,0,1.0,2.0"], 3, "time nan is not finite"),
+    (["0.0,0,1.0,2.0", "inf,1,1.0,2.0"], 3, "time inf is not finite"),
+    (["0.0,0,1.0,2.0", "0.5,0,nan,2.0"], 3, "phase nan lies outside [0, 2*pi]"),
+    (["0.0,0,1.0,2.0", "0.5,0,1.0,9.0"], 3, "phase 9.0 lies outside [0, 2*pi]"),
+    (["0.0,0,1.0,2.0", "0.5,0,-0.25,2.0"], 3, "phase -0.25 lies outside [0, 2*pi]"),
+    (["0.0,0,1.0,2.0", "0.5,0,1.0,2.0", "", "0.4,0,1.0,2.0"], 5,
+     "time 0.4 follows 0.5 within jump index 0"),
+], ids=["negative-j", "nan-time", "inf-time", "nan-phase", "above-box", "below-box",
+        "time-decreases"])
+def test_trajectory_samples_must_be_finite_in_the_box_and_ordered(tmp_path, rows, lineno,
+                                                                  reason):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,j,x_1,x_2,V,Vtilde,event\n"
+                    + "".join(f"{row},0.5,0.5,flow\n" if row else "\n" for row in rows))
+    with pytest.raises(ValueError, match=f"bad.csv:{lineno}: {re.escape(reason)}"):
         read_trajectory_csv(path)
 
 
