@@ -240,26 +240,26 @@ def closeness(arc1: "HybridArc", arc2: "HybridArc", tau: float) -> ClosenessRepo
 
     Each sample's requirement is the least of max(|t - s|, |x - x(s)|) over
     the other interval's samples s and the interpolated point s = t (held
-    at the interval's ends).  That point's value c bounds the least from
-    above, and a sample with |t - s| >= c cannot go below it, so only the
-    samples with t - c <= s <= t + c are compared: the window that
-    np.searchsorted finds in the interval's sorted times.  The window is
-    exact in floating point too.  A float s below the float t - c lies
-    at or below the exact t - c, because t - c rounds to the nearest float;
-    so |t - s| rounds to at least c (likewise above t + c), and every
-    sample left out would give at least c.  A row block compares each
-    sample with as many consecutive samples as its widest window, all of
-    them in the interval, so the extra ones change nothing either.  The
-    report is thus the one a comparison with every sample gives, witness
-    included, at O(samples x window) cost.
+    at the interval's ends), whose value c bounds it from above.  A row
+    block screens all of the interval's samples at once by their squared
+    requirement max((t - s)^2, |x|^2 + |y|^2 - 2 x.y), the state part from
+    one matrix product.  That expansion is off from the exact squared
+    distance by at most (n + 3) eps (|x|^2 + |y|^2), and squaring a float
+    by one relative rounding; _EXPANSION_ERR and _SQ_REL exceed both by
+    orders of magnitude.  So a sample whose screened value, less those
+    margins, exceeds c^2 or the least screened value plus the margins
+    cannot give the least requirement; only the others are compared, with
+    the exact formula of a sample-by-sample scan.  The report is thus the
+    one a comparison with every sample gives, witness included, at a cost
+    that does not depend on how far apart the arcs are.
 
     Both arcs must have finite times, states in [0, 2*pi]^n and times that
     never decrease within a run of equal j; ValueError names the arc and
-    the first sample that breaks this.
+    the first sample that breaks this, or a tau that is negative or NaN.
     """
     if arc1.n != arc2.n:
         raise ValueError(f"arcs have different network sizes: {arc1.n} vs {arc2.n}")
-    if tau < 0:
+    if not tau >= 0:  # NaN included; inf takes the whole arcs
         raise ValueError(f"tau must be nonnegative, got {tau!r}")
     for name, arc in (("first", arc1), ("second", arc2)):
         bad = _first_bad_sample(arc.ts, arc.js, arc.states)
@@ -317,6 +317,12 @@ def _interval_index(arc: "HybridArc") -> dict[int, tuple[np.ndarray, np.ndarray]
             for j, s, e in zip(arc.js[starts].tolist(), starts.tolist(), ends.tolist())}
 
 
+#: margins of the screen in closeness: absolute, per (n + 3)(|x|^2 + |y|^2),
+#: and relative
+_EXPANSION_ERR = 1e-13
+_SQ_REL = 1e-9
+
+
 def _one_sided(a: "HybridArc", b: "HybridArc", tau: float) -> tuple[float, float, int]:
     b_index = _interval_index(b)
     worst = 0.0
@@ -331,25 +337,28 @@ def _one_sided(a: "HybridArc", b: "HybridArc", tau: float) -> tuple[float, float
         if entry is None:
             return float("inf"), float(a_ts[start]), j
         ts, xs = entry
-        for rows in _row_blocks(start, end, n):
+        yy = np.sum(xs * xs, axis=1)
+        for rows in _row_blocks(start, end, ts.size):
             t, x = a_ts[rows], a_xs[rows]
             # interpolated candidate at s = t clamped into the interval
             s = np.minimum(np.maximum(t, ts[0]), ts[-1])
             xi = np.stack([np.interp(s, ts, xs[:, k]) for k in range(n)], axis=1)
             best = np.maximum(np.abs(t - s), np.sqrt(np.sum((xi - x) ** 2, axis=1)))
-            # the samples that can beat it: ts[lo:hi] (see closeness)
-            lo = np.searchsorted(ts, t - best, side="left")
-            hi = np.searchsorted(ts, t + best, side="right")
-            widest = max(1, int((hi - lo).max()))
-            for sub in _row_blocks(0, t.size, widest * n):
-                width = int((hi[sub] - lo[sub]).max())
-                if not width:  # no sample can beat these rows' bounds
-                    continue
-                # width consecutive samples from lo, moved back to end in the interval
-                near = np.minimum(lo[sub], ts.size - width)[:, None] + np.arange(width)
-                gap_t = np.abs(ts[near] - t[sub, None])
-                gap_x = np.sqrt(np.sum((xs[near] - x[sub, None, :]) ** 2, axis=2))
-                np.minimum(best[sub], np.maximum(gap_t, gap_x).min(axis=1), out=best[sub])
+            # every sample's squared requirement to within err (see closeness)
+            xx = np.sum(x * x, axis=1)
+            err = _EXPANSION_ERR * (n + 3) * (xx.max() + yy.max())
+            sq = np.matmul(x, xs.T)
+            sq *= -2.0
+            sq += xx[:, None]
+            sq += yy
+            gap = t[:, None] - ts
+            gap *= gap
+            np.maximum(sq, gap, out=sq)
+            cap = np.minimum(best * best, sq.min(axis=1) * (1.0 + _SQ_REL) + err)
+            # the samples that can beat it, compared exactly
+            r, k = np.nonzero(sq <= ((cap + err) / (1.0 - _SQ_REL))[:, None])
+            np.minimum.at(best, r, np.maximum(np.abs(ts[k] - t[r]),
+                                              np.sqrt(np.sum((xs[k] - x[r]) ** 2, axis=1))))
             # first strict maximum, as a sample-by-sample scan would keep it
             top = np.fmax.reduce(best)
             if top > worst:

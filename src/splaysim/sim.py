@@ -27,6 +27,7 @@ set-valued jumps.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -42,10 +43,16 @@ from .model import ALL_ZERO, DEFAULT_FIRING_TOL, POLICIES, PhaseResponse
 FLOW = "flow"
 PRE_JUMP = "pre-jump"
 POST_JUMP = "post-jump"
-_KINDS = frozenset((FLOW, PRE_JUMP, POST_JUMP))
-#: the jump indices a trajectory CSV may hold: those of the int array it is
-#: read into (plain ints, compared once per line)
-_J_MIN, _J_MAX = int(np.iinfo(int).min), int(np.iinfo(int).max)
+_KINDS = (FLOW, PRE_JUMP, POST_JUMP)
+#: the event field of a trajectory CSV row as parsed: one character wider
+#: than the longest kind, so that no value truncated to it equals a kind
+_KIND_FIELD = f"U{max(map(len, _KINDS)) + 1}"
+#: about the most cells a trajectory CSV writer formats, and the most
+#: characters its reader splits into lines, at a time: the Python strings
+#: of a block fit in memory the allocator keeps, where a whole file's
+#: would be mapped and unmapped afresh on every call
+_CSV_CELLS = 8_192
+_CSV_CHARS = 65_536
 
 #: cap on the Newton iterations that locate one perturbed crossing
 _NEWTON_ITERS = 64
@@ -661,22 +668,38 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
 #
 # Floats are written with repr (of the Python floats that tolist() yields)
 # so rereading reproduces them bit for bit and rerunning the same
-# configuration reproduces the file byte for byte.
+# configuration reproduces the file byte for byte.  V and Vtilde stay fixed
+# between nominal firings, so their columns are formatted once per run.
 
 
 def write_trajectory_csv(arc: HybridArc, path) -> None:
-    """Write the sampled arc with V and Vtilde per sample, one row each."""
+    """Write the sampled arc with V and Vtilde per sample, one row each,
+    formatted and written a block of rows at a time."""
     n = arc.n
-    v = analysis.lyapunov(arc.states).tolist()
-    vt = analysis.vtilde(arc.states).tolist()
     header = "t,j," + ",".join(f"x_{i + 1}" for i in range(n)) + ",V,Vtilde,event"
-    # formatted column by column, then joined row by row
-    columns = [map(repr, arc.ts.tolist()), map(repr, arc.js.tolist()),
-               *(map(repr, col) for col in arc.states.T.tolist()),
-               map(repr, v), map(repr, vt), arc.kinds.tolist()]
-    lines = [header]
-    lines.extend(map(",".join, zip(*columns)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    v, vt = analysis.lyapunov(arc.states), analysis.vtilde(arc.states)
+    step = max(1, _CSV_CELLS // (n + 5))
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for lo in range(0, arc.ts.size, step):
+            rows = slice(lo, lo + step)
+            # formatted column by column, then joined row by row
+            columns = [map(repr, arc.ts[rows].tolist()), map(repr, arc.js[rows].tolist()),
+                       *(map(repr, col) for col in arc.states[rows].T.tolist()),
+                       _repr_runs(v[rows]), _repr_runs(vt[rows]), arc.kinds[rows].tolist()]
+            f.write("".join(map("{}\n".format, map(",".join, zip(*columns)))))
+
+
+def _repr_runs(col: np.ndarray):
+    """Lazy repr of each value of a float column, formatted once per run of
+    equal bit patterns (-0.0 and 0.0 apart) unless most values are distinct."""
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))  # ~b never equals b
+    if 2 * starts.size > col.size:
+        return map(repr, col.tolist())
+    lengths = np.diff(starts, append=col.size)
+    return itertools.chain.from_iterable(
+        map(itertools.repeat, map(repr, col[starts].tolist()), lengths.tolist()))
 
 
 def write_events_csv(arc: HybridArc, path) -> None:
@@ -697,55 +720,85 @@ def read_trajectory_csv(path) -> HybridArc:
     """Rebuild an arc from a trajectory CSV (samples only; the events list
     is empty and flow metadata is unknown).
 
-    ValueError names `<path>:<line>:` for a malformed row, a jump index
-    that is negative, beyond int64 or decreasing, a time that is not
-    finite, a phase outside [0, 2*pi] (NaN included) or a time that
-    decreases within a run of equal j."""
-    text = Path(path).read_text().splitlines()
-    if not text:
-        raise ValueError(f"{path}: empty trajectory file")
-    header = text[0].split(",")
-    if (len(header) < 6 or header[:2] != ["t", "j"]
-            or header[-3:] != ["V", "Vtilde", "event"]):
-        raise ValueError(f"{path}: not a trajectory CSV (header {text[0]!r})")
-    n = len(header) - 5
-    if [h for h in header[2:2 + n]] != [f"x_{i + 1}" for i in range(n)]:
-        raise ValueError(f"{path}: unexpected state columns in header {text[0]!r}")
-    # structure line by line: column count, an integer j, a known event
-    # kind; the numbers are parsed in one block and checked vectorised below
-    rows, js, kinds = [], [], []
-    for lineno, line in enumerate(text[1:], start=2):
+    The rows are parsed a block of whole lines at a time.  ValueError names
+    `<path>:` for a file with no samples, and `<path>:<line>:` for the first
+    row with the wrong column count, a number that does not parse (a jump
+    index that is not an int64 included), an unknown event kind, a negative
+    or decreasing jump index, a time that is not finite, a phase outside
+    [0, 2*pi] (NaN included) or a time that decreases within a run of
+    equal j."""
+    with open(path) as f:
+        # each block ends at a newline, so splitting the blocks splits the file
+        blocks = iter(lambda: f.read(_CSV_CHARS) + f.readline(), "")
+        block = next(blocks, "")
+        lines = block.splitlines()
+        if not lines:
+            raise ValueError(f"{path}: empty trajectory file")
+        header = lines[0].split(",")
+        if (len(header) < 6 or header[:2] != ["t", "j"]
+                or header[-3:] != ["V", "Vtilde", "event"]):
+            raise ValueError(f"{path}: not a trajectory CSV (header {lines[0]!r})")
+        n = len(header) - 5
+        if [h for h in header[2:2 + n]] != [f"x_{i + 1}" for i in range(n)]:
+            raise ValueError(f"{path}: unexpected state columns in header {lines[0]!r}")
+        commas = len(header) - 1
+        # V and Vtilde are skipped; a row short of the event column raises
+        parse = functools.partial(
+            np.loadtxt, dtype=[("t", float), ("j", np.int64), ("x", float, (n,)),
+                               ("event", _KIND_FIELD)],
+            delimiter=",", comments=None, ndmin=1, usecols=(*range(2 + n), commas))
+        tables, lineno, skip = [], 2, 1  # the header line
+        while block:
+            rows = list(filter(str.strip, lines[skip:]))
+            table = None
+            try:
+                if rows:
+                    table = parse(rows)
+                # blank lines hold no commas; a NUL would vanish from the
+                # end of a parsed event kind
+                ok = (block.count(",") - skip * commas == len(rows) * commas
+                      and "\0" not in block
+                      and (table is None or np.isin(table["event"], _KINDS).all()))
+            except ValueError:
+                ok = False
+            if not ok:  # the first failing row, parsed on its own
+                table = _parse_row_by_row(path, parse, commas, lines[skip:], lineno)
+            if table is not None:
+                tables.append(table)
+            lineno += len(lines) - skip
+            block, skip = next(blocks, ""), 0
+            lines = block.splitlines()
+    if not tables:
+        raise ValueError(f"{path}: no samples")
+    ts, js, states, kinds = (np.concatenate([table[name] for table in tables])
+                             for name in ("t", "j", "x", "event"))
+    bad = analysis._first_bad_sample(ts, js, states)
+    if bad is not None:
+        row, why = bad
+        lines = Path(path).read_text().splitlines()
+        lineno = [k for k, line in enumerate(lines[1:], start=2) if line.strip()][row]
+        raise ValueError(f"{path}:{lineno}: {why}")
+    return HybridArc(ts=ts, js=js, states=states, kinds=kinds,
+                     events=[], omega=None, perturbed=False, stop_reason="loaded")
+
+
+def _parse_row_by_row(path, parse, commas: int, lines: list, lineno: int):
+    """Raise `<path>:<line>:` for the first of these trajectory CSV lines
+    (the first on file line `lineno`) whose row fails on its own, by column
+    count, parse or event kind; parse them all if none does."""
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
         if not line.strip():
             continue
-        if line.count(",") != len(header) - 1:
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
-        cut = line.index(",")
-        field = line[cut + 1:line.index(",", cut + 1)]
+        if line.count(",") != commas:
+            raise ValueError(f"{path}:{lineno}: expected {commas + 1} columns")
         try:
-            j = int(field)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: jump index {field!r} is not an integer") from None
-        if not _J_MIN <= j <= _J_MAX:
-            raise ValueError(f"{path}:{lineno}: jump index {field!r} is out of range")
+            parse([line])
+        except ValueError as exc:
+            why = str(exc).replace(" at row 0, column 2.", " (jump index)")
+            raise ValueError(f"{path}:{lineno}: {why.replace(' at row 0,', ' in')}") from None
         kind = line[line.rindex(",") + 1:]
         if kind not in _KINDS:
             raise ValueError(f"{path}:{lineno}: unknown event kind {kind!r}")
         rows.append(line)
-        js.append(j)
-        kinds.append(kind)
-    values = np.empty((0, 1 + n))
-    if rows:
-        try:
-            values = np.loadtxt(rows, delimiter=",", usecols=(0, *range(2, 2 + n)),
-                                comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    ts, js = values[:, 0].copy(), np.asarray(js, dtype=int)
-    states = np.ascontiguousarray(values[:, 1:])
-    bad = analysis._first_bad_sample(ts, js, states)
-    if bad is not None:
-        row, why = bad
-        lineno = [k for k, line in enumerate(text[1:], start=2) if line.strip()][row]
-        raise ValueError(f"{path}:{lineno}: {why}")
-    return HybridArc(ts=ts, js=js, states=states, kinds=np.asarray(kinds),
-                     events=[], omega=None, perturbed=False, stop_reason="loaded")
+    return parse(rows) if rows else None

@@ -366,11 +366,11 @@ def sampled_arcs(draw, n):
 
 @settings(max_examples=300, deadline=None)
 # the bound at t = 1.0 is 0.1, and 1.0 - 0.1 rounds up onto the sample at
-# 0.9, which lies 0.09999999999999998 from t: a window that leaves out the
-# sample at its rounded edge misses the least value
+# 0.9, which lies 0.09999999999999998 from t: a screen that leaves out the
+# sample at the bound's rounded edge misses the least value
 @example(arcs=(loaded_arc([1.0], [[1.0, 0.0]]),
                loaded_arc([0.9, 1.0], [[1.0, 0.0], [1.0, 0.1]])), tau=3.0)
-# the least value at t = 0 is at the last sample of its window
+# the least value at t = 0 is at the last sample within the bound
 @example(arcs=(loaded_arc([0.0], [[0.0, 0.0]]),
                loaded_arc([0.0, 0.25], [[1.0, 0.0], [0.0, 0.0]])), tau=0.5)
 @given(st.sampled_from([2, 3, 8]).flatmap(
@@ -383,6 +383,21 @@ def test_closeness_window_matches_the_sample_by_sample_reference(arcs, tau):
     for budget in (analysis._BLOCK_FLOATS, 1):
         with mock.patch.object(analysis, "_BLOCK_FLOATS", budget):
             assert closeness(a, b, tau) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 8]).flatmap(lambda n: st.tuples(sampled_arcs(n), sampled_arcs(n))),
+       st.data())
+def test_closeness_finds_the_least_requirement_of_each_sample(arcs, data):
+    """One sample against the other arc: the one-sided report is that
+    sample's own least requirement, which a report over many samples
+    shows only for its worst one."""
+    a, b = arcs
+    k = data.draw(st.integers(0, a.ts.size - 1))
+    one = HybridArc(ts=a.ts[k:k + 1], js=a.js[k:k + 1], states=a.states[k:k + 1],
+                    kinds=a.kinds[k:k + 1], events=[], omega=None, perturbed=False,
+                    stop_reason="loaded")
+    assert analysis._one_sided(one, b, np.inf) == reference_one_sided(one, b, np.inf)
 
 
 @pytest.mark.parametrize("field, row, value, reason", [
@@ -429,8 +444,10 @@ def test_closeness_rejects_mismatched_sizes(fig2_arc):
                           x0=np.asarray([0.5, 1.0, 2.0, 4.0]), horizon=5.0))
     with pytest.raises(ValueError):
         closeness(fig2_arc, other, tau=5.0)
-    with pytest.raises(ValueError):
-        closeness(fig2_arc, fig2_arc, tau=-1.0)
+    for tau in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            closeness(fig2_arc, fig2_arc, tau=tau)
+    assert closeness(fig2_arc, fig2_arc, tau=np.inf).eps_star == 0.0
 
 
 def test_closeness_missing_interval_is_infinite(fig2_arc):

@@ -415,3 +415,23 @@ class TestCloseness:
         captured = capsys.readouterr()
         assert f"config error: {bad}:{cut + 2}: " in captured.err
         assert "eps_star" not in captured.out
+
+    def test_nan_tau_is_usage_error(self, tmp_path, capsys):
+        first, _ = self.run_pair(tmp_path)
+        capsys.readouterr()
+        code = main(["closeness", str(first), str(first), "--tau", "nan"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: tau must be nonnegative, got nan")
+        assert "eps_star" not in captured.out
+
+    def test_file_without_samples_is_usage_error(self, tmp_path, capsys):
+        first, _ = self.run_pair(tmp_path)
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text(first.read_text().splitlines()[0] + "\n\n")
+        capsys.readouterr()
+        code = main(["closeness", str(first), str(header_only), "--tau", "5.0"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {header_only}: no samples\n"
+        assert "eps_star" not in captured.out

@@ -10,17 +10,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splaysim import analysis, circle, sim
 from splaysim.analysis import lyapunov, verify_monotone, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
-from splaysim.experiments import draw_start, fig2_config, perturbed_config
+from splaysim.experiments import PERTURBED_X0, draw_start, fig2_config, perturbed_config
 from splaysim.model import InvalidPhaseResponseError, PhaseResponse, in_splay_set, jump_map
 from splaysim.prc import broken_zero, paper_prc, prc_from_spec
 from splaysim.sim import (
+    HybridArc,
     Perturbation,
     SimConfig,
     ZenoViolationError,
@@ -992,22 +993,52 @@ def test_nominal_arcs_keep_their_bytes(name):
 
 
 #: SHA-256 of the trajectory and events CSVs of each pinned arc; n < 8 keeps
-#: numpy's row sums in the Vtilde column sequential, so these hold everywhere
+#: numpy's row sums in the Vtilde column sequential, so the nominal digests
+#: hold everywhere.  The n=3 arc at the CLI defaults (sample_dt 0.01) has
+#: long runs of equal V; the sinusoidal one has almost none, so the writer
+#: formats its V and Vtilde value by value.  That arc goes through np.sin,
+#: and its digest holds where np.sin rounds as on x86-64 with numpy 2.4.
 PINNED_CSVS = {
-    "fig2": ("f3992db3e513a5b8565d078986ae9d0fca6b1e792ee8f05adfcb0419550f9e0b",
+    "fig2": (PINNED_ARCS["fig2"][0],
+             "f3992db3e513a5b8565d078986ae9d0fca6b1e792ee8f05adfcb0419550f9e0b",
              "49984c841104f27c6c556665498f4cf3c35ddb0ad3ea278a13e5181b885365fd"),
-    "enumerate-n5": ("f7d5d8df58a57461b3fdc5ff730492ddcb78d2b33cbd139045c5c7b5db2e622f",
+    "enumerate-n5": (PINNED_ARCS["enumerate-n5"][0],
+                     "f7d5d8df58a57461b3fdc5ff730492ddcb78d2b33cbd139045c5c7b5db2e622f",
                      "c009114cae98685f4156e47958515030dfc961afc9a5fd107fad9ab589854903"),
+    "cli-defaults-n3": (lambda: SimConfig(prc=paper_prc(3), x0=PERTURBED_X0),
+                        "6af9c12b91213327327423783ba120284812887151921c1a69cb1e47d2413b7e",
+                        "5c14230c14c9c9f29a0ab38f3e56f42e1df50a7374edf6eb252d5e975675f370"),
+    "perturbed-0.05": (lambda: perturbed_config(0.05),
+                       "96085f2630b452b28f661b49b1603e267e4eac85315e336b795c95bd223b6306",
+                       "d4e7c906a072d7c848b3f11bfcddbd58cb34970e9221596b1ac4696e34469f5d"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_CSVS)
 def test_nominal_csv_files_keep_their_bytes(tmp_path, name):
-    arc = run(PINNED_ARCS[name][0]())
+    make_config, *digests = PINNED_CSVS[name]
+    arc = run(make_config())
     write_trajectory_csv(arc, tmp_path / "trajectory.csv")
     write_events_csv(arc, tmp_path / "events.csv")
-    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
-                 for f in ("trajectory.csv", "events.csv")) == PINNED_CSVS[name]
+    assert [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in ("trajectory.csv", "events.csv")] == digests
+
+
+@pytest.mark.parametrize("cells", [1, 50])
+def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, cells):
+    """One row or a few per block write the bytes pinned above, and the
+    reader takes the file back in blocks of a line or a few, each passing
+    the block checks."""
+    make_config, digest, _ = PINNED_CSVS["perturbed-0.05"]
+    arc = run(make_config())
+    monkeypatch.setattr(sim, "_CSV_CELLS", cells)
+    monkeypatch.setattr(sim, "_CSV_CHARS", cells)
+    monkeypatch.setattr(sim, "_parse_row_by_row", None)
+    write_trajectory_csv(arc, tmp_path / "trajectory.csv")
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == digest
+    loaded = read_trajectory_csv(tmp_path / "trajectory.csv")
+    for field in ("ts", "js", "states", "kinds"):
+        np.testing.assert_array_equal(getattr(loaded, field), getattr(arc, field))
 
 
 # -- CSV round trip ------------------------------------------------------------------
@@ -1093,7 +1124,7 @@ def test_trajectory_samples_must_be_finite_in_the_box_and_ordered(tmp_path, rows
 def test_trajectory_unparseable_number_names_the_file(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(_trajectory_text([("0.0", "0"), ("zero", "0")]))
-    with pytest.raises(ValueError, match="bad.csv: .*zero"):
+    with pytest.raises(ValueError, match="bad.csv:3: .*zero"):
         read_trajectory_csv(path)
 
 
@@ -1117,6 +1148,190 @@ def test_trajectory_header_is_strict(tmp_path):
     path.write_text("t,j,x_1,x_2,V,Vtilde,event\n0.0,0\n")
     with pytest.raises(ValueError):
         read_trajectory_csv(path)
+
+
+def test_trajectory_without_samples_is_rejected(tmp_path):
+    path = tmp_path / "bare.csv"
+    for text in ("t,j,x_1,x_2,V,Vtilde,event\n", "t,j,x_1,x_2,V,Vtilde,event\n\n  \n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bare.csv: no samples$"):
+            read_trajectory_csv(path)
+
+
+_REFERENCE_KINDS = frozenset(sim._KINDS)
+_J_MIN, _J_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def reference_read_trajectory_csv(path) -> HybridArc:
+    """Line by line: column count, int(j) within int64 and the event kind
+    per line, then the numbers in one np.loadtxt and the sample checks."""
+    text = path.read_text().splitlines()
+    if not text:
+        raise ValueError(f"{path}: empty trajectory file")
+    header = text[0].split(",")
+    if (len(header) < 6 or header[:2] != ["t", "j"]
+            or header[-3:] != ["V", "Vtilde", "event"]):
+        raise ValueError(f"{path}: not a trajectory CSV (header {text[0]!r})")
+    n = len(header) - 5
+    if header[2:2 + n] != [f"x_{i + 1}" for i in range(n)]:
+        raise ValueError(f"{path}: unexpected state columns in header {text[0]!r}")
+    rows, js, kinds = [], [], []
+    for lineno, line in enumerate(text[1:], start=2):
+        if not line.strip():
+            continue
+        if line.count(",") != len(header) - 1:
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns")
+        cut = line.index(",")
+        field = line[cut + 1:line.index(",", cut + 1)]
+        try:
+            j = int(field)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: jump index {field!r} is not an integer") from None
+        if not _J_MIN <= j <= _J_MAX:
+            raise ValueError(f"{path}:{lineno}: jump index {field!r} is out of range")
+        kind = line[line.rindex(",") + 1:]
+        if kind not in _REFERENCE_KINDS:
+            raise ValueError(f"{path}:{lineno}: unknown event kind {kind!r}")
+        rows.append(line)
+        js.append(j)
+        kinds.append(kind)
+    values = np.empty((0, 1 + n))
+    if rows:
+        try:
+            values = np.loadtxt(rows, delimiter=",", usecols=(0, *range(2, 2 + n)),
+                                comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    ts, js = values[:, 0].copy(), np.asarray(js, dtype=np.int64)
+    states = np.ascontiguousarray(values[:, 1:])
+    bad = analysis._first_bad_sample(ts, js, states)
+    if bad is not None:
+        row, why = bad
+        lineno = [k for k, line in enumerate(text[1:], start=2) if line.strip()][row]
+        raise ValueError(f"{path}:{lineno}: {why}")
+    return HybridArc(ts=ts, js=js, states=states, kinds=np.asarray(kinds),
+                     events=[], omega=None, perturbed=False, stop_reason="loaded")
+
+
+@st.composite
+def trajectory_files(draw, cells=("0.5", "", "nan", "V", "0.5\0")):
+    """(text, row lines) of a valid trajectory CSV in the formats a reader
+    may meet: numbers with surrounding spaces, j with a sign or leading
+    zeros, V and Vtilde from `cells`, blank and whitespace-only lines, LF
+    or CRLF line ends, with or without a final one."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 10))
+    js = np.cumsum(draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=m, max_size=m)))
+    ts = sorted(draw(st.lists(st.floats(-1e9, 1e9), min_size=m, max_size=m)))
+    number = st.sampled_from([repr, "{!r} ".format, " {:.17g}".format])
+    jump = st.sampled_from([str, "+{}".format, "0{}".format, " {} ".format])
+    cell = st.sampled_from(cells)
+    lines = ["t,j," + ",".join(f"x_{i + 1}" for i in range(n)) + ",V,Vtilde,event"]
+    rows = []
+    for t, j in zip(ts, js.tolist()):
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t "]), max_size=2)))
+        phases = draw(st.lists(st.floats(0.0, TWO_PI), min_size=n, max_size=n))
+        rows.append(len(lines) + 1)
+        lines.append(",".join([draw(number)(t), draw(jump)(j),
+                               *(draw(number)(x) for x in phases),
+                               draw(cell), draw(cell), draw(st.sampled_from(sim._KINDS))]))
+    lines.extend(draw(st.lists(st.sampled_from(["", " "]), max_size=2)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), rows
+
+
+#: reader block sizes in characters: a block is then one line, a few lines
+#: or the whole file
+BLOCK_CHARS = st.sampled_from([1, 40, 120, sim._CSV_CHARS])
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trajectory_files(), BLOCK_CHARS)
+def test_reader_matches_the_line_by_line_reference(tmp_path, file, chars):
+    path = tmp_path / "traj.csv"
+    path.write_bytes(file[0].encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_CSV_CHARS", chars)
+        arc = read_trajectory_csv(path)
+    reference = reference_read_trajectory_csv(path)
+    for field in ("ts", "js", "states", "kinds"):
+        np.testing.assert_array_equal(getattr(arc, field), getattr(reference, field))
+    assert arc.js.dtype == reference.js.dtype and arc.states.shape == reference.states.shape
+
+
+def _rejected_line(read, path):
+    """The line a reader names when it rejects the file.  The reference
+    names none for a number loadtxt cannot parse, only its row among the
+    nonblank ones."""
+    with pytest.raises(ValueError) as info:
+        read(path)
+    message = str(info.value)
+    named = re.match(rf"{re.escape(str(path))}:(\d+): ", message)
+    if named:
+        return int(named[1])
+    row = int(re.search(r"at row (\d+)", message)[1])
+    return [k for k, line in enumerate(path.read_text().splitlines()[1:], start=2)
+            if line.strip()][row]
+
+
+#: each mutation rewrites the fields of one row
+ROW_MUTATIONS = {
+    "extra-column": lambda f: [*f, "0.5"],
+    "missing-column": lambda f: f[:-2] + f[-1:],
+    **{f"j={j!r}": (lambda f, j=j: [f[0], j, *f[2:]])
+       for j in ["1.0", "one", "", "9223372036854775808", "-9223372036854775809"]},
+    **{f"kind={k!r}": (lambda f, k=k: [*f[:-1], k])
+       for k in ["garbage", "flow ", "post-jumpX", "post-jumpXY", "flow\0", ""]},
+    "t='zero'": lambda f: ["zero", *f[1:]],
+}
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(trajectory_files(cells=("0.5", "", "nan", "V")), st.sampled_from(sorted(ROW_MUTATIONS)),
+       BLOCK_CHARS, st.data())
+def test_reader_rejects_a_mutated_row_where_the_reference_does(tmp_path, file, mutation, chars,
+                                                               data):
+    # no NUL in the other cells: a file with one is checked row by row
+    # throughout, which would hide a fault of the block checks
+    text, rows = file
+    lines = text.splitlines(keepends=True)
+    at = data.draw(st.sampled_from(rows)) - 1
+    body = lines[at].rstrip("\r\n")
+    lines[at] = ",".join(ROW_MUTATIONS[mutation](body.split(","))) + lines[at][len(body):]
+    path = tmp_path / "bad.csv"
+    path.write_bytes("".join(lines).encode())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_CSV_CHARS", chars)
+        assert _rejected_line(read_trajectory_csv, path) == at + 1
+    assert _rejected_line(reference_read_trajectory_csv, path) == at + 1
+
+
+@pytest.mark.parametrize("j", ["1_0", "١", "１"], ids=["underscore", "arabic-indic", "fullwidth"])
+def test_jump_index_is_ascii_digits_only(tmp_path, j):
+    """int() accepted these jump indices and the line-by-line reader loaded
+    them; the block parse takes plain ASCII digits only."""
+    path = tmp_path / "bad.csv"
+    path.write_text(_trajectory_text([("0.0", "0"), ("0.5", j)]))
+    assert reference_read_trajectory_csv(path).js.tolist() == [0, int(j)]
+    with pytest.raises(ValueError, match=f"bad.csv:3: .*{re.escape(repr(j))}.*jump index"):
+        read_trajectory_csv(path)
+
+
+def test_unknown_event_kind_is_reported_as_written(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(_trajectory_text([("0.0", "0"), ("0.5", "0", "post-jumpXY")]))
+    with pytest.raises(ValueError) as info:
+        read_trajectory_csv(path)
+    assert str(info.value) == f"{path}:3: unknown event kind 'post-jumpXY'"
+
+
+@pytest.mark.parametrize("column", [
+    [], [0.0, -0.0, -0.0, 1.5, 1.5, 1.5, math.nan, math.nan, -0.0],
+    [1.0, 2.0, 3.0, 3.0, 4.0], [0.1 * k for k in range(7)],
+], ids=["empty", "runs", "mostly-distinct", "distinct"])
+def test_repr_runs_formats_each_value(column):
+    col = np.array(column, dtype=float)
+    assert list(sim._repr_runs(col)) == [repr(float(v)) for v in col]
 
 
 def test_csv_files_are_deterministic(tmp_path):
