@@ -43,14 +43,25 @@ _CONFIG_KEYS = {"schema"} | {f.name for f in _FIELDS}
 _PERTURBATION_KEYS = {"kind", "amplitude", "frequency", "offsets"}
 #: run parameters the config and flags leave unset take SimConfig's defaults
 _SIM_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING}
-#: plain float and int fields are cast, so JSON integers and numeric strings
-#: pass as before; optional ones (None: off or unseeded) reach SimConfig as given
-_CASTS = {name: hint for name, hint in typing.get_type_hints(SimConfig).items()
-          if hint in (float, int)}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part rather than
+    truncating it."""
+    out = int(value)
+    if out != value and not isinstance(value, str):
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
+#: plain float and int fields are cast, so JSON integers and numeric strings
+#: pass as before; optional ones (None: off or unseeded) reach SimConfig as given
+_CASTS = {name: float if hint is float else _integer
+          for name, hint in typing.get_type_hints(SimConfig).items() if hint in (float, int)}
 
 
 def _fmt(v: float) -> str:
@@ -118,7 +129,7 @@ def _start_state(value) -> np.ndarray:
 def _cast(name: str, kind: typing.Callable, value):
     try:
         return kind(value)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -139,7 +150,7 @@ def _build_sim_config(args) -> SimConfig:
         if x0 is None:
             raise ConfigError("a start state is required (config key 'x0' or flag --x0)")
         x0 = values["x0"] = _cast("x0", _start_state, x0)
-        n = values["n"] = x0.size if values["n"] is None else _cast("n", int, values["n"])
+        n = values["n"] = x0.size if values["n"] is None else _cast("n", _integer, values["n"])
         spec = values["prc"]
         if spec is None:
             raise ConfigError("a response function is required (config key 'prc' or flag --prc)")
@@ -212,14 +223,18 @@ def cmd_experiment(args) -> int:
         return EXIT_USAGE
     out = _out_dir(args) / args.name
     kwargs = {}
-    if args.name == "corpus":
-        if args.samples is not None:
-            kwargs["geometry_samples"] = args.samples
-            kwargs["oracle_samples"] = min(args.samples, 10_000)
-        if args.runs is not None:
-            kwargs["runs"] = args.runs
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
+    for flag in ("samples", "runs", "seed"):
+        if args.name != "corpus" and getattr(args, flag) is not None:
+            print(f"config error: --{flag} applies to the corpus experiment only",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    if args.samples is not None:
+        kwargs["geometry_samples"] = args.samples
+        kwargs["oracle_samples"] = min(args.samples, 10_000)
+    if args.runs is not None:
+        kwargs["runs"] = args.runs
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     try:
         report = runner(out, **kwargs)
     except ValueError as exc:

@@ -25,7 +25,8 @@ from .circle import (
 )
 from .model import in_bad_set, in_splay_set, validate_prc
 from .prc import broken_step, broken_steep, broken_zero, paper_prc
-from .sim import Perturbation, SimConfig, run, write_events_csv, write_trajectory_csv
+from .sim import (POST_JUMP, PRE_JUMP, Perturbation, SimConfig, run, write_events_csv,
+                  write_trajectory_csv)
 
 FIG2_X0 = (5.5977, 6.0274, 3.4383)
 
@@ -118,8 +119,7 @@ def run_fig3(out_dir) -> ExperimentReport:
     arc = run(fig2_config())
     write_trajectory_csv(arc, out / "trajectory.csv")
     write_events_csv(arc, out / "events.csv")
-    pre = np.stack([e.pre for e in arc.events])
-    post = np.stack([e.post for e in arc.events])
+    pre, post = (arc.states[arc.kinds == kind] for kind in (PRE_JUMP, POST_JUMP))
     deltas = analysis.vtilde(post) - analysis.vtilde(pre)
     increases = np.flatnonzero(deltas > 1e-9)
     terminal_vt = analysis.vtilde(arc.final_state)
@@ -273,8 +273,7 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
         min_geo = float("nan")
         vt_up = 0
         if arc.events:
-            pre = np.stack([e.pre for e in arc.events])
-            post = np.stack([e.post for e in arc.events])
+            pre, post = (arc.states[arc.kinds == kind] for kind in (PRE_JUMP, POST_JUMP))
             min_geo = float(min_pairwise_geodesic(np.concatenate([post, pre])).min())
             vt_up = int(np.count_nonzero(analysis.vtilde(post) - analysis.vtilde(pre) > 1e-9))
         records.append(RunRecord(
@@ -307,12 +306,9 @@ def steep_v_increase_witness(horizon: float = 20.0):
         horizon=horizon,
         stop_v_threshold=None,
     )
-    arc = run(cfg)
-    for k, e in enumerate(arc.events, start=1):
-        delta = analysis.lyapunov(e.post) - analysis.lyapunov(e.pre)
-        if delta > 1e-9:
-            return k, float(delta)
-    return None
+    deltas = analysis.verify_monotone(run(cfg)).trace.jump_deltas
+    up = np.flatnonzero(deltas > 1e-9)
+    return (int(up[0]) + 1, float(deltas[up[0]])) if up.size else None
 
 
 def run_property_corpus(out_dir, geometry_samples: int = 100_000,

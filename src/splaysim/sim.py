@@ -47,8 +47,8 @@ _KINDS = (FLOW, PRE_JUMP, POST_JUMP)
 #: the event field of a trajectory CSV row as parsed: one character wider
 #: than the longest kind, so that no value truncated to it equals a kind
 _KIND_FIELD = f"U{max(map(len, _KINDS)) + 1}"
-#: about the most cells a trajectory CSV writer formats, and the most
-#: characters its reader splits into lines, at a time: the Python strings
+#: about the most cells a CSV writer formats, and the most characters the
+#: trajectory reader splits into lines, at a time: the Python strings
 #: of a block fit in memory the allocator keeps, where a whole file's
 #: would be mapped and unmapped afresh on every call
 _CSV_CELLS = 8_192
@@ -256,12 +256,12 @@ class SimConfig:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.max_jumps < 1:
-            raise ValueError(f"max_jumps must be at least 1, got {self.max_jumps!r}")
-        if not self.firing_tol > 0.0:
-            raise ValueError(f"firing_tol must be positive, got {self.firing_tol!r}")
-        if self.min_dwell < 0.0:
-            raise ValueError(f"min_dwell must be nonnegative, got {self.min_dwell!r}")
+        if not (isinstance(self.max_jumps, numbers.Integral) and self.max_jumps >= 1):
+            raise ValueError(f"max_jumps must be an integer of at least 1, got {self.max_jumps!r}")
+        if not 0.0 < self.firing_tol < math.inf:
+            raise ValueError(f"firing_tol must be positive and finite, got {self.firing_tol!r}")
+        if not 0.0 <= self.min_dwell < math.inf:
+            raise ValueError(f"min_dwell must be nonnegative and finite, got {self.min_dwell!r}")
         if not self.sample_dt > 0.0:
             raise ValueError(f"sample_dt must be positive, got {self.sample_dt!r}")
         if not self.horizon / self.sample_dt <= MAX_GRID_POINTS:
@@ -271,7 +271,7 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         for name in ("stop_v_threshold", "stop_splay_tol"):
             val = getattr(self, name)
-            if val is not None and (not isinstance(val, numbers.Real) or val < 0.0):
+            if val is not None and not (isinstance(val, numbers.Real) and val >= 0.0):
                 raise ValueError(f"{name} must be a nonnegative number or None, got {val!r}")
         if self.seed is not None and (not isinstance(self.seed, numbers.Integral)
                                       or self.seed < 0):
@@ -382,7 +382,7 @@ def _first_crossing(x0: np.ndarray, t0: float, omega: float, pert: Perturbation,
     """
     if pert.is_none:
         # the bracket of _earliest_root collapses onto this closed form
-        t_fire = t0 + (TWO_PI - x0.max()) / omega
+        t_fire = t0 + (TWO_PI - float(x0.max())) / omega
     else:
         t_fire = _earliest_root(x0, t0, omega, pert)
     if t_fire > horizon:
@@ -673,21 +673,35 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
 
 
 def write_trajectory_csv(arc: HybridArc, path) -> None:
-    """Write the sampled arc with V and Vtilde per sample, one row each,
-    formatted and written a block of rows at a time."""
-    n = arc.n
-    header = "t,j," + ",".join(f"x_{i + 1}" for i in range(n)) + ",V,Vtilde,event"
+    """Write the sampled arc with V and Vtilde per sample, one row each."""
     v, vt = analysis.lyapunov(arc.states), analysis.vtilde(arc.states)
-    step = max(1, _CSV_CELLS // (n + 5))
+    _write_csv(path, ["t", "j", *(f"x_{i + 1}" for i in range(arc.n)), "V", "Vtilde", "event"],
+               arc.ts.size, lambda rows: [
+                   map(repr, arc.ts[rows].tolist()), map(repr, arc.js[rows].tolist()),
+                   *(map(repr, col) for col in arc.states[rows].T.tolist()),
+                   _repr_runs(v[rows]), _repr_runs(vt[rows]), arc.kinds[rows].tolist()])
+
+
+def write_events_csv(arc: HybridArc, path) -> None:
+    """Write one row per firing: t, j, firers, branch, pre and post state."""
+    def columns(rows: slice) -> list:
+        events = arc.events[rows]
+        states = np.hstack((np.array([e.pre for e in events]), np.array([e.post for e in events])))
+        return [[repr(float(e.t)) for e in events], [str(e.j) for e in events],
+                [";".join(map(str, e.firers)) for e in events], [e.branch for e in events],
+                *(map(repr, col) for col in states.T.tolist())]
+    _write_csv(path, ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(arc.n)),
+                      *(f"post_{i + 1}" for i in range(arc.n))], len(arc.events), columns)
+
+
+def _write_csv(path, names: list[str], rows: int, columns: Callable[[slice], list]) -> None:
+    """Write the header and then the rows, columns(block) giving each
+    column's cells for a slice of about _CSV_CELLS cells' rows at a time."""
+    step = max(1, _CSV_CELLS // len(names))
     with open(path, "w") as f:
-        f.write(header + "\n")
-        for lo in range(0, arc.ts.size, step):
-            rows = slice(lo, lo + step)
-            # formatted column by column, then joined row by row
-            columns = [map(repr, arc.ts[rows].tolist()), map(repr, arc.js[rows].tolist()),
-                       *(map(repr, col) for col in arc.states[rows].T.tolist()),
-                       _repr_runs(v[rows]), _repr_runs(vt[rows]), arc.kinds[rows].tolist()]
-            f.write("".join(map("{}\n".format, map(",".join, zip(*columns)))))
+        f.write(",".join(names) + "\n")
+        for block in map(slice, range(0, rows, step), range(step, rows + step, step)):
+            f.write("".join(map("{}\n".format, map(",".join, zip(*columns(block))))))
 
 
 def _repr_runs(col: np.ndarray):
@@ -700,20 +714,6 @@ def _repr_runs(col: np.ndarray):
     lengths = np.diff(starts, append=col.size)
     return itertools.chain.from_iterable(
         map(itertools.repeat, map(repr, col[starts].tolist()), lengths.tolist()))
-
-
-def write_events_csv(arc: HybridArc, path) -> None:
-    n = arc.n
-    header = ("t,j,firers,branch,"
-              + ",".join(f"pre_{i + 1}" for i in range(n)) + ","
-              + ",".join(f"post_{i + 1}" for i in range(n)))
-    lines = [header]
-    lines.extend(
-        f"{float(e.t)!r},{e.j},{';'.join(map(str, e.firers))},{e.branch},"
-        f"{','.join(map(repr, e.pre.tolist()))},{','.join(map(repr, e.post.tolist()))}"
-        for e in arc.events
-    )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path) -> HybridArc:

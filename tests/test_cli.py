@@ -80,10 +80,21 @@ MALFORMED = {
     "flag-sample-dt-1e-15": ({}, ["--sample-dt", "1e-15"]),
     "flag-sample-dt-1e-8": ({}, ["--sample-dt", "1e-8"]),
     "flag-omega-inf": ({}, ["--omega", "inf"]),
+    "min-dwell-nan": ({"min_dwell": math.nan}, []),
+    "stop-splay-nan": ({"stop_splay_tol": math.nan}, []),
+    "firing-tol-inf": ({"firing_tol": math.inf}, []),
+    "max-jumps-fraction": ({"max_jumps": 2.5}, []),
+    "max-jumps-nan": ({"max_jumps": math.nan}, []),
+    "max-jumps-inf": ({"max_jumps": math.inf}, []),
+    "n-fraction": ({"n": 3.5}, []),
+    "flag-stop-v-nan": ({}, ["--stop-v", "nan"]),
+    "flag-min-dwell-nan": ({}, ["--min-dwell", "nan"]),
+    "flag-firing-tol-inf": ({}, ["--firing-tol", "inf"]),
 }
 #: the malformed inputs that fail a cast, and the key the message must name
 CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps",
-             "x0-string-entry": "x0", "flag-x0-string": "x0"}
+             "x0-string-entry": "x0", "flag-x0-string": "x0", "max-jumps-fraction": "max_jumps",
+             "max-jumps-nan": "max_jumps", "max-jumps-inf": "max_jumps", "n-fraction": "n"}
 
 
 class TestSimulate:
@@ -231,7 +242,9 @@ class TestSimulate:
         out = tmp_path / "o"
         code = main(["simulate", str(cfg), "--out", str(out)])
         assert code == EXIT_FAIL
-        assert "zeno violation:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zeno violation:" in err
+        assert "np.float64" not in err  # event times are plain floats
         assert not out.exists()
 
     def test_response_leaving_the_box_exits_one_without_output(self, tmp_path, capsys):
@@ -357,6 +370,15 @@ class TestExperiment:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "10"), ("--runs", "5"),
+                                             ("--seed", "3")])
+    def test_corpus_flags_on_another_study_are_a_config_error(self, tmp_path, capsys,
+                                                              flag, value):
+        code = main(["experiment", "fig2", flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"config error: {flag} ")
+        assert not (tmp_path / "fig2").exists()
 
 
 class TestCloseness:

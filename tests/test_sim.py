@@ -52,14 +52,24 @@ def test_config_infers_and_checks_n():
     dict(omega=0.0),
     dict(omega=-1.0),
     dict(horizon=0.0),
+    dict(horizon=math.nan),
     dict(max_jumps=0),
+    dict(max_jumps=2.5),
+    dict(max_jumps=math.nan),
     dict(firing_tol=0.0),
+    dict(firing_tol=math.inf),
+    dict(firing_tol=math.nan),
     dict(min_dwell=-1.0),
+    dict(min_dwell=math.inf),
+    dict(min_dwell=math.nan),
     dict(sample_dt=0.0),
     dict(sample_dt=1e-15),
+    dict(sample_dt=math.nan),
     dict(policy="sometimes"),
     dict(stop_v_threshold=-1e-6),
+    dict(stop_v_threshold=math.nan),
     dict(stop_splay_tol=-0.1),
+    dict(stop_splay_tol=math.nan),
     dict(seed="abc"),
     dict(seed=3.7),
     dict(seed=-1),
@@ -680,12 +690,14 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
     assert np.all(np.diff(k)[np.diff(js) == 0] == 1)
 
 
-def test_an_arc_holds_each_state_once():
+def test_an_arc_holds_each_state_once(tmp_path):
     """Memory gate, from tracemalloc on n=200, horizon 60, sample_dt 0.1
     (states 7.1 MB): run keeps 1.18x states.nbytes and verify_monotone
     peaks at 1.43x with the arc alive.  Holding each event's pre and post
     apart from the samples is 2.0x, and a whole-batch sort and gap array in
-    verify_monotone is 4.0x."""
+    verify_monotone is 4.0x.  Each CSV writer formats a block of rows at a
+    time (0.31x for the trajectory, 0.10x for the events); the events
+    file held as one string with a list of its lines was 6.0x."""
     cfg = SimConfig(prc=paper_prc(200), x0=draw_start(np.random.default_rng(0), 200),
                     horizon=60.0, sample_dt=0.1)
     run(cfg)  # first-call set-up stays out of the measurement
@@ -696,11 +708,26 @@ def test_an_arc_holds_each_state_once():
         tracemalloc.reset_peak()
         assert verify_monotone(arc).passed
         peak = tracemalloc.get_traced_memory()[1]
+        writer_peaks = []
+        for write in (write_trajectory_csv, write_events_csv):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            write(arc, tmp_path / "arc.csv")
+            writer_peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
     assert arc.jumps > 1000
     assert held <= 1.5 * arc.states.nbytes
     assert peak <= 2.0 * arc.states.nbytes
+    assert max(writer_peaks) <= 0.5 * arc.states.nbytes
+
+
+@pytest.mark.parametrize("make_config", [fig2_config, lambda: perturbed_config(0.05)],
+                         ids=["nominal", "sinusoidal"])
+def test_event_times_are_python_floats(make_config):
+    arc = run(make_config())
+    assert arc.jumps > 0
+    assert all(type(e.t) is float for e in arc.events)
 
 
 def test_dwell_bookkeeping(fig2_arc):
@@ -1029,13 +1056,15 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, cells)
     """One row or a few per block write the bytes pinned above, and the
     reader takes the file back in blocks of a line or a few, each passing
     the block checks."""
-    make_config, digest, _ = PINNED_CSVS["perturbed-0.05"]
+    make_config, *digests = PINNED_CSVS["perturbed-0.05"]
     arc = run(make_config())
     monkeypatch.setattr(sim, "_CSV_CELLS", cells)
     monkeypatch.setattr(sim, "_CSV_CHARS", cells)
     monkeypatch.setattr(sim, "_parse_row_by_row", None)
     write_trajectory_csv(arc, tmp_path / "trajectory.csv")
-    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == digest
+    write_events_csv(arc, tmp_path / "events.csv")
+    assert [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in ("trajectory.csv", "events.csv")] == digests
     loaded = read_trajectory_csv(tmp_path / "trajectory.csv")
     for field in ("ts", "js", "states", "kinds"):
         np.testing.assert_array_equal(getattr(loaded, field), getattr(arc, field))
