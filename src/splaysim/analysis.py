@@ -166,21 +166,9 @@ def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
 
     V is evaluated on the samples in row blocks, so apart from the trace's
     per-sample arrays the check allocates nothing the size of arc.states."""
-    from .sim import POST_JUMP, PRE_JUMP  # sim imports this module
-
     values = lyapunov(arc.states)
-    deltas = np.empty(0)
-    if arc.events:
-        # every event is recorded as one pre-jump and one post-jump sample,
-        # so the deltas are read off the per-sample values
-        pre = np.flatnonzero(arc.kinds == PRE_JUMP)
-        post = np.flatnonzero(arc.kinds == POST_JUMP)
-        if not pre.size == post.size == len(arc.events):
-            raise ValueError(
-                f"arc has {len(arc.events)} events but {pre.size} pre-jump and "
-                f"{post.size} post-jump samples"
-            )
-        deltas = values[post] - values[pre]
+    rows = arc.jump_rows()
+    deltas = values[rows + 1] - values[rows]
 
     # largest |V - V(first sample)| per j-run, that is per tile of arc.intervals
     starts, ends = _j_runs(arc.js)

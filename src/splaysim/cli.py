@@ -95,16 +95,22 @@ def _load_config(path: str) -> dict:
 
 def _build_perturbation(block: dict | None, args, n: int) -> Perturbation:
     """The config's perturbation block with the --perturb-* flags laid over
-    it; a sinusoid defaults to frequency 0.5 and offsets 2*pi*k/n."""
+    it.  Any sinusoid parameter without a kind means kind 'sinusoidal', and
+    kind 'none' takes none; a sinusoid defaults to frequency 0.5 and
+    offsets 2*pi*k/n."""
     params = dict(block or {})
-    for key in _PERTURBATION_KEYS - {"kind"}:
+    sinusoid_keys = sorted(_PERTURBATION_KEYS - {"kind"})
+    for key in sinusoid_keys:
         flag = getattr(args, f"perturb_{key}")
         if flag is not None:
             params[key] = flag.split(",") if key == "offsets" else flag
-    if args.perturb_amplitude is not None:
-        params["kind"] = params.get("kind") or "sinusoidal"
+    given = [key for key in sinusoid_keys if params.get(key) is not None]
     kind = params.get("kind")
-    if kind in (None, "none"):
+    if kind is None:
+        kind = "sinusoidal" if given else "none"
+    if kind == "none":
+        if given:
+            raise ConfigError(f"perturbation kind 'none' takes no {', '.join(given)}")
         return Perturbation.none()
     if kind != "sinusoidal":
         raise ConfigError(f"unknown perturbation kind {kind!r}")

@@ -17,11 +17,12 @@ pre and post states into two rows of fixed-size chunks.  The stop rule is
 read off those rows a batch of about one revolution at a time, and a run
 still ends at the very firing where the rule first holds.  From the
 firings, the final (t, x) and the stop reason the HybridArc's samples,
-indexed by (t, j), are derived on the global grid in bounded row blocks;
-each jump event views its two sample rows, and the hybrid time domain is
-read off the samples.  An arc thus holds each state once.  Runs are
-deterministic given the configuration, including the seed that resolves
-set-valued jumps.
+indexed by (t, j), are derived on the global grid in bounded row blocks.
+The arc keeps the (time, firers, branch) list as its firing table, builds
+JumpEvents from it and their rows only when arc.events is read, and reads
+the hybrid time domain off the samples.  An arc thus holds each state
+once.  Runs are deterministic given the configuration, including the
+seed that resolves set-valued jumps.
 """
 
 from __future__ import annotations
@@ -286,8 +287,8 @@ class SimConfig:
 class JumpEvent:
     """One firing: the pre state at jump index j maps to the post state at
     j + 1.  firers are the coordinates at 2*pi; branch records how the
-    set-valued cases were resolved.  On a simulated arc pre and post are
-    read-only views of the arc's pre-jump and post-jump sample rows."""
+    set-valued cases were resolved.  HybridArc.events builds them with pre
+    and post as read-only views of the arc's pre-jump and post-jump rows."""
 
     t: float
     j: int
@@ -302,19 +303,19 @@ class HybridArc:
     """A recorded execution.
 
     ts, js, states and kinds are parallel arrays of samples ordered by
-    hybrid time; kinds are 'flow', 'pre-jump' or 'post-jump'.  events
-    holds one JumpEvent per firing.  A simulated arc derives its samples
-    from the firings, and each event's pre and post view its pre-jump and
-    post-jump rows, so the arc's memory is its samples plus the events'
-    small fields.  The hybrid time domain is not stored: intervals reads it
-    off the samples.
+    hybrid time; kinds are 'flow', 'pre-jump' or 'post-jump'.  firings
+    is the firing table, one (t, firers, branch) per firing; a loaded arc
+    has none.  Firing j's states are its pre-jump row and the post-jump
+    row after it (jump_rows), so the arc's memory is its samples plus the
+    table, and events builds JumpEvents from the two when read.  The
+    hybrid time domain is not stored: intervals reads it off the samples.
     """
 
     ts: np.ndarray
     js: np.ndarray
     states: np.ndarray
     kinds: np.ndarray
-    events: list[JumpEvent]
+    firings: list[tuple[float, tuple[int, ...], str]]
     omega: float | None
     perturbed: bool
     stop_reason: str
@@ -336,7 +337,33 @@ class HybridArc:
 
     @property
     def jumps(self) -> int:
-        return len(self.events)
+        return len(self.firings)
+
+    def jump_rows(self) -> np.ndarray:
+        """Each firing's pre-jump row; its post-jump row is the next one.
+        An arc without firings has none, whatever its kinds.  ValueError
+        when the pre-jump and post-jump rows do not pair up with the
+        firings."""
+        if not self.firings:
+            return np.empty(0, dtype=np.intp)
+        pre = np.flatnonzero(self.kinds == PRE_JUMP)
+        post = np.flatnonzero(self.kinds == POST_JUMP)
+        if not pre.size == post.size == len(self.firings):
+            raise ValueError(f"arc has {len(self.firings)} events but {pre.size} pre-jump and "
+                             f"{post.size} post-jump samples")
+        if not np.array_equal(post, pre + 1):
+            raise ValueError("arc has a pre-jump sample not followed by its post-jump sample")
+        return pre
+
+    @property
+    def events(self) -> list[JumpEvent]:
+        """One JumpEvent per firing, built on each read, with pre and post
+        read-only views of the firing's rows of states."""
+        frozen = self.states.view()
+        frozen.flags.writeable = False
+        return [JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1])
+                for j, (row, (t, firers, branch))
+                in enumerate(zip(self.jump_rows().tolist(), self.firings))]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -348,7 +375,7 @@ class HybridArc:
 
     def dwells(self) -> np.ndarray:
         """Flow time between consecutive firings (length jumps - 1)."""
-        return np.diff([e.t for e in self.events])
+        return np.diff([t for t, _, _ in self.firings])
 
     def min_dwell_after_first(self) -> float:
         """Shortest flow time separating consecutive firings, nan if fewer
@@ -545,7 +572,7 @@ def run(config: SimConfig) -> HybridArc:
     re-raised, and a stop among them ends the run there with that firing's
     post state.  A run thus ends exactly where a check after every firing
     would end it.  _sampled_arc turns the record, the final (t, x) and the
-    stop reason into the samples and the events.
+    stop reason into the samples and the arc.
 
     Validation happens at the boundary: SimConfig has checked x0, and
     the post-jump box check keeps every state the loop makes in the box,
@@ -608,11 +635,10 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
     unless the run ended on a jump).  Each chunk's pre and post rows are
-    copied into their rows with two assignments and the chunk is dropped;
-    each JumpEvent views its two rows.  The grid rows of all segments are
-    then flowed, each from its segment's start row, in row blocks of whole
-    segments (a custom disturbance's integral restarts at a segment start
-    and nowhere else).
+    copied into their rows with two assignments and the chunk is dropped.
+    The grid rows of all segments are then flowed, each from its segment's
+    start row, in row blocks of whole segments (a custom disturbance's
+    integral restarts at a segment start and nowhere else).
     """
     m, dt = len(firings), config.sample_dt
     starts = np.array([0.0, *(f[0] for f in firings)])
@@ -641,10 +667,6 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
         states[rows] = chunk[0:2 * rows.size:2]
         states[rows + 1] = chunk[1:2 * rows.size:2]
         done += rows.size
-    frozen = states.view()  # read-only, as is each event's view of its rows
-    frozen.flags.writeable = False
-    events = [JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1])
-              for j, (row, (t, firers, branch)) in enumerate(zip(pre_rows.tolist(), firings))]
     # the rows of each segment's grid piece, and the first of them; a
     # segment with grid rows has its start row just above them
     grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))
@@ -656,7 +678,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
         ts[at] = dt * (k0[seg] + (at - first[seg]))
         states[at] = _flow(states[first[seg] - 1], starts[seg], ts[at],
                            config.omega, config.perturbation)
-    return HybridArc(ts=ts, js=js, states=states, kinds=kinds, events=events,
+    return HybridArc(ts=ts, js=js, states=states, kinds=kinds, firings=firings,
                      omega=config.omega, perturbed=not config.perturbation.is_none,
                      stop_reason=stop_reason)
 
@@ -684,14 +706,17 @@ def write_trajectory_csv(arc: HybridArc, path) -> None:
 
 def write_events_csv(arc: HybridArc, path) -> None:
     """Write one row per firing: t, j, firers, branch, pre and post state."""
+    pre_rows = arc.jump_rows()
+
     def columns(rows: slice) -> list:
-        events = arc.events[rows]
-        states = np.hstack((np.array([e.pre for e in events]), np.array([e.post for e in events])))
-        return [[repr(float(e.t)) for e in events], [str(e.j) for e in events],
-                [";".join(map(str, e.firers)) for e in events], [e.branch for e in events],
+        firings, at = arc.firings[rows], pre_rows[rows]
+        states = np.hstack((arc.states[at], arc.states[at + 1]))
+        return [[repr(float(t)) for t, _, _ in firings], map(str, range(pre_rows.size)[rows]),
+                [";".join(map(str, firers)) for _, firers, _ in firings],
+                [branch for _, _, branch in firings],
                 *(map(repr, col) for col in states.T.tolist())]
     _write_csv(path, ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(arc.n)),
-                      *(f"post_{i + 1}" for i in range(arc.n))], len(arc.events), columns)
+                      *(f"post_{i + 1}" for i in range(arc.n))], pre_rows.size, columns)
 
 
 def _write_csv(path, names: list[str], rows: int, columns: Callable[[slice], list]) -> None:
@@ -717,7 +742,7 @@ def _repr_runs(col: np.ndarray):
 
 
 def read_trajectory_csv(path) -> HybridArc:
-    """Rebuild an arc from a trajectory CSV (samples only; the events list
+    """Rebuild an arc from a trajectory CSV (samples only; the firing table
     is empty and flow metadata is unknown).
 
     The rows are parsed a block of whole lines at a time.  ValueError names
@@ -779,7 +804,7 @@ def read_trajectory_csv(path) -> HybridArc:
         lineno = [k for k, line in enumerate(lines[1:], start=2) if line.strip()][row]
         raise ValueError(f"{path}:{lineno}: {why}")
     return HybridArc(ts=ts, js=js, states=states, kinds=kinds,
-                     events=[], omega=None, perturbed=False, stop_reason="loaded")
+                     firings=[], omega=None, perturbed=False, stop_reason="loaded")
 
 
 def _parse_row_by_row(path, parse, commas: int, lines: list, lineno: int):

@@ -122,8 +122,8 @@ def test_04_nominal_run_converges_within_pinned_budget(pinned_nominal):
     assert verdict.passed, line
     assert wall < 1.0, line
     assert terminal_v < 1e-6, (
-        f"{line}; with exact event times V first reaches 1e-6 near t=84, "
-        f"two revolutions after this budget ends")
+        f"{line}; with exact event times V first falls below 1e-6 at t=84.03, "
+        f"two firings (4.03 s, less than one revolution) after this budget ends")
 
 
 def test_05_corpus_always_converges_monotonically(corpus_result):

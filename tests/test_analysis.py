@@ -313,7 +313,7 @@ def loaded_arc(ts, states):
     """A one-interval arc, as read_trajectory_csv would rebuild it."""
     ts = np.asarray(ts, dtype=float)
     return HybridArc(ts=ts, js=np.zeros(ts.size, dtype=int), states=np.asarray(states, dtype=float),
-                     kinds=np.full(ts.size, "flow"), events=[], omega=None,
+                     kinds=np.full(ts.size, "flow"), firings=[], omega=None,
                      perturbed=False, stop_reason="loaded")
 
 
@@ -360,7 +360,7 @@ def sampled_arcs(draw, n):
     phases = st.sampled_from([0.0, 1.0, 1.5, TWO_PI]) | st.floats(0.0, TWO_PI)
     states = draw(arrays(float, (len(ts), n), elements=phases))
     return HybridArc(ts=np.asarray(ts), js=np.asarray(js), states=states,
-                     kinds=np.full(len(ts), "flow"), events=[], omega=None,
+                     kinds=np.full(len(ts), "flow"), firings=[], omega=None,
                      perturbed=False, stop_reason="loaded")
 
 
@@ -395,7 +395,7 @@ def test_closeness_finds_the_least_requirement_of_each_sample(arcs, data):
     a, b = arcs
     k = data.draw(st.integers(0, a.ts.size - 1))
     one = HybridArc(ts=a.ts[k:k + 1], js=a.js[k:k + 1], states=a.states[k:k + 1],
-                    kinds=a.kinds[k:k + 1], events=[], omega=None, perturbed=False,
+                    kinds=a.kinds[k:k + 1], firings=[], omega=None, perturbed=False,
                     stop_reason="loaded")
     assert analysis._one_sided(one, b, np.inf) == reference_one_sided(one, b, np.inf)
 

@@ -90,6 +90,10 @@ MALFORMED = {
     "flag-stop-v-nan": ({}, ["--stop-v", "nan"]),
     "flag-min-dwell-nan": ({}, ["--min-dwell", "nan"]),
     "flag-firing-tol-inf": ({}, ["--firing-tol", "inf"]),
+    "kind-none-with-flag-amplitude": ({"perturbation": {"kind": "none"}},
+                                      ["--perturb-amplitude", "0.1"]),
+    "flag-frequency-without-amplitude": ({}, ["--perturb-frequency", "0.7"]),
+    "flag-offsets-without-amplitude": ({}, ["--perturb-offsets", "0,1,2"]),
 }
 #: the malformed inputs that fail a cast, and the key the message must name
 CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps",
@@ -276,6 +280,20 @@ class TestSimulate:
             "--out", str(tmp_path / "o"),
         ])
         assert code == EXIT_OK
+
+    def test_perturbation_parameters_without_a_kind_mean_a_sinusoid(self, tmp_path,
+                                                                     monkeypatch):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return run(config)
+
+        monkeypatch.setattr(cli, "run", capture)
+        cfg = write_config(tmp_path / "run.json", horizon=5.0, perturbation={"amplitude": 0.04})
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        expected = Perturbation.sinusoidal(0.04, 0.5, [2.0 * np.pi * k / 3 for k in range(3)])
+        assert seen[0].perturbation == expected
 
     def test_perturbation_wrong_offset_count_is_rejected(self, tmp_path, capsys):
         cfg = write_config(

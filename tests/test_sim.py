@@ -22,6 +22,7 @@ from splaysim.model import InvalidPhaseResponseError, PhaseResponse, in_splay_se
 from splaysim.prc import broken_zero, paper_prc, prc_from_spec
 from splaysim.sim import (
     HybridArc,
+    JumpEvent,
     Perturbation,
     SimConfig,
     ZenoViolationError,
@@ -692,8 +693,8 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
 
 def test_an_arc_holds_each_state_once(tmp_path):
     """Memory gate, from tracemalloc on n=200, horizon 60, sample_dt 0.1
-    (states 7.1 MB): run keeps 1.18x states.nbytes and verify_monotone
-    peaks at 1.43x with the arc alive.  Holding each event's pre and post
+    (states 7.1 MB): run keeps 1.04x states.nbytes and verify_monotone
+    peaks at 1.22x with the arc alive.  Holding each event's pre and post
     apart from the samples is 2.0x, and a whole-batch sort and gap array in
     verify_monotone is 4.0x.  Each CSV writer formats a block of rows at a
     time (0.31x for the trajectory, 0.10x for the events); the events
@@ -728,6 +729,68 @@ def test_event_times_are_python_floats(make_config):
     arc = run(make_config())
     assert arc.jumps > 0
     assert all(type(e.t) is float for e in arc.events)
+
+
+@pytest.mark.parametrize("make_config", [fig2_config, lambda: perturbed_config(0.05)],
+                         ids=["nominal", "sinusoidal"])
+def test_jump_events_are_built_only_when_read(tmp_path, monkeypatch, make_config):
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return JumpEvent(*fields)
+
+    monkeypatch.setattr(sim, "JumpEvent", counted)
+    arc = run(make_config())
+    verify_monotone(arc)
+    write_events_csv(arc, tmp_path / "events.csv")
+    assert arc.jumps > 0 and built == []
+    events = arc.events
+    assert len(built) == len(events) == arc.jumps
+    assert [(e.t, e.j, e.firers, e.branch) for e in events] == [
+        (t, j, firers, branch) for j, (t, firers, branch) in enumerate(arc.firings)]
+
+
+@pytest.mark.parametrize("source", ["loaded", "horizon-before-first-firing"])
+def test_an_arc_without_firings_has_no_events(tmp_path, fig2_arc, source):
+    if source == "loaded":
+        write_trajectory_csv(fig2_arc, tmp_path / "trajectory.csv")
+        arc = read_trajectory_csv(tmp_path / "trajectory.csv")
+        # the file keeps its jump rows, but a loaded arc has no firing table
+        assert np.count_nonzero(arc.kinds == "pre-jump") == fig2_arc.jumps
+    else:
+        arc = run(fig2_config(horizon=0.1))
+        assert arc.stop_reason == "horizon"
+    assert arc.jumps == 0
+    assert arc.events == []
+    assert arc.jump_rows().size == 0
+    assert arc.dwells().size == 0
+    assert math.isnan(arc.min_dwell_after_first())
+    assert verify_monotone(arc).trace.jump_deltas.size == 0
+    write_events_csv(arc, tmp_path / "events.csv")
+    assert (tmp_path / "events.csv").read_text() == (
+        "t,j,firers,branch,pre_1,pre_2,pre_3,post_1,post_2,post_3\n")
+
+
+@pytest.mark.parametrize("kinds, firings, message", [
+    (["flow", "pre-jump", "post-jump", "flow"], [(1.0, (0,), "single")] * 2,
+     "arc has 2 events but 1 pre-jump and 1 post-jump samples"),
+    (["flow", "pre-jump", "flow", "post-jump"], [(1.0, (0,), "single")],
+     "pre-jump sample not followed by its post-jump sample"),
+    (["flow", "post-jump", "pre-jump", "flow"], [(1.0, (0,), "single")],
+     "pre-jump sample not followed by its post-jump sample"),
+], ids=["count", "apart", "swapped"])
+def test_firings_that_do_not_match_their_rows_raise(tmp_path, kinds, firings, message):
+    m = len(kinds)
+    arc = HybridArc(ts=np.arange(m, dtype=float), js=np.zeros(m, dtype=np.int64),
+                    states=np.tile([1.0, 3.0, 5.0], (m, 1)), kinds=np.asarray(kinds),
+                    firings=firings, omega=1.0, perturbed=False, stop_reason="horizon")
+    with pytest.raises(ValueError, match=message):
+        verify_monotone(arc)
+    with pytest.raises(ValueError, match=message):
+        arc.events
+    with pytest.raises(ValueError, match=message):
+        write_events_csv(arc, tmp_path / "events.csv")
 
 
 def test_dwell_bookkeeping(fig2_arc):
@@ -1239,7 +1302,7 @@ def reference_read_trajectory_csv(path) -> HybridArc:
         lineno = [k for k, line in enumerate(text[1:], start=2) if line.strip()][row]
         raise ValueError(f"{path}:{lineno}: {why}")
     return HybridArc(ts=ts, js=js, states=states, kinds=np.asarray(kinds),
-                     events=[], omega=None, perturbed=False, stop_reason="loaded")
+                     firings=[], omega=None, perturbed=False, stop_reason="loaded")
 
 
 @st.composite
