@@ -28,25 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover
 _BLOCK_FLOATS = 65_536
 
 
-def _row_blocks(start: int, stop: int, row_floats: int, cuts=None):
+def _row_blocks(start: int, stop: int, row_floats: int):
     """Slices that cover rows start..stop in order, each of at most
-    _BLOCK_FLOATS // row_floats rows and at least one.
-
-    Given cuts, a sorted array of row indices, a block also ends only at a
-    cut (or at stop): it holds whole runs between cuts, and exceeds the
-    bound only when one run alone does."""
+    _BLOCK_FLOATS // row_floats rows and at least one."""
     rows = max(1, _BLOCK_FLOATS // row_floats)
-    lo = start
-    while lo < stop:
-        hi = min(lo + rows, stop)
-        if cuts is not None and hi < stop:
-            k = int(np.searchsorted(cuts, hi, side="right"))  # cuts[:k] <= hi
-            if k and cuts[k - 1] > lo:
-                hi = int(cuts[k - 1])
-            else:  # the run from lo is longer than a block
-                hi = int(min(cuts[k], stop)) if k < cuts.size else stop
-        yield slice(lo, hi)
-        lo = hi
+    return (slice(lo, min(lo + rows, stop)) for lo in range(start, stop, rows))
 
 
 def lyapunov(x):
@@ -293,10 +279,10 @@ def _j_runs(js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step = np.diff(js)
     if np.any(step < 0):
         raise ValueError(f"jump index decreases after sample {int(np.argmax(step < 0))}")
-    cuts = np.flatnonzero(step) + 1
+    changes = np.flatnonzero(step) + 1
     if not js.size:
-        return cuts, cuts
-    return np.concatenate(([0], cuts)), np.concatenate((cuts, [js.size]))
+        return changes, changes
+    return np.concatenate(([0], changes)), np.concatenate((changes, [js.size]))
 
 
 def _interval_index(arc: "HybridArc") -> dict[int, tuple[np.ndarray, np.ndarray]]:

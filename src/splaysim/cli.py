@@ -190,7 +190,11 @@ def cmd_simulate(args) -> int:
         print(f"invalid response function: {exc}", file=sys.stderr)
         return EXIT_FAIL
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     traj = out / "trajectory.csv"
     events = out / "events.csv"
     write_trajectory_csv(arc, traj)
@@ -243,7 +247,7 @@ def cmd_experiment(args) -> int:
         kwargs["seed"] = args.seed
     try:
         report = runner(out, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out that is no directory
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for line in report.lines():

@@ -3,14 +3,15 @@
 Between firings every phase flows by x' = omega + d(t), and the right-hand
 side does not depend on the state, so the flow is the exact expression
 x(t) = x0 + omega * (t - t0) + D(t0, t), D the integral of the disturbance
-(zero on nominal runs, closed form for a sinusoid, Gauss-Legendre panels
-for a custom disturbance).  One elementwise function, _flow, with a start
-(x0, t0) per row, gives every flow state of a run: each crossing, the
-horizon and all grid samples.  Nominal firing times are closed-form too.
-Under a disturbance each coordinate rises at a rate within omega -/+ bound,
-which brackets its crossing of 2*pi; Newton inside that bracket finds it
-to a few ulps and the earliest crossing fires.  Either way the crossing
-coordinates are assigned exactly 2*pi rather than accumulated.
+(zero on nominal runs, closed form for a sinusoid, one Gauss-Legendre
+panel over [t0, t] per row for a custom disturbance).  One elementwise
+function, _flow, with a start (x0, t0) per row, gives every flow state of
+a run: each crossing, the horizon and all grid samples.  Nominal firing
+times are closed-form too.  Under a disturbance each coordinate rises at a
+rate within omega -/+ bound, which brackets its crossing of 2*pi; Newton
+inside that bracket finds it to a few ulps and the earliest crossing
+fires.  Either way the crossing coordinates are assigned exactly 2*pi
+rather than accumulated.
 
 A run writes each firing once: (time, firers, branch) in a list, and its
 pre and post states into two rows of fixed-size chunks.  The stop rule is
@@ -124,10 +125,10 @@ class Perturbation:
     def custom(func: Callable[[float], np.ndarray], bound: float) -> "Perturbation":
         """Arbitrary t -> vector disturbance with declared sup bound.
 
-        Its integral is taken by fixed-order Gauss-Legendre panels without
-        error control, which is exact to rounding for a func that is smooth
-        on the scale of one inter-firing interval; a discontinuous func
-        loses accuracy."""
+        Its integral over [t0, t] is taken by one fixed-order Gauss-Legendre
+        panel without error control, which is exact to rounding for a func
+        that is smooth on the scale of one inter-firing interval; a
+        discontinuous func loses accuracy."""
         bound = float(bound)
         if not (math.isfinite(bound) and bound >= 0.0):
             raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
@@ -169,12 +170,9 @@ class Perturbation:
         Exact for a sinusoid: -(a/f) [cos(f t + o) - cos(f t0 + o)], written
         as a product of sines so that short intervals and small f lose no
         digits, and a sin(o) (t - t0) when f = 0; both are elementwise in
-        (t0, t).  A custom disturbance is integrated by Gauss-Legendre
-        panels that restart at each run of consecutive rows with equal t0:
-        within a run, one panel from t0 to the earliest time and one between
-        consecutive sorted times, summed in that order.  A run's rows thus
-        get the same floats as a call with that scalar t0 and those times
-        alone, whatever the other rows hold.
+        (t0, t).  A custom disturbance is integrated by one Gauss-Legendre
+        panel over [t0, t] per row, so it is elementwise too: each row gets
+        the floats of a one-row call with its own t0 and t.
         """
         ts = np.asarray(ts, dtype=float)
         if self.kind == "sinusoidal":
@@ -187,24 +185,11 @@ class Perturbation:
                     * np.sin(half * (ts - t0))[:, None])
         if self.kind == "custom":
             unit_nodes, weights = _gauss_legendre()
-            t0 = np.broadcast_to(np.asarray(t0, dtype=float), ts.shape)
-            fresh = np.diff(t0, prepend=np.nan) != 0.0  # a run of equal t0 starts
-            first = np.flatnonzero(fresh)
-            # sorted by time within each run; the runs keep their rows
-            order = np.lexsort((ts, np.cumsum(fresh)))
-            right = ts[order]
-            left = np.roll(right, 1)
-            left[first] = t0[first]
-            mid = 0.5 * (right + left)
-            half = 0.5 * (right - left)
+            mid = 0.5 * (ts + t0)
+            half = 0.5 * (ts - t0)
             nodes = mid[:, None] + half[:, None] * unit_nodes[None, :]
             d = self.sample(nodes.ravel(), n).reshape(ts.size, _GAUSS_ORDER, n)
-            panels = half[:, None] * np.einsum("k,mkn->mn", weights, d)
-            for part in np.split(panels, first[1:]):
-                np.cumsum(part, axis=0, out=part)
-            out = np.empty((ts.size, n))
-            out[order] = panels
-            return out
+            return half[:, None] * np.einsum("k,mkn->mn", weights, d)
         return np.zeros((ts.size, n))
 
 
@@ -637,8 +622,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     unless the run ended on a jump).  Each chunk's pre and post rows are
     copied into their rows with two assignments and the chunk is dropped.
     The grid rows of all segments are then flowed, each from its segment's
-    start row, in row blocks of whole segments (a custom disturbance's
-    integral restarts at a segment start and nowhere else).
+    start row, in bounded row blocks.
     """
     m, dt = len(firings), config.sample_dt
     starts = np.array([0.0, *(f[0] for f in firings)])
@@ -671,8 +655,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     # segment with grid rows has its start row just above them
     grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))
     first = piece_at[1::3]
-    for block in analysis._row_blocks(0, grid.size, config.n,
-                                      cuts=np.cumsum(counts) - counts):
+    for block in analysis._row_blocks(0, grid.size, config.n):
         at = grid[block]
         seg = js[at]
         ts[at] = dt * (k0[seg] + (at - first[seg]))

@@ -319,6 +319,21 @@ class TestSimulate:
         assert code == EXIT_OK
         assert (target / "trajectory.csv").is_file()
 
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, monkeypatch, capsys, via):
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        cfg = write_config(tmp_path / "run.json", horizon=5.0)
+        argv = ["simulate", str(cfg)]
+        if via == "flag":
+            argv += ["--out", str(target)]
+        else:
+            monkeypatch.setenv("SPLAYSIM_OUT", str(target))
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
+        assert target.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "taken"]
+
     def test_out_flag_beats_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPLAYSIM_OUT", str(tmp_path / "env"))
         out = tmp_path / "flag"
@@ -397,6 +412,18 @@ class TestExperiment:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"config error: {flag} ")
         assert not (tmp_path / "fig2").exists()
+
+
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("kept\n")
+        code = main(["experiment", "fig2", "--out", str(target)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+        assert target.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 class TestCloseness:

@@ -570,15 +570,15 @@ def test_displacement_with_a_start_per_row_is_row_by_row(pert):
     assert rows.shape == (5, 3)
     expected = np.concatenate([pert.displacement(a, [b], 3) for a, b in zip(t0, ts)])
     assert rows.tobytes() == expected.tobytes()
-    # rows that share a start: each run of equal t0 is the scalar-t0 call
-    # over its times (a custom integral sums its panels along the run); the
-    # second run is unsorted with a repeated time, and the first start
-    # comes back after the others as a run of its own
+    # rows that share a start are row by row too, sorted or not, and so is
+    # a scalar t0: the second run is unsorted with a repeated time, and the
+    # first start comes back after the others
     t0 = np.array([0.0, 0.0, 0.0, 2.5, 2.5, 2.5, 2.5, 4.0, 0.0])
     ts = np.array([0.1, 0.7, 2.5, 3.9, 2.6, 3.1, 2.6, 4.0, 0.3])
-    runs = [slice(0, 3), slice(3, 7), slice(7, 8), slice(8, 9)]
-    expected = np.concatenate([pert.displacement(t0[r][0], ts[r], 3) for r in runs])
+    expected = np.concatenate([pert.displacement(a, [b], 3) for a, b in zip(t0, ts)])
     assert pert.displacement(t0, ts, 3).tobytes() == expected.tobytes()
+    expected = np.concatenate([pert.displacement(2.5, [b], 3) for b in ts])
+    assert pert.displacement(2.5, ts, 3).tobytes() == expected.tobytes()
 
 
 def test_custom_bound_must_be_finite():
@@ -978,8 +978,8 @@ def test_perturbed_events_match_the_closed_form_flow(make_config):
 
 @pytest.mark.parametrize("block_floats", [1, 150, 3_000])
 def test_custom_arc_is_unchanged_by_the_row_blocks(monkeypatch, block_floats):
-    # the grid rows are flowed in blocks of whole segments: a block that cut
-    # a segment would restart the custom integral there and move its samples
+    # the grid rows are flowed in row blocks, which may cut a segment; the
+    # custom integral is one panel per row, so no sample may move
     expected = run(_custom_config())
     monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_floats)
     arc = run(_custom_config())
@@ -987,19 +987,35 @@ def test_custom_arc_is_unchanged_by_the_row_blocks(monkeypatch, block_floats):
     assert arc.states.tobytes() == expected.states.tobytes()
 
 
-def test_custom_sinusoid_reproduces_the_sinusoidal_arc():
-    cfg = perturbed_config(0.05)
+def _fast_sinusoid_config(frequency, **overrides):
+    offsets = tuple(TWO_PI * k / 3 for k in range(3))
+    return perturbed_config(0.04, **{
+        "x0": np.array([0.3, 2.0, 4.1]), "horizon": 40.0,
+        "perturbation": Perturbation.sinusoidal(0.04, frequency, offsets), **overrides})
+
+
+@pytest.mark.parametrize("make_config, atol", [
+    # the study's slow sinusoid: measured error 8.9e-16
+    (lambda **kw: perturbed_config(0.05, **kw), 1e-10),
+    # frequencies 3 and 5 put about 1 and 2 periods of d in a crossing's
+    # one 8-node panel: measured errors 1.53e-10 and 8.07e-8, set by the
+    # event times
+    (lambda **kw: _fast_sinusoid_config(3.0, **kw), 3e-10),
+    (lambda **kw: _fast_sinusoid_config(5.0, **kw), 1.6e-7),
+], ids=["f0.5", "f3", "f5"])
+def test_custom_sinusoid_reproduces_the_sinusoidal_arc(make_config, atol):
+    cfg = make_config()
     pert = cfg.perturbation
     offs = np.asarray(pert.offsets)
     custom = Perturbation.custom(
         lambda t: pert.amplitude * np.sin(pert.frequency * t + offs), bound=pert.bound)
     arc = run(cfg)
-    ref = run(perturbed_config(0.05, perturbation=custom))
+    ref = run(make_config(perturbation=custom))
     assert arc.jumps == ref.jumps > 10
     np.testing.assert_array_equal(arc.js, ref.js)
     np.testing.assert_array_equal(arc.kinds, ref.kinds)
-    np.testing.assert_allclose(arc.ts, ref.ts, rtol=0.0, atol=1e-10)
-    np.testing.assert_allclose(arc.states, ref.states, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(arc.ts, ref.ts, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(arc.states, ref.states, rtol=0.0, atol=atol)
     assert [e.firers for e in arc.events] == [e.firers for e in ref.events]
 
 

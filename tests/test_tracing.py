@@ -37,6 +37,7 @@ def test_traced_names_resolve_and_uninstall_restores_every_binding():
         for name in names:
             owner_name, _, attr = name.rpartition(".")
             owner = getattr(module, owner_name) if owner_name else module
+            assert attr in vars(owner), f"splaysim.{mod}.{name} is traced but not defined"
             targets[f"{mod}.{name}"] = (owner, attr, vars(owner)[attr])
             assert callable(vars(owner)[attr]), f"{mod}.{name}"
     before = _bindings()
