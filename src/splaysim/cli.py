@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 failed assertion or runtime diagnostic (Zeno
-guard, reset leaving the box, failed validation), 2 usage or
-configuration error.  Numbers are printed with 12 significant digits.
+Exit codes: 0 success, 1 a failed study or validation, 2 a usage or
+configuration error.  The commands raise, and ``main`` alone turns an
+error into its exit code and a one-line message: a ValueError or OSError
+(a malformed config, flag or CSV; a path that cannot be read or written)
+exits 2, a ZenoViolationError or InvalidPhaseResponseError exits 1.  A
+failed ``simulate`` leaves no CSV and no directory it created; a failed
+``experiment`` keeps the files its study wrote before the failure.
+Numbers are printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 import typing
 from pathlib import Path
@@ -45,10 +51,6 @@ _PERTURBATION_KEYS = {"kind", "amplitude", "frequency", "offsets"}
 _SIM_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _integer(value) -> int:
     """int(value), refusing a number with a fractional part rather than
     truncating it."""
@@ -70,26 +72,33 @@ def _fmt(v: float) -> str:
 
 def _load_config(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # UnicodeDecodeError too: JSON is UTF-8
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise ValueError(f"{path}: config must be a JSON object")
     tag = data.get("schema")
     if tag != CONFIG_SCHEMA:
-        raise ConfigError(f"{path}: schema must be {CONFIG_SCHEMA!r}, got {tag!r}")
+        raise ValueError(f"{path}: schema must be {CONFIG_SCHEMA!r}, got {tag!r}")
     for key in data:
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}: unknown key {key!r}")
+            raise ValueError(f"{path}: unknown key {key!r}")
     pert = data.get("perturbation")
     if pert is not None:
         if not isinstance(pert, dict):
-            raise ConfigError(f"{path}: perturbation must be an object")
+            raise ValueError(f"{path}: perturbation must be an object")
         for key in pert:
             if key not in _PERTURBATION_KEYS:
-                raise ConfigError(f"{path}: unknown perturbation key {key!r}")
+                raise ValueError(f"{path}: unknown perturbation key {key!r}")
+    stack = list(data.items())
+    while stack:  # no key takes a boolean, at any depth
+        key, value = stack.pop()
+        if isinstance(value, bool):
+            raise ValueError(f"{key}: {json.dumps(value)} is not a value of any config key")
+        if isinstance(value, dict):
+            stack += ((f"{key}.{k}", v) for k, v in value.items())
+        elif isinstance(value, list):
+            stack += ((key, v) for v in value)
     return data
 
 
@@ -110,12 +119,12 @@ def _build_perturbation(block: dict | None, args, n: int) -> Perturbation:
         kind = "sinusoidal" if given else "none"
     if kind == "none":
         if given:
-            raise ConfigError(f"perturbation kind 'none' takes no {', '.join(given)}")
+            raise ValueError(f"perturbation kind 'none' takes no {', '.join(given)}")
         return Perturbation.none()
     if kind != "sinusoidal":
-        raise ConfigError(f"unknown perturbation kind {kind!r}")
+        raise ValueError(f"unknown perturbation kind {kind!r}")
     if params.get("amplitude") is None:
-        raise ConfigError("sinusoidal perturbation needs an amplitude")
+        raise ValueError("sinusoidal perturbation needs an amplitude")
     frequency = params.get("frequency")
     offsets = params.get("offsets")
     return Perturbation.sinusoidal(
@@ -136,13 +145,13 @@ def _cast(name: str, kind: typing.Callable, value):
     try:
         return kind(value)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _build_sim_config(args) -> SimConfig:
     """Each SimConfig field from its flag (same dest), else the config key
-    of the same name, else the field's default.  Any ValueError or TypeError
-    on the way, the library's checks included, is a ConfigError."""
+    of the same name, else the field's default.  A TypeError on the way, the
+    library's checks included, is raised as a ValueError."""
     data = _load_config(args.config) if args.config else {}
     config_dir = Path(args.config).parent if args.config else Path.cwd()
     try:
@@ -154,19 +163,19 @@ def _build_sim_config(args) -> SimConfig:
             values[f.name] = _cast(f.name, _CASTS[f.name], value) if f.name in _CASTS else value
         x0 = values["x0"]
         if x0 is None:
-            raise ConfigError("a start state is required (config key 'x0' or flag --x0)")
+            raise ValueError("a start state is required (config key 'x0' or flag --x0)")
         x0 = values["x0"] = _cast("x0", _start_state, x0)
         n = values["n"] = x0.size if values["n"] is None else _cast("n", _integer, values["n"])
         spec = values["prc"]
         if spec is None:
-            raise ConfigError("a response function is required (config key 'prc' or flag --prc)")
+            raise ValueError("a response function is required (config key 'prc' or flag --prc)")
         if isinstance(spec, str) and spec.startswith("table:"):
             spec = f"table:{config_dir / spec[len('table:'):]}"
         values["prc"] = prc_from_spec(spec, n)
         values["perturbation"] = _build_perturbation(data.get("perturbation"), args, n)
         return SimConfig(**values)
-    except (ValueError, TypeError, OSError) as exc:
-        raise ConfigError(str(exc)) from None
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _out_dir(args) -> Path:
@@ -176,29 +185,22 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = _build_sim_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        arc = run(config)
-    except ZenoViolationError as exc:
-        print(f"zeno violation: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except InvalidPhaseResponseError as exc:
-        print(f"invalid response function: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    arc = run(_build_sim_config(args))
     out = _out_dir(args)
+    created = [p for p in (out, *out.parents) if not p.exists()]  # innermost first
+    traj, events = out / "trajectory.csv", out / "events.csv"
+    written = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    traj = out / "trajectory.csv"
-    events = out / "events.csv"
-    write_trajectory_csv(arc, traj)
-    write_events_csv(arc, events)
+        for path, write in ((traj, write_trajectory_csv), (events, write_events_csv)):
+            write(arc, path)
+            written.append(path)
+    except BaseException:  # an interrupt too: leave no CSV of this run behind
+        for path in written:
+            path.unlink()
+        if created:
+            shutil.rmtree(created[-1], ignore_errors=True)
+        raise
     final_t, final_j = arc.final_time
     print(f"stop reason: {arc.stop_reason}")
     print(f"final hybrid time: t={_fmt(final_t)} j={final_j}")
@@ -213,13 +215,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate_prc(args) -> int:
-    try:
-        prc = prc_from_spec(args.prc, args.n)
-        report = validate_prc(prc.func, args.n, grid=args.grid,
-                              lipschitz=args.lipschitz)
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    prc = prc_from_spec(args.prc, args.n)
+    report = validate_prc(prc.func, args.n, grid=args.grid, lipschitz=args.lipschitz)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -227,17 +224,13 @@ def cmd_validate_prc(args) -> int:
 def cmd_experiment(args) -> int:
     runner = experiments.EXPERIMENTS.get(args.name)
     if runner is None:
-        print(f"config error: unknown experiment {args.name!r}; "
-              f"choose from {', '.join(sorted(experiments.EXPERIMENTS))}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown experiment {args.name!r}; "
+                         f"choose from {', '.join(sorted(experiments.EXPERIMENTS))}")
     out = _out_dir(args) / args.name
     kwargs = {}
     for flag in ("samples", "runs", "seed"):
         if args.name != "corpus" and getattr(args, flag) is not None:
-            print(f"config error: --{flag} applies to the corpus experiment only",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--{flag} applies to the corpus experiment only")
     if args.samples is not None:
         kwargs["geometry_samples"] = args.samples
         kwargs["oracle_samples"] = min(args.samples, 10_000)
@@ -245,11 +238,7 @@ def cmd_experiment(args) -> int:
         kwargs["runs"] = args.runs
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    try:
-        report = runner(out, **kwargs)
-    except (ValueError, OSError) as exc:  # OSError: an --out that is no directory
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = runner(out, **kwargs)
     for line in report.lines():
         print(line)
     print(f"summary: {out / 'summary.json'}")
@@ -257,17 +246,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_closeness(args) -> int:
-    try:
-        arc1 = read_trajectory_csv(args.first)
-        arc2 = read_trajectory_csv(args.second)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = analysis.closeness(arc1, arc2, args.tau)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    arc1 = read_trajectory_csv(args.first)
+    arc2 = read_trajectory_csv(args.second)
+    report = analysis.closeness(arc1, arc2, args.tau)
     print(f"tau: {_fmt(report.tau)}")
     print(f"eps_star: {_fmt(report.eps_star)}")
     print(f"witness: t={_fmt(report.witness_t)} j={report.witness_j} "
@@ -335,9 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ZenoViolationError as exc:
+        print(f"zeno violation: {exc}", file=sys.stderr)
+    except InvalidPhaseResponseError as exc:
+        print(f"invalid response function: {exc}", file=sys.stderr)
+    return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """End-to-end checks of the command-line interface.
 
-Every test drives ``main(argv)`` in process so the suite stays fast; the
-contract under test is the exit code (0 success, 1 honest failure, 2 usage
+Every test but one drives ``main(argv)`` in process so the suite stays
+fast; ``TestEntryPoint`` runs ``python -m splaysim.cli`` once.  The contract
+under test is the exit code (0 success, 1 honest failure, 2 usage
 or config error), the files written to the output directory, and the lines
 printed for a human reader.
 """
@@ -9,13 +10,19 @@ printed for a human reader.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from splaysim import cli
+import splaysim
+from splaysim import cli, experiments
 from splaysim.cli import CONFIG_SCHEMA, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from splaysim.sim import Perturbation, SimConfig, read_trajectory_csv, run
+from splaysim.model import InvalidPhaseResponseError
+from splaysim.sim import Perturbation, SimConfig, ZenoViolationError, read_trajectory_csv, run
 
 
 @pytest.fixture(autouse=True)
@@ -94,11 +101,23 @@ MALFORMED = {
                                       ["--perturb-amplitude", "0.1"]),
     "flag-frequency-without-amplitude": ({}, ["--perturb-frequency", "0.7"]),
     "flag-offsets-without-amplitude": ({}, ["--perturb-offsets", "0,1,2"]),
+    "horizon-true": ({"horizon": True}, []),
+    "max-jumps-true": ({"max_jumps": True}, []),
+    "stop-v-false": ({"stop_v_threshold": False}, []),
+    "seed-true": ({"seed": True}, []),
+    "x0-boolean-entry": ({"x0": [5.5977, True, 3.4383]}, []),
+    "amplitude-true": ({"perturbation": {**_SINUSOID, "amplitude": True}}, []),
+    "offset-false": ({"perturbation": {**_SINUSOID, "offsets": [0, False, 2]}}, []),
 }
-#: the malformed inputs that fail a cast, and the key the message must name
+#: the malformed inputs that fail a cast or hold true or false, and the key
+#: the message must name
 CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps",
              "x0-string-entry": "x0", "flag-x0-string": "x0", "max-jumps-fraction": "max_jumps",
-             "max-jumps-nan": "max_jumps", "max-jumps-inf": "max_jumps", "n-fraction": "n"}
+             "max-jumps-nan": "max_jumps", "max-jumps-inf": "max_jumps", "n-fraction": "n",
+             "horizon-true": "horizon", "max-jumps-true": "max_jumps",
+             "stop-v-false": "stop_v_threshold", "seed-true": "seed", "x0-boolean-entry": "x0",
+             "amplitude-true": "perturbation.amplitude",
+             "offset-false": "perturbation.offsets"}
 
 
 class TestSimulate:
@@ -198,6 +217,42 @@ class TestSimulate:
         code = main(["simulate", str(tmp_path / "absent.json")])
         assert code == EXIT_USAGE
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.json"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(json.dumps({"schema": CONFIG_SCHEMA}).encode() + b"\xff")
+        out = tmp_path / "o"
+        code = main(["simulate", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["trajectory.csv", "events.csv"])
+    def test_unwritable_csv_is_a_config_error_without_csv(self, tmp_path, capsys, blocked):
+        cfg = write_config(tmp_path / "run.json", horizon=5.0)
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        code = main(["simulate", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert (out / blocked).is_dir()
+
+    def test_failed_write_removes_the_directories_it_made(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def full(arc, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "write_events_csv", full)
+        cfg = write_config(tmp_path / "run.json", horizon=5.0)
+        code = main(["simulate", str(cfg), "--out", str(tmp_path / "new" / "o")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: [Errno 28] ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json")
@@ -414,6 +469,21 @@ class TestExperiment:
         assert not (tmp_path / "fig2").exists()
 
 
+    @pytest.mark.parametrize("error, prefix", [
+        (ZenoViolationError(3.0, 2, 1e-6, 1e-3), "zeno violation: "),
+        (InvalidPhaseResponseError("reset left the box"), "invalid response function: "),
+    ], ids=["zeno", "response"])
+    def test_run_error_in_a_study_exits_one(self, tmp_path, monkeypatch, capsys, error, prefix):
+        def study(out_dir):
+            raise error
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "fig2", study)
+        code = main(["experiment", "fig2", "--out", str(tmp_path)])
+        assert code == EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.err == f"{prefix}{error}\n"
+        assert captured.out == ""
+
     def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
         target = tmp_path / "taken"
         target.write_text("kept\n")
@@ -502,3 +572,28 @@ class TestCloseness:
         captured = capsys.readouterr()
         assert captured.err == f"config error: {header_only}: no samples\n"
         assert "eps_star" not in captured.out
+
+
+class TestEntryPoint:
+    """``python -m splaysim.cli`` exits with the code ``main`` returns."""
+
+    def run_module(self, *argv):
+        src = str(Path(splaysim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "splaysim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_config_directory_exits_two_without_traceback(self, tmp_path):
+        done = self.run_module("simulate", str(tmp_path), "--out", str(tmp_path / "o"))
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("config error:")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_good_config_exits_zero(self, tmp_path):
+        cfg = write_config(tmp_path / "run.json", horizon=5.0)
+        done = self.run_module("simulate", str(cfg), "--out", str(tmp_path / "o"))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "stop reason: horizon" in done.stdout
+        assert (tmp_path / "o" / "trajectory.csv").is_file()
