@@ -102,18 +102,17 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _build_perturbation(block: dict | None, args, n: int) -> Perturbation:
+def _build_perturbation(block: dict | None, args) -> Perturbation:
     """The config's perturbation block with the --perturb-* flags laid over
     it.  Any sinusoid parameter without a kind means kind 'sinusoidal', and
-    kind 'none' takes none; a sinusoid defaults to frequency 0.5 and
-    offsets 2*pi*k/n."""
+    kind 'none' takes none; Perturbation.sinusoidal defaults the rest."""
     params = dict(block or {})
     sinusoid_keys = sorted(_PERTURBATION_KEYS - {"kind"})
     for key in sinusoid_keys:
         flag = getattr(args, f"perturb_{key}")
         if flag is not None:
             params[key] = flag.split(",") if key == "offsets" else flag
-    given = [key for key in sinusoid_keys if params.get(key) is not None]
+    given = {key: params[key] for key in sinusoid_keys if params.get(key) is not None}
     kind = params.get("kind")
     if kind is None:
         kind = "sinusoidal" if given else "none"
@@ -123,15 +122,9 @@ def _build_perturbation(block: dict | None, args, n: int) -> Perturbation:
         return Perturbation.none()
     if kind != "sinusoidal":
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    if params.get("amplitude") is None:
+    if "amplitude" not in given:
         raise ValueError("sinusoidal perturbation needs an amplitude")
-    frequency = params.get("frequency")
-    offsets = params.get("offsets")
-    return Perturbation.sinusoidal(
-        params["amplitude"],
-        0.5 if frequency is None else frequency,
-        [2.0 * np.pi * k / n for k in range(n)] if offsets is None else offsets,
-    )
+    return Perturbation.sinusoidal(**given)
 
 
 def _start_state(value) -> np.ndarray:
@@ -172,7 +165,7 @@ def _build_sim_config(args) -> SimConfig:
         if isinstance(spec, str) and spec.startswith("table:"):
             spec = f"table:{config_dir / spec[len('table:'):]}"
         values["prc"] = prc_from_spec(spec, n)
-        values["perturbation"] = _build_perturbation(data.get("perturbation"), args, n)
+        values["perturbation"] = _build_perturbation(data.get("perturbation"), args)
         return SimConfig(**values)
     except TypeError as exc:
         raise ValueError(str(exc)) from None

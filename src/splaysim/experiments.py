@@ -146,14 +146,12 @@ def run_fig3(out_dir) -> ExperimentReport:
 
 
 def perturbed_config(epsilon: float, **overrides) -> SimConfig:
-    offsets = tuple(TWO_PI * k / 3 for k in range(3))
-    pert = Perturbation.sinusoidal(epsilon, 0.5, offsets) if epsilon else Perturbation.none()
     kwargs = dict(
         prc=paper_prc(3),
         x0=np.asarray(PERTURBED_X0),
         omega=1.0,
         horizon=PERTURBED_HORIZON,
-        perturbation=pert,
+        perturbation=Perturbation.sinusoidal(epsilon),
         stop_v_threshold=None,  # the study compares full-horizon tails
     )
     kwargs.update(overrides)

@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -87,19 +87,19 @@ class HybridTime(NamedTuple):
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Additive rate disturbance d(t) applied to every oscillator.
-
-    bound is the declared per-coordinate sup of |d_i(t)|; it must stay
-    below the nominal rate so every phase rises at a rate between
-    omega - bound and omega + bound, which brackets each crossing time.
-    Use the constructors: none(), sinusoidal(), custom().
+    """Additive rate disturbance d(t) applied to every oscillator: the
+    sinusoid amplitude * sin(frequency * t + offsets[i]) unless func is set.
+    Perturbation() (amplitude 0) is nominal.  bound is the declared
+    per-coordinate sup of |d_i(t)|; it must stay below the nominal rate so
+    every phase rises at a rate between omega - bound and omega + bound,
+    which brackets each crossing time.  Use the constructors: none(),
+    sinusoidal(), custom().
     """
 
-    kind: str = "none"
     amplitude: float = 0.0
-    frequency: float = 0.0
-    offsets: tuple[float, ...] = ()
-    func: Callable[[float], np.ndarray] | None = None
+    frequency: float = 0.5
+    offsets: tuple[float, ...] | None = None
+    func: Callable[[np.ndarray], np.ndarray] | None = None
     bound: float = 0.0
 
     @staticmethod
@@ -107,23 +107,24 @@ class Perturbation:
         return Perturbation()
 
     @staticmethod
-    def sinusoidal(amplitude: float, frequency: float,
-                   offsets) -> "Perturbation":
-        """d_i(t) = amplitude * sin(frequency * t + offsets[i]); every
-        parameter must be finite and the amplitude nonnegative."""
+    def sinusoidal(amplitude: float, frequency: float = 0.5,
+                   offsets=None) -> "Perturbation":
+        """d_i(t) = amplitude * sin(frequency * t + offsets[i]), offsets
+        2*pi*i/n when None; every parameter must be finite and the
+        amplitude nonnegative."""
         amplitude, frequency = float(amplitude), float(frequency)
-        offsets = tuple(float(o) for o in offsets)
-        if not all(map(math.isfinite, (amplitude, frequency, *offsets))):
+        offsets = None if offsets is None else tuple(map(float, offsets))
+        if not all(map(math.isfinite, (amplitude, frequency, *(offsets or ())))):
             raise ValueError(f"sinusoid parameters must be finite, got amplitude={amplitude!r}, "
                              f"frequency={frequency!r}, offsets={offsets!r}")
         if amplitude < 0.0:
             raise ValueError(f"amplitude must be nonnegative, got {amplitude!r}")
-        return Perturbation(kind="sinusoidal", amplitude=amplitude, frequency=frequency,
-                            offsets=offsets, bound=amplitude)
+        return Perturbation(amplitude, frequency, offsets, bound=amplitude)
 
     @staticmethod
-    def custom(func: Callable[[float], np.ndarray], bound: float) -> "Perturbation":
-        """Arbitrary t -> vector disturbance with declared sup bound.
+    def custom(func: Callable[[np.ndarray], np.ndarray], bound: float) -> "Perturbation":
+        """Arbitrary disturbance with declared sup bound: func maps an array
+        of times ts to d at each, an array of shape (len(ts), n).
 
         Its integral over [t0, t] is taken by one fixed-order Gauss-Legendre
         panel without error control, which is exact to rounding for a func
@@ -132,35 +133,33 @@ class Perturbation:
         bound = float(bound)
         if not (math.isfinite(bound) and bound >= 0.0):
             raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
-        return Perturbation(kind="custom", func=func, bound=bound)
+        return Perturbation(func=func, bound=bound)
 
     @property
     def is_none(self) -> bool:
-        return self.kind == "none" or (self.kind == "sinusoidal" and self.amplitude == 0.0)
+        return self.func is None and self.amplitude == 0.0
+
+    def _offsets(self, n: int) -> np.ndarray:
+        return _splay_offsets(n) if self.offsets is None else np.asarray(self.offsets)
 
     def sample(self, ts: np.ndarray, n: int) -> np.ndarray:
         """Evaluate d on an array of times; returns shape (len(ts), n).
 
-        A custom func must give n finite values at each time; ValueError
-        names the first time at which it does not."""
+        A custom func is called once on the whole array and must give that
+        shape, all finite; ValueError names the shape it gave, or the first
+        time at which a value is not finite."""
         ts = np.asarray(ts, dtype=float)
-        if self.kind == "sinusoidal":
-            offs = np.asarray(self.offsets, dtype=float)
-            return self.amplitude * np.sin(self.frequency * ts[:, None] + offs[None, :])
-        if self.kind == "custom":
-            out = np.empty((ts.size, n))
-            for i, t in enumerate(ts.tolist()):
-                d = np.asarray(self.func(t), dtype=float)
-                if d.shape != (n,):
-                    raise ValueError(f"custom disturbance at t={t!r} has shape {d.shape}, "
-                                     f"not ({n},)")
-                out[i] = d
-            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))  # one check per block
-            if bad.size:
-                raise ValueError(f"custom disturbance at t={ts[bad[0]].item()!r} is not "
-                                 f"finite: {out[bad[0]]!r}")
-            return out
-        return np.zeros((ts.size, n))
+        if self.func is None:
+            return self.amplitude * np.sin(self.frequency * ts[:, None] + self._offsets(n))
+        out = np.asarray(self.func(ts), dtype=float)
+        if out.shape != (ts.size, n):
+            raise ValueError(f"custom disturbance at t={np.array2string(ts, threshold=6)} "
+                             f"has shape {out.shape}, not ({ts.size}, {n})")
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if bad.size:
+            raise ValueError(f"custom disturbance at t={ts[bad[0]].item()!r} is not "
+                             f"finite: {out[bad[0]]!r}")
+        return out
 
     def displacement(self, t0, ts: np.ndarray, n: int) -> np.ndarray:
         """D(t0, t), the integral of d over [t0, t], for an array of times;
@@ -175,22 +174,28 @@ class Perturbation:
         the floats of a one-row call with its own t0 and t.
         """
         ts = np.asarray(ts, dtype=float)
-        if self.kind == "sinusoidal":
-            offs = np.asarray(self.offsets, dtype=float)
+        if self.func is None:
+            offs = self._offsets(n)
             if self.frequency == 0.0:
                 return self.amplitude * np.sin(offs)[None, :] * (ts - t0)[:, None]
             half = 0.5 * self.frequency
             return ((2.0 * self.amplitude / self.frequency)
                     * np.sin(half * (ts + t0)[:, None] + offs[None, :])
                     * np.sin(half * (ts - t0))[:, None])
-        if self.kind == "custom":
-            unit_nodes, weights = _gauss_legendre()
-            mid = 0.5 * (ts + t0)
-            half = 0.5 * (ts - t0)
-            nodes = mid[:, None] + half[:, None] * unit_nodes[None, :]
-            d = self.sample(nodes.ravel(), n).reshape(ts.size, _GAUSS_ORDER, n)
-            return half[:, None] * np.einsum("k,mkn->mn", weights, d)
-        return np.zeros((ts.size, n))
+        unit_nodes, weights = _gauss_legendre()
+        mid = 0.5 * (ts + t0)
+        half = 0.5 * (ts - t0)
+        nodes = mid[:, None] + half[:, None] * unit_nodes[None, :]
+        d = self.sample(nodes.ravel(), n).reshape(ts.size, _GAUSS_ORDER, n)
+        return half[:, None] * np.einsum("k,mkn->mn", weights, d)
+
+
+@functools.cache
+def _splay_offsets(n: int) -> np.ndarray:
+    """2*pi*i/n for i < n, a sinusoid's default offsets: one read-only array per n."""
+    offsets = TWO_PI * np.arange(n) / n
+    offsets.flags.writeable = False
+    return offsets
 
 
 @functools.cache
@@ -202,9 +207,10 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(_GAUSS_ORDER)
 
 
-def _check_rate_bound(pert: Perturbation, omega: float) -> None:
-    """A disturbance must stay below the nominal rate so phases keep
-    advancing and every crossing can be bracketed."""
+def _check_perturbation(pert: Perturbation, omega: float, n: int) -> None:
+    """One offset per oscillator, and a bound below omega so every crossing is bracketed."""
+    if pert.offsets is not None and len(pert.offsets) != n:
+        raise ValueError(f"perturbation has {len(pert.offsets)} phase offsets for n={n}")
     if not pert.is_none and not pert.bound < omega:
         raise ValueError(f"perturbation bound {pert.bound!r} must stay below "
                          f"omega={omega!r} so phases keep advancing")
@@ -230,6 +236,9 @@ class SimConfig:
     sample_dt: float = 0.01
 
     def __post_init__(self):
+        for f in fields(self):  # True and False would pass as the numbers 1 and 0
+            if isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"{f.name} must not be a boolean, got {getattr(self, f.name)!r}")
         self.x0 = as_phases(self.x0).copy()
         if self.n is None:
             self.n = self.x0.size
@@ -262,10 +271,7 @@ class SimConfig:
         if self.seed is not None and (not isinstance(self.seed, numbers.Integral)
                                       or self.seed < 0):
             raise ValueError(f"seed must be a nonnegative integer or None, got {self.seed!r}")
-        pert = self.perturbation
-        if not pert.is_none and pert.kind == "sinusoidal" and len(pert.offsets) != self.n:
-            raise ValueError(f"perturbation has {len(pert.offsets)} phase offsets for n={self.n}")
-        _check_rate_bound(pert, self.omega)
+        _check_perturbation(self.perturbation, self.omega, self.n)
 
 
 @dataclass(frozen=True)
@@ -459,7 +465,7 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     if arr.max() >= TWO_PI - firing_tol:
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
-    _check_rate_bound(pert, omega)
+    _check_perturbation(pert, omega, arr.size)
     t, x, firers = _first_crossing(arr, t0, omega, pert, horizon, firing_tol)
     return t, x, firers is not None
 
@@ -729,12 +735,12 @@ def read_trajectory_csv(path) -> HybridArc:
     is empty and flow metadata is unknown).
 
     The rows are parsed a block of whole lines at a time.  ValueError names
-    `<path>:` for a file with no samples, and `<path>:<line>:` for the first
-    row with the wrong column count, a number that does not parse (a jump
-    index that is not an int64 included), an unknown event kind, a negative
-    or decreasing jump index, a time that is not finite, a phase outside
-    [0, 2*pi] (NaN included) or a time that decreases within a run of
-    equal j."""
+    `<path>:` for a file with no samples or fewer than 2 oscillators, and
+    `<path>:<line>:` for the first row with the wrong column count, a number
+    that does not parse (a jump index that is not an int64 included), an
+    unknown event kind, a negative or decreasing jump index, a time that is
+    not finite, a phase outside [0, 2*pi] (NaN included) or a time that
+    decreases within a run of equal j."""
     with open(path) as f:
         # each block ends at a newline, so splitting the blocks splits the file
         blocks = iter(lambda: f.read(_CSV_CHARS) + f.readline(), "")
@@ -747,8 +753,10 @@ def read_trajectory_csv(path) -> HybridArc:
                 or header[-3:] != ["V", "Vtilde", "event"]):
             raise ValueError(f"{path}: not a trajectory CSV (header {lines[0]!r})")
         n = len(header) - 5
-        if [h for h in header[2:2 + n]] != [f"x_{i + 1}" for i in range(n)]:
+        if header[2:2 + n] != [f"x_{i + 1}" for i in range(n)]:
             raise ValueError(f"{path}: unexpected state columns in header {lines[0]!r}")
+        if n < 2:
+            raise ValueError(f"{path}: need at least 2 oscillators, got {n}")
         commas = len(header) - 1
         # V and Vtilde are skipped; a row short of the event column raises
         parse = functools.partial(

@@ -50,8 +50,7 @@ def write_config(path, **overrides):
 #: turns the stop rule off and leaves the jumps unseeded
 NON_DEFAULTS = {
     "omega": (2, 2.0),
-    "perturbation": ({"kind": "sinusoidal", "amplitude": 0.03},
-                     Perturbation.sinusoidal(0.03, 0.5, [2.0 * np.pi * k / 3 for k in range(3)])),
+    "perturbation": ({"kind": "sinusoidal", "amplitude": 0.03}, Perturbation.sinusoidal(0.03)),
     "horizon": (4, 4.0),
     "max_jumps": (3, 3),
     "firing_tol": (1e-10, 1e-10),
@@ -347,8 +346,7 @@ class TestSimulate:
         monkeypatch.setattr(cli, "run", capture)
         cfg = write_config(tmp_path / "run.json", horizon=5.0, perturbation={"amplitude": 0.04})
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
-        expected = Perturbation.sinusoidal(0.04, 0.5, [2.0 * np.pi * k / 3 for k in range(3)])
-        assert seen[0].perturbation == expected
+        assert seen[0].perturbation == Perturbation.sinusoidal(0.04)
 
     def test_perturbation_wrong_offset_count_is_rejected(self, tmp_path, capsys):
         cfg = write_config(
@@ -560,6 +558,15 @@ class TestCloseness:
         assert code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: tau must be nonnegative, got nan")
+        assert "eps_star" not in captured.out
+
+    def test_one_oscillator_file_is_usage_error(self, tmp_path, capsys):
+        single = tmp_path / "single.csv"
+        single.write_text("t,j,x_1,V,Vtilde,event\n0.0,0,1.0,0.0,0.0,flow\n")
+        code = main(["closeness", str(single), str(single), "--tau", "5.0"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {single}: need at least 2 oscillators, got 1\n"
         assert "eps_star" not in captured.out
 
     def test_file_without_samples_is_usage_error(self, tmp_path, capsys):

@@ -23,7 +23,8 @@ from splaysim.experiments import (
     theorem1_corpus,
 )
 from splaysim.model import in_bad_set
-from splaysim.sim import run
+from splaysim import sim
+from splaysim.sim import Perturbation, run, write_events_csv, write_trajectory_csv
 
 
 def test_fig2_report(tmp_path):
@@ -143,8 +144,23 @@ def test_study_configs_expose_the_pinned_parameters():
     assert pcfg.stop_v_threshold is None
     assert pcfg.perturbation.amplitude == 0.03
     assert pcfg.perturbation.frequency == 0.5
-    offs = np.asarray(pcfg.perturbation.offsets)
+    assert pcfg.perturbation.offsets is None  # resolved for the run's n = 3
+    offs = sim._splay_offsets(3)
     np.testing.assert_allclose(offs, [0.0, TWO_PI / 3, 2 * TWO_PI / 3])
+
+
+def test_default_offsets_give_the_bytes_of_explicit_ones(tmp_path):
+    explicit = Perturbation.sinusoidal(0.05, 0.5, tuple(TWO_PI * k / 3 for k in range(3)))
+    files = []
+    for name, cfg in (("default", perturbed_config(0.05)),
+                      ("explicit", perturbed_config(0.05, perturbation=explicit))):
+        arc = run(cfg)
+        assert arc.perturbed and arc.jumps > 10
+        for write in (write_trajectory_csv, write_events_csv):
+            path = tmp_path / f"{name}-{write.__name__}.csv"
+            write(arc, path)
+            files.append(path.read_bytes())
+    assert files[:2] == files[2:]
 
 
 def test_fig2_converges_only_after_the_pinned_horizon():

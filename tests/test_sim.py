@@ -74,9 +74,12 @@ def test_config_infers_and_checks_n():
     dict(seed="abc"),
     dict(seed=3.7),
     dict(seed=-1),
+    *(dict([(name, value)]) for name in ("n", "omega", "horizon", "max_jumps", "firing_tol",
+                                         "min_dwell", "stop_v_threshold", "stop_splay_tol",
+                                         "seed", "sample_dt") for value in (True, False)),
 ])
 def test_config_rejects_bad_parameters(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]), **bad)
 
 
@@ -100,6 +103,12 @@ def test_config_rejects_disturbance_at_or_above_rate():
     with pytest.raises(ValueError):
         SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]),
                   perturbation=pert)
+
+
+def test_flow_to_next_event_checks_the_offset_count_as_the_config_does():
+    pert = Perturbation.sinusoidal(0.1, 0.5, (0, 1))
+    with pytest.raises(ValueError, match=r"perturbation has 2 phase offsets for n=3"):
+        flow_to_next_event([0.3, 2.0, 4.1], 1.0, pert, 0.0, 10.0)
 
 
 def test_config_rejects_out_of_box_start():
@@ -478,10 +487,10 @@ def _lift_top_listener(z, q):
 
 
 def _zero_disturbance_until(t_fail):
-    def func(t):
-        if t > t_fail:
+    def func(ts):
+        if (ts > t_fail).any():
             raise ValueError(f"no disturbance past t={t_fail!r}")
-        return np.zeros(5)
+        return np.zeros((ts.size, 5))
 
     return Perturbation.custom(func, bound=0.0)
 
@@ -543,7 +552,7 @@ def test_jump_budget_next_to_the_stop_firing(where, rule, extra):
 @pytest.mark.parametrize("pert", [
     Perturbation.none(),
     Perturbation.sinusoidal(0.1, 0.5, (0.0, 1.0, 2.0)),
-    Perturbation.custom(lambda t: np.full(3, 0.1 * math.sin(t)), 0.1),
+    Perturbation.custom(lambda ts: np.outer(0.1 * np.sin(ts), np.ones(3)), 0.1),
 ], ids=["none", "sinusoidal", "custom"])
 @pytest.mark.parametrize("method", ["sample", "displacement", "displacement-row-t0"])
 def test_perturbation_of_no_times_is_an_empty_block(pert, method):
@@ -560,7 +569,8 @@ def test_perturbation_of_no_times_is_an_empty_block(pert, method):
     Perturbation.none(),
     Perturbation.sinusoidal(0.1, 0.5, (0.0, 1.0, 2.0)),
     Perturbation.sinusoidal(0.1, 0.0, (0.5, 1.5, 4.0)),
-    Perturbation.custom(lambda t: 0.04 * np.array([np.cos(t), np.sin(2.0 * t), -1.0]), 0.04),
+    Perturbation.custom(lambda ts: 0.04 * np.column_stack(
+        [np.cos(ts), np.sin(2.0 * ts), -np.ones_like(ts)]), 0.04),
 ], ids=["none", "sinusoidal", "sinusoid-f0", "custom"])
 def test_displacement_with_a_start_per_row_is_row_by_row(pert):
     # a new start on every row: each row is the scalar-t0 call of its own
@@ -588,10 +598,12 @@ def test_custom_bound_must_be_finite():
 
 
 @pytest.mark.parametrize("func, match", [
-    (lambda t: np.zeros(4), r"t=0\.5 has shape \(4,\), not \(3,\)"),
-    (lambda t: 0.01, r"t=0\.5 has shape \(\), not \(3,\)"),
-    (lambda t: np.array([0.0, np.nan if t > 1.0 else 0.0, 0.0]), r"t=1\.5 is not finite: .*nan"),
-], ids=["length", "scalar", "nan"])
+    (lambda ts: np.zeros((ts.size, 4)), r"t=\[0\.5 1\.5\] has shape \(2, 4\), not \(2, 3\)"),
+    (lambda ts: np.zeros(3), r"t=\[0\.5 1\.5\] has shape \(3,\), not \(2, 3\)"),
+    (lambda ts: 0.01, r"t=\[0\.5 1\.5\] has shape \(\), not \(2, 3\)"),
+    (lambda ts: np.where(ts > 1.0, np.nan, 0.0)[:, None] * np.ones(3),
+     r"t=1\.5 is not finite: .*nan"),
+], ids=["length", "one-time", "scalar", "nan"])
 def test_custom_disturbance_values_are_checked(func, match):
     pert = Perturbation.custom(func, 0.04)
     with pytest.raises(ValueError, match=match):
@@ -853,7 +865,7 @@ def test_zero_amplitude_perturbation_equals_nominal():
 
 
 def test_custom_perturbation_is_supported():
-    pert = Perturbation.custom(lambda t: np.array([0.01, -0.01, 0.0]), bound=0.01)
+    pert = Perturbation.custom(lambda ts: np.tile([0.01, -0.01, 0.0], (ts.size, 1)), bound=0.01)
     cfg = SimConfig(prc=paper_prc(3), x0=np.array([0.0, 1.0, 2.0]),
                     perturbation=pert, horizon=1.0, stop_v_threshold=None)
     arc = run(cfg)
@@ -888,8 +900,8 @@ def test_flow_to_next_event_rejects_disturbance_at_or_above_rate(bound):
                            t0=0.0, horizon=10.0)
 
 
-def _wobble(t):
-    return 0.04 * np.array([np.cos(t), np.sin(2.0 * t), -np.cos(0.3 * t)])
+def _wobble(ts):
+    return 0.04 * np.column_stack([np.cos(ts), np.sin(2.0 * ts), -np.cos(0.3 * ts)])
 
 
 def _wobble_integral(t0, t):
@@ -901,7 +913,8 @@ def _wobble_integral(t0, t):
 
 def _sinusoid_integral(pert):
     amp, freq = pert.amplitude, pert.frequency
-    offs = np.asarray(pert.offsets)
+    # unset offsets are the study's 2*pi*k/3
+    offs = TWO_PI * np.arange(3) / 3 if pert.offsets is None else np.asarray(pert.offsets)
     if freq == 0.0:  # a constant rate offset
         return lambda t0, t: amp * np.sin(offs) * (t - t0)
     return lambda t0, t: -(amp / freq) * (np.cos(freq * t + offs) - np.cos(freq * t0 + offs))
@@ -921,10 +934,10 @@ def _zero_frequency_config():
         horizon=40.0, stop_v_threshold=None)
 
 
-def _custom_config():
+def _custom_config(func=_wobble):
     return SimConfig(
         prc=paper_prc(3), x0=np.array([0.3, 2.0, 4.1]),
-        perturbation=Perturbation.custom(_wobble, bound=0.04),
+        perturbation=Perturbation.custom(func, bound=0.04),
         horizon=40.0, stop_v_threshold=None)
 
 
@@ -968,12 +981,27 @@ CLOSED_FORM_ARCS = {
 def test_perturbed_events_match_the_closed_form_flow(make_config):
     cfg = make_config()
     pert = cfg.perturbation
-    integral = _wobble_integral if pert.kind == "custom" else _sinusoid_integral(pert)
+    integral = _sinusoid_integral(pert) if pert.func is None else _wobble_integral
     arc = run(cfg)
     assert arc.jumps > 10
     worst_sample, worst_firer = _closed_form_mismatch(arc, cfg.x0, cfg.omega, integral)
     assert worst_sample <= 1e-12
     assert worst_firer <= 1e-12
+
+
+def test_custom_func_is_called_on_arrays_of_times():
+    # one call per Newton step and per row block (173 on this arc); one call
+    # per quadrature node would make tens of thousands
+    sizes = []
+
+    def counted(ts):
+        sizes.append(ts.size)
+        return _wobble(ts)
+
+    arc = run(_custom_config(counted))
+    assert arc.jumps > 10
+    assert len(sizes) <= 500
+    assert _arc_digests(arc) == _arc_digests(run(_custom_config()))
 
 
 @pytest.mark.parametrize("block_floats", [1, 150, 3_000])
@@ -1006,9 +1034,7 @@ def _fast_sinusoid_config(frequency, **overrides):
 def test_custom_sinusoid_reproduces_the_sinusoidal_arc(make_config, atol):
     cfg = make_config()
     pert = cfg.perturbation
-    offs = np.asarray(pert.offsets)
-    custom = Perturbation.custom(
-        lambda t: pert.amplitude * np.sin(pert.frequency * t + offs), bound=pert.bound)
+    custom = Perturbation.custom(lambda ts: pert.sample(ts, 3), bound=pert.bound)
     arc = run(cfg)
     ref = run(make_config(perturbation=custom))
     assert arc.jumps == ref.jumps > 10
@@ -1258,6 +1284,13 @@ def test_trajectory_header_is_strict(tmp_path):
         read_trajectory_csv(path)
 
 
+def test_trajectory_of_one_oscillator_is_rejected(tmp_path):
+    path = tmp_path / "single.csv"
+    path.write_text("t,j,x_1,V,Vtilde,event\n0.0,0,1.0,0.0,0.0,flow\n")
+    with pytest.raises(ValueError, match="single.csv: need at least 2 oscillators, got 1$"):
+        read_trajectory_csv(path)
+
+
 def test_trajectory_without_samples_is_rejected(tmp_path):
     path = tmp_path / "bare.csv"
     for text in ("t,j,x_1,x_2,V,Vtilde,event\n", "t,j,x_1,x_2,V,Vtilde,event\n\n  \n"):
@@ -1283,6 +1316,8 @@ def reference_read_trajectory_csv(path) -> HybridArc:
     n = len(header) - 5
     if header[2:2 + n] != [f"x_{i + 1}" for i in range(n)]:
         raise ValueError(f"{path}: unexpected state columns in header {text[0]!r}")
+    if n < 2:
+        raise ValueError(f"{path}: need at least 2 oscillators, got {n}")
     rows, js, kinds = [], [], []
     for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
@@ -1327,7 +1362,7 @@ def trajectory_files(draw, cells=("0.5", "", "nan", "V", "0.5\0")):
     may meet: numbers with surrounding spaces, j with a sign or leading
     zeros, V and Vtilde from `cells`, blank and whitespace-only lines, LF
     or CRLF line ends, with or without a final one."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 4))
     m = draw(st.integers(1, 10))
     js = np.cumsum(draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=m, max_size=m)))
     ts = sorted(draw(st.lists(st.floats(-1e9, 1e9), min_size=m, max_size=m)))
