@@ -23,7 +23,7 @@ from .circle import (
     splay_arc_length,
     splay_gap_deviation,
 )
-from .model import in_bad_set, in_splay_set, validate_prc
+from .model import DEFAULT_SPLAY_TOL, in_bad_set, validate_prc
 from .prc import broken_step, broken_steep, broken_zero, paper_prc
 from .sim import Perturbation, SimConfig, run, write_events_csv, write_trajectory_csv
 
@@ -340,11 +340,12 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         bound = splay_arc_length(n)
         over = float((gamma - bound).max())
         sub = xs[:min(oracle_samples, geometry_samples)]
-        oracle_dev = float(np.abs(shortest_arc_length(sub) - shortest_arc_oracle(sub)).max())
+        gamma_sub = gamma[:sub.shape[0]]  # the rows of sub, computed above
+        oracle_dev = float(np.abs(gamma_sub - shortest_arc_oracle(sub)).max())
         rot = (sub + rng.uniform(0.0, TWO_PI, size=(sub.shape[0], 1))) % TWO_PI
-        rot_dev = float(np.abs(shortest_arc_length(sub) - shortest_arc_length(rot)).max())
+        rot_dev = float(np.abs(gamma_sub - shortest_arc_length(rot)).max())
         perm = rng.permuted(sub, axis=1)
-        perm_dev = float(np.abs(shortest_arc_length(sub) - shortest_arc_length(perm)).max())
+        perm_dev = float(np.abs(gamma_sub - shortest_arc_length(perm)).max())
         geo[f"n{n}"] = {"bound_excess": over, "oracle_dev": oracle_dev,
                         "rotation_dev": rot_dev, "permutation_dev": perm_dev}
         ok &= over <= 1e-12 and oracle_dev <= 1e-12 and rot_dev <= 1e-9 and perm_dev <= 1e-12
@@ -357,7 +358,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         rots = (base[None, :] + rng.uniform(0.0, TWO_PI, size=(1000, 1))) % TWO_PI
         rots = rng.permuted(rots, axis=1)
         v_splay = float(analysis.lyapunov(rots).max())
-        member = all(in_splay_set(row) for row in rots)
+        member = bool((splay_gap_deviation(rots) <= DEFAULT_SPLAY_TOL).all())
         xs = rng.uniform(0.0, TWO_PI, size=(geometry_samples, n))
         deviation = splay_gap_deviation(xs)
         off = xs[deviation > 1e-3]

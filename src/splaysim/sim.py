@@ -8,7 +8,7 @@ panel over [t0, t] per row for a custom disturbance).  One elementwise
 function, _flow, with a start (x0, t0) per row, gives every flow state of
 a run: each crossing, the horizon and all grid samples.  Nominal firing
 times are closed-form too.  Under a disturbance each coordinate rises at a
-rate within omega -/+ bound, which brackets its crossing of 2*pi; Newton
+rate within omega -/+ amplitude, which brackets its crossing of 2*pi; Newton
 inside that bracket finds it to a few ulps and the earliest crossing
 fires.  Either way the crossing coordinates are assigned exactly 2*pi
 rather than accumulated.
@@ -89,18 +89,27 @@ class HybridTime(NamedTuple):
 class Perturbation:
     """Additive rate disturbance d(t) applied to every oscillator: the
     sinusoid amplitude * sin(frequency * t + offsets[i]) unless func is set.
-    Perturbation() (amplitude 0) is nominal.  bound is the declared
-    per-coordinate sup of |d_i(t)|; it must stay below the nominal rate so
-    every phase rises at a rate between omega - bound and omega + bound,
-    which brackets each crossing time.  Use the constructors: none(),
-    sinusoidal(), custom().
-    """
+    Perturbation() is nominal.  amplitude is the per-coordinate sup of
+    |d_i(t)|, exact for the sinusoid and declared for a func; below omega it
+    brackets each crossing, every phase rising at a rate within omega -/+
+    amplitude.  It must be finite and nonnegative, the frequency and offsets
+    finite, and none of them a boolean."""
 
     amplitude: float = 0.0
     frequency: float = 0.5
     offsets: tuple[float, ...] | None = None
     func: Callable[[np.ndarray], np.ndarray] | None = None
-    bound: float = 0.0
+
+    def __post_init__(self):
+        for name, low in (("amplitude", 0.0), ("frequency", -math.inf), ("offsets", -math.inf)):
+            value = getattr(self, name)
+            values = [value] if name != "offsets" else () if value is None else value
+            if any(isinstance(v, bool) for v in values):  # True and False would pass as 1 and 0
+                raise ValueError(f"{name} must not be a boolean, got {value!r}")
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v >= low
+                       for v in values):
+                raise ValueError(f"{name} must be finite{' and nonnegative' * (low == 0.0)}, "
+                                 f"got {value!r}")
 
     @staticmethod
     def none() -> "Perturbation":
@@ -110,30 +119,20 @@ class Perturbation:
     def sinusoidal(amplitude: float, frequency: float = 0.5,
                    offsets=None) -> "Perturbation":
         """d_i(t) = amplitude * sin(frequency * t + offsets[i]), offsets
-        2*pi*i/n when None; every parameter must be finite and the
-        amplitude nonnegative."""
-        amplitude, frequency = float(amplitude), float(frequency)
-        offsets = None if offsets is None else tuple(map(float, offsets))
-        if not all(map(math.isfinite, (amplitude, frequency, *(offsets or ())))):
-            raise ValueError(f"sinusoid parameters must be finite, got amplitude={amplitude!r}, "
-                             f"frequency={frequency!r}, offsets={offsets!r}")
-        if amplitude < 0.0:
-            raise ValueError(f"amplitude must be nonnegative, got {amplitude!r}")
-        return Perturbation(amplitude, frequency, offsets, bound=amplitude)
+        2*pi*i/n when None."""
+        return Perturbation(float(amplitude), float(frequency),
+                            None if offsets is None else tuple(map(float, offsets)))
 
     @staticmethod
     def custom(func: Callable[[np.ndarray], np.ndarray], bound: float) -> "Perturbation":
-        """Arbitrary disturbance with declared sup bound: func maps an array
-        of times ts to d at each, an array of shape (len(ts), n).
+        """Arbitrary disturbance: func maps an array of times ts to d at each,
+        an array of shape (len(ts), n), every |d_i| within bound, the amplitude.
 
         Its integral over [t0, t] is taken by one fixed-order Gauss-Legendre
         panel without error control, which is exact to rounding for a func
         that is smooth on the scale of one inter-firing interval; a
         discontinuous func loses accuracy."""
-        bound = float(bound)
-        if not (math.isfinite(bound) and bound >= 0.0):
-            raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
-        return Perturbation(func=func, bound=bound)
+        return Perturbation(float(bound), func=func)
 
     @property
     def is_none(self) -> bool:
@@ -146,8 +145,9 @@ class Perturbation:
         """Evaluate d on an array of times; returns shape (len(ts), n).
 
         A custom func is called once on the whole array and must give that
-        shape, all finite; ValueError names the shape it gave, or the first
-        time at which a value is not finite."""
+        shape, every value finite and within the amplitude; ValueError names
+        the shape it gave, or the first time at which a value is not finite
+        or exceeds the amplitude."""
         ts = np.asarray(ts, dtype=float)
         if self.func is None:
             return self.amplitude * np.sin(self.frequency * ts[:, None] + self._offsets(n))
@@ -155,10 +155,12 @@ class Perturbation:
         if out.shape != (ts.size, n):
             raise ValueError(f"custom disturbance at t={np.array2string(ts, threshold=6)} "
                              f"has shape {out.shape}, not ({ts.size}, {n})")
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        bad = np.flatnonzero(~(np.abs(out) <= self.amplitude).all(axis=1))  # NaN included
         if bad.size:
-            raise ValueError(f"custom disturbance at t={ts[bad[0]].item()!r} is not "
-                             f"finite: {out[bad[0]]!r}")
+            row = out[bad[0]]
+            why = (f"exceeds its bound {self.amplitude!r}" if np.isfinite(row).all()
+                   else "is not finite")
+            raise ValueError(f"custom disturbance at t={ts[bad[0]].item()!r} {why}: {row!r}")
         return out
 
     def displacement(self, t0, ts: np.ndarray, n: int) -> np.ndarray:
@@ -208,11 +210,11 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_perturbation(pert: Perturbation, omega: float, n: int) -> None:
-    """One offset per oscillator, and a bound below omega so every crossing is bracketed."""
+    """One offset per oscillator, and an amplitude below omega so every crossing is bracketed."""
     if pert.offsets is not None and len(pert.offsets) != n:
         raise ValueError(f"perturbation has {len(pert.offsets)} phase offsets for n={n}")
-    if not pert.is_none and not pert.bound < omega:
-        raise ValueError(f"perturbation bound {pert.bound!r} must stay below "
+    if not pert.is_none and not pert.amplitude < omega:
+        raise ValueError(f"perturbation amplitude {pert.amplitude!r} must stay below "
                          f"omega={omega!r} so phases keep advancing")
 
 
@@ -239,11 +241,15 @@ class SimConfig:
         for f in fields(self):  # True and False would pass as the numbers 1 and 0
             if isinstance(getattr(self, f.name), bool):
                 raise ValueError(f"{f.name} must not be a boolean, got {getattr(self, f.name)!r}")
+        for name, kind in (("prc", PhaseResponse), ("perturbation", Perturbation)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         self.x0 = as_phases(self.x0).copy()
         if self.n is None:
             self.n = self.x0.size
-        if self.n != self.x0.size:
-            raise ValueError(f"n={self.n} does not match x0 of length {self.x0.size}")
+        if not (isinstance(self.n, numbers.Integral) and self.n == self.x0.size):
+            raise ValueError(f"n must be an integer matching x0 of length {self.x0.size}, "
+                             f"got {self.n!r}")
         if self.prc.n != self.n:
             raise ValueError(f"response function was built for n={self.prc.n}, "
                              f"run has n={self.n}")
@@ -415,15 +421,15 @@ def _earliest_root(x0: np.ndarray, t0: float, omega: float, pert: Perturbation) 
     """Earliest time a coordinate of the flow from x0 at t0 reaches 2*pi,
     by bracketed Newton.
 
-    Each coordinate rises at a rate within omega -/+ bound, so its root
+    Each coordinate rises at a rate within omega -/+ amplitude, so its root
     lies in [lo, hi] below; only coordinates whose lo is not past the
     smallest hi can fire first.  Newton starts at the nominal time and
     falls back to bisection whenever its step leaves the bracket.
     """
     n = x0.size
     rest = TWO_PI - x0
-    lo = t0 + rest / (omega + pert.bound)
-    hi = t0 + rest / (omega - pert.bound)
+    lo = t0 + rest / (omega + pert.amplitude)
+    hi = t0 + rest / (omega - pert.amplitude)
     cand = np.flatnonzero(lo <= hi.min())
     rest, lo, hi = rest[cand], lo[cand], hi[cand]
     rows = np.arange(cand.size)
@@ -679,8 +685,9 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
 #
 # Floats are written with repr (of the Python floats that tolist() yields)
 # so rereading reproduces them bit for bit and rerunning the same
-# configuration reproduces the file byte for byte.  V and Vtilde stay fixed
-# between nominal firings, so their columns are formatted once per run.
+# configuration reproduces the file byte for byte.  V and Vtilde are constant
+# between nominal firings only in exact arithmetic (flowed phases round), so
+# their columns are formatted once per run of equal bit patterns.
 
 
 def write_trajectory_csv(arc: HybridArc, path) -> None:

@@ -1,6 +1,7 @@
 """Event-driven execution: exact nominal and perturbed flow,
 guards, stop rules, and the CSV round trip."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -74,13 +75,18 @@ def test_config_infers_and_checks_n():
     dict(seed="abc"),
     dict(seed=3.7),
     dict(seed=-1),
+    dict(n=3.0),
+    dict(prc=None),
+    dict(prc="paper"),
+    dict(perturbation=None),
+    dict(perturbation=0.03),
     *(dict([(name, value)]) for name in ("n", "omega", "horizon", "max_jumps", "firing_tol",
                                          "min_dwell", "stop_v_threshold", "stop_splay_tol",
                                          "seed", "sample_dt") for value in (True, False)),
 ])
 def test_config_rejects_bad_parameters(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
-        SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]), **bad)
+        SimConfig(**{"prc": paper_prc(3), "x0": np.array([1.0, 2.0, 3.0]), **bad})
 
 
 @pytest.mark.parametrize("omega", [math.inf, math.nan])
@@ -603,7 +609,9 @@ def test_custom_bound_must_be_finite():
     (lambda ts: 0.01, r"t=\[0\.5 1\.5\] has shape \(\), not \(2, 3\)"),
     (lambda ts: np.where(ts > 1.0, np.nan, 0.0)[:, None] * np.ones(3),
      r"t=1\.5 is not finite: .*nan"),
-], ids=["length", "one-time", "scalar", "nan"])
+    (lambda ts: np.where(ts > 1.0, -0.05, 0.04)[:, None] * np.ones(3),
+     r"t=1\.5 exceeds its bound 0\.04: .*-0\.05"),
+], ids=["length", "one-time", "scalar", "nan", "over-bound"])
 def test_custom_disturbance_values_are_checked(func, match):
     pert = Perturbation.custom(func, 0.04)
     with pytest.raises(ValueError, match=match):
@@ -880,6 +888,57 @@ def test_perturbation_constructors_validate():
         Perturbation.custom(lambda t: np.zeros(3), bound=-1.0)
 
 
+@pytest.mark.parametrize("values, match", [
+    (dict(amplitude=-0.5), "amplitude must be finite and nonnegative, got -0.5"),
+    (dict(amplitude=math.nan), "amplitude must be finite and nonnegative, got nan"),
+    (dict(amplitude=math.inf), "amplitude must be finite and nonnegative, got inf"),
+    (dict(amplitude="0.1"), "amplitude must be finite and nonnegative, got '0.1'"),
+    (dict(amplitude=0.1, frequency=math.nan), "frequency must be finite, got nan"),
+    (dict(amplitude=0.1, frequency=-math.inf), "frequency must be finite, got -inf"),
+    (dict(amplitude=0.1, offsets=(0.0, math.inf, 1.0)), r"offsets must be finite, got \(0\.0, inf"),
+    (dict(amplitude=True), "amplitude must not be a boolean, got True"),
+    (dict(amplitude=0.1, frequency=False), "frequency must not be a boolean, got False"),
+    (dict(amplitude=0.1, offsets=(0.0, True, 1.0)), "offsets must not be a boolean"),
+], ids=["amplitude-negative", "amplitude-nan", "amplitude-inf", "amplitude-string",
+        "frequency-nan", "frequency-inf", "offset-inf", "amplitude-true", "frequency-false",
+        "offset-true"])
+def test_perturbation_checks_its_values_however_built(values, match):
+    # the dataclass and a field replaced on either kind meet the check the
+    # constructors meet
+    with pytest.raises(ValueError, match=match):
+        Perturbation(**values)
+    for pert in (Perturbation.sinusoidal(0.1), Perturbation.custom(_wobble, 0.04)):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(pert, **values)
+
+
+def test_dataclass_sinusoid_is_bracketed_by_its_amplitude():
+    # the rate bound is the amplitude however the sinusoid is built, so the
+    # two are one disturbance and fire where the sinusoid fires
+    x0 = np.array([0.3, 2.0, 4.1])
+    plain = Perturbation(amplitude=0.5)
+    assert plain == Perturbation.sinusoidal(0.5)
+    t, x, fired = flow_to_next_event(x0, 1.0, plain, 0.0)
+    assert fired and t == 3.6466733475729938 and x[2] == TWO_PI
+    arc = run(SimConfig(prc=paper_prc(3), x0=x0, perturbation=plain, horizon=20.0,
+                        stop_v_threshold=None))
+    assert arc.firings[1][0] == 4.913948320030789
+
+
+def test_custom_disturbance_is_held_to_its_declared_bound():
+    x0 = np.array([0.3, 2.0, 4.1])
+
+    def push(ts):
+        return np.full((ts.size, 3), 0.5)
+
+    # declared 0, the bracket would pin the crossing to the nominal 2.1832
+    with pytest.raises(ValueError, match=r"exceeds its bound 0\.0: array\(\[0\.5, 0\.5, 0\.5\]\)"):
+        flow_to_next_event(x0, 1.0, Perturbation.custom(push, 0.0), 0.0)
+    # declared 0.5, it fires at the closed-form time of the rate 1.5
+    t, _, fired = flow_to_next_event(x0, 1.0, Perturbation.custom(push, 0.5), 0.0)
+    assert fired and t == pytest.approx((TWO_PI - 4.1) / 1.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("param", ["amplitude", "frequency", "offset"])
 def test_sinusoid_rejects_non_finite_parameters(param, value):
@@ -1034,7 +1093,7 @@ def _fast_sinusoid_config(frequency, **overrides):
 def test_custom_sinusoid_reproduces_the_sinusoidal_arc(make_config, atol):
     cfg = make_config()
     pert = cfg.perturbation
-    custom = Perturbation.custom(lambda ts: pert.sample(ts, 3), bound=pert.bound)
+    custom = Perturbation.custom(lambda ts: pert.sample(ts, 3), bound=pert.amplitude)
     arc = run(cfg)
     ref = run(make_config(perturbation=custom))
     assert arc.jumps == ref.jumps > 10
