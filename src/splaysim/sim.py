@@ -29,7 +29,6 @@ seed that resolves set-valued jumps.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -50,9 +49,9 @@ _KINDS = (FLOW, PRE_JUMP, POST_JUMP)
 #: than the longest kind, so that no value truncated to it equals a kind
 _KIND_FIELD = f"U{max(map(len, _KINDS)) + 1}"
 #: about the most cells a CSV writer formats, and the most characters the
-#: trajectory reader splits into lines, at a time: the Python strings
-#: of a block fit in memory the allocator keeps, where a whole file's
-#: would be mapped and unmapped afresh on every call
+#: trajectory reader splits into lines, at a time: a block's arrays and
+#: strings stay small however long the arc, where a whole file's would be
+#: mapped and unmapped afresh on every call
 _CSV_CELLS = 8_192
 _CSV_CHARS = 65_536
 
@@ -683,58 +682,278 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
 # Trajectory schema: t,j,x_1..x_n,V,Vtilde,event   (event in flow|pre-jump|post-jump)
 # Events schema:     t,j,firers,branch,pre_1..pre_n,post_1..post_n
 #
-# Floats are written with repr (of the Python floats that tolist() yields)
-# so rereading reproduces them bit for bit and rerunning the same
-# configuration reproduces the file byte for byte.  V and Vtilde are constant
-# between nominal firings only in exact arithmetic (flowed phases round), so
-# their columns are formatted once per run of equal bit patterns.
+# Every float cell holds the bytes of repr(float(v)), so rereading
+# reproduces the value bit for bit and rerunning the same configuration
+# reproduces the file byte for byte.  The writers format all the floats of
+# a block of rows in one _float_cells call and write the block's bytes at
+# once.  V and Vtilde are constant between nominal firings only in exact
+# arithmetic (flowed phases round), so they, j and the event kind are
+# formatted once per run of equal values (of equal bit patterns for
+# floats) and repeated.  The files are written through a binary handle, so
+# their lines end in LF on every platform.
+
+#: 10**k for k = 0..20, exact (10**22 is the largest power of ten a double
+#: holds), and its Veltkamp halves of at most 26 significant bits each
+_TENS = np.cumprod(np.full(21, 10.0)) / 10.0
+_TENS_HI = _TENS * 134217729.0 - (_TENS * 134217729.0 - _TENS)
+_TENS_LO = _TENS - _TENS_HI
+#: 10**p for p = -4..17 at index p + 4; repr writes 1e-4 <= |x| < 1e16 in
+#: fixed notation
+_DECADES = np.concatenate((1.0 / _TENS[4:0:-1], _TENS[:18]))
+#: bytes per float cell: no repr of a float64 is longer
+_CELL = 24
+
+
+def _words(table) -> np.ndarray:
+    """Rows of bytes as rows of 8-byte words, for bitwise work on bytes."""
+    table = np.ascontiguousarray(table, dtype=np.uint8)
+    return table.reshape(-1, table.shape[-1]).view(np.uint64)
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII of each 4-digit group 0000..9999 as one 4-byte word, and
+    the group's trailing zeros (4 for 0000)."""
+    quads = np.arange(10_000)
+    ascii_ = np.zeros((10_000, 4), np.uint8)
+    zeros = np.zeros(10_000, np.int8)
+    for place in range(4):
+        ascii_[:, 3 - place] = quads // 10 ** place % 10 + 48
+        zeros += quads % 10 ** (place + 1) == 0
+    return ascii_.view(np.uint32)[:, 0], zeros
+
+
+def _cell_masks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """As words, by sign * 25 + point: 0xFF over the digits before the
+    point, bytes [sign, point), and the marks, '-' at 0 when negative and
+    '.' at the point; by point * 25 + end: 0xFF over the digits after the
+    point, bytes (point, end)."""
+    col, sign, point = np.arange(_CELL), np.arange(2)[:, None, None], np.arange(25)[:, None]
+    before = (col >= sign) & (col < point)
+    marks = np.where(col == point, 46, np.where(col < sign, 45, 0))
+    after = (col > point[:, None]) & (col < point)
+    return (_words(before.reshape(50, _CELL) * 255), _words(marks.reshape(50, _CELL)),
+            _words(after.reshape(625, _CELL) * 255))
+
+
+_QUAD_ASCII, _QUAD_ZEROS = _quad_tables()
+_INT_MASK, _MARKS, _FRAC_MASK = _cell_masks()
+#: the cells of 0.0 and -0.0
+_ZEROS = _words(np.array([b"0.0", b"-0.0"], dtype=f"S{_CELL}").view(np.uint8).reshape(2, _CELL))
+
+
+def _float_cells(values) -> np.ndarray:
+    """(m, _CELL) uint8: row i holds the ASCII of repr(float(values[i])),
+    padded with NULs.
+
+    repr writes the shortest digits that read back as the value, the
+    nearest to it among them, in fixed notation for 1e-4 <= |x| < 1e16.
+    There _shortest_digits finds them with exact arithmetic and
+    _fixed_notation lays them out.  What the exact test cannot certify is
+    left to repr itself, value by value: a value on the edge of its
+    rounding interval or midway between two candidates, a power of two
+    (whose interval is lopsided), a magnitude repr writes with an exponent,
+    inf and nan.  Zeros are written directly.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if not x.size:
+        return np.zeros((0, _CELL), np.uint8)
+    a = np.abs(x)
+    certain = (a >= _DECADES[0]) & (a < 1e16)
+    np.copyto(a, 1.0, where=~certain)  # a stand-in for the values left to repr
+    p, w = _shortest_digits(a, certain)
+    sign = np.signbit(x).astype(np.intp)
+    cells = _fixed_notation(sign, p, w).view(np.uint8)
+    zero = x == 0
+    slow = np.flatnonzero(~(certain | zero))
+    zero = np.flatnonzero(zero)
+    if zero.size:
+        cells[zero] = _ZEROS[sign[zero]].view(np.uint8)
+    if slow.size:
+        cells[slow] = np.array([repr(v) for v in x[slow].tolist()], f"S{_CELL}").view(
+            np.uint8).reshape(-1, _CELL)
+    return cells
+
+
+def _shortest_digits(a: np.ndarray, certain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decade p of each a in [1e-4, 1e16), 10**p <= a < 10**(p + 1),
+    and repr's digits of a as an integer w of 17 digits, padded with zeros;
+    certain is cleared where the test below cannot decide.
+
+    a * 10**k, k = 16 - p, is y + frac exactly (_times_power_of_ten).
+    Rounded to 15, 16 or 17 digits it reads back as a when it stays within
+    half of a's ulp, scaled by 10**k (exact: a power of two times 10**k),
+    and the fewest digits that do win (Adams, Ryu, PLDI 2018).  Each test
+    compares frac with a bound computed without rounding.  At most one
+    15-digit candidate fits the interval, and the nearest 16- or 17-digit
+    one fits whenever any does; a 17-digit one always does.
+    """
+    mant, e = np.frexp(a)
+    # (e - 1) * 78913 >> 18 is floor((e - 1) * log10(2)) here, p or p - 1.
+    # The double nearest 10**p lies on it or above it, so comparing with it
+    # gives p exactly, and no rounding reaches 10**(p + 1) below it.
+    p = ((e - 1) * 78913 >> 18).astype(np.intp)
+    p += a >= _DECADES.take(p + 5)
+    k = 16 - p
+    y, frac = _times_power_of_ten(a, k)
+    half = np.ldexp(_TENS.take(k), e - 54)
+    r100 = y - y // 100 * 100
+    r10 = r100 % 10
+    # y + frac is within half of a multiple of 100 (of 10) iff frac lies
+    # below half - r or above (100 - r) - half
+    r100f, r10f = r100.astype(float), r10.astype(float)
+    below15, above15 = half - r100f, (100.0 - r100f) - half
+    below16, above16 = half - r10f, (10.0 - r10f) - half
+    in15 = (frac < below15) | (frac > above15)
+    in16 = (frac < below16) | (frac > above16)
+    # powers of two, ties and values on an interval edge go to repr
+    certain &= (mant != 0.5) & (frac != 0.5) & ((frac != 0) | (r10 != 5))
+    certain &= (frac != below15) & (frac != above15) & (frac != below16) & (frac != above16)
+    w = np.where(in15, y - r100 + 100 * (r100 >= 50),
+                 np.where(in16, y - r10 + 10 * (r10 >= 5), y + (frac > 0.5)))
+    return p, w
+
+
+def _times_power_of_ten(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer y and the fraction frac with a * 10**k = y + frac
+    exactly, for a * 10**k in [1e16, 1e17).
+
+    10**k is exact, and Dekker's product (Numer. Math. 18, 1971) gives
+    a * 10**k = hi + lo exactly from the Veltkamp halves of a and 10**k.
+    hi >= 1e16 > 2**53 is an integer, so y = hi + floor(lo) and frac =
+    lo - floor(lo) are exact."""
+    ten, ten_hi, ten_lo = _TENS.take(k), _TENS_HI.take(k), _TENS_LO.take(k)
+    hi = a * ten
+    split = a * 134217729.0  # 2**27 + 1
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * ten_hi - hi) + a_hi * ten_lo + a_lo * ten_hi) + a_lo * ten_lo
+    whole = np.floor(lo)
+    return hi.astype(np.int64) + whole.astype(np.int64), lo - whole
+
+
+def _fixed_notation(sign: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m, 3) words: the cells of the values with the given signs, decades
+    and 17-digit integers of digits, laid out as repr's fixed notation.
+
+    A cell is the sign, the digits before the point (one '0' when p < 0),
+    '.', the -p - 1 zeros after it when p < 0, then the digits to the last
+    nonzero one, or one '0'.  Each value's digit row holds '0's and then
+    its 17 digits from byte 7 on; the cell's bytes before the point are the
+    row's from byte 7 - sign - lead on, those after it from one byte
+    earlier, and masks cut both."""
+    m = w.size
+    digits, tail = _digit_rows(w)
+    lead = np.maximum(-p, 0)
+    point = sign + np.maximum(p + 1, 1)
+    end = np.maximum(sign + lead + 17 - tail, point + 1) + 1
+    # every run of _CELL bytes of the digit rows, as one record
+    flat = digits.view(np.uint8).ravel()
+    windows = np.ndarray((flat.size - _CELL + 1,), f"V{_CELL}", flat, strides=(1,))
+    start = np.arange(7, 32 * m, 32) - sign - lead
+    at_point = sign * 25 + point
+    cells = windows[start].view(np.uint64).reshape(m, 3)
+    cells &= _INT_MASK.take(at_point, axis=0)
+    after = windows[start - 1].view(np.uint64).reshape(m, 3)
+    after &= _FRAC_MASK.take(point * 25 + end, axis=0)
+    cells |= after
+    cells |= _MARKS.take(at_point, axis=0)
+    return cells
+
+
+def _digit_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 8) uint32 rows of ASCII, '0000', '000', the 17 digits of w and
+    '00000000', and the number of trailing zeros of w."""
+    top = w // 10**8
+    low = w - top * 10**8
+    g0 = top // 10**8
+    top -= g0 * 10**8
+    g1 = top // 10**4
+    g2 = top - g1 * 10**4
+    g3 = low // 10**4
+    g4 = low - g3 * 10**4
+    digits = np.full((w.size, 8), _QUAD_ASCII[0])
+    for col, group in enumerate((g0, g1, g2, g3, g4), start=1):
+        digits[:, col] = _QUAD_ASCII.take(group)
+    tail = _QUAD_ZEROS.take(g4) + (g4 == 0) * (_QUAD_ZEROS.take(g3) + (g3 == 0) * (
+        _QUAD_ZEROS.take(g2) + (g2 == 0) * _QUAD_ZEROS.take(g1)))
+    return digits, tail
+
+
+def _runs(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first entry of each run of equal entries in a column (floats by
+    bit pattern, so -0.0 and 0.0 apart) and the runs' lengths."""
+    same = col.view(np.int64) if col.dtype.kind == "f" else col
+    starts = np.ones(col.size, dtype=bool)
+    starts[1:] = same[1:] != same[:-1]
+    starts = np.flatnonzero(starts)
+    return col[starts], np.diff(starts, append=col.size)
+
+
+def _text_cells(strings) -> np.ndarray:
+    """(m, 1, width) uint8: the ASCII of each string, padded with NULs."""
+    text = np.array(list(strings), dtype="S")
+    return text.view(np.uint8).reshape(text.size, 1, text.itemsize)
 
 
 def write_trajectory_csv(arc: HybridArc, path) -> None:
-    """Write the sampled arc with V and Vtilde per sample, one row each."""
+    """Write the sampled arc with V and Vtilde per sample, one row each.
+    A block's t, phases and the first V and Vtilde of each run of equal bit
+    patterns are formatted in one _float_cells call; j and the event kind
+    once per run."""
     v, vt = analysis.lyapunov(arc.states), analysis.vtilde(arc.states)
+
+    def columns(rows: slice) -> list:
+        ts, n = arc.ts[rows], arc.n
+        (v_at, v_len), (vt_at, vt_len) = _runs(v[rows]), _runs(vt[rows])
+        cells = _float_cells(np.concatenate((ts, arc.states[rows].ravel(), v_at, vt_at)))
+        t_cells, x_cells, v_cells, vt_cells = np.split(
+            cells[:, None], np.cumsum([ts.size, ts.size * n, v_at.size]))
+        (j_at, j_len), (kind_at, kind_len) = _runs(arc.js[rows]), _runs(arc.kinds[rows])
+        return [t_cells, np.repeat(_text_cells(map(str, j_at.tolist())), j_len, axis=0),
+                x_cells.reshape(ts.size, n, _CELL), np.repeat(v_cells, v_len, axis=0),
+                np.repeat(vt_cells, vt_len, axis=0),
+                np.repeat(_text_cells(kind_at.tolist()), kind_len, axis=0)]
     _write_csv(path, ["t", "j", *(f"x_{i + 1}" for i in range(arc.n)), "V", "Vtilde", "event"],
-               arc.ts.size, lambda rows: [
-                   map(repr, arc.ts[rows].tolist()), map(repr, arc.js[rows].tolist()),
-                   *(map(repr, col) for col in arc.states[rows].T.tolist()),
-                   _repr_runs(v[rows]), _repr_runs(vt[rows]), arc.kinds[rows].tolist()])
+               arc.ts.size, columns)
 
 
 def write_events_csv(arc: HybridArc, path) -> None:
-    """Write one row per firing: t, j, firers, branch, pre and post state."""
+    """Write one row per firing: t, j, firers, branch, pre and post state.
+    A block's t and states are formatted in one _float_cells call."""
     pre_rows = arc.jump_rows()
 
     def columns(rows: slice) -> list:
         firings, at = arc.firings[rows], pre_rows[rows]
         states = np.hstack((arc.states[at], arc.states[at + 1]))
-        return [[repr(float(t)) for t, _, _ in firings], map(str, range(pre_rows.size)[rows]),
-                [";".join(map(str, firers)) for _, firers, _ in firings],
-                [branch for _, _, branch in firings],
-                *(map(repr, col) for col in states.T.tolist())]
+        cells = _float_cells(np.concatenate(([t for t, _, _ in firings], states.ravel())))
+        return [cells[:at.size, None], _text_cells(map(str, range(pre_rows.size)[rows])),
+                _text_cells(";".join(map(str, firers)) for _, firers, _ in firings),
+                _text_cells(branch for _, _, branch in firings),
+                cells[at.size:].reshape(states.shape + (_CELL,))]
     _write_csv(path, ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(arc.n)),
                       *(f"post_{i + 1}" for i in range(arc.n))], pre_rows.size, columns)
 
 
 def _write_csv(path, names: list[str], rows: int, columns: Callable[[slice], list]) -> None:
-    """Write the header and then the rows, columns(block) giving each
-    column's cells for a slice of about _CSV_CELLS cells' rows at a time."""
+    """Write the header and then the rows, about _CSV_CELLS cells' rows at
+    a time, through a binary handle.  columns(block) gives the cells of a
+    block's rows as (rows, k, width) NUL-padded bytes for k consecutive
+    columns; they fill one byte matrix with a ',' after each cell and a
+    newline after the last, whose non-NUL bytes are written at once."""
     step = max(1, _CSV_CELLS // len(names))
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
+    with open(path, "wb") as f:
+        f.write(",".join(names).encode() + b"\n")
         for block in map(slice, range(0, rows, step), range(step, rows + step, step)):
-            f.write("".join(map("{}\n".format, map(",".join, zip(*columns(block))))))
-
-
-def _repr_runs(col: np.ndarray):
-    """Lazy repr of each value of a float column, formatted once per run of
-    equal bit patterns (-0.0 and 0.0 apart) unless most values are distinct."""
-    bits = col.view(np.int64)
-    starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))  # ~b never equals b
-    if 2 * starts.size > col.size:
-        return map(repr, col.tolist())
-    lengths = np.diff(starts, append=col.size)
-    return itertools.chain.from_iterable(
-        map(itertools.repeat, map(repr, col[starts].tolist()), lengths.tolist()))
+            parts = columns(block)
+            widths = [part.shape[1] * (part.shape[2] + 1) for part in parts]
+            lines = np.empty((parts[0].shape[0], sum(widths)), np.uint8)
+            for part, at, width in zip(parts, np.cumsum([0, *widths]).tolist(), widths):
+                cells = lines[:, at:at + width].reshape(part.shape[:2] + (part.shape[2] + 1,))
+                cells[:, :, :-1] = part
+                cells[:, :, -1] = ord(",")
+            lines[:, -1] = ord("\n")
+            lines = lines.ravel()
+            f.write(lines.compress(lines != 0))
 
 
 def read_trajectory_csv(path) -> HybridArc:

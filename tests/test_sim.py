@@ -717,8 +717,9 @@ def test_an_arc_holds_each_state_once(tmp_path):
     peaks at 1.22x with the arc alive.  Holding each event's pre and post
     apart from the samples is 2.0x, and a whole-batch sort and gap array in
     verify_monotone is 4.0x.  Each CSV writer formats a block of rows at a
-    time (0.31x for the trajectory, 0.10x for the events); the events
-    file held as one string with a list of its lines was 6.0x."""
+    time (0.31x for the trajectory, 0.29x for the events, mostly the float
+    kernel's arrays for a block); the events file held as one string with
+    a list of its lines was 6.0x."""
     cfg = SimConfig(prc=paper_prc(200), x0=draw_start(np.random.default_rng(0), 200),
                     horizon=60.0, sample_dt=0.1)
     run(cfg)  # first-call set-up stays out of the measurement
@@ -1527,13 +1528,69 @@ def test_unknown_event_kind_is_reported_as_written(tmp_path):
     assert str(info.value) == f"{path}:3: unknown event kind 'post-jumpXY'"
 
 
+def _cell_text(cells):
+    """Each row of a float cell matrix as text, its NUL padding dropped."""
+    return [row.tobytes().rstrip(b"\0").decode() for row in cells]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(), max_size=40))
+def test_float_cells_match_repr(values):
+    """NaN, infinities, subnormals and both zeros included."""
+    cells = sim._float_cells(np.array(values, dtype=float))
+    assert cells.shape == (len(values), 24) and cells.dtype == np.uint8
+    assert _cell_text(cells) == [repr(v) for v in values]
+
+
+def _float_sweep():
+    """Over 10**6 floats where shortest digits are easy to get wrong."""
+    rng = np.random.default_rng(2024)
+    scale = 10.0 ** rng.integers(0, 8, 60_000)
+    short = np.round(rng.uniform(-1e4, 1e4, scale.size) * scale) / scale
+    specials = np.concatenate([2.0 ** np.arange(-30, 60), [float(f"1e{p}") for p in range(-6, 18)],
+                               [1e-4, 1e15, 1e16, 9999999999999998.0]])
+    near = [short, specials]
+    for direction in (np.inf, -np.inf):
+        step = short, specials
+        for _ in range(2):  # one and two ulps away
+            step = tuple(np.nextafter(v, direction) for v in step)
+            near.extend(step)
+    return np.concatenate([
+        rng.uniform(0.0, TWO_PI, 300_000),
+        *(dt * np.arange(100_000) for dt in (0.1, 0.01, 0.05)),
+        *near, -specials,
+        rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
+    ])
+
+
+def test_float_cells_match_repr_on_a_sweep(monkeypatch):
+    """Uniform phases, grid times k * dt, short decimals and powers of 2 and
+    10 with their neighbours one and two ulps away, the ends of repr's fixed
+    notation, and random bit patterns.  Both the exact path and repr itself
+    format some of them."""
+    values = _float_sweep()
+    left = []
+    monkeypatch.setattr(sim, "repr", lambda v: left.append(v) or repr(v), raising=False)
+    cells = sim._float_cells(values)
+    monkeypatch.undo()
+    expected = np.array([repr(v) for v in values.tolist()], dtype="S24")
+    wrong = np.flatnonzero(cells.view("S24")[:, 0] != expected)
+    assert values.size >= 10**6
+    assert not wrong.size, [(repr(values[i]), bytes(cells[i])) for i in wrong[:5]]
+    assert 0 < len(left) < values.size // 2
+
+
 @pytest.mark.parametrize("column", [
     [], [0.0, -0.0, -0.0, 1.5, 1.5, 1.5, math.nan, math.nan, -0.0],
     [1.0, 2.0, 3.0, 3.0, 4.0], [0.1 * k for k in range(7)],
 ], ids=["empty", "runs", "mostly-distinct", "distinct"])
 def test_repr_runs_formats_each_value(column):
+    """A column formatted once per run of equal bit patterns and repeated,
+    as the writer does V and Vtilde: -0.0 and 0.0 stay apart."""
     col = np.array(column, dtype=float)
-    assert list(sim._repr_runs(col)) == [repr(float(v)) for v in col]
+    first, lengths = sim._runs(col)
+    cells = np.repeat(sim._float_cells(first), lengths, axis=0)
+    assert _cell_text(cells) == [repr(float(v)) for v in col]
 
 
 def test_csv_files_are_deterministic(tmp_path):
@@ -1574,7 +1631,7 @@ def reference_trajectory_csv(arc, path):
         coords = ",".join(_fmt(c) for c in arc.states[i])
         lines.append(f"{_fmt(arc.ts[i])},{int(arc.js[i])},{coords},"
                      f"{_fmt(v[i])},{_fmt(vt[i])},{arc.kinds[i]}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def reference_events_csv(arc, path):
@@ -1586,7 +1643,7 @@ def reference_events_csv(arc, path):
         post = ",".join(_fmt(c) for c in e.post)
         firers = ";".join(str(i) for i in e.firers)
         lines.append(f"{_fmt(e.t)},{e.j},{firers},{e.branch},{pre},{post}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _enumerate_arc():
