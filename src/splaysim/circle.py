@@ -143,19 +143,15 @@ def min_pairwise_geodesic(x):
 def splay_gap_deviation(x):
     """Largest deviation of the geodesic distances between circularly
     adjacent phases from the splay spacing 2*pi/n; zero exactly on splay
-    states.  Accepts a single vector or a batch of shape (m, n); returns a
-    float or an array of m floats accordingly."""
+    states.  Near them it brackets the Lyapunov function V, the largest
+    gap's excess over 2*pi/n: V <= deviation <= (n-1)*V.  Accepts a single
+    vector or a batch of shape (m, n); returns a float or an array of m
+    floats accordingly."""
     arr, single = _as_phase_batch(x)
-    dev = _splay_gap_deviation(arr)
-    return float(dev[0]) if single else dev
-
-
-def _splay_gap_deviation(arr: np.ndarray):
-    """splay_gap_deviation of a vector or of each row of a batch, for
-    phases already validated."""
-    gaps = _circular_gaps(np.sort(arr, axis=-1))
+    gaps = _circular_gaps(np.sort(arr, axis=1))
     adjacent = np.minimum(gaps, TWO_PI - gaps)
-    return np.max(np.abs(adjacent - TWO_PI / arr.shape[-1]), axis=-1)
+    dev = np.max(np.abs(adjacent - TWO_PI / arr.shape[1]), axis=1)
+    return float(dev[0]) if single else dev
 
 
 def splay_arc_length(n: int) -> float:

@@ -47,6 +47,8 @@ PERTURBED_TAU = 40.0
 STEEP_WITNESS_X0 = (2.0, 3.9, 6.2, TWO_PI)
 
 CORPUS_SEED = 20260817
+#: cap on geometry_samples, 10x the default; peak memory is linear in it (436 MiB at the cap)
+MAX_GEOMETRY_SAMPLES = 1_000_000
 
 
 @dataclass
@@ -84,15 +86,16 @@ def fig2_config(**overrides) -> SimConfig:
 
 def run_fig2(out_dir) -> ExperimentReport:
     """Convergence study from the shipped start: V must be constant along
-    flow, never increase at jumps, and end below 1e-6."""
+    flow, never increase at jumps, and end below the run's stop threshold."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    arc = run(fig2_config())
+    config = fig2_config()
+    arc = run(config)
     write_trajectory_csv(arc, out / "trajectory.csv")
     write_events_csv(arc, out / "events.csv")
     verdict = analysis.verify_monotone(arc, tol=1e-9)
     terminal_v = analysis.lyapunov(arc.final_state)
-    passed = verdict.passed and terminal_v < 1e-6
+    passed = verdict.passed and terminal_v < config.stop_v_threshold
     report = ExperimentReport(
         name="fig2",
         passed=passed,
@@ -251,8 +254,9 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
                     horizon: float = 250.0, out_dir=None) -> list[RunRecord]:
     """Seeded batch of convergence runs cycling over network sizes.
 
-    Every run must reach V < 1e-6, keep V monotone, keep all phase pairs
-    geodesically separated at every firing, and respect the dwell guard.
+    Every run must bring V below its stop threshold, keep V monotone, keep
+    all phase pairs geodesically apart at every firing, and respect the
+    dwell guard.
     When out_dir is given each run's CSVs are written there (the file
     contents repeat bit for bit when the corpus is rerun with one seed).
     """
@@ -266,7 +270,8 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
         n = ns[i % len(ns)]
         x0 = draw_start(master, n)
         run_seed = int(master.integers(2**32))
-        arc = run(corpus_run_config(n, x0, run_seed, horizon))
+        config = corpus_run_config(n, x0, run_seed, horizon)
+        arc = run(config)
         verdict = analysis.verify_monotone(arc, tol=1e-9)
         terminal_v = analysis.lyapunov(arc.final_state)
         min_geo = float("nan")
@@ -285,7 +290,7 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
             final_t=float(arc.ts[-1]),
             stop_reason=arc.stop_reason,
             terminal_v=float(terminal_v),
-            converged=bool(terminal_v < 1e-6),
+            converged=bool(terminal_v < config.stop_v_threshold),
             monotone_passed=verdict.passed,
             min_jump_geodesic=min_geo,
             min_dwell=arc.min_dwell_after_first(),
@@ -319,12 +324,16 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
     Sections: circle geometry (arc bound, invariances, oracle agreement),
     splay detection, the convergence run corpus, and validator behaviour on
     the broken catalog including the constructed V-increase run.  Every
-    budget must be at least 1.
+    budget must be at least 1, and geometry_samples at most
+    MAX_GEOMETRY_SAMPLES.
     """
     for name, budget in (("geometry_samples", geometry_samples),
                          ("oracle_samples", oracle_samples), ("runs", runs)):
         if budget < 1:
             raise ValueError(f"{name} must be at least 1, got {budget!r}")
+    if geometry_samples > MAX_GEOMETRY_SAMPLES:
+        raise ValueError(f"geometry_samples must be at most {MAX_GEOMETRY_SAMPLES}, "
+                         f"got {geometry_samples!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -26,6 +26,8 @@ POLICIES = (ALL_ZERO, ENUMERATE)
 DEFAULT_FIRING_TOL = 1e-9
 DEFAULT_SPLAY_TOL = 1e-6
 DEFAULT_BAD_TOL = 1e-12
+#: cap on validate_prc's grid, 10x the default; peak memory is linear in it (40 MiB at the cap)
+MAX_VALIDATION_GRID = 1_000_000
 
 # Tolerance for conditions that are exact in real arithmetic (Q == 0 on the
 # flat sector, range containment) but evaluated in floating point.
@@ -227,17 +229,6 @@ def _check_box(post: np.ndarray, label: str) -> None:
         )
 
 
-def _eval_response(func, zs: np.ndarray) -> np.ndarray:
-    """Evaluate a response function on an array, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(func(zs), dtype=float)
-        if out.shape == zs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(func(float(z))) for z in zs])
-
-
 def validate_prc(func, n: int, grid: int = 100_000,
                  lipschitz: float = 10.0) -> ValidationReport:
     """Check a response function against the design conditions.
@@ -258,12 +249,15 @@ def validate_prc(func, n: int, grid: int = 100_000,
                    surrogate: listeners can never swap or merge)
 
     Sampling can only refute, never prove; grid >= 10_000 and a positive
-    finite lipschitz are required so the surrogates are meaningful.
+    finite lipschitz are required so the surrogates are meaningful, and
+    grid <= MAX_VALIDATION_GRID.  func is called once on the array of
+    phases, as a run calls it, and must give one increment per phase.
     """
     if n < 2:
         raise ValueError(f"need at least 2 oscillators, got {n}")
-    if grid < 10_000:
-        raise ValueError(f"grid must be at least 10000 points, got {grid}")
+    if not 10_000 <= grid <= MAX_VALIDATION_GRID:
+        raise ValueError(f"grid must be between 10000 and {MAX_VALIDATION_GRID} points, "
+                         f"got {grid}")
     if not 0.0 < lipschitz < np.inf:
         raise ValueError(f"lipschitz must be positive and finite, got {lipschitz!r}")
     corner = knee(n)
@@ -271,7 +265,11 @@ def validate_prc(func, n: int, grid: int = 100_000,
     # the corner can land within one ulp of a lattice point; collapse any
     # sub-resolution pair so no check compares values across rounding noise
     zs = zs[np.concatenate(([True], np.diff(zs) > _EXACT_TOL))]
-    qs = _eval_response(func, zs)
+    try:
+        qs = np.broadcast_to(np.asarray(func(zs), dtype=float), zs.shape)
+    except (TypeError, ValueError) as exc:  # a scalar-only body, or a wrong shape
+        raise ValueError("a response function must map an array of phases to an array "
+                         f"of one increment per phase: {type(exc).__name__}: {exc}") from exc
     moved = zs + qs
     checks: list[CheckResult] = []
 

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, model
-from .circle import TWO_PI, _splay_gap_deviation, as_phases
+from .circle import TWO_PI, as_phases
 from .model import ALL_ZERO, DEFAULT_FIRING_TOL, POLICIES, PhaseResponse
 
 FLOW = "flow"
@@ -231,7 +231,6 @@ class SimConfig:
     firing_tol: float = DEFAULT_FIRING_TOL
     min_dwell: float = 1e-9
     stop_v_threshold: float | None = 1e-6
-    stop_splay_tol: float | None = None
     policy: str = ALL_ZERO
     seed: int | None = 0
     sample_dt: float = 0.01
@@ -269,10 +268,9 @@ class SimConfig:
                              f"got {self.horizon / self.sample_dt!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        for name in ("stop_v_threshold", "stop_splay_tol"):
-            val = getattr(self, name)
-            if val is not None and not (isinstance(val, numbers.Real) and val >= 0.0):
-                raise ValueError(f"{name} must be a nonnegative number or None, got {val!r}")
+        val = self.stop_v_threshold
+        if val is not None and not (isinstance(val, numbers.Real) and val >= 0.0):
+            raise ValueError(f"stop_v_threshold must be a nonnegative number or None, got {val!r}")
         if self.seed is not None and (not isinstance(self.seed, numbers.Integral)
                                       or self.seed < 0):
             raise ValueError(f"seed must be a nonnegative integer or None, got {self.seed!r}")
@@ -481,11 +479,11 @@ class _Firings:
     chunks of analysis._BLOCK_FLOATS // (2n) firings, so no array is ever
     regrown.
 
-    The stop rule (V below threshold and/or splay membership, held for a
-    full nominal revolution) is read off the post rows a batch at a time,
-    once min(n, firings per chunk) firings are pending or their chunk is
-    full, and by settle() before the run ends.  When it has held at firing
-    k, the firings past k are dropped: the record is the one a check after
+    The stop rule (V below stop_v_threshold, held for a full nominal
+    revolution) is read off the post rows a batch at a time, once
+    min(n, firings per chunk) firings are pending or their chunk is full,
+    and by settle() before the run ends.  When it has held at firing k,
+    the firings past k are dropped: the record is the one a check after
     every firing would have left, and at most n - 1 firings run ahead.
     """
 
@@ -496,7 +494,6 @@ class _Firings:
         self.per_chunk = max(1, analysis._BLOCK_FLOATS // (2 * config.n))
         self.batch = min(config.n, self.per_chunk)
         self.period = TWO_PI / config.omega
-        self.checks = config.stop_v_threshold is not None or config.stop_splay_tol is not None
         self.settled = 0  # firings the stop rule has seen
         self.hold_since: float | None = None
         self.stopped = False
@@ -523,16 +520,12 @@ class _Firings:
         whether it has fired."""
         lo, hi = self.settled, len(self.facts)
         self.settled = hi
-        if self.stopped or lo == hi or not self.checks:
+        threshold = self.config.stop_v_threshold
+        if self.stopped or lo == hi or threshold is None:
             return self.stopped
-        cfg = self.config
         at = 2 * (lo % self.per_chunk)
         posts = self.chunks[lo // self.per_chunk][at + 1:at + 2 * (hi - lo):2]
-        hits = np.zeros(hi - lo, dtype=bool)
-        if cfg.stop_v_threshold is not None:
-            hits |= analysis._lyapunov(posts) < cfg.stop_v_threshold
-        if cfg.stop_splay_tol is not None:
-            hits |= _splay_gap_deviation(posts) <= cfg.stop_splay_tol
+        hits = analysis._lyapunov(posts) < threshold
         if not hits.any():
             self.hold_since = None
             return False
@@ -554,10 +547,10 @@ def run(config: SimConfig) -> HybridArc:
 
     Jumps are taken whenever a phase sits at 2*pi (within the firing
     tolerance); otherwise the state flows to the next firing or to the
-    horizon.  Stops on the horizon, on the jump budget, or once the
-    configured stop rule (V below threshold and/or splay membership) has
-    held for a full nominal revolution.  Raises ZenoViolationError when
-    consecutive firings are closer than the dwell guard.
+    horizon.  Stops on the horizon, on the jump budget, or once V has
+    stayed below stop_v_threshold (unless that is None) for a full nominal
+    revolution.  Raises ZenoViolationError when consecutive firings are
+    closer than the dwell guard.
 
     The loop writes each firing once into a _Firings record: (t, firers,
     branch) in a list, the pre and post states into two rows of a
@@ -572,10 +565,10 @@ def run(config: SimConfig) -> HybridArc:
 
     Validation happens at the boundary: SimConfig has checked x0, and
     the post-jump box check keeps every state the loop makes in the box,
-    so the loop calls the private kernels behind jump_map, lyapunov and
-    in_splay_set instead of the re-validating public functions.  A
-    crossing hands over its firers; a post-jump state is scanned for
-    firers once.  Under 'enumerate' only the drawn branch is built.
+    so the loop calls the private kernels behind jump_map and lyapunov
+    instead of the re-validating public functions.  A crossing hands over
+    its firers; a post-jump state is scanned for firers once.  Under
+    'enumerate' only the drawn branch is built.
     """
     x = config.x0.copy()
     t = 0.0

@@ -21,7 +21,7 @@ import pytest
 import splaysim
 from splaysim import cli, experiments
 from splaysim.cli import CONFIG_SCHEMA, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from splaysim.model import InvalidPhaseResponseError
+from splaysim.model import MAX_VALIDATION_GRID, InvalidPhaseResponseError, PhaseResponse
 from splaysim.sim import Perturbation, SimConfig, ZenoViolationError, read_trajectory_csv, run
 
 
@@ -56,7 +56,6 @@ NON_DEFAULTS = {
     "firing_tol": (1e-10, 1e-10),
     "min_dwell": (0, 0.0),
     "stop_v_threshold": (None, None),
-    "stop_splay_tol": (1e-3, 1e-3),
     "policy": ("enumerate", "enumerate"),
     "seed": (None, None),
     "sample_dt": (1, 1.0),
@@ -69,7 +68,6 @@ MALFORMED = {
     "seed-fraction": ({"seed": 3.7}, []),
     "seed-negative": ({"seed": -1}, []),
     "stop-v-string": ({"stop_v_threshold": "abc"}, []),
-    "stop-splay-string": ({"stop_splay_tol": "x"}, []),
     "n-string": ({"n": "abc"}, []),
     "omega-null": ({"omega": None}, []),
     "x0-string-entry": ({"x0": ["a", 1, 2]}, []),
@@ -87,7 +85,6 @@ MALFORMED = {
     "flag-sample-dt-1e-8": ({}, ["--sample-dt", "1e-8"]),
     "flag-omega-inf": ({}, ["--omega", "inf"]),
     "min-dwell-nan": ({"min_dwell": math.nan}, []),
-    "stop-splay-nan": ({"stop_splay_tol": math.nan}, []),
     "firing-tol-inf": ({"firing_tol": math.inf}, []),
     "max-jumps-fraction": ({"max_jumps": 2.5}, []),
     "max-jumps-nan": ({"max_jumps": math.nan}, []),
@@ -107,6 +104,7 @@ MALFORMED = {
     "x0-boolean-entry": ({"x0": [5.5977, True, 3.4383]}, []),
     "amplitude-true": ({"perturbation": {**_SINUSOID, "amplitude": True}}, []),
     "offset-false": ({"perturbation": {**_SINUSOID, "offsets": [0, False, 2]}}, []),
+    "stop-splay-removed": ({"stop_splay_tol": 1e-3}, []),
 }
 #: the malformed inputs that fail a cast or hold true or false, and the key
 #: the message must name
@@ -117,6 +115,8 @@ CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_ju
              "stop-v-false": "stop_v_threshold", "seed-true": "seed", "x0-boolean-entry": "x0",
              "amplitude-true": "perturbation.amplitude",
              "offset-false": "perturbation.offsets"}
+#: the malformed inputs that name a key SimConfig does not have
+UNKNOWN_KEYS = {"stop-splay-removed": "stop_splay_tol"}
 
 
 class TestSimulate:
@@ -186,6 +186,8 @@ class TestSimulate:
         assert err.startswith("config error:")
         if case in CAST_KEYS:
             assert err.startswith(f"config error: {CAST_KEYS[case]}: ")
+        if case in UNKNOWN_KEYS:
+            assert f"unknown key {UNKNOWN_KEYS[case]!r}" in err
         assert not out.exists()
 
     def test_flags_override_config_values(self, tmp_path, capsys):
@@ -419,6 +421,23 @@ class TestValidatePrc:
         code = main(["validate-prc", "--prc", "nonsense", "--n", "3"])
         assert code == EXIT_USAGE
 
+    def test_grid_above_the_cap_is_usage_error(self, capsys):
+        grid = str(MAX_VALIDATION_GRID + 1)
+        code = main(["validate-prc", "--prc", "paper", "--n", "3", "--grid", grid])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: grid must be between")
+        assert captured.out == ""
+
+    def test_scalar_only_response_is_usage_error(self, monkeypatch, capsys):
+        def scalar_q(z):
+            return 0.0 if z <= 4.0 else 4.0 - z
+
+        monkeypatch.setattr(cli, "prc_from_spec", lambda spec, n: PhaseResponse(spec, scalar_q, n))
+        code = main(["validate-prc", "--prc", "scalar", "--n", "3"])
+        assert code == EXIT_USAGE
+        assert "one increment per phase" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lipschitz", ["nan", "inf", "0", "-1"])
     def test_bad_lipschitz_constant_is_usage_error(self, capsys, lipschitz):
         code = main(["validate-prc", "--prc", "paper", "--n", "3", "--lipschitz", lipschitz])
@@ -456,6 +475,14 @@ class TestExperiment:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "corpus").exists()
+
+    def test_corpus_samples_above_the_cap_are_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["experiment", "corpus", "--samples",
+                     str(experiments.MAX_GEOMETRY_SAMPLES + 1), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: geometry_samples must be at most")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--samples", "10"), ("--runs", "5"),
                                              ("--seed", "3")])

@@ -10,6 +10,7 @@ from splaysim.circle import TWO_PI
 from splaysim.experiments import (
     CORPUS_SEED,
     FIG2_X0,
+    MAX_GEOMETRY_SAMPLES,
     STEEP_WITNESS_X0,
     corpus_run_config,
     draw_start,
@@ -132,6 +133,12 @@ def test_property_corpus_small(tmp_path):
     assert payload["negative"]["steep_run"]["jump"] == 1
     for section in ("geometry", "splay", "runs", "negative"):
         assert section in payload
+
+
+def test_property_corpus_refuses_samples_above_the_cap(tmp_path):
+    with pytest.raises(ValueError, match=f"at most {MAX_GEOMETRY_SAMPLES}, got"):
+        run_property_corpus(tmp_path / "out", geometry_samples=MAX_GEOMETRY_SAMPLES + 1)
+    assert not (tmp_path / "out").exists()
 
 
 def test_study_configs_expose_the_pinned_parameters():

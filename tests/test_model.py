@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from splaysim.circle import TWO_PI
 from splaysim.model import (
+    MAX_VALIDATION_GRID,
     InvalidPhaseResponseError,
     PhaseResponse,
     firing_indices,
@@ -21,6 +22,7 @@ from splaysim.model import (
     validate_prc,
 )
 from splaysim.prc import broken_steep, paper_prc, piecewise_linear
+from splaysim.sim import SimConfig, run
 
 
 def test_knee_values():
@@ -209,6 +211,14 @@ def test_validator_rejects_tiny_grid_and_networks():
         validate_prc(prc.func, 1)
 
 
+def test_validator_refuses_a_grid_above_the_cap_before_sampling():
+    calls = []
+    with pytest.raises(ValueError, match=f"between 10000 and {MAX_VALIDATION_GRID} points"):
+        validate_prc(lambda z: calls.append(z) or np.zeros_like(z), 3,
+                     grid=MAX_VALIDATION_GRID + 1)
+    assert calls == []
+
+
 def test_validator_witnesses_point_at_the_break():
     rep = validate_prc(broken_steep(3).func, 3, grid=10_000)
     by_name = {c.name: c for c in rep.checks}
@@ -217,11 +227,29 @@ def test_validator_witnesses_point_at_the_break():
     assert by_name["sector-pull"].witness == pytest.approx(knee(3), abs=1e-3)
 
 
-def test_validator_accepts_scalar_only_functions():
+def test_validator_refuses_scalar_only_functions():
+    # a run calls the response once on the whole state, so a function that
+    # takes only scalars must fail validation rather than the first firing
     def scalar_q(z):
-        z = float(z)
         corner = knee(3)
         return 0.0 if z <= corner else -0.7 * (z - corner)
 
-    rep = validate_prc(scalar_q, 3, grid=10_000)
-    assert rep.passed
+    with pytest.raises(ValueError, match="array of phases"):
+        validate_prc(scalar_q, 3, grid=10_000)
+    with pytest.raises(ValueError):  # the run it would have passed for
+        run(SimConfig(prc=PhaseResponse("scalar", scalar_q, 3), x0=[0.3, 2.0, 4.1]))
+
+
+@pytest.mark.parametrize("func", [
+    lambda z: np.zeros(z.size - 1),
+    lambda z: np.zeros((z.size, 3)),
+    lambda z: "flat",
+], ids=["one-short", "one-column-per-oscillator", "string"])
+def test_validator_refuses_results_that_are_not_one_increment_per_phase(func):
+    with pytest.raises(ValueError, match="one increment per phase"):
+        validate_prc(func, 3, grid=10_000)
+
+
+def test_validator_accepts_a_result_that_broadcasts_as_a_run_uses_it():
+    # a run adds the result to the state, so a scalar increment is one per phase
+    assert validate_prc(lambda z: 0.0, 3, grid=10_000).failures()[0].name == "reset-at-top"

@@ -70,8 +70,6 @@ def test_config_infers_and_checks_n():
     dict(policy="sometimes"),
     dict(stop_v_threshold=-1e-6),
     dict(stop_v_threshold=math.nan),
-    dict(stop_splay_tol=-0.1),
-    dict(stop_splay_tol=math.nan),
     dict(seed="abc"),
     dict(seed=3.7),
     dict(seed=-1),
@@ -81,8 +79,8 @@ def test_config_infers_and_checks_n():
     dict(perturbation=None),
     dict(perturbation=0.03),
     *(dict([(name, value)]) for name in ("n", "omega", "horizon", "max_jumps", "firing_tol",
-                                         "min_dwell", "stop_v_threshold", "stop_splay_tol",
-                                         "seed", "sample_dt") for value in (True, False)),
+                                         "min_dwell", "stop_v_threshold", "seed",
+                                         "sample_dt") for value in (True, False)),
 ])
 def test_config_rejects_bad_parameters(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -295,15 +293,11 @@ def test_run_raises_when_a_jump_leaves_the_box(x0, policy, branch):
         run(cfg)
 
 
-@pytest.mark.parametrize("stop", [
-    {"stop_v_threshold": 1e-300},
-    {"stop_v_threshold": None, "stop_splay_tol": 1e-300},
-], ids=["lyapunov", "splay"])
-def test_range_checks_stay_at_the_boundary(monkeypatch, stop):
+def test_range_checks_stay_at_the_boundary(monkeypatch):
     # SimConfig validates x0; the firing loop itself re-validates nothing,
     # so a run's range checks do not grow with its jumps
     configs = [SimConfig(prc=paper_prc(5), x0=[0.3, 1.0, 2.2, 4.0, 5.1], horizon=1e4,
-                         sample_dt=1.0, max_jumps=jumps, **stop)
+                         sample_dt=1.0, max_jumps=jumps, stop_v_threshold=1e-300)
                for jumps in (10, 1000)]
     calls = []
     check_range = circle._check_range
@@ -342,10 +336,7 @@ def reference_run(cfg):
             events.append((t, b.firers, b.branch, b.post))
             j += 1
             x = b.post
-            hit = cfg.stop_v_threshold is not None and lyapunov(x) < cfg.stop_v_threshold
-            if not hit and cfg.stop_splay_tol is not None:
-                hit = in_splay_set(x, cfg.stop_splay_tol)
-            if not hit:
+            if cfg.stop_v_threshold is None or not lyapunov(x) < cfg.stop_v_threshold:
                 hold_since = None
             elif hold_since is None:
                 hold_since = t
@@ -361,7 +352,6 @@ def reference_run(cfg):
 @pytest.mark.parametrize("make_config", [
     lambda: SimConfig(prc=paper_prc(2), x0=[0.5, 3.0]),
     lambda: fig2_config(),
-    lambda: fig2_config(stop_v_threshold=None, stop_splay_tol=1e-6),
     lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, TWO_PI, 1.0, 3.0, 5.0],
                       policy="all-zero", horizon=60.0),
     lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, 1.0, TWO_PI, 3.0, TWO_PI],
@@ -369,7 +359,7 @@ def reference_run(cfg):
     lambda: SimConfig(prc=paper_prc(50), x0=draw_start(np.random.default_rng(5), 50),
                       max_jumps=400),
     lambda: perturbed_config(0.05),
-], ids=["n2", "n3-v", "n3-splay", "n5-all-zero", "n5-enumerate", "n50-max-jumps",
+], ids=["n2", "n3-v", "n5-all-zero", "n5-enumerate", "n50-max-jumps",
         "n3-perturbed"])
 def test_run_matches_the_public_function_reference(make_config):
     cfg = make_config()
@@ -411,22 +401,6 @@ def test_stop_rule_requires_a_sustained_revolution(fig2_arc):
     assert fig2_arc.final_time.t - first_below_t >= TWO_PI - 1e-9
 
 
-def test_splay_tolerance_stop_rule():
-    cfg = SimConfig(prc=paper_prc(3), x0=splay_vector(3), horizon=50.0,
-                    stop_v_threshold=None, stop_splay_tol=1e-6)
-    arc = run(cfg)
-    assert arc.stop_reason == "stop-rule"
-    assert arc.final_time.t < 50.0
-    # from off the splay set: the rule fires once membership has held a period
-    arc = run(fig2_config(stop_v_threshold=None, stop_splay_tol=1e-6))
-    assert arc.stop_reason == "stop-rule"
-    assert arc.final_time.j == 44
-    assert arc.final_time.t == pytest.approx(90.3148, abs=1e-4)
-    assert in_splay_set(arc.final_state, 1e-6)
-    first = next(e.t for e in arc.events if in_splay_set(e.post, 1e-6))
-    assert arc.final_time.t - first >= TWO_PI / arc.omega
-
-
 # -- the stop rule read off batches of firings -------------------------------------
 #
 # run evaluates the stop rule once per batch of min(n, firings per chunk)
@@ -434,8 +408,8 @@ def test_splay_tolerance_stop_rule():
 # holds; it must still end exactly where a check after every firing ends.
 
 #: n = 5 starts, and the index of the firing at which the stop rule (V below
-#: 1e-6, or splay within 1e-6) has held a revolution: the first, a middle
-#: and the last firing of a batch of five
+#: 1e-6) has held a revolution: the first, a middle and the last firing of a
+#: batch of five
 LOOKAHEAD_STARTS = {
     "first": ([1.6, 1.9, 5.1, 0.6, 3.8], 90),
     "middle": ([5.9, 3.2, 6.1, 0.5, 3.8], 87),
@@ -443,7 +417,6 @@ LOOKAHEAD_STARTS = {
 }
 LOOKAHEAD_RULES = {
     "v": dict(stop_v_threshold=1e-6),
-    "splay": dict(stop_v_threshold=None, stop_splay_tol=1e-6),
 }
 
 
@@ -517,8 +490,7 @@ def _failing_past_the_stop(where, rule, failure):
                     prc=_response_failing_from(stop + 1, _lift_top_listener), **kw),
                 _lookahead_config(where, rule), ZenoViolationError)
     # a custom disturbance that raises halfway between the stop firing and the next
-    free = run(_lookahead_config(where, rule, stop_v_threshold=None, stop_splay_tol=None,
-                                 max_jumps=stop + 2))
+    free = run(_lookahead_config(where, rule, stop_v_threshold=None, max_jumps=stop + 2))
     t_fail = 0.5 * (free.events[stop].t + free.events[stop + 1].t)
     return (lambda **kw: _lookahead_config(
                 where, rule, perturbation=_zero_disturbance_until(t_fail), **kw),
@@ -533,7 +505,7 @@ def test_a_failure_past_the_stop_firing_never_surfaces(where, rule, failure):
     make_failing, clean, error = _failing_past_the_stop(where, rule, failure)
     # the failure is real: without a stop rule the run meets it
     with pytest.raises(error):
-        run(make_failing(stop_v_threshold=None, stop_splay_tol=None))
+        run(make_failing(stop_v_threshold=None))
     arc = run(make_failing())
     assert arc.stop_reason == "stop-rule"
     assert arc.jumps == LOOKAHEAD_STARTS[where][1] + 1
