@@ -159,42 +159,59 @@ def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
     if firers.size == 0:
         raise ValueError("jump_map requires at least one phase at 2*pi")
     who = tuple(firers.tolist())
-    return [JumpBranch(who, label, post) for label, post in _jump(arr, firers, prc, policy)]
+    return [JumpBranch(who, label, post) for label, post, _ in _jump(arr, firers, prc, policy)]
 
 
 def _jump(arr: np.ndarray, firers: np.ndarray, prc: PhaseResponse, policy: str,
-          rng: np.random.Generator | None = None) -> list[tuple[str, np.ndarray]]:
+          rng: np.random.Generator | None = None,
+          out: np.ndarray | None = None) -> list[tuple[str, np.ndarray, float]]:
     """The jump map from a state in the box whose firers are known.
 
-    Evaluates the response once, builds the post states as (branch label,
-    post) pairs and checks the box; arr is not modified.  Under
-    'enumerate' with m >= 2 firers it returns every branch in jump_map's
-    order, or with rng one branch drawn uniformly among them
-    (_draw_selection) and built alone.  Every branch stays in the box iff
-    every listener does and, under 'enumerate', every firer kept as a
-    listener does; that takes one O(n) check of z + Q(z), and a failure
-    names the first failing branch of jump_map's order.
+    Evaluates the response once, writing z + Q(z) into out (a fresh array
+    when None; never arr), builds the post states as (branch label, post,
+    max of post) and checks the box; arr is not modified.  A response
+    that raises TypeError or ValueError, or whose result does not convert
+    to floats or broadcast to one increment per phase, raises the
+    ValueError validate_prc raises for it.  With one firer or under
+    'all-zero' the one branch is out itself, and its max is the box
+    check's.  Under 'enumerate' with m >= 2 firers it returns every branch
+    in jump_map's order, each a copy, or with rng one branch drawn
+    uniformly among them (_draw_selection) and built alone in out.  Every
+    branch stays in the box iff every listener does and, under
+    'enumerate', every firer kept as a listener does; that takes one O(n)
+    check of z + Q(z), and a failure names the first failing branch of
+    jump_map's order.
     """
-    moved = arr + np.asarray(prc(arr), dtype=float)
+    try:
+        moved = np.add(arr, np.asarray(prc(arr), dtype=float),
+                       out=np.empty_like(arr) if out is None else out)
+    except (TypeError, ValueError) as exc:
+        raise _contract_error(exc) from exc
     m = firers.size
     if m == 1 or policy == ALL_ZERO:
         moved[firers] = 0.0
         label = "single" if m == 1 else ALL_ZERO
-        _check_box(moved, label)
-        return [(label, moved)]
+        return [(label, moved, _check_box(moved, label))]
     if not _in_box(moved):
         # a failing listener fails the all-reset branch, which comes first;
         # otherwise the first failure keeps only the last failing firer
         bits = [1] * m
-        label, post = _select(moved, firers, bits)
+        label, post, _ = _select(moved.copy(), firers, bits)
         if _in_box(post):
             bits[np.flatnonzero(_outside(moved[firers]))[-1]] = 0
-            label, post = _select(moved, firers, bits)
+            label, post, _ = _select(moved.copy(), firers, bits)
         _check_box(post, label)
     if rng is None:
-        return [_select(moved, firers, bits)
+        return [_select(moved.copy(), firers, bits)
                 for bits in itertools.product((1, 0), repeat=m)]
     return [_select(moved, firers, _draw_selection(rng, m))]
+
+
+def _contract_error(exc: Exception) -> ValueError:
+    """The error for a response function that does not map an array of
+    phases to one increment per phase, naming what it raised."""
+    return ValueError("a response function must map an array of phases to an array "
+                      f"of one increment per phase: {type(exc).__name__}: {exc}")
 
 
 def _draw_selection(rng: np.random.Generator, m: int) -> list[int]:
@@ -212,21 +229,23 @@ def _draw_selection(rng: np.random.Generator, m: int) -> list[int]:
     return [1 - ((k >> (m - 1 - i)) & 1) for i in range(m)]
 
 
-def _select(moved: np.ndarray, firers: np.ndarray, bits) -> tuple[str, np.ndarray]:
-    """The 'enumerate' branch with one bit per firer (1 = reset to zero)."""
-    post = moved.copy()
+def _select(post: np.ndarray, firers: np.ndarray, bits) -> tuple[str, np.ndarray, float]:
+    """The 'enumerate' branch with one bit per firer (1 = reset to zero),
+    built in post, which holds z + Q(z), and its max."""
     post[firers[np.asarray(bits, dtype=bool)]] = 0.0
-    return "enumerate:" + "".join(map(str, bits)), post
+    return "enumerate:" + "".join(map(str, bits)), post, float(post.max())
 
 
-def _check_box(post: np.ndarray, label: str) -> None:
-    """Post-jump box check: raises naming the branch and its first entry
-    outside [0, 2*pi] (NaN included)."""
-    if not _in_box(post):
+def _check_box(post: np.ndarray, label: str) -> float:
+    """Post-jump box check: the max of post, or a raise naming the branch
+    and its first entry outside [0, 2*pi] (NaN included)."""
+    top = float(post.max())  # Python floats compare faster than numpy scalars
+    if not (float(post.min()) >= 0.0 and top <= TWO_PI):
         bad = post[_outside(post)][0]
         raise InvalidPhaseResponseError(
             f"reset left the box [0, 2*pi]: branch {label!r} produced {bad!r}"
         )
+    return top
 
 
 def validate_prc(func, n: int, grid: int = 100_000,
@@ -268,8 +287,7 @@ def validate_prc(func, n: int, grid: int = 100_000,
     try:
         qs = np.broadcast_to(np.asarray(func(zs), dtype=float), zs.shape)
     except (TypeError, ValueError) as exc:  # a scalar-only body, or a wrong shape
-        raise ValueError("a response function must map an array of phases to an array "
-                         f"of one increment per phase: {type(exc).__name__}: {exc}") from exc
+        raise _contract_error(exc) from exc
     moved = zs + qs
     checks: list[CheckResult] = []
 

@@ -13,8 +13,9 @@ inside that bracket finds it to a few ulps and the earliest crossing
 fires.  Either way the crossing coordinates are assigned exactly 2*pi
 rather than accumulated.
 
-A run writes each firing once: (time, firers, branch) in a list, and its
-pre and post states into two rows of fixed-size chunks.  The stop rule is
+A run writes each firing once, in place: the crossing flows into the pre
+row and the jump map writes into the post row of fixed-size chunks, and
+(time, firers, branch) then goes into a list.  The stop rule is
 read off those rows a batch of about one revolution at a time, and a run
 still ends at the very firing where the rule first holds.  From the
 firings, the final (t, x) and the stop reason the HybridArc's samples,
@@ -378,24 +379,28 @@ class HybridArc:
         return float(d.min()) if d.size else float("nan")
 
 
-def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation) -> np.ndarray:
+def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation,
+          out: np.ndarray | None = None) -> np.ndarray:
     """The exact flow x(t) = x0 + omega * (t - t0) + D(t0, t), D the
-    disturbance integral, clamped at 2*pi.
+    disturbance integral, clamped at 2*pi, written into out (a fresh array
+    when None).
 
     A scalar t gives the state of shape (n,).  An array of times gives one
     state per time, shape (len(t), n), row i flowing from x0[i] at t0[i];
     a single x0 of shape (n,), or a scalar t0, serves every row."""
     shift = omega * (t - t0)
-    x = x0 + (shift[:, None] if np.ndim(shift) else shift)
+    # getattr, not np.ndim, which costs more than the add for a Python float
+    x = np.add(x0, shift[:, None] if getattr(shift, "ndim", 0) else shift, out=out)
     if not pert.is_none:
         x += pert.displacement(t0, np.atleast_1d(t), x.shape[-1]).reshape(x.shape)
     return np.minimum(x, TWO_PI, out=x)
 
 
-def _first_crossing(x0: np.ndarray, t0: float, omega: float, pert: Perturbation,
-                    horizon: float, firing_tol: float):
+def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: Perturbation,
+                    horizon: float, firing_tol: float, out: np.ndarray | None = None):
     """(t, x, firers) at the first firing of the flow from x0 at t0, or
-    (horizon, x, None) when the horizon comes first.
+    (horizon, x, None) when the horizon comes first; top is x0's max, and
+    x is written into out (a fresh array when None).
 
     The located crossing sits within a few ulps of 2*pi, and any coordinate
     that reaches the firing band with it fires too; all are assigned exactly
@@ -403,12 +408,12 @@ def _first_crossing(x0: np.ndarray, t0: float, omega: float, pert: Perturbation,
     """
     if pert.is_none:
         # the bracket of _earliest_root collapses onto this closed form
-        t_fire = t0 + (TWO_PI - float(x0.max())) / omega
+        t_fire = t0 + (TWO_PI - top) / omega
     else:
         t_fire = _earliest_root(x0, t0, omega, pert)
     if t_fire > horizon:
-        return horizon, _flow(x0, t0, horizon, omega, pert), None
-    x = _flow(x0, t0, t_fire, omega, pert)
+        return horizon, _flow(x0, t0, horizon, omega, pert, out), None
+    x = _flow(x0, t0, t_fire, omega, pert, out)
     firers = (x >= TWO_PI - firing_tol).nonzero()[0]
     x[firers] = TWO_PI
     return t_fire, x, firers
@@ -465,11 +470,12 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
         raise ValueError(f"t0 must be finite, got {t0!r}")
     if not horizon >= t0:
         raise ValueError(f"horizon {horizon!r} must not be earlier than t0={t0!r}")
-    if arr.max() >= TWO_PI - firing_tol:
+    top = float(arr.max())
+    if top >= TWO_PI - firing_tol:
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
     _check_perturbation(pert, omega, arr.size)
-    t, x, firers = _first_crossing(arr, t0, omega, pert, horizon, firing_tol)
+    t, x, firers = _first_crossing(arr, top, t0, omega, pert, horizon, firing_tol)
     return t, x, firers is not None
 
 
@@ -477,7 +483,10 @@ class _Firings:
     """The firings of one run, each written once: (t, firers, branch) in a
     list, and the pre and post states in rows 2i and 2i + 1 of fixed-size
     chunks of analysis._BLOCK_FLOATS // (2n) firings, so no array is ever
-    regrown.
+    regrown.  rows() hands out the next firing's two rows, which the
+    crossing and the jump write into, and commit() records the firing once
+    its post row holds the jump's result; rows handed out but never
+    committed are left out of the record.
 
     The stop rule (V below stop_v_threshold, held for a full nominal
     revolution) is read off the post rows a batch at a time, once
@@ -498,17 +507,19 @@ class _Firings:
         self.hold_since: float | None = None
         self.stopped = False
 
-    def add(self, t: float, firers: np.ndarray, branch: str, pre: np.ndarray,
-            post: np.ndarray) -> None:
-        m = len(self.facts)
-        row = 2 * (m % self.per_chunk)
-        if not row:
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pre and post rows of the next firing, views of its chunk,
+        which is allocated on first use."""
+        k, i = divmod(len(self.facts), self.per_chunk)
+        if k == len(self.chunks):
             self.chunks.append(np.empty((2 * self.per_chunk, self.config.n)))
-        chunk = self.chunks[-1]
-        chunk[row] = pre
-        chunk[row + 1] = post
+        return self.chunks[k][2 * i], self.chunks[k][2 * i + 1]
+
+    def commit(self, t: float, firers: np.ndarray, branch: str) -> None:
+        """Record the firing whose rows() the crossing and the jump filled."""
         self.facts.append((t, tuple(firers.tolist()), branch))
-        if m + 1 - self.settled == self.batch or row + 2 == chunk.shape[0]:
+        m = len(self.facts)
+        if m - self.settled == self.batch or not m % self.per_chunk:
             self.settle()
 
     def post(self, k: int) -> np.ndarray:
@@ -542,6 +553,10 @@ class _Firings:
         return self.stopped
 
 
+#: the firers of a state known to be below the firing band
+_NO_FIRERS = np.empty(0, dtype=np.intp)
+
+
 def run(config: SimConfig) -> HybridArc:
     """Execute the network and record the arc.
 
@@ -552,26 +567,29 @@ def run(config: SimConfig) -> HybridArc:
     revolution.  Raises ZenoViolationError when consecutive firings are
     closer than the dwell guard.
 
-    The loop writes each firing once into a _Firings record: (t, firers,
-    branch) in a list, the pre and post states into two rows of a
-    preallocated chunk.  The stop rule is evaluated on batches of those
-    rows, so the loop may run up to n - 1 firings past the firing at which
-    it holds; the pending firings are settled before the loop exits by
-    horizon or jump budget and before any exception from the loop is
-    re-raised, and a stop among them ends the run there with that firing's
-    post state.  A run thus ends exactly where a check after every firing
-    would end it.  _sampled_arc turns the record, the final (t, x) and the
-    stop reason into the samples and the arc.
+    Each step of the loop is one firing written in place into a _Firings
+    record: the crossing flows into the pre row it hands out, the jump
+    writes into the post row, and (t, firers, branch) is committed to the
+    list; no state is built elsewhere and copied in.  The stop rule is
+    evaluated on batches of those rows, so the loop may run up to n - 1
+    firings past the firing at which it holds; the pending firings are
+    settled before the loop exits by horizon or jump budget and before any
+    exception from the loop is re-raised, and a stop among them ends the
+    run there with that firing's post state.  A run thus ends exactly
+    where a check after every firing would end it.  _sampled_arc turns the
+    record, the final (t, x) and the stop reason into the samples and the
+    arc.
 
     Validation happens at the boundary: SimConfig has checked x0, and
     the post-jump box check keeps every state the loop makes in the box,
     so the loop calls the private kernels behind jump_map and lyapunov
     instead of the re-validating public functions.  A crossing hands over
-    its firers; a post-jump state is scanned for firers once.  Under
-    'enumerate' only the drawn branch is built.
+    its firers.  The box check hands over the post state's max: below the
+    firing band it is the next nominal crossing's, and no firer scan runs;
+    otherwise the post state is scanned for firers.  Under 'enumerate'
+    only the drawn branch is built.  config.x0 is only read.
     """
-    x = config.x0.copy()
-    t = 0.0
+    x, t, top = config.x0, 0.0, float(config.x0.max())
     rng = np.random.default_rng(config.seed)
     record = _Firings(config)
     facts = record.facts
@@ -581,25 +599,25 @@ def run(config: SimConfig) -> HybridArc:
     firers = (x >= fire_at).nonzero()[0]
     try:
         while not record.stopped:
-            if firers.size:
-                if len(facts) >= config.max_jumps:
-                    stop_reason = "max-jumps"
+            pre, post = record.rows()
+            if firers.size:  # x, the start or the last post state, is on the jump set
+                pre[...] = x
+            else:
+                t, x, firers = _first_crossing(x, top, t, config.omega, config.perturbation,
+                                               config.horizon, config.firing_tol, out=pre)
+                on_jump = False
+                if firers is None:
+                    stop_reason = "horizon"
                     break
-                if facts and t - facts[-1][0] < config.min_dwell:
-                    raise ZenoViolationError(t, len(facts) + 1, t - facts[-1][0],
-                                             config.min_dwell)
-                label, x_post = model._jump(x, firers, config.prc, config.policy, rng)[0]
-                record.add(t, firers, label, x, x_post)
-                x, on_jump = x_post, True
-                firers = (x >= fire_at).nonzero()[0]
-                continue
-
-            t, x, firers = _first_crossing(x, t, config.omega, config.perturbation,
-                                           config.horizon, config.firing_tol)
-            on_jump = False
-            if firers is None:
-                stop_reason = "horizon"
+            if len(facts) >= config.max_jumps:
+                stop_reason = "max-jumps"
                 break
+            if facts and t - facts[-1][0] < config.min_dwell:
+                raise ZenoViolationError(t, len(facts) + 1, t - facts[-1][0], config.min_dwell)
+            label, _, top = model._jump(pre, firers, config.prc, config.policy, rng, out=post)[0]
+            record.commit(t, firers, label)
+            x, on_jump = post, True
+            firers = _NO_FIRERS if top < fire_at else (x >= fire_at).nonzero()[0]
     except Exception:
         # a failure past the firing at which the stop rule held never happened
         if not record.settle():

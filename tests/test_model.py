@@ -236,7 +236,9 @@ def test_validator_refuses_scalar_only_functions():
 
     with pytest.raises(ValueError, match="array of phases"):
         validate_prc(scalar_q, 3, grid=10_000)
-    with pytest.raises(ValueError):  # the run it would have passed for
+    # the run it would have passed for, unvalidated, fails with the same contract
+    with pytest.raises(ValueError, match="must map an array of phases to an array of one "
+                                         "increment per phase: ValueError: The truth value"):
         run(SimConfig(prc=PhaseResponse("scalar", scalar_q, 3), x0=[0.3, 2.0, 4.1]))
 
 
@@ -248,6 +250,13 @@ def test_validator_refuses_scalar_only_functions():
 def test_validator_refuses_results_that_are_not_one_increment_per_phase(func):
     with pytest.raises(ValueError, match="one increment per phase"):
         validate_prc(func, 3, grid=10_000)
+    # an unvalidated run meets the contract at its first firing, with the
+    # same wording, and jump_map too
+    with pytest.raises(ValueError, match="must map an array of phases to an array of one "
+                                         "increment per phase: ValueError: "):
+        run(SimConfig(prc=PhaseResponse("wrong", func, 3), x0=[0.3, 2.0, 4.1]))
+    with pytest.raises(ValueError, match="one increment per phase"):
+        jump_map([0.3, 2.0, TWO_PI], PhaseResponse("wrong", func, 3))
 
 
 def test_validator_accepts_a_result_that_broadcasts_as_a_run_uses_it():

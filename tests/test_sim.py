@@ -349,21 +349,37 @@ def reference_run(cfg):
             return events, "horizon", j
 
 
-@pytest.mark.parametrize("make_config", [
-    lambda: SimConfig(prc=paper_prc(2), x0=[0.5, 3.0]),
-    lambda: fig2_config(),
-    lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, TWO_PI, 1.0, 3.0, 5.0],
-                      policy="all-zero", horizon=60.0),
-    lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, 1.0, TWO_PI, 3.0, TWO_PI],
-                      policy="enumerate", seed=4, horizon=60.0),
-    lambda: SimConfig(prc=paper_prc(50), x0=draw_start(np.random.default_rng(5), 50),
-                      max_jumps=400),
-    lambda: perturbed_config(0.05),
-], ids=["n2", "n3-v", "n5-all-zero", "n5-enumerate", "n50-max-jumps",
-        "n3-perturbed"])
-def test_run_matches_the_public_function_reference(make_config):
-    cfg = make_config()
-    assert_matches_reference(run(cfg), cfg)
+REFERENCE_CONFIGS = {
+    "n2": lambda: SimConfig(prc=paper_prc(2), x0=[0.5, 3.0]),
+    "n3-v": lambda: fig2_config(),
+    "n5-all-zero": lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, TWO_PI, 1.0, 3.0, 5.0],
+                                     policy="all-zero", horizon=60.0),
+    "n5-enumerate": lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, 1.0, TWO_PI, 3.0, TWO_PI],
+                                      policy="enumerate", seed=4, horizon=60.0),
+    "n50-max-jumps": lambda: SimConfig(prc=paper_prc(50),
+                                       x0=draw_start(np.random.default_rng(5), 50),
+                                       max_jumps=400),
+    "n3-perturbed": lambda: perturbed_config(0.05),
+}
+
+
+# each case with the default chunks, then with chunks of 1 and of 2 firings,
+# so that the rows run reuses turn over at every firing or every other one
+@pytest.mark.parametrize("name, per_chunk", [
+    *((name, None) for name in REFERENCE_CONFIGS),
+    *((name, k) for k in (1, 2) for name in REFERENCE_CONFIGS),
+], ids=[*REFERENCE_CONFIGS, *(f"{name}-chunk-{k}" for k in (1, 2) for name in REFERENCE_CONFIGS)])
+def test_run_matches_the_public_function_reference(monkeypatch, name, per_chunk):
+    cfg = REFERENCE_CONFIGS[name]()
+    if per_chunk is None:
+        assert_matches_reference(run(cfg), cfg)
+        return
+    expected = run(cfg)
+    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 2 * cfg.n * per_chunk)
+    assert sim._Firings(cfg).per_chunk == per_chunk
+    arc = run(cfg)
+    assert_matches_reference(arc, cfg)
+    assert _arc_digests(arc) == _arc_digests(expected)
 
 
 def assert_matches_reference(arc, cfg):
@@ -373,6 +389,47 @@ def assert_matches_reference(arc, cfg):
     for e, (t, firers, branch, post) in zip(arc.events, events):
         assert (e.t, e.firers, e.branch) == (t, firers, branch)
         assert e.post.tobytes() == post.tobytes()
+
+
+# -- run writes in place, and only into its own rows -------------------------------
+
+@pytest.mark.parametrize("make_config", [
+    fig2_config,
+    lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, 1.0, TWO_PI, 3.0, TWO_PI],
+                      policy="enumerate", seed=4, horizon=60.0),
+    lambda: SimConfig(prc=paper_prc(5), x0=[TWO_PI, TWO_PI, 1.0, 3.0, 5.0], max_jumps=7),
+    lambda: perturbed_config(0.05),
+], ids=["stop-rule", "enumerate-horizon", "max-jumps", "perturbed"])
+def test_run_writes_into_no_array_of_its_caller(monkeypatch, make_config):
+    cfg = make_config()
+    x0 = cfg.x0.copy()
+    handed_out = []
+    rows = sim._Firings.rows
+    monkeypatch.setattr(sim._Firings, "rows",
+                        lambda self: handed_out.append(rows(self)) or handed_out[-1])
+    arc = run(cfg)
+    assert cfg.x0.tobytes() == x0.tobytes()
+    assert len(handed_out) >= arc.jumps > 0
+    # the final state is a row of the arc's own samples, not of the record
+    assert arc.final_state.base is arc.states
+    assert not any(np.shares_memory(arc.final_state, row)
+                   for pair in handed_out for row in pair)
+
+
+def test_public_steps_leave_their_input_alone():
+    for x, policy in itertools.product([[0.3, 2.0, TWO_PI], [TWO_PI, 2.0, TWO_PI]],
+                                       ["all-zero", "enumerate"]):
+        x = np.array(x)
+        kept = x.copy()
+        for branch in jump_map(x, paper_prc(3), policy):
+            assert not np.shares_memory(branch.post, x)
+        assert x.tobytes() == kept.tobytes()
+    start = np.array([0.3, 2.0, 4.1])
+    for pert in (Perturbation.none(), Perturbation.sinusoidal(0.05)):
+        for horizon in (math.inf, 0.5):  # a crossing, and the horizon first
+            _, at, _ = flow_to_next_event(start, 1.0, pert, 0.0, horizon)
+            assert not np.shares_memory(at, start)
+    assert start.tobytes() == np.array([0.3, 2.0, 4.1]).tobytes()
 
 
 # -- stop conditions -------------------------------------------------------------
