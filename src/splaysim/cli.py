@@ -18,7 +18,6 @@ import json
 import os
 import shutil
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from .sim import (
     Perturbation,
     SimConfig,
     ZenoViolationError,
+    _start,
     read_trajectory_csv,
     run,
     write_events_csv,
@@ -47,23 +47,6 @@ DEFAULT_OUT = "splaysim_out"
 _FIELDS = dataclasses.fields(SimConfig)
 _CONFIG_KEYS = {"schema"} | {f.name for f in _FIELDS}
 _PERTURBATION_KEYS = {"kind", "amplitude", "frequency", "offsets"}
-#: run parameters the config and flags leave unset take SimConfig's defaults
-_SIM_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not dataclasses.MISSING}
-
-
-def _integer(value) -> int:
-    """int(value), refusing a number with a fractional part rather than
-    truncating it."""
-    out = int(value)
-    if out != value and not isinstance(value, str):
-        raise ValueError(f"{value!r} is not an integer")
-    return out
-
-
-#: plain float and int fields are cast, so JSON integers and numeric strings
-#: pass as before; optional ones (None: off or unseeded) reach SimConfig as given
-_CASTS = {name: float if hint is float else _integer
-          for name, hint in typing.get_type_hints(SimConfig).items() if hint in (float, int)}
 
 
 def _fmt(v: float) -> str:
@@ -102,6 +85,14 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _floats(name: str, text: str) -> list[float]:
+    """The numbers of a comma-separated flag (--x0, --perturb-offsets)."""
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _build_perturbation(block: dict | None, args) -> Perturbation:
     """The config's perturbation block with the --perturb-* flags laid over
     it.  Any sinusoid parameter without a kind means kind 'sinusoidal', and
@@ -111,7 +102,7 @@ def _build_perturbation(block: dict | None, args) -> Perturbation:
     for key in sinusoid_keys:
         flag = getattr(args, f"perturb_{key}")
         if flag is not None:
-            params[key] = flag.split(",") if key == "offsets" else flag
+            params[key] = _floats("perturbation.offsets", flag) if key == "offsets" else flag
     given = {key: params[key] for key in sinusoid_keys if params.get(key) is not None}
     kind = params.get("kind")
     if kind is None:
@@ -127,48 +118,28 @@ def _build_perturbation(block: dict | None, args) -> Perturbation:
     return Perturbation.sinusoidal(**given)
 
 
-def _start_state(value) -> np.ndarray:
-    """x0 from a config list or a comma-separated --x0."""
-    if isinstance(value, str):
-        value = [float(p) for p in value.split(",")]
-    return np.asarray(value, dtype=float)
-
-
-def _cast(name: str, kind: typing.Callable, value):
-    try:
-        return kind(value)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{name}: {exc}") from None
-
-
 def _build_sim_config(args) -> SimConfig:
     """Each SimConfig field from its flag (same dest), else the config key
-    of the same name, else the field's default.  A TypeError on the way, the
-    library's checks included, is raised as a ValueError."""
+    of the same name; SimConfig checks the values and defaults the rest."""
     data = _load_config(args.config) if args.config else {}
     config_dir = Path(args.config).parent if args.config else Path.cwd()
-    try:
-        values = {}
-        for f in _FIELDS:
-            value = getattr(args, f.name, None)
-            if value is None:
-                value = data.get(f.name, _SIM_DEFAULTS.get(f.name))
-            values[f.name] = _cast(f.name, _CASTS[f.name], value) if f.name in _CASTS else value
-        x0 = values["x0"]
-        if x0 is None:
-            raise ValueError("a start state is required (config key 'x0' or flag --x0)")
-        x0 = values["x0"] = _cast("x0", _start_state, x0)
-        n = values["n"] = x0.size if values["n"] is None else _cast("n", _integer, values["n"])
-        spec = values["prc"]
-        if spec is None:
-            raise ValueError("a response function is required (config key 'prc' or flag --prc)")
-        if isinstance(spec, str) and spec.startswith("table:"):
-            spec = f"table:{config_dir / spec[len('table:'):]}"
-        values["prc"] = prc_from_spec(spec, n)
-        values["perturbation"] = _build_perturbation(data.get("perturbation"), args)
-        return SimConfig(**values)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from None
+    values = {}
+    for f in _FIELDS:
+        flag = getattr(args, f.name, None)
+        if flag is not None:
+            values[f.name] = _floats("x0", flag) if f.name == "x0" else flag
+        elif f.name in data:
+            values[f.name] = data[f.name]
+    for key, what in (("x0", "a start state"), ("prc", "a response function")):
+        if values.get(key) is None:
+            raise ValueError(f"{what} is required (config key {key!r} or flag --{key})")
+    n = _start(values["x0"]).size  # the response is built for the run's n
+    spec = values["prc"]
+    if isinstance(spec, str) and spec.startswith("table:"):
+        spec = f"table:{config_dir / spec[len('table:'):]}"
+    values["prc"] = prc_from_spec(spec, n)
+    values["perturbation"] = _build_perturbation(data.get("perturbation"), args)
+    return SimConfig(**values)
 
 
 def _out_dir(args) -> Path:
@@ -260,14 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one network and write CSVs")
     sim.add_argument("config", nargs="?", help=f"JSON config ({CONFIG_SCHEMA}); "
                      "inline flags override its values")
-    sim.add_argument("--n", type=int, help="network size (default: length of x0)")
     sim.add_argument("--omega", type=float,
-                     help=f"nominal rate (default {_SIM_DEFAULTS['omega']:g})")
+                     help=f"nominal rate (default {SimConfig.omega:g})")
     sim.add_argument("--prc", help="response selector: paper | linear:<c> | "
                      "table:<path> | broken:<name>")
     sim.add_argument("--x0", help="comma-separated start phases in [0, 2*pi]")
     sim.add_argument("--horizon", type=float,
-                     help=f"flow-time horizon (default {_SIM_DEFAULTS['horizon']:g})")
+                     help=f"flow-time horizon (default {SimConfig.horizon:g})")
     sim.add_argument("--max-jumps", type=int, dest="max_jumps")
     sim.add_argument("--firing-tol", type=float, dest="firing_tol")
     sim.add_argument("--min-dwell", type=float, dest="min_dwell")

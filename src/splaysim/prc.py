@@ -27,14 +27,14 @@ def piecewise_linear(n: int, c: float, name: str | None = None) -> PhaseResponse
 
     No parameter checks and no validation report: this is the constructor
     used for negative tests and for probing arbitrary slopes.  Use
-    linear_family for the checked version.
+    linear_family for the checked version.  c must be finite.
     """
     corner = knee(n)
     c = float(c)
 
     def q(z):
         z = np.asarray(z, dtype=float)
-        return np.where(z <= corner, 0.0, -c * (z - corner))
+        return c * np.minimum(corner - z, 0.0)
 
     return PhaseResponse(name=name or f"linear:{c:g}", func=q, n=n)
 
@@ -154,12 +154,13 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
     """Build a response from a selector string.
 
     Accepted forms: 'paper', 'linear:<c>', 'table:<path>', 'broken:<name>'.
-    'linear:<c>' accepts any slope and attaches a validation report rather
-    than rejecting out-of-range values, so misdesigned responses can still
-    be probed from the command line.
+    'linear:<c>' accepts any finite slope and attaches a validation report
+    rather than rejecting out-of-range values, so misdesigned responses can
+    still be probed from the command line.  Any other spec, a non-string
+    included, raises ValueError.
     """
     if not isinstance(spec, str):
-        raise TypeError(f"response selector must be a string, got {spec!r}")
+        raise ValueError(f"response selector must be a string, got {spec!r}")
     if spec == "paper":
         return paper_prc(n)
     kind, _, arg = spec.partition(":")
@@ -167,7 +168,9 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
         try:
             c = float(arg)
         except ValueError:
-            raise ValueError(f"bad slope in {spec!r}") from None
+            c = np.nan
+        if not np.isfinite(c):
+            raise ValueError(f"bad slope in {spec!r}")
         prc = piecewise_linear(n, c)
         return dataclasses.replace(prc, validation=validate_prc(prc.func, n))
     if kind == "table" and arg:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -93,7 +93,8 @@ class Perturbation:
     |d_i(t)|, exact for the sinusoid and declared for a func; below omega it
     brackets each crossing, every phase rising at a rate within omega -/+
     amplitude.  It must be finite and nonnegative, the frequency and offsets
-    finite, and none of them a boolean."""
+    finite, and none of them a boolean; each is then stored as a float, the
+    offsets as a tuple of them."""
 
     amplitude: float = 0.0
     frequency: float = 0.5
@@ -101,6 +102,8 @@ class Perturbation:
     func: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if self.offsets is not None and np.ndim(self.offsets) != 1:
+            raise ValueError(f"offsets must be a sequence of numbers, got {self.offsets!r}")
         for name, low in (("amplitude", 0.0), ("frequency", -math.inf), ("offsets", -math.inf)):
             value = getattr(self, name)
             values = [value] if name != "offsets" else () if value is None else value
@@ -110,6 +113,9 @@ class Perturbation:
                        for v in values):
                 raise ValueError(f"{name} must be finite{' and nonnegative' * (low == 0.0)}, "
                                  f"got {value!r}")
+            if value is not None:  # offsets None: the splay offsets of the run's n
+                floats = tuple(map(float, values))
+                object.__setattr__(self, name, floats if name == "offsets" else floats[0])
 
     @staticmethod
     def none() -> "Perturbation":
@@ -120,8 +126,7 @@ class Perturbation:
                    offsets=None) -> "Perturbation":
         """d_i(t) = amplitude * sin(frequency * t + offsets[i]), offsets
         2*pi*i/n when None."""
-        return Perturbation(float(amplitude), float(frequency),
-                            None if offsets is None else tuple(map(float, offsets)))
+        return Perturbation(amplitude, frequency, offsets)
 
     @staticmethod
     def custom(func: Callable[[np.ndarray], np.ndarray], bound: float) -> "Perturbation":
@@ -132,7 +137,7 @@ class Perturbation:
         panel without error control, which is exact to rounding for a func
         that is smooth on the scale of one inter-firing interval; a
         discontinuous func loses accuracy."""
-        return Perturbation(float(bound), func=func)
+        return Perturbation(bound, func=func)
 
     @property
     def is_none(self) -> bool:
@@ -209,8 +214,11 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return leggauss(_GAUSS_ORDER)
 
 
-def _check_perturbation(pert: Perturbation, omega: float, n: int) -> None:
-    """One offset per oscillator, and an amplitude below omega so every crossing is bracketed."""
+def _check_flow(pert: Perturbation, omega: float, n: int) -> None:
+    """omega positive and finite, one offset per oscillator, and an
+    amplitude below omega so every crossing is bracketed."""
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if pert.offsets is not None and len(pert.offsets) != n:
         raise ValueError(f"perturbation has {len(pert.offsets)} phase offsets for n={n}")
     if not pert.is_none and not pert.amplitude < omega:
@@ -218,13 +226,39 @@ def _check_perturbation(pert: Perturbation, omega: float, n: int) -> None:
                          f"omega={omega!r} so phases keep advancing")
 
 
+def _number(name: str, value, kind: type[float] | type[int]):
+    """value as a Python float or int: a real number, integral for an int,
+    and not a boolean or a string, which would pass as 1, 0 or a parse."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{name}: {value!r} is not {'an integer' if kind is int else 'a number'}")
+    try:
+        return kind(value)
+    except OverflowError as exc:  # an integer beyond the range of a float
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _start(x0) -> np.ndarray:
+    """x0 as a phase vector of its own, each entry checked as a float field
+    is: numpy alone would take True as 1.0 and "1.0" as its value."""
+    entries = x0 if isinstance(x0, np.ndarray) else np.asarray(x0, dtype=object)
+    if entries.dtype.kind not in "iuf":
+        entries = np.reshape([_number("x0", v, float) for v in entries.flat], entries.shape)
+    return as_phases(np.array(entries, dtype=float))
+
+
+#: SimConfig's number fields; stop_v_threshold and seed may also be None
+_NUMBERS = {"omega": float, "horizon": float, "max_jumps": int, "firing_tol": float,
+            "min_dwell": float, "stop_v_threshold": float, "seed": int, "sample_dt": float}
+
+
 @dataclass
 class SimConfig:
-    """Everything that determines one run, seed included."""
+    """Everything that determines one run, seed included; n is len(x0).
+    Every field is checked, each number stored as a Python float or int."""
 
     prc: PhaseResponse
     x0: np.ndarray
-    n: int | None = None
     omega: float = 1.0
     perturbation: Perturbation = field(default_factory=Perturbation.none)
     horizon: float = 80.0
@@ -237,45 +271,38 @@ class SimConfig:
     sample_dt: float = 0.01
 
     def __post_init__(self):
-        for f in fields(self):  # True and False would pass as the numbers 1 and 0
-            if isinstance(getattr(self, f.name), bool):
-                raise ValueError(f"{f.name} must not be a boolean, got {getattr(self, f.name)!r}")
         for name, kind in (("prc", PhaseResponse), ("perturbation", Perturbation)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        self.x0 = as_phases(self.x0).copy()
-        if self.n is None:
-            self.n = self.x0.size
-        if not (isinstance(self.n, numbers.Integral) and self.n == self.x0.size):
-            raise ValueError(f"n must be an integer matching x0 of length {self.x0.size}, "
-                             f"got {self.n!r}")
+        for name, kind in _NUMBERS.items():
+            value = getattr(self, name)
+            if value is not None or name not in ("stop_v_threshold", "seed"):
+                setattr(self, name, _number(name, value, kind))
+        self.x0 = _start(self.x0)
         if self.prc.n != self.n:
             raise ValueError(f"response function was built for n={self.prc.n}, "
                              f"run has n={self.n}")
-        if not 0.0 < self.omega < math.inf:
-            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if not (isinstance(self.max_jumps, numbers.Integral) and self.max_jumps >= 1):
-            raise ValueError(f"max_jumps must be an integer of at least 1, got {self.max_jumps!r}")
-        if not 0.0 < self.firing_tol < math.inf:
-            raise ValueError(f"firing_tol must be positive and finite, got {self.firing_tol!r}")
-        if not 0.0 <= self.min_dwell < math.inf:
-            raise ValueError(f"min_dwell must be nonnegative and finite, got {self.min_dwell!r}")
-        if not self.sample_dt > 0.0:
-            raise ValueError(f"sample_dt must be positive, got {self.sample_dt!r}")
+        for name, ok, rule in (
+                ("horizon", self.horizon > 0.0, "positive"),
+                ("max_jumps", self.max_jumps >= 1, "an integer of at least 1"),
+                ("firing_tol", 0.0 < self.firing_tol < math.inf, "positive and finite"),
+                ("min_dwell", 0.0 <= self.min_dwell < math.inf, "nonnegative and finite"),
+                ("stop_v_threshold", self.stop_v_threshold is None or self.stop_v_threshold >= 0.0,
+                 "a nonnegative number or None"),
+                ("seed", self.seed is None or self.seed >= 0, "a nonnegative integer or None"),
+                ("sample_dt", self.sample_dt > 0.0, "positive")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if not self.horizon / self.sample_dt <= MAX_GRID_POINTS:
             raise ValueError(f"horizon / sample_dt must be at most {MAX_GRID_POINTS}, "
                              f"got {self.horizon / self.sample_dt!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        val = self.stop_v_threshold
-        if val is not None and not (isinstance(val, numbers.Real) and val >= 0.0):
-            raise ValueError(f"stop_v_threshold must be a nonnegative number or None, got {val!r}")
-        if self.seed is not None and (not isinstance(self.seed, numbers.Integral)
-                                      or self.seed < 0):
-            raise ValueError(f"seed must be a nonnegative integer or None, got {self.seed!r}")
-        _check_perturbation(self.perturbation, self.omega, self.n)
+        _check_flow(self.perturbation, self.omega, self.n)
+
+    @property
+    def n(self) -> int:
+        return self.x0.size
 
 
 @dataclass(frozen=True)
@@ -464,8 +491,6 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     horizon not before t0.
     """
     arr = as_phases(x)
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
     if not horizon >= t0:
@@ -474,7 +499,7 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     if top >= TWO_PI - firing_tol:
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
-    _check_perturbation(pert, omega, arr.size)
+    _check_flow(pert, omega, arr.size)
     t, x, firers = _first_crossing(arr, top, t0, omega, pert, horizon, firing_tol)
     return t, x, firers is not None
 

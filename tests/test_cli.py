@@ -34,7 +34,6 @@ def isolated_out(tmp_path, monkeypatch):
 def write_config(path, **overrides):
     data = {
         "schema": CONFIG_SCHEMA,
-        "n": 3,
         "omega": 1.0,
         "prc": "paper",
         "x0": [5.5977, 6.0274, 3.4383],
@@ -46,8 +45,9 @@ def write_config(path, **overrides):
 
 
 #: a config value for each SimConfig run parameter, off its default, and
-#: what SimConfig must hold; float parameters take JSON integers, and null
-#: turns the stop rule off and leaves the jumps unseeded
+#: what SimConfig must hold; float parameters take JSON integers and store
+#: them as floats, and null turns the stop rule off and leaves the jumps
+#: unseeded
 NON_DEFAULTS = {
     "omega": (2, 2.0),
     "perturbation": ({"kind": "sinusoidal", "amplitude": 0.03}, Perturbation.sinusoidal(0.03)),
@@ -69,6 +69,9 @@ MALFORMED = {
     "seed-negative": ({"seed": -1}, []),
     "stop-v-string": ({"stop_v_threshold": "abc"}, []),
     "n-string": ({"n": "abc"}, []),
+    "horizon-string": ({"horizon": "5"}, []),
+    "horizon-beyond-float": ({"horizon": 10**400}, []),
+    "x0-entry-beyond-float": ({"x0": [1, 10**400, 3]}, []),
     "omega-null": ({"omega": None}, []),
     "x0-string-entry": ({"x0": ["a", 1, 2]}, []),
     "prc-number": ({"prc": 5}, []),
@@ -87,9 +90,12 @@ MALFORMED = {
     "min-dwell-nan": ({"min_dwell": math.nan}, []),
     "firing-tol-inf": ({"firing_tol": math.inf}, []),
     "max-jumps-fraction": ({"max_jumps": 2.5}, []),
+    "max-jumps-integral-float": ({"max_jumps": 3.0}, []),
     "max-jumps-nan": ({"max_jumps": math.nan}, []),
     "max-jumps-inf": ({"max_jumps": math.inf}, []),
     "n-fraction": ({"n": 3.5}, []),
+    "n-matching-x0": ({"n": 3}, []),
+    "x0-comma-string": ({"x0": "5.5977,6.0274,3.4383"}, []),
     "flag-stop-v-nan": ({}, ["--stop-v", "nan"]),
     "flag-min-dwell-nan": ({}, ["--min-dwell", "nan"]),
     "flag-firing-tol-inf": ({}, ["--firing-tol", "inf"]),
@@ -106,17 +112,21 @@ MALFORMED = {
     "offset-false": ({"perturbation": {**_SINUSOID, "offsets": [0, False, 2]}}, []),
     "stop-splay-removed": ({"stop_splay_tol": 1e-3}, []),
 }
-#: the malformed inputs that fail a cast or hold true or false, and the key
-#: the message must name
-CAST_KEYS = {"n-string": "n", "omega-null": "omega", "max-jumps-string": "max_jumps",
-             "x0-string-entry": "x0", "flag-x0-string": "x0", "max-jumps-fraction": "max_jumps",
-             "max-jumps-nan": "max_jumps", "max-jumps-inf": "max_jumps", "n-fraction": "n",
-             "horizon-true": "horizon", "max-jumps-true": "max_jumps",
-             "stop-v-false": "stop_v_threshold", "seed-true": "seed", "x0-boolean-entry": "x0",
+#: the malformed inputs of the wrong type (true or false included), and
+#: the key the message must name
+CAST_KEYS = {"horizon-string": "horizon", "horizon-beyond-float": "horizon",
+             "x0-entry-beyond-float": "x0", "omega-null": "omega", "max-jumps-string": "max_jumps",
+             "x0-string-entry": "x0", "x0-comma-string": "x0", "flag-x0-string": "x0",
+             "max-jumps-fraction": "max_jumps", "max-jumps-integral-float": "max_jumps",
+             "max-jumps-nan": "max_jumps", "max-jumps-inf": "max_jumps", "horizon-true": "horizon",
+             "max-jumps-true": "max_jumps", "stop-v-false": "stop_v_threshold",
+             "seed-true": "seed", "x0-boolean-entry": "x0",
              "amplitude-true": "perturbation.amplitude",
              "offset-false": "perturbation.offsets"}
-#: the malformed inputs that name a key SimConfig does not have
-UNKNOWN_KEYS = {"stop-splay-removed": "stop_splay_tol"}
+#: the malformed inputs that name a key SimConfig does not have; n is the
+#: length of x0
+UNKNOWN_KEYS = {"stop-splay-removed": "stop_splay_tol", "n-string": "n", "n-fraction": "n",
+                "n-matching-x0": "n"}
 
 
 class TestSimulate:
@@ -161,9 +171,8 @@ class TestSimulate:
                 assert getattr(config, f.name) == getattr(defaults, f.name), f.name
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimConfig)
-                                      if f.name not in ("prc", "x0", "n")])
+                                      if f.name not in ("prc", "x0")])
     def test_each_config_key_reaches_simconfig(self, tmp_path, monkeypatch, name):
-        # n is left out: x0 fixes it, and a conflicting n is a config error
         seen = []
         monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or run(config))
         value, expected = NON_DEFAULTS[name]
@@ -271,7 +280,7 @@ class TestSimulate:
         assert "schema" in capsys.readouterr().err
 
     def test_missing_x0_is_a_config_error(self, tmp_path, capsys):
-        code = main(["simulate", "--prc", "paper", "--n", "3"])
+        code = main(["simulate", "--prc", "paper"])
         assert code == EXIT_USAGE
         assert "config error:" in capsys.readouterr().err
 
@@ -281,11 +290,6 @@ class TestSimulate:
 
     def test_bad_prc_selector_is_a_config_error(self, capsys):
         code = main(["simulate", "--prc", "linear:abc", "--x0", "0,2,4"])
-        assert code == EXIT_USAGE
-
-    def test_n_flag_conflicting_with_x0_length(self, capsys):
-        code = main(["simulate", "--prc", "paper", "--n", "4",
-                     "--x0", "0,2,4"])
         assert code == EXIT_USAGE
 
     def test_out_of_box_phase_is_a_config_error(self, capsys):

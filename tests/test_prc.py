@@ -87,6 +87,18 @@ def test_raw_constructor_attaches_no_validation():
     assert prc.name == "linear:1.5"
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 100, 200])
+@pytest.mark.parametrize("c", [0.3, 0.7, 0.999, 1.5])
+def test_linear_response_is_bitwise_the_two_branch_formula(n, c):
+    # Q(z) = 0 up to the corner and -c (z - corner) above it, to the bit:
+    # corner - z is exactly -(z - corner), and below the corner c * 0.0 is +0.0
+    corner = knee(n)
+    zs = np.concatenate([np.linspace(0.0, TWO_PI, 100_001),
+                         np.nextafter(corner, [-np.inf, np.inf]), [corner, TWO_PI]])
+    expected = np.where(zs <= corner, 0.0, -c * (zs - corner))
+    assert piecewise_linear(n, c)(zs).tobytes() == expected.tobytes()
+
+
 def test_moved_phase_is_strictly_increasing_for_the_family():
     prc = linear_family(4, 0.7, grid=10_000)
     zs = np.linspace(0.0, TWO_PI, 20_001)
@@ -190,6 +202,7 @@ def test_selector_strings(tmp_path):
     corner = knee(3)
     path.write_text(f"0,0\n{corner!r},0\n{TWO_PI!r},-1.0\n")
     assert prc_from_spec(f"table:{path}", 3).n == 3
-    for bad in ("nope", "linear:", "linear:abc", "broken:missing", "table:"):
+    for bad in ("nope", "linear:", "linear:abc", "linear:inf", "linear:nan", "broken:missing",
+                "table:", 5, None, ["paper"]):
         with pytest.raises(ValueError):
             prc_from_spec(bad, 3)

@@ -42,11 +42,13 @@ def splay_vector(n, rotation=0.0):
 # -- configuration validation --------------------------------------------------
 
 def test_config_infers_and_checks_n():
+    # n is the length of x0, not a field, and the response must be built for it
     cfg = SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]))
     assert cfg.n == 3
-    with pytest.raises(ValueError):
-        SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]), n=4)
-    with pytest.raises(ValueError):
+    assert "n" not in {f.name for f in dataclasses.fields(SimConfig)}
+    with pytest.raises(TypeError):
+        SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]), n=3)
+    with pytest.raises(ValueError, match="built for n=4, run has n=3"):
         SimConfig(prc=paper_prc(4), x0=np.array([1.0, 2.0, 3.0]))
 
 
@@ -73,18 +75,46 @@ def test_config_infers_and_checks_n():
     dict(seed="abc"),
     dict(seed=3.7),
     dict(seed=-1),
-    dict(n=3.0),
     dict(prc=None),
     dict(prc="paper"),
     dict(perturbation=None),
     dict(perturbation=0.03),
-    *(dict([(name, value)]) for name in ("n", "omega", "horizon", "max_jumps", "firing_tol",
+    *(dict([(name, value)]) for name in ("omega", "horizon", "max_jumps", "firing_tol",
                                          "min_dwell", "stop_v_threshold", "seed",
-                                         "sample_dt") for value in (True, False)),
+                                         "sample_dt") for value in (True, False, "5", [5])),
+    dict(max_jumps=3.0),
+    dict(seed=3.0),
+    dict(x0=[True, 2.0, 3.0]),
+    dict(x0=np.array([True, False, True])),
+    dict(x0=["1.0", 2.0, 3.0]),
+    dict(x0=np.array(["1.0", "2.0", "3.0"])),
 ])
 def test_config_rejects_bad_parameters(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         SimConfig(**{"prc": paper_prc(3), "x0": np.array([1.0, 2.0, 3.0]), **bad})
+
+
+@pytest.mark.parametrize("name", ["omega", "horizon", "max_jumps", "firing_tol", "min_dwell",
+                                  "stop_v_threshold", "seed", "sample_dt"])
+def test_config_message_starts_with_a_mistyped_number_field(name):
+    # the message starts with the field, as the CLI's config errors do
+    with pytest.raises(ValueError, match=f"^{name}: '5' is not "):
+        SimConfig(prc=paper_prc(3), x0=np.array([1.0, 2.0, 3.0]), **{name: "5"})
+
+
+def test_config_stores_numbers_as_python_floats_and_ints():
+    cfg = SimConfig(prc=paper_prc(3), x0=[1, np.float32(2.0), 3.0], omega=np.float32(1.0),
+                    horizon=2, max_jumps=np.int64(7), firing_tol=np.float64(1e-10),
+                    min_dwell=0, stop_v_threshold=np.float32(0.5), seed=np.uint32(3),
+                    sample_dt=1)
+    for name, kind, value in (("omega", float, 1.0), ("horizon", float, 2.0),
+                              ("max_jumps", int, 7), ("firing_tol", float, 1e-10),
+                              ("min_dwell", float, 0.0), ("stop_v_threshold", float, 0.5),
+                              ("seed", int, 3), ("sample_dt", float, 1.0)):
+        assert type(getattr(cfg, name)) is kind and getattr(cfg, name) == value, name
+    assert cfg.x0.dtype == np.float64 and cfg.x0.tolist() == [1.0, 2.0, 3.0]
+    unset = SimConfig(prc=paper_prc(3), x0=[1.0, 2.0, 3.0], stop_v_threshold=None, seed=None)
+    assert unset.stop_v_threshold is None and unset.seed is None
 
 
 @pytest.mark.parametrize("omega", [math.inf, math.nan])
@@ -916,6 +946,24 @@ def test_perturbation_constructors_validate():
         Perturbation.sinusoidal(-0.1, 0.5, (0.0,))
     with pytest.raises(ValueError):
         Perturbation.custom(lambda t: np.zeros(3), bound=-1.0)
+    # the constructors pass their values on as given, so a value of the
+    # wrong shape meets the dataclass's named check rather than a cast
+    with pytest.raises(ValueError, match=r"amplitude must be finite and nonnegative, got \[0"):
+        Perturbation.sinusoidal([0.1])
+    with pytest.raises(ValueError, match="offsets must be a sequence of numbers, got 1.0"):
+        Perturbation.sinusoidal(0.1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="offsets must be a sequence of numbers, got '012'"):
+        Perturbation.sinusoidal(0.1, 0.5, "012")
+    with pytest.raises(ValueError, match="amplitude must be finite and nonnegative, got '0.1'"):
+        Perturbation.custom(_wobble, bound="0.1")
+
+
+def test_perturbation_stores_floats():
+    pert = Perturbation.sinusoidal(np.float32(0.5), 1, np.array([0, 2, 4]))
+    assert pert == Perturbation(0.5, 1.0, (0.0, 2.0, 4.0))
+    assert type(pert.amplitude) is float and type(pert.frequency) is float
+    assert type(pert.offsets) is tuple and all(type(o) is float for o in pert.offsets)
+    assert type(Perturbation.custom(_wobble, 1).amplitude) is float
 
 
 @pytest.mark.parametrize("values, match", [
