@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circle import (TWO_PI, _as_phase_batch, _in_box, _outside, _shortest_arc,
-                     splay_arc_length)
+                     check_number, splay_arc_length)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import HybridArc
@@ -229,12 +229,11 @@ def closeness(arc1: "HybridArc", arc2: "HybridArc", tau: float) -> ClosenessRepo
 
     Both arcs must have finite times, states in [0, 2*pi]^n and times that
     never decrease within a run of equal j; ValueError names the arc and
-    the first sample that breaks this, or a tau that is negative or NaN.
+    the first sample that breaks this, or a tau that is not a number >= 0.
     """
     if arc1.n != arc2.n:
         raise ValueError(f"arcs have different network sizes: {arc1.n} vs {arc2.n}")
-    if not tau >= 0:  # NaN included; inf takes the whole arcs
-        raise ValueError(f"tau must be nonnegative, got {tau!r}")
+    tau = check_number("tau", tau, "nonnegative")
     for name, arc in (("first", arc1), ("second", arc2)):
         bad = _first_bad_sample(arc.ts, arc.js, arc.states)
         if bad is not None:

@@ -7,11 +7,50 @@ entries in the closed interval [0, 2*pi] and at least two entries.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 TWO_PI: float = 2.0 * np.pi
+
+#: check_number's range rules, keyed by the words its message gives them
+_RULES: dict[str, Callable[[float], bool]] = {
+    "finite": lambda v: -math.inf < v < math.inf, "positive": lambda v: v > 0,
+    "positive and finite": lambda v: 0 < v < math.inf, "nonnegative": lambda v: v >= 0,
+    "finite and nonnegative": lambda v: 0 <= v < math.inf, "at least 1": lambda v: v >= 1,
+    "at least 2": lambda v: v >= 2, "in [0, 2*pi]": lambda v: 0.0 <= v <= TWO_PI}
+
+
+def check_number(name: str, value, rule: str | None = None, kind: type = float,
+                 ok: Callable[[float], bool] | None = None):
+    """value as a Python float, or an int when kind is int: the one check of
+    every scalar number a public function takes.  A boolean, a string, a
+    non-real, a non-integral value for an int and an integer beyond the
+    float range raise ValueError('<name>: <value!r> is not a number' or
+    'an integer', or what float() says); a value that fails ok, by default
+    _RULES[rule], raises ValueError('<name> must be <rule>, got <value!r>')."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{name}: {value!r} is not {'an integer' if kind is int else 'a number'}")
+    try:
+        number = float(value)  # an integer beyond the float range overflows
+    except OverflowError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    number = int(value) if kind is int else number
+    if rule is not None and not (ok or _RULES[rule])(number):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return number
+
+
+def check_numbers(name: str, values, rule: str | None = None) -> tuple[float, ...]:
+    """check_number on each of values, as a tuple; a rule breach shows all."""
+    floats = tuple(check_number(name, v) for v in values)
+    if rule is not None and not all(map(_RULES[rule], floats)):
+        raise ValueError(f"{name} must be {rule}, got {values!r}")
+    return floats
 
 
 def as_phases(x) -> np.ndarray:
@@ -57,11 +96,8 @@ def _as_phase_batch(x) -> tuple[np.ndarray, bool]:
 
 
 def geodesic(a: float, b: float) -> float:
-    """Geodesic distance between two angles, in [0, pi]."""
-    for v in (a, b):
-        if not 0.0 <= v <= TWO_PI:
-            raise ValueError(f"angle must lie in [0, 2*pi], got {v!r}")
-    diff = abs(a - b)
+    """Geodesic distance between two angles of [0, 2*pi], in [0, pi]."""
+    diff = abs(check_number("a", a, "in [0, 2*pi]") - check_number("b", b, "in [0, 2*pi]"))
     return min(diff, TWO_PI - diff)
 
 

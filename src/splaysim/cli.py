@@ -73,15 +73,6 @@ def _load_config(path: str) -> dict:
         for key in pert:
             if key not in _PERTURBATION_KEYS:
                 raise ValueError(f"{path}: unknown perturbation key {key!r}")
-    stack = list(data.items())
-    while stack:  # no key takes a boolean, at any depth
-        key, value = stack.pop()
-        if isinstance(value, bool):
-            raise ValueError(f"{key}: {json.dumps(value)} is not a value of any config key")
-        if isinstance(value, dict):
-            stack += ((f"{key}.{k}", v) for k, v in value.items())
-        elif isinstance(value, list):
-            stack += ((key, v) for v in value)
     return data
 
 
@@ -96,7 +87,8 @@ def _floats(name: str, text: str) -> list[float]:
 def _build_perturbation(block: dict | None, args) -> Perturbation:
     """The config's perturbation block with the --perturb-* flags laid over
     it.  Any sinusoid parameter without a kind means kind 'sinusoidal', and
-    kind 'none' takes none; Perturbation.sinusoidal defaults the rest."""
+    kind 'none' takes none; Perturbation.sinusoidal defaults the rest and
+    checks each value, its message prefixed 'perturbation.' here."""
     params = dict(block or {})
     sinusoid_keys = sorted(_PERTURBATION_KEYS - {"kind"})
     for key in sinusoid_keys:
@@ -115,7 +107,10 @@ def _build_perturbation(block: dict | None, args) -> Perturbation:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if "amplitude" not in given:
         raise ValueError("sinusoidal perturbation needs an amplitude")
-    return Perturbation.sinusoidal(**given)
+    try:
+        return Perturbation.sinusoidal(**given)
+    except ValueError as exc:
+        raise ValueError(f"perturbation.{exc}") from None
 
 
 def _build_sim_config(args) -> SimConfig:

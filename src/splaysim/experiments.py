@@ -17,6 +17,7 @@ import numpy as np
 from . import analysis
 from .circle import (
     TWO_PI,
+    check_number,
     min_pairwise_geodesic,
     shortest_arc_length,
     shortest_arc_oracle,
@@ -324,13 +325,12 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
     Sections: circle geometry (arc bound, invariances, oracle agreement),
     splay detection, the convergence run corpus, and validator behaviour on
     the broken catalog including the constructed V-increase run.  Every
-    budget must be at least 1, and geometry_samples at most
-    MAX_GEOMETRY_SAMPLES.
+    budget must be an integer of at least 1 (circle.check_number), and
+    geometry_samples at most MAX_GEOMETRY_SAMPLES.
     """
-    for name, budget in (("geometry_samples", geometry_samples),
-                         ("oracle_samples", oracle_samples), ("runs", runs)):
-        if budget < 1:
-            raise ValueError(f"{name} must be at least 1, got {budget!r}")
+    geometry_samples = check_number("geometry_samples", geometry_samples, "at least 1", int)
+    oracle_samples = check_number("oracle_samples", oracle_samples, "at least 1", int)
+    runs = check_number("runs", runs, "at least 1", int)
     if geometry_samples > MAX_GEOMETRY_SAMPLES:
         raise ValueError(f"geometry_samples must be at most {MAX_GEOMETRY_SAMPLES}, "
                          f"got {geometry_samples!r}")

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import (TWO_PI, _in_box, _outside, as_phases, min_pairwise_geodesic,
+from .circle import (TWO_PI, _in_box, _outside, as_phases, check_number, min_pairwise_geodesic,
                      splay_arc_length, splay_gap_deviation)
 
 ALL_ZERO = "all-zero"
@@ -126,15 +126,20 @@ def in_flow_set(x) -> bool:
 
 
 def in_jump_set(x, tol: float = DEFAULT_FIRING_TOL) -> bool:
-    """True when some phase has reached 2*pi (within tol)."""
-    arr = as_phases(x)
-    return bool(arr.max() >= TWO_PI - tol)
+    """True when some phase has reached 2*pi (within tol, positive and finite)."""
+    return bool(firing_indices(x, tol).size)
 
 
 def firing_indices(x, tol: float = DEFAULT_FIRING_TOL) -> np.ndarray:
-    """Indices of the phases at 2*pi (within tol)."""
+    """Indices of the phases at 2*pi (within tol, positive and finite)."""
     arr = as_phases(x)
-    return np.flatnonzero(arr >= TWO_PI - tol)
+    return np.flatnonzero(arr >= TWO_PI - check_number("tol", tol, "positive and finite"))
+
+
+def check_policy(policy: str) -> None:
+    """ValueError unless policy is one of POLICIES."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
 
 
 def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
@@ -146,16 +151,16 @@ def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
     With m >= 2 simultaneous firers the map is set-valued: each firer may
     either reset or be treated as a listener.  Policy 'all-zero' keeps the
     single branch where every firer resets; 'enumerate' returns all 2**m
-    selections in a fixed order (all-reset first).
+    selections in a fixed order (all-reset first).  The firers are the
+    phases within tol of 2*pi, tol positive and finite.
 
     Raises InvalidPhaseResponseError if any branch leaves the box (a NaN
     response counts as leaving it), which is the runtime symptom of a
     response function violating the range condition.
     """
     arr = as_phases(x)
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    firers = np.flatnonzero(arr >= TWO_PI - tol)
+    check_policy(policy)
+    firers = firing_indices(arr, tol)
     if firers.size == 0:
         raise ValueError("jump_map requires at least one phase at 2*pi")
     who = tuple(firers.tolist())
@@ -267,20 +272,17 @@ def validate_prc(func, n: int, grid: int = 100_000,
                    beyond the 1e-12 exactness floor (an injectivity
                    surrogate: listeners can never swap or merge)
 
-    Sampling can only refute, never prove; grid >= 10_000 and a positive
-    finite lipschitz are required so the surrogates are meaningful, and
-    grid <= MAX_VALIDATION_GRID.  func is called once on the array of
-    phases, as a run calls it, and must give one increment per phase.
+    Sampling can only refute, never prove; integers n >= 2 and 10_000 <=
+    grid <= MAX_VALIDATION_GRID and a positive finite lipschitz are
+    required so the surrogates are meaningful.  func is called once on the
+    array of phases, as a run calls it, and must give one increment per phase.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 oscillators, got {n}")
-    if not 10_000 <= grid <= MAX_VALIDATION_GRID:
-        raise ValueError(f"grid must be between 10000 and {MAX_VALIDATION_GRID} points, "
-                         f"got {grid}")
-    if not 0.0 < lipschitz < np.inf:
-        raise ValueError(f"lipschitz must be positive and finite, got {lipschitz!r}")
+    n = check_number("n", n, "at least 2", int)
+    grid = check_number("grid", grid, f"between 10000 and {MAX_VALIDATION_GRID} points", int,
+                        ok=lambda g: 10_000 <= g <= MAX_VALIDATION_GRID)
+    lipschitz = check_number("lipschitz", lipschitz, "positive and finite")
     corner = knee(n)
-    zs = np.union1d(np.linspace(0.0, TWO_PI, int(grid)), [0.0, corner, TWO_PI])
+    zs = np.union1d(np.linspace(0.0, TWO_PI, grid), [0.0, corner, TWO_PI])
     # the corner can land within one ulp of a lattice point; collapse any
     # sub-resolution pair so no check compares values across rounding noise
     zs = zs[np.concatenate(([True], np.diff(zs) > _EXACT_TOL))]
@@ -317,7 +319,7 @@ def validate_prc(func, n: int, grid: int = 100_000,
     checks.append(_check("monotone", ok, zs[1:],
                          "z + Q(z) must be increasing"))
 
-    return ValidationReport(n=n, grid=int(grid), checks=tuple(checks))
+    return ValidationReport(n=n, grid=grid, checks=tuple(checks))
 
 
 def _check(name: str, ok: np.ndarray, zs: np.ndarray, detail: str) -> CheckResult:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circle import TWO_PI
+from .circle import TWO_PI, check_number
 from .model import PhaseResponse, knee, validate_prc
 
 REFERENCE_SLOPE = 0.7
@@ -157,8 +157,9 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
     'linear:<c>' accepts any finite slope and attaches a validation report
     rather than rejecting out-of-range values, so misdesigned responses can
     still be probed from the command line.  Any other spec, a non-string
-    included, raises ValueError.
+    included, or an n that is not an integer of at least 2 raises ValueError.
     """
+    n = check_number("n", n, "at least 2", int)
     if not isinstance(spec, str):
         raise ValueError(f"response selector must be a string, got {spec!r}")
     if spec == "paper":
@@ -166,11 +167,9 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
     kind, _, arg = spec.partition(":")
     if kind == "linear" and arg:
         try:
-            c = float(arg)
-        except ValueError:
-            c = np.nan
-        if not np.isfinite(c):
-            raise ValueError(f"bad slope in {spec!r}")
+            c = check_number("slope", float(arg), "finite")
+        except ValueError:  # not a number, or not a finite one
+            raise ValueError(f"bad slope in {spec!r}") from None
         prc = piecewise_linear(n, c)
         return dataclasses.replace(prc, validation=validate_prc(prc.func, n))
     if kind == "table" and arg:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -39,8 +38,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, model
-from .circle import TWO_PI, as_phases
-from .model import ALL_ZERO, DEFAULT_FIRING_TOL, POLICIES, PhaseResponse
+from .circle import TWO_PI, as_phases, check_number, check_numbers
+from .model import ALL_ZERO, DEFAULT_FIRING_TOL, PhaseResponse, check_policy
 
 FLOW = "flow"
 PRE_JUMP = "pre-jump"
@@ -93,8 +92,7 @@ class Perturbation:
     |d_i(t)|, exact for the sinusoid and declared for a func; below omega it
     brackets each crossing, every phase rising at a rate within omega -/+
     amplitude.  It must be finite and nonnegative, the frequency and offsets
-    finite, and none of them a boolean; each is then stored as a float, the
-    offsets as a tuple of them."""
+    finite; each is stored as a float, the offsets as a tuple of them."""
 
     amplitude: float = 0.0
     frequency: float = 0.5
@@ -104,18 +102,10 @@ class Perturbation:
     def __post_init__(self):
         if self.offsets is not None and np.ndim(self.offsets) != 1:
             raise ValueError(f"offsets must be a sequence of numbers, got {self.offsets!r}")
-        for name, low in (("amplitude", 0.0), ("frequency", -math.inf), ("offsets", -math.inf)):
-            value = getattr(self, name)
-            values = [value] if name != "offsets" else () if value is None else value
-            if any(isinstance(v, bool) for v in values):  # True and False would pass as 1 and 0
-                raise ValueError(f"{name} must not be a boolean, got {value!r}")
-            if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v >= low
-                       for v in values):
-                raise ValueError(f"{name} must be finite{' and nonnegative' * (low == 0.0)}, "
-                                 f"got {value!r}")
-            if value is not None:  # offsets None: the splay offsets of the run's n
-                floats = tuple(map(float, values))
-                object.__setattr__(self, name, floats if name == "offsets" else floats[0])
+        for name, rule in (("amplitude", "finite and nonnegative"), ("frequency", "finite")):
+            object.__setattr__(self, name, check_number(name, getattr(self, name), rule))
+        if self.offsets is not None:  # None: the splay offsets of the run's n
+            object.__setattr__(self, "offsets", check_numbers("offsets", self.offsets, "finite"))
 
     @staticmethod
     def none() -> "Perturbation":
@@ -215,10 +205,8 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_flow(pert: Perturbation, omega: float, n: int) -> None:
-    """omega positive and finite, one offset per oscillator, and an
-    amplitude below omega so every crossing is bracketed."""
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+    """One offset per oscillator, and an amplitude below omega (a checked
+    positive finite float) so every crossing is bracketed."""
     if pert.offsets is not None and len(pert.offsets) != n:
         raise ValueError(f"perturbation has {len(pert.offsets)} phase offsets for n={n}")
     if not pert.is_none and not pert.amplitude < omega:
@@ -226,30 +214,22 @@ def _check_flow(pert: Perturbation, omega: float, n: int) -> None:
                          f"omega={omega!r} so phases keep advancing")
 
 
-def _number(name: str, value, kind: type[float] | type[int]):
-    """value as a Python float or int: a real number, integral for an int,
-    and not a boolean or a string, which would pass as 1, 0 or a parse."""
-    if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if kind is int else numbers.Real):
-        raise ValueError(f"{name}: {value!r} is not {'an integer' if kind is int else 'a number'}")
-    try:
-        return kind(value)
-    except OverflowError as exc:  # an integer beyond the range of a float
-        raise ValueError(f"{name}: {exc}") from None
-
-
 def _start(x0) -> np.ndarray:
     """x0 as a phase vector of its own, each entry checked as a float field
     is: numpy alone would take True as 1.0 and "1.0" as its value."""
     entries = x0 if isinstance(x0, np.ndarray) else np.asarray(x0, dtype=object)
     if entries.dtype.kind not in "iuf":
-        entries = np.reshape([_number("x0", v, float) for v in entries.flat], entries.shape)
+        entries = np.reshape(check_numbers("x0", entries.flat), entries.shape)
     return as_phases(np.array(entries, dtype=float))
 
 
-#: SimConfig's number fields; stop_v_threshold and seed may also be None
-_NUMBERS = {"omega": float, "horizon": float, "max_jumps": int, "firing_tol": float,
-            "min_dwell": float, "stop_v_threshold": float, "seed": int, "sample_dt": float}
+#: SimConfig's number fields, each with its kind and range rule (see
+#: circle.check_number); stop_v_threshold and seed may also be None
+_NUMBERS = {"omega": (float, "positive and finite"), "horizon": (float, "positive"),
+            "max_jumps": (int, "at least 1"), "firing_tol": (float, "positive and finite"),
+            "min_dwell": (float, "finite and nonnegative"),
+            "stop_v_threshold": (float, "nonnegative"), "seed": (int, "nonnegative"),
+            "sample_dt": (float, "positive")}
 
 
 @dataclass
@@ -274,30 +254,18 @@ class SimConfig:
         for name, kind in (("prc", PhaseResponse), ("perturbation", Perturbation)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
-        for name, kind in _NUMBERS.items():
+        for name, (kind, rule) in _NUMBERS.items():
             value = getattr(self, name)
             if value is not None or name not in ("stop_v_threshold", "seed"):
-                setattr(self, name, _number(name, value, kind))
+                setattr(self, name, check_number(name, value, rule, kind))
         self.x0 = _start(self.x0)
         if self.prc.n != self.n:
             raise ValueError(f"response function was built for n={self.prc.n}, "
                              f"run has n={self.n}")
-        for name, ok, rule in (
-                ("horizon", self.horizon > 0.0, "positive"),
-                ("max_jumps", self.max_jumps >= 1, "an integer of at least 1"),
-                ("firing_tol", 0.0 < self.firing_tol < math.inf, "positive and finite"),
-                ("min_dwell", 0.0 <= self.min_dwell < math.inf, "nonnegative and finite"),
-                ("stop_v_threshold", self.stop_v_threshold is None or self.stop_v_threshold >= 0.0,
-                 "a nonnegative number or None"),
-                ("seed", self.seed is None or self.seed >= 0, "a nonnegative integer or None"),
-                ("sample_dt", self.sample_dt > 0.0, "positive")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if not self.horizon / self.sample_dt <= MAX_GRID_POINTS:
             raise ValueError(f"horizon / sample_dt must be at most {MAX_GRID_POINTS}, "
                              f"got {self.horizon / self.sample_dt!r}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
+        check_policy(self.policy)
         _check_flow(self.perturbation, self.omega, self.n)
 
     @property
@@ -338,7 +306,6 @@ class HybridArc:
     states: np.ndarray
     kinds: np.ndarray
     firings: list[tuple[float, tuple[int, ...], str]]
-    omega: float | None
     perturbed: bool
     stop_reason: str
 
@@ -487,12 +454,14 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     Returns (t_fire, x_at_fire, True) at a crossing, with the crossing
     coordinates clamped exactly to 2*pi, or (horizon, x_at_horizon, False)
     when no phase fires before the horizon.  x must be in the box with no
-    coordinate already at 2*pi, omega positive and finite, t0 finite and the
-    horizon not before t0.
+    coordinate already at 2*pi, omega and firing_tol positive and finite,
+    t0 finite and the horizon a number not before t0.
     """
     arr = as_phases(x)
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0!r}")
+    omega = check_number("omega", omega, "positive and finite")
+    t0 = check_number("t0", t0, "finite")
+    horizon = check_number("horizon", horizon)
+    firing_tol = check_number("firing_tol", firing_tol, "positive and finite")
     if not horizon >= t0:
         raise ValueError(f"horizon {horizon!r} must not be earlier than t0={t0!r}")
     top = float(arr.max())
@@ -709,8 +678,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
         states[at] = _flow(states[first[seg] - 1], starts[seg], ts[at],
                            config.omega, config.perturbation)
     return HybridArc(ts=ts, js=js, states=states, kinds=kinds, firings=firings,
-                     omega=config.omega, perturbed=not config.perturbation.is_none,
-                     stop_reason=stop_reason)
+                     perturbed=not config.perturbation.is_none, stop_reason=stop_reason)
 
 
 # -- CSV persistence ---------------------------------------------------------
@@ -1057,7 +1025,7 @@ def read_trajectory_csv(path) -> HybridArc:
         lineno = [k for k, line in enumerate(lines[1:], start=2) if line.strip()][row]
         raise ValueError(f"{path}:{lineno}: {why}")
     return HybridArc(ts=ts, js=js, states=states, kinds=kinds,
-                     firings=[], omega=None, perturbed=False, stop_reason="loaded")
+                     firings=[], perturbed=False, stop_reason="loaded")
 
 
 def _parse_row_by_row(path, parse, commas: int, lines: list, lineno: int):

@@ -1,5 +1,6 @@
 """Circle geometry: oracle agreement, invariances, and the arc-length bound."""
 
+import fractions
 import re
 
 import numpy as np
@@ -8,8 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from splaysim.analysis import closeness
 from splaysim.circle import (
     TWO_PI,
+    check_number,
+    check_numbers,
     gap_profile,
     geodesic,
     min_pairwise_geodesic,
@@ -18,6 +22,11 @@ from splaysim.circle import (
     splay_arc_length,
     splay_gap_deviation,
 )
+from splaysim import experiments
+from splaysim.experiments import run_property_corpus
+from splaysim.model import firing_indices, in_jump_set, jump_map, validate_prc
+from splaysim.prc import paper_prc, prc_from_spec
+from splaysim.sim import Perturbation, SimConfig, flow_to_next_event, run
 
 phase_values = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
 
@@ -54,10 +63,100 @@ def test_geodesic_triangle_inequality(a, b, c):
 
 
 def test_geodesic_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a must be in \[0, 2\*pi\], got -0\.1$"):
         geodesic(-0.1, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^b must be in \[0, 2\*pi\], got "):
         geodesic(1.0, TWO_PI + 0.1)
+    with pytest.raises(ValueError, match="^a: True is not a number$"):
+        geodesic(True, 1.0)
+
+
+# -- the number check --------------------------------------------------------
+
+def test_check_number_converts_and_names_the_parameter():
+    assert type(check_number("x", np.float32(0.5))) is float
+    assert check_number("x", fractions.Fraction(1, 4), "positive") == 0.25
+    assert type(check_number("k", np.int64(3), "at least 1", int)) is int
+    assert check_number("x", 7) == 7.0 and type(check_number("x", 7)) is float
+    assert check_numbers("xs", (1, np.float64(2.5))) == (1.0, 2.5)
+    for value, message in ((3.0, "^k: 3.0 is not an integer$"),
+                           ("3", "^k: '3' is not an integer$"),
+                           (np.nan, "^k: nan is not an integer$"),
+                           (0, "^k must be at least 1, got 0$"),
+                           (10**400, "^k: int too large to convert to float$")):
+        with pytest.raises(ValueError, match=message):
+            check_number("k", value, "at least 1", int)
+    for value, message in ((None, "^x: None is not a number$"), (1j, r"^x: 1j is not a number$"),
+                           (np.inf, "^x must be finite, got inf$")):
+        with pytest.raises(ValueError, match=message):
+            check_number("x", value, "finite")
+    with pytest.raises(ValueError, match=r"^xs must be finite, got \[0\.0, nan\]$"):
+        check_numbers("xs", [0.0, np.nan], "finite")
+    with pytest.raises(ValueError, match="^g must be at most 2, got 3$"):
+        check_number("g", 3, "at most 2", int, ok=lambda g: g <= 2)
+
+
+_X0 = [0.3, 2.0, 4.1]
+
+
+def _config(**fields):
+    return SimConfig(**{"prc": paper_prc(3), "x0": _X0, **fields})
+
+
+def _arc():
+    return run(_config(horizon=1.0))
+
+
+#: budgets of a corpus that ends at once should a bad one get past its check
+_BUDGETS = {"geometry_samples": 10, "oracle_samples": 10, "runs": 1}
+
+
+#: each scalar number a public function takes: (the name its message
+#: starts with, a call that passes the value in that parameter)
+NUMBER_PARAMETERS = {
+    **{f"SimConfig.{name}": (name, lambda v, name=name: _config(**{name: v}))
+       for name in ("omega", "horizon", "max_jumps", "firing_tol", "min_dwell",
+                    "stop_v_threshold", "seed", "sample_dt")},
+    "SimConfig.x0": ("x0", lambda v: _config(x0=[0.3, v, 4.1])),
+    "Perturbation.amplitude": ("amplitude", lambda v: Perturbation(amplitude=v)),
+    "Perturbation.frequency": ("frequency", lambda v: Perturbation(0.1, frequency=v)),
+    "Perturbation.offsets": ("offsets", lambda v: Perturbation(0.1, offsets=(0.0, v, 1.0))),
+    "flow_to_next_event.omega": ("omega", lambda v: flow_to_next_event(_X0, v, None, 0.0)),
+    "flow_to_next_event.t0": ("t0", lambda v: flow_to_next_event(_X0, 1.0, None, v)),
+    "flow_to_next_event.horizon": ("horizon",
+                                   lambda v: flow_to_next_event(_X0, 1.0, None, 0.0, v)),
+    "flow_to_next_event.firing_tol": (
+        "firing_tol", lambda v: flow_to_next_event(_X0, 1.0, None, 0.0, firing_tol=v)),
+    "validate_prc.n": ("n", lambda v: validate_prc(paper_prc(3).func, v)),
+    "validate_prc.grid": ("grid", lambda v: validate_prc(paper_prc(3).func, 3, grid=v)),
+    "validate_prc.lipschitz": ("lipschitz",
+                               lambda v: validate_prc(paper_prc(3).func, 3, lipschitz=v)),
+    "prc_from_spec.n": ("n", lambda v: prc_from_spec("paper", v)),
+    "geodesic.a": ("a", lambda v: geodesic(v, 1.0)),
+    "geodesic.b": ("b", lambda v: geodesic(1.0, v)),
+    **{f"run_property_corpus.{name}": (
+        name, lambda v, name=name: run_property_corpus("corpus", **{**_BUDGETS, name: v}))
+       for name in _BUDGETS},
+    "closeness.tau": ("tau", lambda v: closeness(_arc(), _arc(), v)),
+    "in_jump_set.tol": ("tol", lambda v: in_jump_set([TWO_PI, 1.0], tol=v)),
+    "firing_indices.tol": ("tol", lambda v: firing_indices([TWO_PI, 1.0], tol=v)),
+    "jump_map.tol": ("tol", lambda v: jump_map([TWO_PI, 1.0, 2.0], paper_prc(3), tol=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "1", 10**400],
+                         ids=["true", "false", "numeric-string", "beyond-float"])
+@pytest.mark.parametrize("entry", NUMBER_PARAMETERS)
+def test_every_public_number_parameter_refuses_a_non_number(tmp_path, monkeypatch,
+                                                            entry, value):
+    monkeypatch.chdir(tmp_path)  # a corpus that ran would write here
+    monkeypatch.setattr(experiments, "theorem1_corpus",
+                        lambda **_: pytest.fail("a corpus budget got past its check"))
+    name, call = NUMBER_PARAMETERS[entry]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name}: ")
+    assert not (tmp_path / "corpus").exists()
 
 
 # -- gap profile -------------------------------------------------------------

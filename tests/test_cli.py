@@ -110,6 +110,8 @@ MALFORMED = {
     "x0-boolean-entry": ({"x0": [5.5977, True, 3.4383]}, []),
     "amplitude-true": ({"perturbation": {**_SINUSOID, "amplitude": True}}, []),
     "offset-false": ({"perturbation": {**_SINUSOID, "offsets": [0, False, 2]}}, []),
+    "amplitude-beyond-float": ({"perturbation": {**_SINUSOID, "amplitude": 10**400}}, []),
+    "frequency-beyond-float": ({"perturbation": {**_SINUSOID, "frequency": 10**400}}, []),
     "stop-splay-removed": ({"stop_splay_tol": 1e-3}, []),
 }
 #: the malformed inputs of the wrong type (true or false included), and
@@ -121,8 +123,11 @@ CAST_KEYS = {"horizon-string": "horizon", "horizon-beyond-float": "horizon",
              "max-jumps-nan": "max_jumps", "max-jumps-inf": "max_jumps", "horizon-true": "horizon",
              "max-jumps-true": "max_jumps", "stop-v-false": "stop_v_threshold",
              "seed-true": "seed", "x0-boolean-entry": "x0",
-             "amplitude-true": "perturbation.amplitude",
-             "offset-false": "perturbation.offsets"}
+             "amplitude-true": "perturbation.amplitude", "offset-false": "perturbation.offsets",
+             "amplitude-string": "perturbation.amplitude", "offset-string": "perturbation.offsets",
+             "frequency-nan": "perturbation.frequency",
+             "amplitude-beyond-float": "perturbation.amplitude",
+             "frequency-beyond-float": "perturbation.frequency"}
 #: the malformed inputs that name a key SimConfig does not have; n is the
 #: length of x0
 UNKNOWN_KEYS = {"stop-splay-removed": "stop_splay_tol", "n-string": "n", "n-fraction": "n",
@@ -441,6 +446,13 @@ class TestValidatePrc:
         code = main(["validate-prc", "--prc", "scalar", "--n", "3"])
         assert code == EXIT_USAGE
         assert "one increment per phase" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", str(10**400)])
+    def test_bad_network_size_is_usage_error(self, capsys, n):
+        # a size beyond the float range would overflow in the response's corner
+        code = main(["validate-prc", "--prc", "paper", "--n", n])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("lipschitz", ["nan", "inf", "0", "-1"])
     def test_bad_lipschitz_constant_is_usage_error(self, capsys, lipschitz):

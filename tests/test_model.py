@@ -1,6 +1,7 @@
 """Hybrid model data: flow/jump sets, the jump map, and set membership."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ def test_jump_map_requires_a_firer():
 def test_jump_map_rejects_unknown_policy():
     with pytest.raises(ValueError):
         jump_map(np.array([TWO_PI, 1.0, 2.0]), paper_prc(3), policy="bogus")
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, 0.0, math.inf])
+@pytest.mark.parametrize("step", [in_jump_set, firing_indices, jump_map])
+def test_firing_tolerance_must_be_positive_and_finite(step, tol):
+    # a NaN band would read as "nothing fires", and jump_map would blame the state
+    args = (paper_prc(2),) if step is jump_map else ()
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol!r}$"):
+        step([1.0, TWO_PI], *args, tol=tol)
 
 
 def test_simultaneous_firers_all_zero_policy():
@@ -209,6 +219,17 @@ def test_validator_rejects_tiny_grid_and_networks():
         validate_prc(prc.func, 3, grid=100)
     with pytest.raises(ValueError):
         validate_prc(prc.func, 1)
+
+
+def test_validator_takes_integer_sizes_and_a_number_constant():
+    for kwargs, message in ((dict(n=3.5), "^n: 3.5 is not an integer$"),
+                            (dict(n=3, grid=20_000.0), "^grid: 20000.0 is not an integer$"),
+                            (dict(n=3, lipschitz="x"), "^lipschitz: 'x' is not a number$"),
+                            (dict(n=1), "^n must be at least 2, got 1$")):
+        with pytest.raises(ValueError, match=message):
+            validate_prc(paper_prc(3).func, **kwargs)
+    report = validate_prc(paper_prc(3).func, np.int64(3), grid=np.int64(10_000))
+    assert type(report.n) is int and type(report.grid) is int
 
 
 def test_validator_refuses_a_grid_above_the_cap_before_sampling():

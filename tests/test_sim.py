@@ -185,6 +185,12 @@ def test_flow_to_next_event_rejects_a_bad_time_span(t0, horizon, match):
         flow_to_next_event([0.3, 2.0, 4.1], 1.0, None, t0=t0, horizon=horizon)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, 0.0, math.inf])
+def test_flow_to_next_event_firing_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(ValueError, match=f"^firing_tol must be positive and finite, got {tol!r}$"):
+        flow_to_next_event([0.3, 2.0, 4.1], 1.0, None, 0.0, firing_tol=tol)
+
+
 @given(arrays(float, 3, elements=st.floats(0.0, TWO_PI - 1e-3, allow_nan=False)),
        st.floats(0.1, 10.0, allow_nan=False))
 def test_nominal_samples_sit_on_the_exact_ray(x0, omega):
@@ -864,7 +870,7 @@ def test_firings_that_do_not_match_their_rows_raise(tmp_path, kinds, firings, me
     m = len(kinds)
     arc = HybridArc(ts=np.arange(m, dtype=float), js=np.zeros(m, dtype=np.int64),
                     states=np.tile([1.0, 3.0, 5.0], (m, 1)), kinds=np.asarray(kinds),
-                    firings=firings, omega=1.0, perturbed=False, stop_reason="horizon")
+                    firings=firings, perturbed=False, stop_reason="horizon")
     with pytest.raises(ValueError, match=message):
         verify_monotone(arc)
     with pytest.raises(ValueError, match=message):
@@ -948,13 +954,13 @@ def test_perturbation_constructors_validate():
         Perturbation.custom(lambda t: np.zeros(3), bound=-1.0)
     # the constructors pass their values on as given, so a value of the
     # wrong shape meets the dataclass's named check rather than a cast
-    with pytest.raises(ValueError, match=r"amplitude must be finite and nonnegative, got \[0"):
+    with pytest.raises(ValueError, match=r"^amplitude: \[0\.1\] is not a number$"):
         Perturbation.sinusoidal([0.1])
     with pytest.raises(ValueError, match="offsets must be a sequence of numbers, got 1.0"):
         Perturbation.sinusoidal(0.1, 0.5, 1.0)
     with pytest.raises(ValueError, match="offsets must be a sequence of numbers, got '012'"):
         Perturbation.sinusoidal(0.1, 0.5, "012")
-    with pytest.raises(ValueError, match="amplitude must be finite and nonnegative, got '0.1'"):
+    with pytest.raises(ValueError, match="^amplitude: '0.1' is not a number$"):
         Perturbation.custom(_wobble, bound="0.1")
 
 
@@ -970,16 +976,17 @@ def test_perturbation_stores_floats():
     (dict(amplitude=-0.5), "amplitude must be finite and nonnegative, got -0.5"),
     (dict(amplitude=math.nan), "amplitude must be finite and nonnegative, got nan"),
     (dict(amplitude=math.inf), "amplitude must be finite and nonnegative, got inf"),
-    (dict(amplitude="0.1"), "amplitude must be finite and nonnegative, got '0.1'"),
+    (dict(amplitude="0.1"), "^amplitude: '0.1' is not a number$"),
     (dict(amplitude=0.1, frequency=math.nan), "frequency must be finite, got nan"),
     (dict(amplitude=0.1, frequency=-math.inf), "frequency must be finite, got -inf"),
     (dict(amplitude=0.1, offsets=(0.0, math.inf, 1.0)), r"offsets must be finite, got \(0\.0, inf"),
-    (dict(amplitude=True), "amplitude must not be a boolean, got True"),
-    (dict(amplitude=0.1, frequency=False), "frequency must not be a boolean, got False"),
-    (dict(amplitude=0.1, offsets=(0.0, True, 1.0)), "offsets must not be a boolean"),
+    (dict(amplitude=True), "^amplitude: True is not a number$"),
+    (dict(amplitude=0.1, frequency=False), "^frequency: False is not a number$"),
+    (dict(amplitude=0.1, offsets=(0.0, True, 1.0)), "^offsets: True is not a number$"),
+    (dict(amplitude=10**400), "^amplitude: int too large to convert to float$"),
 ], ids=["amplitude-negative", "amplitude-nan", "amplitude-inf", "amplitude-string",
         "frequency-nan", "frequency-inf", "offset-inf", "amplitude-true", "frequency-false",
-        "offset-true"])
+        "offset-true", "amplitude-beyond-float"])
 def test_perturbation_checks_its_values_however_built(values, match):
     # the dataclass and a field replaced on either kind meet the check the
     # constructors meet
@@ -1490,7 +1497,7 @@ def reference_read_trajectory_csv(path) -> HybridArc:
         lineno = [k for k, line in enumerate(text[1:], start=2) if line.strip()][row]
         raise ValueError(f"{path}:{lineno}: {why}")
     return HybridArc(ts=ts, js=js, states=states, kinds=np.asarray(kinds),
-                     firings=[], omega=None, perturbed=False, stop_reason="loaded")
+                     firings=[], perturbed=False, stop_reason="loaded")
 
 
 @st.composite
