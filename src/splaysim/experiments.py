@@ -48,7 +48,9 @@ PERTURBED_TAU = 40.0
 STEEP_WITNESS_X0 = (2.0, 3.9, 6.2, TWO_PI)
 
 CORPUS_SEED = 20260817
-#: cap on geometry_samples, 10x the default; peak memory is linear in it (436 MiB at the cap)
+#: cap on geometry_samples, 10x the default; run time is linear in it (about 4 s at the
+#: cap), peak memory is not: the states are drawn a block of rows at a time (13.4 MiB
+#: at the cap by tracemalloc, about what 2e4 samples take)
 MAX_GEOMETRY_SAMPLES = 1_000_000
 
 
@@ -324,7 +326,10 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
 
     Sections: circle geometry (arc bound, invariances, oracle agreement),
     splay detection, the convergence run corpus, and validator behaviour on
-    the broken catalog including the constructed V-increase run.  Every
+    the broken catalog including the constructed V-increase run.  The
+    geometry_samples random states of the first two are drawn and checked
+    a block of rows at a time, the same draws in the same order as whole
+    batches would make, so memory does not grow with them.  Every
     budget must be an integer of at least 1 (circle.check_number), and
     geometry_samples at most MAX_GEOMETRY_SAMPLES.
     """
@@ -341,17 +346,24 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
                      "oracle_samples": oracle_samples, "runs": runs}
     ok = True
 
-    # circle geometry
+    # circle geometry, drawn and checked a block of rows at a time; the
+    # oracle and the invariances take the first oracle_samples rows
     geo: dict = {}
+    kept = min(oracle_samples, geometry_samples)
     for n in range(2, 9):
-        xs = rng.uniform(0.0, TWO_PI, size=(geometry_samples, n))
-        gamma = shortest_arc_length(xs)
         bound = splay_arc_length(n)
-        over = float((gamma - bound).max())
-        sub = xs[:min(oracle_samples, geometry_samples)]
-        gamma_sub = gamma[:sub.shape[0]]  # the rows of sub, computed above
+        over = -np.inf
+        subs, gammas = [], []
+        for block in analysis._row_blocks(0, geometry_samples, n):
+            xs = rng.uniform(0.0, TWO_PI, size=(block.stop - block.start, n))
+            gamma = shortest_arc_length(xs)
+            over = max(over, float((gamma - bound).max()))
+            if block.start < kept:
+                subs.append(xs[:kept - block.start])
+                gammas.append(gamma[:kept - block.start])
+        sub, gamma_sub = np.concatenate(subs), np.concatenate(gammas)
         oracle_dev = float(np.abs(gamma_sub - shortest_arc_oracle(sub)).max())
-        rot = (sub + rng.uniform(0.0, TWO_PI, size=(sub.shape[0], 1))) % TWO_PI
+        rot = (sub + rng.uniform(0.0, TWO_PI, size=(kept, 1))) % TWO_PI
         rot_dev = float(np.abs(gamma_sub - shortest_arc_length(rot)).max())
         perm = rng.permuted(sub, axis=1)
         perm_dev = float(np.abs(gamma_sub - shortest_arc_length(perm)).max())
@@ -360,7 +372,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         ok &= over <= 1e-12 and oracle_dev <= 1e-12 and rot_dev <= 1e-9 and perm_dev <= 1e-12
     details["geometry"] = geo
 
-    # splay detection
+    # splay detection, the random states drawn a block of rows at a time
     splay: dict = {}
     for n in range(2, 9):
         base = np.arange(n) * (TWO_PI / n)
@@ -368,12 +380,15 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         rots = rng.permuted(rots, axis=1)
         v_splay = float(analysis.lyapunov(rots).max())
         member = bool((splay_gap_deviation(rots) <= DEFAULT_SPLAY_TOL).all())
-        xs = rng.uniform(0.0, TWO_PI, size=(geometry_samples, n))
-        deviation = splay_gap_deviation(xs)
-        off = xs[deviation > 1e-3]
-        v_min_off = float(analysis.lyapunov(off).min()) if off.size else float("nan")
-        splay[f"n{n}"] = {"v_on_splay": v_splay, "members": member,
-                          "off_count": int(off.shape[0]), "v_min_off": v_min_off}
+        off_count, v_min_off = 0, np.inf
+        for block in analysis._row_blocks(0, geometry_samples, n):
+            xs = rng.uniform(0.0, TWO_PI, size=(block.stop - block.start, n))
+            off = xs[splay_gap_deviation(xs) > 1e-3]
+            if off.size:
+                off_count += off.shape[0]
+                v_min_off = min(v_min_off, float(analysis.lyapunov(off).min()))
+        splay[f"n{n}"] = {"v_on_splay": v_splay, "members": member, "off_count": off_count,
+                          "v_min_off": v_min_off if off_count else float("nan")}
         ok &= v_splay <= 1e-9 and member and v_min_off > 0.0
     details["splay"] = splay
 

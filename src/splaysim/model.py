@@ -331,14 +331,15 @@ def _check(name: str, ok: np.ndarray, zs: np.ndarray, detail: str) -> CheckResul
 
 def in_splay_set(x, tol: float = DEFAULT_SPLAY_TOL) -> bool:
     """True iff the phases are evenly spaced: every circularly adjacent pair
-    is geodesically 2*pi/n apart, within tol."""
-    return splay_gap_deviation(x) <= tol
+    is geodesically 2*pi/n apart, within tol (finite and nonnegative)."""
+    return splay_gap_deviation(x) <= check_number("tol", tol, "finite and nonnegative")
 
 
 def in_bad_set(x, tol: float = DEFAULT_BAD_TOL) -> bool:
-    """True iff two phases coincide on the circle (0 identified with 2*pi).
+    """True iff two phases coincide on the circle (0 identified with 2*pi),
+    within tol (finite and nonnegative).
 
     Coinciding phases listen to each other's firings identically and can
     never separate, so no trajectory from here reaches the splay set.
     """
-    return min_pairwise_geodesic(x) <= tol
+    return min_pairwise_geodesic(x) <= check_number("tol", tol, "finite and nonnegative")

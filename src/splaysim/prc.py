@@ -25,12 +25,14 @@ REFERENCE_SLOPE = 0.7
 def piecewise_linear(n: int, c: float, name: str | None = None) -> PhaseResponse:
     """Raw piecewise-linear response with slope -c above the corner.
 
-    No parameter checks and no validation report: this is the constructor
+    No range check on c and no validation report: this is the constructor
     used for negative tests and for probing arbitrary slopes.  Use
-    linear_family for the checked version.  c must be finite.
+    linear_family for the checked version.  n must be an integer of at
+    least 2 and c finite (circle.check_number).
     """
+    n = check_number("n", n, "at least 2", int)
     corner = knee(n)
-    c = float(c)
+    c = check_number("c", c, "finite")
 
     def q(z):
         z = np.asarray(z, dtype=float)
@@ -46,9 +48,10 @@ def linear_family(n: int, c: float, grid: int = 100_000) -> PhaseResponse:
     Validation samples the response on `grid` points, which costs more
     than a short run, so results are cached on the arguments (the last 256
     distinct calls): a repeated (n, c, grid) is validated once per process.
-    The returned descriptor is frozen and shared between callers.
+    The returned descriptor is frozen and shared between callers.  n must
+    be an integer of at least 2 (circle.check_number).
     """
-    if not 0.0 < c < 1.0:
+    if not 0.0 < check_number("c", c) < 1.0:
         raise ValueError(f"slope parameter must satisfy 0 < c < 1, got {c!r}")
     prc = piecewise_linear(n, c)
     report = validate_prc(prc.func, n, grid=grid)
@@ -56,8 +59,9 @@ def linear_family(n: int, c: float, grid: int = 100_000) -> PhaseResponse:
 
 
 def paper_prc(n: int = 3) -> PhaseResponse:
-    """The reference instance of the linear family, slope c = 7/10."""
-    prc = linear_family(n, REFERENCE_SLOPE)
+    """The reference instance of the linear family, slope c = 7/10, for an
+    integer n of at least 2."""
+    prc = linear_family(check_number("n", n, "at least 2", int), REFERENCE_SLOPE)
     return dataclasses.replace(prc, name="paper")
 
 
@@ -118,6 +122,7 @@ def load_table_prc(path, n: int) -> PhaseResponse:
 
 def broken_zero(n: int) -> PhaseResponse:
     """No response at all; firings never separate the phases."""
+    n = check_number("n", n, "at least 2", int)
     return PhaseResponse(
         name="broken:zero",
         func=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
@@ -133,6 +138,7 @@ def broken_steep(n: int, c: float = 1.5) -> PhaseResponse:
 
 def broken_step(n: int) -> PhaseResponse:
     """Discontinuous response: a step drop halfway up the pull-back sector."""
+    n = check_number("n", n, "at least 2", int)
     corner = knee(n)
     mid = 0.5 * (corner + TWO_PI)
 

@@ -13,18 +13,22 @@ inside that bracket finds it to a few ulps and the earliest crossing
 fires.  Either way the crossing coordinates are assigned exactly 2*pi
 rather than accumulated.
 
-A run writes each firing once, in place: the crossing flows into the pre
-row and the jump map writes into the post row of fixed-size chunks, and
-(time, firers, branch) then goes into a list.  The stop rule is
-read off those rows a batch of about one revolution at a time, and a run
-still ends at the very firing where the rule first holds.  From the
-firings, the final (t, x) and the stop reason the HybridArc's samples,
-indexed by (t, j), are derived on the global grid in bounded row blocks.
-The arc keeps the (time, firers, branch) list as its firing table, builds
-JumpEvents from it and their rows only when arc.events is read, and reads
-the hybrid time domain off the samples.  An arc thus holds each state
-once.  Runs are deterministic given the configuration, including the
-seed that resolves set-valued jumps.
+A run records one row per firing, in place: the crossing flows into one
+reused scratch row, the jump map writes the post-jump state into the next
+row of fixed-size chunks, and (time, firers, branch) then goes into a
+list.  A pre-jump state is not recorded, since the exact flow rebuilds it
+from the previous post-jump state and the firing time; only the post-jump
+state, made by the response function, carries what the flow cannot.  The
+stop rule is read off the post-jump rows a batch of about one revolution
+at a time, and a run still ends at the very firing where the rule first
+holds.  From the firings, the final (t, x) and the stop reason the
+HybridArc's samples, indexed by (t, j), are derived in bounded row blocks:
+the post-jump rows are copied, and the pre-jump rows and the rows on the
+global grid are flowed.  The arc keeps the (time, firers, branch) list as
+its firing table, builds JumpEvents from it and their rows only when
+arc.events is read, and reads the hybrid time domain off the samples.  An
+arc thus holds each state once.  Runs are deterministic given the
+configuration, including the seed that resolves set-valued jumps.
 """
 
 from __future__ import annotations
@@ -374,10 +378,12 @@ class HybridArc:
 
 
 def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation,
-          out: np.ndarray | None = None) -> np.ndarray:
+          out: np.ndarray | None = None, clamp: bool = True) -> np.ndarray:
     """The exact flow x(t) = x0 + omega * (t - t0) + D(t0, t), D the
-    disturbance integral, clamped at 2*pi, written into out (a fresh array
-    when None).
+    disturbance integral, clamped at 2*pi unless clamp is False, written
+    into out (a fresh array when None).  A flow that ends at a firing needs
+    no clamp: a coordinate that rounds past 2*pi there is in the firing
+    band, which its caller sets to exactly 2*pi.
 
     A scalar t gives the state of shape (n,).  An array of times gives one
     state per time, shape (len(t), n), row i flowing from x0[i] at t0[i];
@@ -387,7 +393,7 @@ def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation,
     x = np.add(x0, shift[:, None] if getattr(shift, "ndim", 0) else shift, out=out)
     if not pert.is_none:
         x += pert.displacement(t0, np.atleast_1d(t), x.shape[-1]).reshape(x.shape)
-    return np.minimum(x, TWO_PI, out=x)
+    return np.minimum(x, TWO_PI, out=x) if clamp else x
 
 
 def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: Perturbation,
@@ -407,7 +413,7 @@ def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: P
         t_fire = _earliest_root(x0, t0, omega, pert)
     if t_fire > horizon:
         return horizon, _flow(x0, t0, horizon, omega, pert, out), None
-    x = _flow(x0, t0, t_fire, omega, pert, out)
+    x = _flow(x0, t0, t_fire, omega, pert, out, clamp=False)
     firers = (x >= TWO_PI - firing_tol).nonzero()[0]
     x[firers] = TWO_PI
     return t_fire, x, firers
@@ -475,12 +481,14 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
 
 class _Firings:
     """The firings of one run, each written once: (t, firers, branch) in a
-    list, and the pre and post states in rows 2i and 2i + 1 of fixed-size
-    chunks of analysis._BLOCK_FLOATS // (2n) firings, so no array is ever
-    regrown.  rows() hands out the next firing's two rows, which the
-    crossing and the jump write into, and commit() records the firing once
-    its post row holds the jump's result; rows handed out but never
-    committed are left out of the record.
+    list, and the post state in row i of fixed-size chunks of
+    analysis._BLOCK_FLOATS // n firings, so no array is ever regrown.  The
+    pre state is not kept: _sampled_arc flows it from the previous post
+    state.  rows() hands out one reused scratch row, which the crossing
+    flows into and the jump reads, and the next firing's post row, which
+    the jump writes into; commit() records the firing once its post row
+    holds the jump's result, and post rows handed out but never committed
+    are left out of the record.
 
     The stop rule (V below stop_v_threshold, held for a full nominal
     revolution) is read off the post rows a batch at a time, once
@@ -494,20 +502,21 @@ class _Firings:
         self.config = config
         self.facts: list[tuple[float, tuple[int, ...], str]] = []
         self.chunks: list[np.ndarray] = []
-        self.per_chunk = max(1, analysis._BLOCK_FLOATS // (2 * config.n))
+        self.per_chunk = max(1, analysis._BLOCK_FLOATS // config.n)
         self.batch = min(config.n, self.per_chunk)
         self.period = TWO_PI / config.omega
+        self.pre = np.empty(config.n)
         self.settled = 0  # firings the stop rule has seen
         self.hold_since: float | None = None
         self.stopped = False
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pre and post rows of the next firing, views of its chunk,
-        which is allocated on first use."""
+        """The scratch pre row and the next firing's post row, a view of
+        its chunk, which is allocated on first use."""
         k, i = divmod(len(self.facts), self.per_chunk)
         if k == len(self.chunks):
-            self.chunks.append(np.empty((2 * self.per_chunk, self.config.n)))
-        return self.chunks[k][2 * i], self.chunks[k][2 * i + 1]
+            self.chunks.append(np.empty((self.per_chunk, self.config.n)))
+        return self.pre, self.chunks[k][i]
 
     def commit(self, t: float, firers: np.ndarray, branch: str) -> None:
         """Record the firing whose rows() the crossing and the jump filled."""
@@ -518,7 +527,7 @@ class _Firings:
 
     def post(self, k: int) -> np.ndarray:
         """The post state of firing k, a view of its chunk row."""
-        return self.chunks[k // self.per_chunk][2 * (k % self.per_chunk) + 1]
+        return self.chunks[k // self.per_chunk][k % self.per_chunk]
 
     def settle(self) -> bool:
         """Hold the stop rule over the pending firings, which share a chunk;
@@ -528,8 +537,8 @@ class _Firings:
         threshold = self.config.stop_v_threshold
         if self.stopped or lo == hi or threshold is None:
             return self.stopped
-        at = 2 * (lo % self.per_chunk)
-        posts = self.chunks[lo // self.per_chunk][at + 1:at + 2 * (hi - lo):2]
+        at = lo % self.per_chunk
+        posts = self.chunks[lo // self.per_chunk][at:at + hi - lo]
         hits = analysis._lyapunov(posts) < threshold
         if not hits.any():
             self.hold_since = None
@@ -562,10 +571,11 @@ def run(config: SimConfig) -> HybridArc:
     closer than the dwell guard.
 
     Each step of the loop is one firing written in place into a _Firings
-    record: the crossing flows into the pre row it hands out, the jump
-    writes into the post row, and (t, firers, branch) is committed to the
-    list; no state is built elsewhere and copied in.  The stop rule is
-    evaluated on batches of those rows, so the loop may run up to n - 1
+    record: the crossing flows into the scratch pre row it hands out, the
+    jump writes into the post row, and (t, firers, branch) is committed to
+    the list; no state is built elsewhere and copied in, and the pre row is
+    rebuilt from the flow when the samples are made.  The stop rule is
+    evaluated on batches of the post rows, so the loop may run up to n - 1
     firings past the firing at which it holds; the pending firings are
     settled before the loop exits by horizon or jump budget and before any
     exception from the loop is re-raised, and a stop among them ends the
@@ -627,7 +637,7 @@ def run(config: SimConfig) -> HybridArc:
 def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
                  x_end: np.ndarray, on_jump: bool, stop_reason: str) -> HybridArc:
     """The arc of a run, its samples derived in one pass from its firings
-    (t, firers, branch), the chunks that hold their pre and post states in
+    (t, firers, branch), the chunks that hold their post states in
     consecutive rows, its final time and state (on_jump when that state is
     the last firing's post state), and the global grid k * sample_dt.
 
@@ -635,10 +645,13 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).  Each chunk's pre and post rows are
-    copied into their rows with two assignments and the chunk is dropped.
-    The grid rows of all segments are then flowed, each from its segment's
-    start row, in bounded row blocks.
+    unless the run ended on a jump).  Each chunk's post rows are copied
+    into their rows with one assignment and the chunk is dropped.  Each
+    pre-jump row is then rebuilt as the loop made it: its segment's start
+    flowed to the firing time, the firing band set to exactly 2*pi, or the
+    start itself where it was already on the jump set (a firing at its
+    segment's start time).  The grid rows of all segments are flowed, each
+    from its segment's start row.  Both passes run in bounded row blocks.
     """
     m, dt = len(firings), config.sample_dt
     starts = np.array([0.0, *(f[0] for f in firings)])
@@ -647,9 +660,10 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     k0 = np.floor(starts / dt + 1e-9).astype(int) + 1
     counts = np.maximum(np.ceil(ends / dt - 1e-9).astype(int) - k0, 0)
     # rows in each segment's (start, grid, end) pieces
+    fire_at = TWO_PI - config.firing_tol
     reps = np.ones((m + 1, 3), dtype=int)
     reps[:, 1] = counts
-    reps[0, 0] = config.x0.max() < TWO_PI - config.firing_tol
+    reps[0, 0] = config.x0.max() < fire_at
     reps[-1, 2] = not on_jump
     js = np.repeat(np.arange(m + 1), reps.sum(axis=1))
     reps = reps.ravel()
@@ -659,14 +673,23 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     states = np.empty((ts.size, config.n))
     # whatever their kinds, the first row holds x0 and the last x_end
     states[0], states[-1] = config.x0, x_end
-    pre_rows = piece_at[2:-1:3]  # each firing's post-jump row follows its pre-jump row
+    post_rows = piece_at[2:-1:3] + 1  # each firing's post-jump row follows its pre-jump row
     done = 0
     while chunks:
         chunk = chunks.pop(0)
-        rows = pre_rows[done:done + chunk.shape[0] // 2]
-        states[rows] = chunk[0:2 * rows.size:2]
-        states[rows + 1] = chunk[1:2 * rows.size:2]
+        rows = post_rows[done:done + chunk.shape[0]]
+        states[rows] = chunk[:rows.size]
         done += rows.size
+    # segment k starts at x0 in row 0 for k = 0, else at firing k - 1's post-jump row
+    start_rows = np.append(0, post_rows[:-1])
+    for block in analysis._row_blocks(0, m, config.n):
+        start = states[start_rows[block]]
+        pre = _flow(start, starts[block], ends[block], config.omega, config.perturbation,
+                    clamp=False)
+        pre[pre >= fire_at] = TWO_PI
+        on_set = start.max(axis=1) >= fire_at
+        pre[on_set] = start[on_set]
+        states[post_rows[block] - 1] = pre
     # the rows of each segment's grid piece, and the first of them; a
     # segment with grid rows has its start row just above them
     grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))

@@ -24,8 +24,10 @@ from splaysim.circle import (
 )
 from splaysim import experiments
 from splaysim.experiments import run_property_corpus
-from splaysim.model import firing_indices, in_jump_set, jump_map, validate_prc
-from splaysim.prc import paper_prc, prc_from_spec
+from splaysim.model import (firing_indices, in_bad_set, in_jump_set, in_splay_set, jump_map,
+                            validate_prc)
+from splaysim.prc import (broken_step, broken_steep, broken_zero, linear_family, paper_prc,
+                          piecewise_linear, prc_from_spec)
 from splaysim.sim import Perturbation, SimConfig, flow_to_next_event, run
 
 phase_values = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
@@ -141,6 +143,14 @@ NUMBER_PARAMETERS = {
     "in_jump_set.tol": ("tol", lambda v: in_jump_set([TWO_PI, 1.0], tol=v)),
     "firing_indices.tol": ("tol", lambda v: firing_indices([TWO_PI, 1.0], tol=v)),
     "jump_map.tol": ("tol", lambda v: jump_map([TWO_PI, 1.0, 2.0], paper_prc(3), tol=v)),
+    "in_splay_set.tol": ("tol", lambda v: in_splay_set([1.0, 1.0 + TWO_PI / 2], tol=v)),
+    "in_bad_set.tol": ("tol", lambda v: in_bad_set([1.0, 1.0], tol=v)),
+    "paper_prc.n": ("n", paper_prc),
+    "linear_family.n": ("n", lambda v: linear_family(v, 0.5)),
+    "linear_family.c": ("c", lambda v: linear_family(3, v)),
+    "piecewise_linear.n": ("n", lambda v: piecewise_linear(v, 0.5)),
+    "piecewise_linear.c": ("c", lambda v: piecewise_linear(3, v)),
+    **{f"{make.__name__}.n": ("n", make) for make in (broken_zero, broken_steep, broken_step)},
 }
 
 

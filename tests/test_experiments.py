@@ -1,10 +1,13 @@
 """Shipped studies: reports, corpus records, and the constructed witnesses."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from splaysim import analysis
 from splaysim.analysis import lyapunov
 from splaysim.circle import TWO_PI
 from splaysim.experiments import (
@@ -133,6 +136,40 @@ def test_property_corpus_small(tmp_path):
     assert payload["negative"]["steep_run"]["jump"] == 1
     for section in ("geometry", "splay", "runs", "negative"):
         assert section in payload
+
+
+#: SHA-256 of summary.json for geometry_samples=2000, oracle_samples=500,
+#: runs=1, as written when each section drew its whole batch at once
+SMALL_CORPUS_SUMMARY = "bb0bb4ce3ea2d7dea03256ac742678d9665a65401dfa1c6dece457c475c5788f"
+
+
+@pytest.mark.parametrize("block_floats", [None, 100])
+def test_property_corpus_summary_is_unchanged_by_the_row_blocks(tmp_path, monkeypatch,
+                                                                block_floats):
+    # blocks of 12 to 50 rows cut the oracle's 500 rows; the draws must stay
+    # the same values in the same order
+    if block_floats is not None:
+        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_floats)
+    run_property_corpus(tmp_path, geometry_samples=2000, oracle_samples=500, runs=1)
+    digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
+    assert digest == SMALL_CORPUS_SUMMARY
+
+
+def test_property_corpus_memory_does_not_grow_with_the_samples(tmp_path):
+    # geometry states are drawn and checked a block of rows at a time, so
+    # the peak is set by the oracle's first oracle_samples rows: 13.6 and
+    # 13.4 MiB at 2e4 and 1e5 samples, where whole batches peaked at 45.5
+    # MiB at 1e5 (tracemalloc)
+    peaks = []
+    for samples in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            assert run_property_corpus(tmp_path / str(samples), geometry_samples=samples,
+                                       runs=1).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_property_corpus_refuses_samples_above_the_cap(tmp_path):

@@ -211,6 +211,15 @@ def test_bad_set_membership():
     assert in_bad_set([0.0, TWO_PI, 3.0])  # endpoints are the same point
     assert not in_bad_set([0.0, 1.0, 2.0])
     assert in_bad_set([1.0, 1.0 + 1e-13, 4.0])  # below coincidence tolerance
+    assert in_bad_set([1.0, 1.0], tol=0.0)  # exact coincidence
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+@pytest.mark.parametrize("member", [in_splay_set, in_bad_set])
+def test_set_tolerance_must_be_finite_and_nonnegative(member, tol):
+    # a NaN tolerance would read as "not a member" whatever the state
+    with pytest.raises(ValueError, match=f"^tol must be finite and nonnegative, got {tol!r}$"):
+        member([1.0, 1.0], tol=tol)
 
 
 def test_validator_rejects_tiny_grid_and_networks():

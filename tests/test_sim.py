@@ -19,7 +19,8 @@ from splaysim import analysis, circle, sim
 from splaysim.analysis import lyapunov, verify_monotone, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import PERTURBED_X0, draw_start, fig2_config, perturbed_config
-from splaysim.model import InvalidPhaseResponseError, PhaseResponse, in_splay_set, jump_map
+from splaysim.model import (InvalidPhaseResponseError, PhaseResponse, in_jump_set, in_splay_set,
+                            jump_map)
 from splaysim.prc import broken_zero, paper_prc, prc_from_spec
 from splaysim.sim import (
     HybridArc,
@@ -411,7 +412,7 @@ def test_run_matches_the_public_function_reference(monkeypatch, name, per_chunk)
         assert_matches_reference(run(cfg), cfg)
         return
     expected = run(cfg)
-    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 2 * cfg.n * per_chunk)
+    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", cfg.n * per_chunk)
     assert sim._Firings(cfg).per_chunk == per_chunk
     arc = run(cfg)
     assert_matches_reference(arc, cfg)
@@ -778,7 +779,9 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
 
 def test_an_arc_holds_each_state_once(tmp_path):
     """Memory gate, from tracemalloc on n=200, horizon 60, sample_dt 0.1
-    (states 7.1 MB): run keeps 1.04x states.nbytes and verify_monotone
+    (states 7.1 MB): run peaks at 1.51x states.nbytes while its record of
+    one post-jump row per firing lives next to the samples (1.95x when the
+    record held each pre-jump row too), it keeps 1.04x, and verify_monotone
     peaks at 1.22x with the arc alive.  Holding each event's pre and post
     apart from the samples is 2.0x, and a whole-batch sort and gap array in
     verify_monotone is 4.0x.  Each CSV writer formats a block of rows at a
@@ -791,7 +794,7 @@ def test_an_arc_holds_each_state_once(tmp_path):
     tracemalloc.start()
     try:
         arc = run(cfg)
-        held = tracemalloc.get_traced_memory()[0]
+        held, run_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         assert verify_monotone(arc).passed
         peak = tracemalloc.get_traced_memory()[1]
@@ -805,6 +808,7 @@ def test_an_arc_holds_each_state_once(tmp_path):
         tracemalloc.stop()
     assert arc.jumps > 1000
     assert held <= 1.5 * arc.states.nbytes
+    assert run_peak <= 1.6 * arc.states.nbytes
     assert peak <= 2.0 * arc.states.nbytes
     assert max(writer_peaks) <= 0.5 * arc.states.nbytes
 
@@ -1131,6 +1135,47 @@ def test_perturbed_events_match_the_closed_form_flow(make_config):
     worst_sample, worst_firer = _closed_form_mismatch(arc, cfg.x0, cfg.omega, integral)
     assert worst_sample <= 1e-12
     assert worst_firer <= 1e-12
+
+
+PRE_ROW_ARCS = {
+    "nominal": fig2_config,
+    "sinusoid-n8": _n8_config,
+    "sinusoid-f0": _zero_frequency_config,
+    "custom": _custom_config,
+    # one firer inside the firing band but below 2*pi, which the loop keeps
+    "enumerate-on-jump-set": lambda: SimConfig(
+        prc=paper_prc(5), x0=[TWO_PI, 1.0, TWO_PI - 5e-10, 3.0, TWO_PI], policy="enumerate",
+        seed=4, horizon=60.0),
+}
+
+
+# the record keeps no pre-jump row: each is rebuilt from the flow, in row
+# blocks as small as the chunks of 1 and of 2 firings, and must be the
+# state the public step functions reach, bit for bit
+@pytest.mark.parametrize("name, per_chunk", [
+    *((name, None) for name in PRE_ROW_ARCS),
+    *((name, k) for k in (1, 2) for name in PRE_ROW_ARCS),
+], ids=[*PRE_ROW_ARCS, *(f"{name}-chunk-{k}" for k in (1, 2) for name in PRE_ROW_ARCS)])
+def test_each_pre_jump_row_is_the_flow_from_its_segment_start(monkeypatch, name, per_chunk):
+    cfg = PRE_ROW_ARCS[name]()
+    if per_chunk is not None:
+        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", cfg.n * per_chunk)
+        assert sim._Firings(cfg).per_chunk == per_chunk
+    arc = run(cfg)
+    assert arc.jumps > 10
+    start_t, start_x, copied = 0.0, cfg.x0, 0
+    for e in arc.events:
+        if in_jump_set(start_x, cfg.firing_tol):  # no flow: the start fires at once
+            t, expect = start_t, start_x
+            copied += 1
+        else:
+            t, expect, fired = flow_to_next_event(start_x, cfg.omega, cfg.perturbation,
+                                                  start_t, firing_tol=cfg.firing_tol)
+            assert fired
+        assert e.t == t
+        assert e.pre.tobytes() == expect.tobytes()
+        start_t, start_x = e.t, e.post
+    assert (copied > 0) == (name == "enumerate-on-jump-set")
 
 
 def test_custom_func_is_called_on_arrays_of_times():
