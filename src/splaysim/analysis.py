@@ -148,12 +148,15 @@ class MonotoneVerdict:
 
 
 def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
-    """Check V's flow-constancy and jump-monotonicity over a recorded arc.
+    """Check V's flow-constancy and jump-monotonicity over a recorded arc,
+    within tol, a finite nonnegative number (circle.check_number).
 
-    V is evaluated on the samples in row blocks, so apart from the trace's
-    per-sample arrays the check allocates nothing the size of arc.states."""
-    values = lyapunov(arc.states)
-    rows = arc.jump_rows()
+    The trace's values are the arc's cached arc.v, computed once per arc in
+    row blocks, so apart from the trace's per-sample arrays the check
+    allocates nothing the size of arc.states."""
+    tol = check_number("tol", tol, "finite and nonnegative")
+    values = arc.v
+    rows = arc.jump_rows
     deltas = values[rows + 1] - values[rows]
 
     # largest |V - V(first sample)| per j-run, that is per tile of arc.intervals

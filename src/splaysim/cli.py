@@ -32,7 +32,6 @@ from .sim import (
     _start,
     read_trajectory_csv,
     run,
-    write_events_csv,
     write_trajectory_csv,
 )
 
@@ -148,15 +147,10 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     created = [p for p in (out, *out.parents) if not p.exists()]  # innermost first
     traj, events = out / "trajectory.csv", out / "events.csv"
-    written = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for path, write in ((traj, write_trajectory_csv), (events, write_events_csv)):
-            write(arc, path)
-            written.append(path)
-    except BaseException:  # an interrupt too: leave no CSV of this run behind
-        for path in written:
-            path.unlink()
+        write_trajectory_csv(arc, traj, events)  # a failed write removes both files
+    except BaseException:  # an interrupt too: leave no directory of this run behind
         if created:
             shutil.rmtree(created[-1], ignore_errors=True)
         raise
@@ -164,7 +158,7 @@ def cmd_simulate(args) -> int:
     print(f"stop reason: {arc.stop_reason}")
     print(f"final hybrid time: t={_fmt(final_t)} j={final_j}")
     print(f"jumps: {arc.jumps}")
-    print(f"terminal V: {_fmt(analysis.lyapunov(arc.final_state))}")
+    print(f"terminal V: {_fmt(arc.v[-1])}")
     dwell = arc.min_dwell_after_first()
     if not np.isnan(dwell):
         print(f"min dwell after first jump: {_fmt(dwell)}")

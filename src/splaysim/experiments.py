@@ -26,7 +26,7 @@ from .circle import (
 )
 from .model import DEFAULT_SPLAY_TOL, in_bad_set, validate_prc
 from .prc import broken_step, broken_steep, broken_zero, paper_prc
-from .sim import Perturbation, SimConfig, run, write_events_csv, write_trajectory_csv
+from .sim import Perturbation, SimConfig, run, write_trajectory_csv
 
 FIG2_X0 = (5.5977, 6.0274, 3.4383)
 
@@ -94,10 +94,9 @@ def run_fig2(out_dir) -> ExperimentReport:
     out.mkdir(parents=True, exist_ok=True)
     config = fig2_config()
     arc = run(config)
-    write_trajectory_csv(arc, out / "trajectory.csv")
-    write_events_csv(arc, out / "events.csv")
+    write_trajectory_csv(arc, out / "trajectory.csv", out / "events.csv")
     verdict = analysis.verify_monotone(arc, tol=1e-9)
-    terminal_v = analysis.lyapunov(arc.final_state)
+    terminal_v = float(arc.v[-1])
     passed = verdict.passed and terminal_v < config.stop_v_threshold
     report = ExperimentReport(
         name="fig2",
@@ -106,7 +105,7 @@ def run_fig2(out_dir) -> ExperimentReport:
             "jumps": arc.jumps,
             "stop_reason": arc.stop_reason,
             "final_t": float(arc.ts[-1]),
-            "terminal_v": float(terminal_v),
+            "terminal_v": terminal_v,
             "max_flow_oscillation": verdict.max_flow_oscillation,
             "max_jump_delta": verdict.max_jump_delta,
             "monotone_passed": verdict.passed,
@@ -123,13 +122,11 @@ def run_fig3(out_dir) -> ExperimentReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     arc = run(fig2_config())
-    write_trajectory_csv(arc, out / "trajectory.csv")
-    write_events_csv(arc, out / "events.csv")
-    rows = arc.jump_rows()
-    pre, post = arc.states[rows], arc.states[rows + 1]
-    deltas = analysis.vtilde(post) - analysis.vtilde(pre)
+    write_trajectory_csv(arc, out / "trajectory.csv", out / "events.csv")
+    rows = arc.jump_rows
+    deltas = arc.vtilde[rows + 1] - arc.vtilde[rows]
     increases = np.flatnonzero(deltas > 1e-9)
-    terminal_vt = analysis.vtilde(arc.final_state)
+    terminal_vt = float(arc.vtilde[-1])
     passed = increases.size > 0 and terminal_vt < 1e-3
     # how common the effect is across random starts, reported, not asserted
     corpus = theorem1_corpus(runs=100)
@@ -142,7 +139,7 @@ def run_fig3(out_dir) -> ExperimentReport:
             "increase_count": int(increases.size),
             "first_increase_jump": int(increases[0]) + 1 if increases.size else None,
             "max_increase": float(deltas.max()) if deltas.size else 0.0,
-            "terminal_vtilde": float(terminal_vt),
+            "terminal_vtilde": terminal_vt,
             "corpus_runs": len(corpus),
             "corpus_fraction_with_increase": fraction,
         },
@@ -181,15 +178,13 @@ def run_perturbed(out_dir) -> ExperimentReport:
     for eps in (0.0,) + PERTURBED_EPSILONS:
         arc = run(perturbed_config(eps))
         label = "nominal" if eps == 0.0 else f"eps_{eps:g}"
-        write_trajectory_csv(arc, out / f"{label}.csv")
-        write_events_csv(arc, out / f"{label}_events.csv")
+        write_trajectory_csv(arc, out / f"{label}.csv", out / f"{label}_events.csv")
         arcs[eps] = arc
 
     tail_start = 0.75 * PERTURBED_HORIZON
     s = {}
     for eps, arc in arcs.items():
-        mask = arc.ts >= tail_start
-        s[eps] = float(analysis.lyapunov(arc.states[mask]).max())
+        s[eps] = float(arc.v[arc.ts >= tail_start].max())
 
     closeness = {
         eps: analysis.closeness(arcs[0.0], arcs[eps], PERTURBED_TAU)
@@ -276,14 +271,14 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
         config = corpus_run_config(n, x0, run_seed, horizon)
         arc = run(config)
         verdict = analysis.verify_monotone(arc, tol=1e-9)
-        terminal_v = analysis.lyapunov(arc.final_state)
+        terminal_v = float(arc.v[-1])
         min_geo = float("nan")
         vt_up = 0
         if arc.jumps:
-            rows = arc.jump_rows()
+            rows = arc.jump_rows
             pre, post = arc.states[rows], arc.states[rows + 1]
             min_geo = float(min_pairwise_geodesic(np.concatenate([post, pre])).min())
-            vt_up = int(np.count_nonzero(analysis.vtilde(post) - analysis.vtilde(pre) > 1e-9))
+            vt_up = int(np.count_nonzero(arc.vtilde[rows + 1] - arc.vtilde[rows] > 1e-9))
         records.append(RunRecord(
             index=i,
             n=n,
@@ -292,7 +287,7 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
             jumps=arc.jumps,
             final_t=float(arc.ts[-1]),
             stop_reason=arc.stop_reason,
-            terminal_v=float(terminal_v),
+            terminal_v=terminal_v,
             converged=bool(terminal_v < config.stop_v_threshold),
             monotone_passed=verdict.passed,
             min_jump_geodesic=min_geo,
@@ -300,8 +295,8 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
             vtilde_increase_jumps=vt_up,
         ))
         if out is not None:
-            write_trajectory_csv(arc, out / f"run_{i:03d}_trajectory.csv")
-            write_events_csv(arc, out / f"run_{i:03d}_events.csv")
+            write_trajectory_csv(arc, out / f"run_{i:03d}_trajectory.csv",
+                                 out / f"run_{i:03d}_events.csv")
     return records
 
 

@@ -41,28 +41,36 @@ def piecewise_linear(n: int, c: float, name: str | None = None) -> PhaseResponse
     return PhaseResponse(name=name or f"linear:{c:g}", func=q, n=n)
 
 
-@functools.lru_cache(maxsize=256)
 def linear_family(n: int, c: float, grid: int = 100_000) -> PhaseResponse:
     """Validated piecewise-linear response; requires 0 < c < 1 strictly.
 
     Validation samples the response on `grid` points, which costs more
-    than a short run, so results are cached on the arguments (the last 256
-    distinct calls): a repeated (n, c, grid) is validated once per process.
-    The returned descriptor is frozen and shared between callers.  n must
-    be an integer of at least 2 (circle.check_number).
+    than a short run, so results are cached (the last 256 distinct
+    (n, c, grid)): a repeated one is validated once per process.  The
+    returned descriptor is frozen and shared between callers.  n must be an
+    integer of at least 2, c a number and grid an integer
+    (circle.check_number), checked before the cache is asked, so a value
+    that equals a cached key, such as 3.0 for 3, is refused as it would be
+    on a miss, while np.int64(3) finds the entry of 3.
     """
-    if not 0.0 < check_number("c", c) < 1.0:
+    c = check_number("c", c)
+    if not 0.0 < c < 1.0:
         raise ValueError(f"slope parameter must satisfy 0 < c < 1, got {c!r}")
+    return _validated_linear(check_number("n", n, "at least 2", int), c,
+                             check_number("grid", grid, kind=int))
+
+
+@functools.lru_cache(maxsize=256)
+def _validated_linear(n: int, c: float, grid: int) -> PhaseResponse:
+    """linear_family's response for numbers it has checked, cached."""
     prc = piecewise_linear(n, c)
-    report = validate_prc(prc.func, n, grid=grid)
-    return dataclasses.replace(prc, validation=report)
+    return dataclasses.replace(prc, validation=validate_prc(prc.func, n, grid=grid))
 
 
 def paper_prc(n: int = 3) -> PhaseResponse:
     """The reference instance of the linear family, slope c = 7/10, for an
     integer n of at least 2."""
-    prc = linear_family(check_number("n", n, "at least 2", int), REFERENCE_SLOPE)
-    return dataclasses.replace(prc, name="paper")
+    return dataclasses.replace(linear_family(n, REFERENCE_SLOPE), name="paper")
 
 
 def table_prc(zs, qs, n: int, name: str = "table") -> PhaseResponse:

@@ -27,12 +27,15 @@ the post-jump rows are copied, and the pre-jump rows and the rows on the
 global grid are flowed.  The arc keeps the (time, firers, branch) list as
 its firing table, builds JumpEvents from it and their rows only when
 arc.events is read, and reads the hybrid time domain off the samples.  An
-arc thus holds each state once.  Runs are deterministic given the
-configuration, including the seed that resolves set-valued jumps.
+arc thus holds each state once; its jump rows and the V and Vtilde of its
+samples are computed on first read and cached for every later reader.
+Runs are deterministic given the configuration, including the seed that
+resolves set-valued jumps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -191,12 +194,16 @@ class Perturbation:
         return half[:, None] * np.einsum("k,mkn->mn", weights, d)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: it is cached and handed to every caller."""
+    arr.flags.writeable = False
+    return arr
+
+
 @functools.cache
 def _splay_offsets(n: int) -> np.ndarray:
     """2*pi*i/n for i < n, a sinusoid's default offsets: one read-only array per n."""
-    offsets = TWO_PI * np.arange(n) / n
-    offsets.flags.writeable = False
-    return offsets
+    return _read_only(TWO_PI * np.arange(n) / n)
 
 
 @functools.cache
@@ -303,6 +310,11 @@ class HybridArc:
     row after it (jump_rows), so the arc's memory is its samples plus the
     table, and events builds JumpEvents from the two when read.  The
     hybrid time domain is not stored: intervals reads it off the samples.
+
+    jump_rows, v and vtilde (V and Vtilde of each sample) are computed on
+    first read and cached as read-only arrays, so the checks, the studies
+    and the CSV writers that read them share one computation per arc; an
+    arc's samples are not to be changed once they have been read.
     """
 
     ts: np.ndarray
@@ -332,13 +344,14 @@ class HybridArc:
     def jumps(self) -> int:
         return len(self.firings)
 
+    @functools.cached_property
     def jump_rows(self) -> np.ndarray:
         """Each firing's pre-jump row; its post-jump row is the next one.
         An arc without firings has none, whatever its kinds.  ValueError
         when the pre-jump and post-jump rows do not pair up with the
         firings."""
         if not self.firings:
-            return np.empty(0, dtype=np.intp)
+            return _read_only(np.empty(0, dtype=np.intp))
         pre = np.flatnonzero(self.kinds == PRE_JUMP)
         post = np.flatnonzero(self.kinds == POST_JUMP)
         if not pre.size == post.size == len(self.firings):
@@ -346,7 +359,17 @@ class HybridArc:
                              f"{post.size} post-jump samples")
         if not np.array_equal(post, pre + 1):
             raise ValueError("arc has a pre-jump sample not followed by its post-jump sample")
-        return pre
+        return _read_only(pre)
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        """V of each sample, analysis.lyapunov of states."""
+        return _read_only(analysis.lyapunov(self.states))
+
+    @functools.cached_property
+    def vtilde(self) -> np.ndarray:
+        """Vtilde of each sample, analysis.vtilde of states."""
+        return _read_only(analysis.vtilde(self.states))
 
     @property
     def events(self) -> list[JumpEvent]:
@@ -356,7 +379,7 @@ class HybridArc:
         frozen.flags.writeable = False
         return [JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1])
                 for j, (row, (t, firers, branch))
-                in enumerate(zip(self.jump_rows().tolist(), self.firings))]
+                in enumerate(zip(self.jump_rows.tolist(), self.firings))]
 
     @property
     def final_state(self) -> np.ndarray:
@@ -713,11 +736,17 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
 # reproduces the value bit for bit and rerunning the same configuration
 # reproduces the file byte for byte.  The writers format all the floats of
 # a block of rows in one _float_cells call and write the block's bytes at
-# once.  V and Vtilde are constant between nominal firings only in exact
-# arithmetic (flowed phases round), so they, j and the event kind are
-# formatted once per run of equal values (of equal bit patterns for
-# floats) and repeated.  The files are written through a binary handle, so
-# their lines end in LF on every platform.
+# once.  V and Vtilde are the arc's cached arc.v and arc.vtilde; they are
+# constant between nominal firings only in exact arithmetic (flowed phases
+# round), so they, j and the event kind are formatted once per run of
+# equal values (of equal bit patterns for floats) and repeated.
+# write_trajectory_csv can write the events file in the same pass: an
+# events row is the cells of a firing's pre-jump row and the post-jump row
+# after it, which one block always holds together, so the same float gives
+# the same cell in both files and the events floats are not formatted
+# again.  One routine, _write_csvs, writes the blocks of one file or two
+# through binary handles, so lines end in LF on every platform, and
+# removes every file it opened when a write fails.
 
 #: 10**k for k = 0..20, exact (10**22 is the largest power of ten a double
 #: holds), and its Veltkamp halves of at most 26 significant bits each
@@ -922,65 +951,128 @@ def _text_cells(strings) -> np.ndarray:
     return text.view(np.uint8).reshape(text.size, 1, text.itemsize)
 
 
-def write_trajectory_csv(arc: HybridArc, path) -> None:
-    """Write the sampled arc with V and Vtilde per sample, one row each.
+def write_trajectory_csv(arc: HybridArc, path, events=None) -> None:
+    """Write the sampled arc with V and Vtilde per sample (arc.v and
+    arc.vtilde), one row each, and, when events is a path, the events CSV
+    there in the same block pass.
+
     A block's t, phases and the first V and Vtilde of each run of equal bit
     patterns are formatted in one _float_cells call; j and the event kind
-    once per run."""
-    v, vt = analysis.lyapunov(arc.states), analysis.vtilde(arc.states)
+    once per run.  Each firing's events row takes the block's cells: t and
+    pre from its pre-jump row, post from the post-jump row after it, so a
+    block never ends on a pre-jump row and the events file needs no
+    formatting of its own.  The files are written as write_events_csv
+    writes them alone, byte for byte."""
+    n, size = arc.n, arc.ts.size
+    names = ["t", "j", *(f"x_{i + 1}" for i in range(n)), "V", "Vtilde", "event"]
+    step = max(1, _CSV_CELLS // len(names))
+    pre_rows = np.empty(0, dtype=np.intp) if events is None else arc.jump_rows
+    v, vt = arc.v, arc.vtilde
 
-    def columns(rows: slice) -> list:
-        ts, n = arc.ts[rows], arc.n
-        (v_at, v_len), (vt_at, vt_len) = _runs(v[rows]), _runs(vt[rows])
-        cells = _float_cells(np.concatenate((ts, arc.states[rows].ravel(), v_at, vt_at)))
-        t_cells, x_cells, v_cells, vt_cells = np.split(
-            cells[:, None], np.cumsum([ts.size, ts.size * n, v_at.size]))
-        (j_at, j_len), (kind_at, kind_len) = _runs(arc.js[rows]), _runs(arc.kinds[rows])
-        return [t_cells, np.repeat(_text_cells(map(str, j_at.tolist())), j_len, axis=0),
-                x_cells.reshape(ts.size, n, _CELL), np.repeat(v_cells, v_len, axis=0),
-                np.repeat(vt_cells, vt_len, axis=0),
-                np.repeat(_text_cells(kind_at.tolist()), kind_len, axis=0)]
-    _write_csv(path, ["t", "j", *(f"x_{i + 1}" for i in range(arc.n)), "V", "Vtilde", "event"],
-               arc.ts.size, columns)
+    def blocks():
+        lo = fired = 0  # the block's first row, and its first firing
+        while lo < size:
+            hi = min(lo + step, size)
+            end = int(np.searchsorted(pre_rows, hi))  # the firings up to the block's end
+            if end and pre_rows[end - 1] == hi - 1:
+                hi += 1  # the post-jump row goes with its pre-jump row
+            rows = slice(lo, hi)
+            ts = arc.ts[rows]
+            (v_at, v_len), (vt_at, vt_len) = _runs(v[rows]), _runs(vt[rows])
+            cells = _float_cells(np.concatenate((ts, arc.states[rows].ravel(), v_at, vt_at)))
+            t_cells, x_cells, v_cells, vt_cells = np.split(
+                cells[:, None], np.cumsum([ts.size, ts.size * n, v_at.size]))
+            x_cells = x_cells.reshape(ts.size, n, _CELL)
+            (j_at, j_len), (kind_at, kind_len) = _runs(arc.js[rows]), _runs(arc.kinds[rows])
+            block = [[t_cells, np.repeat(_text_cells(map(str, j_at.tolist())), j_len, axis=0),
+                      x_cells, np.repeat(v_cells, v_len, axis=0),
+                      np.repeat(vt_cells, vt_len, axis=0),
+                      np.repeat(_text_cells(kind_at.tolist()), kind_len, axis=0)]]
+            if events is not None:
+                at = pre_rows[fired:end] - lo
+                block.append(_events_block(arc, slice(fired, end), t_cells[at], x_cells[at],
+                                           x_cells[at + 1]))
+            lo, fired = hi, end
+            yield block
+    tables = [(path, names)]
+    if events is not None:
+        tables.append((events, _events_names(n)))
+    _write_csvs(tables, blocks())
 
 
 def write_events_csv(arc: HybridArc, path) -> None:
-    """Write one row per firing: t, j, firers, branch, pre and post state.
-    A block's t and states are formatted in one _float_cells call."""
-    pre_rows = arc.jump_rows()
-
-    def columns(rows: slice) -> list:
-        firings, at = arc.firings[rows], pre_rows[rows]
-        states = np.hstack((arc.states[at], arc.states[at + 1]))
-        cells = _float_cells(np.concatenate(([t for t, _, _ in firings], states.ravel())))
-        return [cells[:at.size, None], _text_cells(map(str, range(pre_rows.size)[rows])),
-                _text_cells(";".join(map(str, firers)) for _, firers, _ in firings),
-                _text_cells(branch for _, _, branch in firings),
-                cells[at.size:].reshape(states.shape + (_CELL,))]
-    _write_csv(path, ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(arc.n)),
-                      *(f"post_{i + 1}" for i in range(arc.n))], pre_rows.size, columns)
-
-
-def _write_csv(path, names: list[str], rows: int, columns: Callable[[slice], list]) -> None:
-    """Write the header and then the rows, about _CSV_CELLS cells' rows at
-    a time, through a binary handle.  columns(block) gives the cells of a
-    block's rows as (rows, k, width) NUL-padded bytes for k consecutive
-    columns; they fill one byte matrix with a ',' after each cell and a
-    newline after the last, whose non-NUL bytes are written at once."""
+    """Write one row per firing: t, j, firers, branch, pre and post state,
+    t and pre from the firing's pre-jump row and post from the row after
+    it.  A block's t and states are formatted in one _float_cells call."""
+    pre_rows, n = arc.jump_rows, arc.n
+    names = _events_names(n)
     step = max(1, _CSV_CELLS // len(names))
-    with open(path, "wb") as f:
-        f.write(",".join(names).encode() + b"\n")
-        for block in map(slice, range(0, rows, step), range(step, rows + step, step)):
-            parts = columns(block)
-            widths = [part.shape[1] * (part.shape[2] + 1) for part in parts]
-            lines = np.empty((parts[0].shape[0], sum(widths)), np.uint8)
-            for part, at, width in zip(parts, np.cumsum([0, *widths]).tolist(), widths):
-                cells = lines[:, at:at + width].reshape(part.shape[:2] + (part.shape[2] + 1,))
-                cells[:, :, :-1] = part
-                cells[:, :, -1] = ord(",")
-            lines[:, -1] = ord("\n")
-            lines = lines.ravel()
-            f.write(lines.compress(lines != 0))
+
+    def blocks():
+        for lo in range(0, pre_rows.size, step):
+            firings = slice(lo, min(lo + step, pre_rows.size))
+            at = pre_rows[firings]
+            cells = _float_cells(np.concatenate(
+                (arc.ts[at], arc.states[at].ravel(), arc.states[at + 1].ravel())))
+            t_cells, pre, post = np.split(cells[:, None], [at.size, at.size * (n + 1)])
+            yield [_events_block(arc, firings, t_cells, pre.reshape(at.size, n, _CELL),
+                                 post.reshape(at.size, n, _CELL))]
+    _write_csvs([(path, names)], blocks())
+
+
+def _events_names(n: int) -> list[str]:
+    return ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(n)),
+            *(f"post_{i + 1}" for i in range(n))]
+
+
+def _events_block(arc: HybridArc, firings: slice, t_cells: np.ndarray, pre_cells: np.ndarray,
+                  post_cells: np.ndarray) -> list:
+    """The cells of the events rows of a run of consecutive firings, given
+    the cells of their times (rows, 1, _CELL) and of their pre and post
+    states (rows, n, _CELL)."""
+    table = arc.firings[firings]
+    return [t_cells, _text_cells(map(str, range(firings.start, firings.stop))),
+            _text_cells(";".join(map(str, firers)) for _, firers, _ in table),
+            _text_cells(branch for _, _, branch in table), pre_cells, post_cells]
+
+
+def _write_csvs(tables: list, blocks) -> None:
+    """Write each (path, names) of tables, the header and then the rows a
+    block at a time, through a binary handle.  Each of blocks holds, for
+    each table, the cells of its block's rows as (rows, k, width)
+    NUL-padded bytes for k consecutive columns; they fill one byte matrix
+    with a ',' after each cell and a newline after the last, whose non-NUL
+    bytes are written at once.  When anything fails, an interrupt too,
+    every file opened is removed before the error goes on, so a failed
+    write leaves no partial CSV."""
+    opened = []
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path, names in tables:
+                files.append(stack.enter_context(open(path, "wb")))
+                opened.append(path)
+                files[-1].write(",".join(names).encode() + b"\n")
+            for block in blocks:
+                for f, parts in zip(files, block):
+                    f.write(_csv_lines(parts))
+    except BaseException:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _csv_lines(parts: list) -> np.ndarray:
+    """The bytes of the rows whose cells parts holds (see _write_csvs)."""
+    widths = [part.shape[1] * (part.shape[2] + 1) for part in parts]
+    lines = np.empty((parts[0].shape[0], sum(widths)), np.uint8)
+    for part, at, width in zip(parts, np.cumsum([0, *widths]).tolist(), widths):
+        cells = lines[:, at:at + width].reshape(part.shape[:2] + (part.shape[2] + 1,))
+        cells[:, :, :-1] = part
+        cells[:, :, -1] = ord(",")
+    lines[:, -1] = ord("\n")
+    lines = lines.ravel()
+    return lines[lines != 0]  # boolean indexing: faster than compress on bytes
 
 
 def read_trajectory_csv(path) -> HybridArc:

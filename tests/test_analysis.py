@@ -206,6 +206,12 @@ def test_monotone_verdict_flags_an_increase():
     assert verdict.worst_jump is not None
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_monotone_verdict_refuses_a_tolerance_out_of_range(fig2_arc, tol):
+    with pytest.raises(ValueError, match=r"^tol must be finite and nonnegative, got "):
+        verify_monotone(fig2_arc, tol=tol)
+
+
 def reference_oscillations(arc):
     """Largest |V - V(first sample)| per listed interval, from a mask per j."""
     values = lyapunov(arc.states)

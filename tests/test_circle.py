@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splaysim.analysis import closeness
+from splaysim.analysis import closeness, verify_monotone
 from splaysim.circle import (
     TWO_PI,
     check_number,
@@ -140,6 +140,7 @@ NUMBER_PARAMETERS = {
         name, lambda v, name=name: run_property_corpus("corpus", **{**_BUDGETS, name: v}))
        for name in _BUDGETS},
     "closeness.tau": ("tau", lambda v: closeness(_arc(), _arc(), v)),
+    "verify_monotone.tol": ("tol", lambda v: verify_monotone(_arc(), tol=v)),
     "in_jump_set.tol": ("tol", lambda v: in_jump_set([TWO_PI, 1.0], tol=v)),
     "firing_indices.tol": ("tol", lambda v: firing_indices([TWO_PI, 1.0], tol=v)),
     "jump_map.tol": ("tol", lambda v: jump_map([TWO_PI, 1.0, 2.0], paper_prc(3), tol=v)),

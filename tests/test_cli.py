@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import splaysim
-from splaysim import cli, experiments
+from splaysim import cli, experiments, sim
 from splaysim.cli import CONFIG_SCHEMA, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from splaysim.model import MAX_VALIDATION_GRID, InvalidPhaseResponseError, PhaseResponse
 from splaysim.sim import Perturbation, SimConfig, ZenoViolationError, read_trajectory_csv, run
@@ -259,15 +259,40 @@ class TestSimulate:
 
     def test_failed_write_removes_the_directories_it_made(self, tmp_path, monkeypatch,
                                                           capsys):
-        def full(arc, path):
-            raise OSError(28, "No space left on device", str(path))
+        def full(arc, path, events=None):
+            raise OSError(28, "No space left on device", str(events))
 
-        monkeypatch.setattr(cli, "write_events_csv", full)
+        monkeypatch.setattr(cli, "write_trajectory_csv", full)
         cfg = write_config(tmp_path / "run.json", horizon=5.0)
         code = main(["simulate", str(cfg), "--out", str(tmp_path / "new" / "o")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("config error: [Errno 28] ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+    def test_a_write_that_fails_midway_leaves_no_csv(self, tmp_path, monkeypatch, capsys,
+                                                     existing):
+        """The float kernel fails on its second call, a block into both
+        files of the one write pass; neither file is left."""
+        real, present = sim._float_cells, []
+
+        def failing(values):
+            if present:
+                raise OSError(28, "No space left on device")
+            present.extend(sorted(p.name for p in out.iterdir()))
+            return real(values)
+
+        monkeypatch.setattr(sim, "_float_cells", failing)
+        cfg = write_config(tmp_path / "run.json")
+        out = tmp_path / "o"
+        if existing:
+            out.mkdir()
+        code = main(["simulate", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: [Errno 28] ")
+        assert present == ["events.csv", "trajectory.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "run.json"][not existing:]
+        assert not existing or list(out.iterdir()) == []
 
     def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.json")

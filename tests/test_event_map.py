@@ -63,7 +63,7 @@ def test_run_reproduces_the_exact_event_map(n, c, seed):
     assert [firers for _, firers, _ in arc.firings] == [firers for _, firers, _ in expected]
     times = np.array([t for t, _, _ in arc.firings])
     np.testing.assert_allclose(times, [t for t, _, _ in expected], rtol=0.0, atol=1e-12)
-    rows = arc.jump_rows()
+    rows = arc.jump_rows
     np.testing.assert_allclose(lyapunov(arc.states[rows + 1]),
                                [splay_deviation(post) for _, _, post in expected],
                                rtol=0.0, atol=1e-12)

@@ -71,13 +71,40 @@ def test_each_response_is_validated_once_per_process(monkeypatch):
         return validate_prc(*args, **kwargs)
 
     monkeypatch.setattr(splaysim.prc, "validate_prc", counting)
-    linear_family.cache_clear()
+    splaysim.prc._validated_linear.cache_clear()
     try:
         theorem1_corpus(runs=30)
     finally:
-        linear_family.cache_clear()  # drop responses built with the counter
+        splaysim.prc._validated_linear.cache_clear()  # drop responses built with the counter
     assert sorted(calls) == [2, 3, 5]
     assert paper_prc(3) == paper_prc(3)
+
+
+@pytest.mark.parametrize("cached_first", [True, False], ids=["after-3", "fresh"])
+def test_linear_family_checks_its_numbers_before_its_cache(monkeypatch, cached_first):
+    """3.0 equals the cached key 3 but is refused, as on a fresh process;
+    np.int64(3) shares the entry and the one validation of 3."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return validate_prc(*args, **kwargs)
+
+    monkeypatch.setattr(splaysim.prc, "validate_prc", counting)
+    splaysim.prc._validated_linear.cache_clear()
+    try:
+        if cached_first:
+            prc = linear_family(3, 0.5, grid=10_000)
+        with pytest.raises(ValueError, match=r"^n: 3\.0 is not an integer$"):
+            linear_family(3.0, 0.5, grid=10_000)
+        with pytest.raises(ValueError, match=r"^grid: 10000\.0 is not an integer$"):
+            linear_family(3, 0.5, grid=10_000.0)
+        if not cached_first:
+            prc = linear_family(3, 0.5, grid=10_000)
+        assert linear_family(np.int64(3), np.float64(0.5), grid=np.int64(10_000)) is prc
+    finally:
+        splaysim.prc._validated_linear.cache_clear()  # drop responses built with the counter
+    assert calls == [3]
 
 
 def test_raw_constructor_attaches_no_validation():

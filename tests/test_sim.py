@@ -18,7 +18,8 @@ from hypothesis.extra.numpy import arrays
 from splaysim import analysis, circle, sim
 from splaysim.analysis import lyapunov, verify_monotone, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
-from splaysim.experiments import PERTURBED_X0, draw_start, fig2_config, perturbed_config
+from splaysim.experiments import (PERTURBED_X0, corpus_run_config, draw_start, fig2_config,
+                                  perturbed_config)
 from splaysim.model import (InvalidPhaseResponseError, PhaseResponse, in_jump_set, in_splay_set,
                             jump_map)
 from splaysim.prc import broken_zero, paper_prc, prc_from_spec
@@ -853,7 +854,7 @@ def test_an_arc_without_firings_has_no_events(tmp_path, fig2_arc, source):
         assert arc.stop_reason == "horizon"
     assert arc.jumps == 0
     assert arc.events == []
-    assert arc.jump_rows().size == 0
+    assert arc.jump_rows.size == 0
     assert arc.dwells().size == 0
     assert math.isnan(arc.min_dwell_after_first())
     assert verify_monotone(arc).trace.jump_deltas.size == 0
@@ -1362,6 +1363,69 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, cells)
     loaded = read_trajectory_csv(tmp_path / "trajectory.csv")
     for field in ("ts", "js", "states", "kinds"):
         np.testing.assert_array_equal(getattr(loaded, field), getattr(arc, field))
+
+
+@pytest.mark.parametrize("cells", [1, 50, sim._CSV_CELLS])
+@pytest.mark.parametrize("name", PINNED_CSVS)
+def test_one_pass_writes_both_files_as_the_two_writers_do(tmp_path, monkeypatch, name, cells):
+    """The events rows take their cells from the trajectory's blocks, and
+    the files are the bytes the two writers alone give, pinned above; at
+    one cell a block a block ends after every pre-jump row but for the
+    post-jump row it takes along."""
+    make_config, *digests = PINNED_CSVS[name]
+    arc = run(make_config())
+    monkeypatch.setattr(sim, "_CSV_CELLS", cells)
+    write_trajectory_csv(arc, tmp_path / "trajectory.csv", tmp_path / "events.csv")
+    assert [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+            for f in ("trajectory.csv", "events.csv")] == digests
+
+
+@pytest.mark.parametrize("files", [("trajectory.csv",), ("events.csv",),
+                                   ("trajectory.csv", "events.csv")],
+                         ids=["trajectory", "events", "one-pass"])
+def test_a_failed_write_removes_every_file_it_opened(tmp_path, monkeypatch, fig2_arc, files):
+    """The float kernel fails on its second call, a block into each file;
+    the files opened go, a file the writer did not open stays."""
+    real, opened = sim._float_cells, []
+
+    def failing(values):
+        if opened:
+            raise OSError(28, "No space left on device")
+        opened.extend(sorted(p.name for p in tmp_path.iterdir()))
+        return real(values)
+
+    monkeypatch.setattr(sim, "_float_cells", failing)
+    monkeypatch.setattr(sim, "_CSV_CELLS", 50)  # several blocks in each file
+    (tmp_path / "keep.txt").write_text("kept")
+    paths = [tmp_path / name for name in files]
+    with pytest.raises(OSError, match="No space left"):
+        if files == ("events.csv",):
+            write_events_csv(fig2_arc, *paths)
+        else:
+            write_trajectory_csv(fig2_arc, *paths)
+    assert opened == sorted(["keep.txt", *files])
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_an_arc_computes_v_vtilde_and_its_jump_rows_once(n):
+    """arc.v and arc.vtilde are lyapunov and vtilde of the samples to the
+    bit, and so are their entries at the jump rows, which the corpus reads
+    in place of the functions of the gathered rows."""
+    arc = run(corpus_run_config(n, draw_start(np.random.default_rng(n), n), seed=n,
+                                horizon=60.0))
+    assert arc.jumps > 0
+    assert arc.v.tobytes() == lyapunov(arc.states).tobytes()
+    assert arc.vtilde.tobytes() == vtilde(arc.states).tobytes()
+    for rows in (arc.jump_rows, arc.jump_rows + 1):
+        assert arc.v[rows].tobytes() == lyapunov(arc.states[rows]).tobytes()
+        assert arc.vtilde[rows].tobytes() == vtilde(arc.states[rows]).tobytes()
+    assert arc.v[-1] == lyapunov(arc.final_state)
+    for name in ("v", "vtilde", "jump_rows"):
+        cached = getattr(arc, name)
+        assert getattr(arc, name) is cached
+        assert not cached.flags.writeable
+    assert verify_monotone(arc).trace.values is arc.v
 
 
 # -- CSV round trip ------------------------------------------------------------------
