@@ -16,23 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circle import (TWO_PI, _as_phase_batch, _in_box, _outside, _shortest_arc,
-                     check_number, splay_arc_length)
+from .circle import (TWO_PI, _in_box, _on_phases, _outside, _row_blocks, _shortest_arc,
+                     check_number)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sim import HybridArc
-
-#: most floats one temporary of a batch kernel may hold: V, the splay-line
-#: distances and closeness go through a batch in row blocks of this size
-#: (always at least one row), so no temporary grows with the batch
-_BLOCK_FLOATS = 65_536
-
-
-def _row_blocks(start: int, stop: int, row_floats: int):
-    """Slices that cover rows start..stop in order, each of at most
-    _BLOCK_FLOATS // row_floats rows and at least one."""
-    rows = max(1, _BLOCK_FLOATS // row_floats)
-    return (slice(lo, min(lo + rows, stop)) for lo in range(start, stop, rows))
 
 
 def lyapunov(x):
@@ -43,20 +31,14 @@ def lyapunov(x):
     only ever removes rounding residue of order 1e-16: the shortest
     containing arc of n phases cannot exceed 2*pi*(n-1)/n.
     """
-    arr, single = _as_phase_batch(x)
-    v = _lyapunov(arr)
-    return float(v[0]) if single else v
+    return _on_phases(_lyapunov, x)
 
 
 def _lyapunov(arr: np.ndarray) -> np.ndarray:
-    """V of each row of an (m, n) batch, for phases already validated; the
-    simulator's stop rule calls it directly on a batch of post-jump states.
-    The batch goes through in row blocks, so its sorted copy and gaps are
-    never the size of the batch."""
-    gamma = np.empty(arr.shape[0])
-    for rows in _row_blocks(0, arr.shape[0], arr.shape[1]):
-        gamma[rows] = _shortest_arc(arr[rows])
-    return np.maximum(splay_arc_length(arr.shape[1]) - gamma, 0.0)
+    """V of each row of a batch of validated phases, lyapunov's row kernel.
+    The simulator's stop rule calls it unchecked on post-jump rows of one
+    chunk, which never hold more than one row block."""
+    return np.maximum(TWO_PI * (arr.shape[1] - 1) / arr.shape[1] - _shortest_arc(arr), 0.0)
 
 
 def _splay_line_distance(arr: np.ndarray, clamp: bool) -> np.ndarray:
@@ -68,19 +50,15 @@ def _splay_line_distance(arr: np.ndarray, clamp: bool) -> np.ndarray:
     the sorted phases with the ascending offsets 2*pi*k/n (rearrangement
     inequality), so no permutation needs enumerating: the residual of the
     sorted row against those offsets, minus its (clamped) mean, is the
-    optimum for every a at once.  O(n log n) per row, in row blocks.
+    optimum for every a at once.  O(n log n) per row.
     """
     n = arr.shape[1]
-    offsets = np.arange(n) * (TWO_PI / n)
-    dist = np.empty(arr.shape[0])
-    for rows in _row_blocks(0, arr.shape[0], n):
-        diff = np.sort(arr[rows], axis=1) - offsets
-        a = diff.mean(axis=1)
-        if clamp:
-            a = np.clip(a, 0.0, TWO_PI / n)
-        resid = diff - a[:, None]
-        dist[rows] = np.sqrt(np.sum(resid * resid, axis=1))
-    return dist
+    diff = np.sort(arr, axis=1) - np.arange(n) * (TWO_PI / n)
+    a = diff.mean(axis=1)
+    if clamp:
+        a = np.clip(a, 0.0, TWO_PI / n)
+    resid = diff - a[:, None]
+    return np.sqrt(np.sum(resid * resid, axis=1))
 
 
 def distance_to_splay(x):
@@ -91,9 +69,7 @@ def distance_to_splay(x):
     (0, 2*pi/n, ..., 2*pi*(n-1)/n); the common-offset parameter a is the
     clamped mean of x - v_sigma.  Accepts a vector or an (m, n) batch.
     """
-    arr, single = _as_phase_batch(x)
-    d = _splay_line_distance(arr, clamp=True)
-    return float(d[0]) if single else d
+    return _on_phases(lambda arr: _splay_line_distance(arr, clamp=True), x)
 
 
 def vtilde(x):
@@ -103,9 +79,7 @@ def vtilde(x):
     [0, 2*pi/n].  Looks like a Lyapunov candidate but is not: it can grow
     across a firing even for a validated response function.
     """
-    arr, single = _as_phase_batch(x)
-    d = _splay_line_distance(arr, clamp=False)
-    return float(d[0]) if single else d
+    return _on_phases(lambda arr: _splay_line_distance(arr, clamp=False), x)
 
 
 @dataclass(frozen=True)

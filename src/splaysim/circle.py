@@ -128,6 +128,30 @@ def gap_profile(x) -> GapProfile:
     return GapProfile(sorted=srt, gaps=_circular_gaps(srt))
 
 
+#: most floats one temporary of a batch kernel may hold: every batch goes through
+#: its kernel in row blocks of this size (at least one row), bounding its scratch
+_BLOCK_FLOATS = 65_536
+
+
+def _row_blocks(start: int, stop: int, row_floats: int):
+    """Slices that cover rows start..stop in order, each of at most
+    _BLOCK_FLOATS // row_floats rows and at least one."""
+    rows = max(1, _BLOCK_FLOATS // row_floats)
+    return (slice(lo, min(lo + rows, stop)) for lo in range(start, stop, rows))
+
+
+def _on_phases(kernel: Callable, x, quadratic: bool = False):
+    """A row-wise kernel of x, a phase vector or an (m, n) batch, checked
+    first and applied one row block at a time (n scratch floats a row, n * n
+    if quadratic): a float for a vector, m floats for a batch, the same for
+    any block size."""
+    arr, single = _as_phase_batch(x)
+    out = np.empty(arr.shape[0])
+    for rows in _row_blocks(0, arr.shape[0], arr.shape[1] ** (2 if quadratic else 1)):
+        out[rows] = kernel(arr[rows])
+    return float(out[0]) if single else out
+
+
 def shortest_arc_length(x):
     """Length of the shortest closed circular arc containing every phase.
 
@@ -135,9 +159,7 @@ def shortest_arc_length(x):
     phases.  Accepts a single vector or a batch of shape (m, n); returns a
     float or an array of m floats accordingly.
     """
-    arr, single = _as_phase_batch(x)
-    gamma = _shortest_arc(arr)
-    return float(gamma[0]) if single else gamma
+    return _on_phases(_shortest_arc, x)
 
 
 def _shortest_arc(arr: np.ndarray):
@@ -152,28 +174,33 @@ def shortest_arc_oracle(x):
     A shortest containing arc can always be chosen to begin at one of the
     phases, so every phase is tried as the start: the candidate arc sweeps
     counterclockwise to the farthest of the phases, and the minimum over
-    starts wins.  Quadratic in n; kept as an independent cross-check for
-    shortest_arc_length.
+    starts wins.  Quadratic in n, in time and in scratch per row; kept as
+    an independent cross-check for shortest_arc_length.
     """
-    arr, single = _as_phase_batch(x)
-    # offsets[k, i, p] = counterclockwise distance from phase i to phase p
-    offsets = (arr[:, None, :] - arr[:, :, None]) % TWO_PI
-    gamma = offsets.max(axis=2).min(axis=1)
-    return float(gamma[0]) if single else gamma
+    return _on_phases(_enumerated_arc, x, quadratic=True)
+
+
+def _enumerated_arc(arr: np.ndarray) -> np.ndarray:
+    """shortest_arc_oracle of each row of a batch of validated phases: the
+    least over starts i of the counterclockwise distance to the farthest p."""
+    return ((arr[:, None, :] - arr[:, :, None]) % TWO_PI).max(axis=2).min(axis=1)
+
+
+def _neighbour_geodesics(arr: np.ndarray) -> np.ndarray:
+    """Geodesic distance from each phase of each row of a batch to its
+    circular successor, min(gap, 2*pi - gap), for phases already validated."""
+    gaps = _circular_gaps(np.sort(arr, axis=1))
+    return np.minimum(gaps, TWO_PI - gaps, out=gaps)
 
 
 def min_pairwise_geodesic(x):
     """Smallest geodesic distance between any two phases of x.
 
     The closest pair is circularly adjacent, so only sorted neighbours need
-    checking; each adjacent pair is geodesically min(gap, 2*pi - gap) apart.
-    Accepts a single vector or a batch of shape (m, n); returns a float or
-    an array of m floats accordingly.
+    checking.  Accepts a single vector or a batch of shape (m, n); returns
+    a float or an array of m floats accordingly.
     """
-    arr, single = _as_phase_batch(x)
-    gaps = _circular_gaps(np.sort(arr, axis=1))
-    d = np.min(np.minimum(gaps, TWO_PI - gaps), axis=1)
-    return float(d[0]) if single else d
+    return _on_phases(lambda arr: _neighbour_geodesics(arr).min(axis=1), x)
 
 
 def splay_gap_deviation(x):
@@ -183,15 +210,12 @@ def splay_gap_deviation(x):
     gap's excess over 2*pi/n: V <= deviation <= (n-1)*V.  Accepts a single
     vector or a batch of shape (m, n); returns a float or an array of m
     floats accordingly."""
-    arr, single = _as_phase_batch(x)
-    gaps = _circular_gaps(np.sort(arr, axis=1))
-    adjacent = np.minimum(gaps, TWO_PI - gaps)
-    dev = np.max(np.abs(adjacent - TWO_PI / arr.shape[1]), axis=1)
-    return float(dev[0]) if single else dev
+    return _on_phases(
+        lambda arr: np.abs(_neighbour_geodesics(arr) - TWO_PI / arr.shape[1]).max(axis=1), x)
 
 
 def splay_arc_length(n: int) -> float:
-    """Shortest containing arc of n evenly spaced phases: 2*pi*(n-1)/n."""
-    if n < 2:
-        raise ValueError(f"need at least 2 oscillators, got {n}")
+    """Shortest containing arc of n evenly spaced phases, 2*pi*(n-1)/n, for an
+    integer n of at least 2 (check_number); also the response sector's corner."""
+    n = check_number("n", n, "at least 2", int)
     return TWO_PI * (n - 1) / n

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, circle
 from .circle import (
     TWO_PI,
     check_number,
@@ -349,7 +349,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         bound = splay_arc_length(n)
         over = -np.inf
         subs, gammas = [], []
-        for block in analysis._row_blocks(0, geometry_samples, n):
+        for block in circle._row_blocks(0, geometry_samples, n):
             xs = rng.uniform(0.0, TWO_PI, size=(block.stop - block.start, n))
             gamma = shortest_arc_length(xs)
             over = max(over, float((gamma - bound).max()))
@@ -376,7 +376,7 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
         v_splay = float(analysis.lyapunov(rots).max())
         member = bool((splay_gap_deviation(rots) <= DEFAULT_SPLAY_TOL).all())
         off_count, v_min_off = 0, np.inf
-        for block in analysis._row_blocks(0, geometry_samples, n):
+        for block in circle._row_blocks(0, geometry_samples, n):
             xs = rng.uniform(0.0, TWO_PI, size=(block.stop - block.start, n))
             off = xs[splay_gap_deviation(xs) > 1e-3]
             if off.size:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circle import TWO_PI, check_number
-from .model import PhaseResponse, knee, validate_prc
+from .circle import TWO_PI, check_number, splay_arc_length
+from .model import PhaseResponse, validate_prc
 
 REFERENCE_SLOPE = 0.7
 
@@ -31,7 +31,7 @@ def piecewise_linear(n: int, c: float, name: str | None = None) -> PhaseResponse
     least 2 and c finite (circle.check_number).
     """
     n = check_number("n", n, "at least 2", int)
-    corner = knee(n)
+    corner = splay_arc_length(n)
     c = check_number("c", c, "finite")
 
     def q(z):
@@ -76,14 +76,18 @@ def paper_prc(n: int = 3) -> PhaseResponse:
 def table_prc(zs, qs, n: int, name: str = "table") -> PhaseResponse:
     """Response interpolated linearly from breakpoints (zs, qs).
 
-    Breakpoints must be strictly increasing and span [0, 2*pi] (endpoints
-    within 1e-9, then snapped exactly).  A validation report is attached;
-    construction does not require it to pass.
+    Breakpoints must be finite, strictly increasing and span [0, 2*pi]
+    (endpoints within 1e-9, then snapped exactly).  A validation report is
+    attached; construction does not require it to pass.
     """
     zs = np.asarray(zs, dtype=float)
     qs = np.asarray(qs, dtype=float)
     if zs.ndim != 1 or zs.shape != qs.shape or zs.size < 2:
         raise ValueError("breakpoint table needs matching 1-D z and q columns, length >= 2")
+    finite = np.isfinite(zs) & np.isfinite(qs)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"breakpoint {k} is not finite: ({zs[k].item()!r}, {qs[k].item()!r})")
     if np.any(np.diff(zs) <= 0.0):
         raise ValueError("breakpoint phases must be strictly increasing")
     if abs(zs[0]) > 1e-9 or abs(zs[-1] - TWO_PI) > 1e-9:
@@ -147,7 +151,7 @@ def broken_steep(n: int, c: float = 1.5) -> PhaseResponse:
 def broken_step(n: int) -> PhaseResponse:
     """Discontinuous response: a step drop halfway up the pull-back sector."""
     n = check_number("n", n, "at least 2", int)
-    corner = knee(n)
+    corner = splay_arc_length(n)
     mid = 0.5 * (corner + TWO_PI)
 
     def q(z):

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, model
+from . import analysis, circle, model
 from .circle import TWO_PI, as_phases, check_number, check_numbers
 from .model import ALL_ZERO, DEFAULT_FIRING_TOL, PhaseResponse, check_policy
 
@@ -505,7 +505,7 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
 class _Firings:
     """The firings of one run, each written once: (t, firers, branch) in a
     list, and the post state in row i of fixed-size chunks of
-    analysis._BLOCK_FLOATS // n firings, so no array is ever regrown.  The
+    circle._BLOCK_FLOATS // n firings, so no array is ever regrown.  The
     pre state is not kept: _sampled_arc flows it from the previous post
     state.  rows() hands out one reused scratch row, which the crossing
     flows into and the jump reads, and the next firing's post row, which
@@ -525,7 +525,7 @@ class _Firings:
         self.config = config
         self.facts: list[tuple[float, tuple[int, ...], str]] = []
         self.chunks: list[np.ndarray] = []
-        self.per_chunk = max(1, analysis._BLOCK_FLOATS // config.n)
+        self.per_chunk = max(1, circle._BLOCK_FLOATS // config.n)
         self.batch = min(config.n, self.per_chunk)
         self.period = TWO_PI / config.omega
         self.pre = np.empty(config.n)
@@ -705,7 +705,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
         done += rows.size
     # segment k starts at x0 in row 0 for k = 0, else at firing k - 1's post-jump row
     start_rows = np.append(0, post_rows[:-1])
-    for block in analysis._row_blocks(0, m, config.n):
+    for block in circle._row_blocks(0, m, config.n):
         start = states[start_rows[block]]
         pre = _flow(start, starts[block], ends[block], config.omega, config.perturbation,
                     clamp=False)
@@ -717,7 +717,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     # segment with grid rows has its start row just above them
     grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))
     first = piece_at[1::3]
-    for block in analysis._row_blocks(0, grid.size, config.n):
+    for block in circle._row_blocks(0, grid.size, config.n):
         at = grid[block]
         seg = js[at]
         ts[at] = dt * (k0[seg] + (at - first[seg]))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splaysim import analysis
+from splaysim import analysis, circle
 from splaysim.analysis import (
     ClosenessReport,
     closeness,
@@ -73,7 +73,7 @@ def test_lyapunov_batch_matches_single():
 @pytest.mark.parametrize("n", [3, 200])
 def test_batch_kernels_match_row_by_row_across_blocks(n):
     # three full row blocks and one more row, splay rows among them for the clip
-    m = 3 * (analysis._BLOCK_FLOATS // n) + 1
+    m = 3 * (circle._BLOCK_FLOATS // n) + 1
     xs = np.random.default_rng(n).uniform(0.0, TWO_PI, size=(m, n))
     xs[::97] = splay_vector(n, 0.4)
     for kernel in (lyapunov, vtilde, distance_to_splay):
@@ -82,8 +82,8 @@ def test_batch_kernels_match_row_by_row_across_blocks(n):
 
 
 def test_row_blocks_are_bounded_slices_in_order(monkeypatch):
-    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 10)  # five rows of two floats
-    assert [(b.start, b.stop) for b in analysis._row_blocks(2, 13, 2)] == [(2, 7), (7, 12),
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", 10)  # five rows of two floats
+    assert [(b.start, b.stop) for b in circle._row_blocks(2, 13, 2)] == [(2, 7), (7, 12),
                                                                         (12, 13)]
 
 
@@ -324,7 +324,7 @@ def test_closeness_witness_is_the_first_of_tied_maxima(monkeypatch):
     expected = ClosenessReport(5.0, 0.5, 1.0, 0, "first-vs-second")
     assert reference_closeness(a, b, 5.0) == expected
     assert closeness(a, b, 5.0) == expected
-    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", 1)  # one sample per block
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", 1)  # one sample per block
     assert closeness(a, b, 5.0) == expected
 
 
@@ -341,7 +341,7 @@ def test_closeness_holds_the_other_interval_at_its_end():
 def test_closeness_is_unchanged_by_the_chunk_size(monkeypatch, perturbed_trio, budget):
     nominal, _, high = perturbed_trio
     expected = reference_closeness(nominal, high, 40.0)
-    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", budget)
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", budget)
     assert closeness(nominal, high, 40.0) == expected
 
 
@@ -381,8 +381,8 @@ def test_closeness_window_matches_the_sample_by_sample_reference(arcs, tau):
     a, b = arcs
     b = a if b is None else b  # an arc against itself: every bound is 0
     expected = reference_closeness(a, b, tau)
-    for budget in (analysis._BLOCK_FLOATS, 1):
-        with mock.patch.object(analysis, "_BLOCK_FLOATS", budget):
+    for budget in (circle._BLOCK_FLOATS, 1):
+        with mock.patch.object(circle, "_BLOCK_FLOATS", budget):
             assert closeness(a, b, tau) == expected
 
 

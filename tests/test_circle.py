@@ -2,6 +2,7 @@
 
 import fractions
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splaysim.analysis import closeness, verify_monotone
+from splaysim import analysis, circle
+from splaysim.analysis import closeness, distance_to_splay, lyapunov, verify_monotone, vtilde
 from splaysim.circle import (
     TWO_PI,
     check_number,
@@ -134,6 +136,7 @@ NUMBER_PARAMETERS = {
     "validate_prc.lipschitz": ("lipschitz",
                                lambda v: validate_prc(paper_prc(3).func, 3, lipschitz=v)),
     "prc_from_spec.n": ("n", lambda v: prc_from_spec("paper", v)),
+    "splay_arc_length.n": ("n", splay_arc_length),
     "geodesic.a": ("a", lambda v: geodesic(v, 1.0)),
     "geodesic.b": ("b", lambda v: geodesic(1.0, v)),
     **{f"run_property_corpus.{name}": (
@@ -253,6 +256,15 @@ def test_arc_length_known_values():
         assert shortest_arc_length(splay) == pytest.approx(splay_arc_length(n))
 
 
+@pytest.mark.parametrize("n, message", [(2.5, "n: 2.5 is not an integer"),
+                                        (float("nan"), "n: nan is not an integer"),
+                                        (1, "n must be at least 2, got 1")])
+def test_splay_arc_length_refuses_a_count_that_is_not_an_integer_of_at_least_2(n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        splay_arc_length(n)
+    assert splay_arc_length(np.int64(3)) == TWO_PI * 2 / 3
+
+
 @given(st.integers(2, 8), st.floats(0.0, TWO_PI, allow_nan=False),
        st.randoms(use_true_random=False))
 def test_splay_vectors_achieve_the_bound(n, rotation, rnd):
@@ -301,3 +313,73 @@ def test_splay_gap_deviation_matches_the_gap_profile_reference(batch):
         assert dev == np.max(np.abs(adjacent - TWO_PI / n))
         assert splay_gap_deviation(row) == dev
 
+
+
+# -- one batch path -------------------------------------------------------------
+
+#: each public batch function of circle and analysis, and its row kernel
+#: applied to a whole batch of validated phases at once
+BATCH_FUNCTIONS = {
+    "shortest_arc_length": (shortest_arc_length, circle._shortest_arc),
+    "shortest_arc_oracle": (shortest_arc_oracle, circle._enumerated_arc),
+    "min_pairwise_geodesic": (min_pairwise_geodesic,
+                              lambda xs: circle._neighbour_geodesics(xs).min(axis=1)),
+    "splay_gap_deviation": (splay_gap_deviation, lambda xs: np.abs(
+        circle._neighbour_geodesics(xs) - TWO_PI / xs.shape[1]).max(axis=1)),
+    "lyapunov": (lyapunov, analysis._lyapunov),
+    "distance_to_splay": (distance_to_splay,
+                          lambda xs: analysis._splay_line_distance(xs, clamp=True)),
+    "vtilde": (vtilde, lambda xs: analysis._splay_line_distance(xs, clamp=False)),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 7, circle._BLOCK_FLOATS])
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("name", BATCH_FUNCTIONS)
+def test_batch_functions_are_bit_equal_to_their_kernel_for_any_block(monkeypatch, name, n,
+                                                                     budget):
+    function, kernel = BATCH_FUNCTIONS[name]
+    xs = np.random.default_rng(n).uniform(0.0, TWO_PI, size=(50, n))
+    xs[::7] = np.arange(n) * (TWO_PI / n)  # splay rows, where V's clip acts
+    xs[3, 1] = xs[3, 0]  # a coinciding pair
+    expected = kernel(xs)
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", budget)
+    assert function(xs).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", BATCH_FUNCTIONS)
+def test_batch_functions_return_a_python_float_for_a_vector(name):
+    function, kernel = BATCH_FUNCTIONS[name]
+    x = np.array([0.3, 2.0, 5.0])
+    value = function(x)
+    assert type(value) is float
+    assert value == kernel(x[None, :])[0]
+
+
+def _peak(function, xs) -> int:
+    """tracemalloc's peak while function runs on xs, which exists before."""
+    tracemalloc.start()
+    try:
+        function(xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", [name for name in BATCH_FUNCTIONS if name != "shortest_arc_oracle"])
+def test_batch_functions_keep_their_scratch_bounded(name):
+    """Memory gate, from tracemalloc on a 20,000 x 50 batch: every function
+    goes through the batch in row blocks and peaks at 0.18-0.22x its bytes.
+    Whole-batch sorts and gap arrays were 2.0x for shortest_arc_length, 3.0x
+    for min_pairwise_geodesic and 4.0x for splay_gap_deviation."""
+    xs = np.random.default_rng(0).uniform(0.0, TWO_PI, size=(20_000, 50))
+    assert _peak(BATCH_FUNCTIONS[name][0], xs) <= 0.5 * xs.nbytes
+
+
+def test_the_oracle_keeps_its_scratch_bounded():
+    """The enumeration holds n * n floats a row, so a whole batch at once
+    grows 40x its bytes at n = 40; in row blocks its peak hardly moves
+    when the batch grows fourfold."""
+    rng = np.random.default_rng(1)
+    small, large = (rng.uniform(0.0, TWO_PI, size=(m, 40)) for m in (1_000, 4_000))
+    assert _peak(shortest_arc_oracle, large) <= 1.2 * _peak(shortest_arc_oracle, small)

@@ -322,6 +322,20 @@ class TestSimulate:
         code = main(["simulate", "--prc", "linear:abc", "--x0", "0,2,4"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("row, named", [("nan,0.0", "(nan, 0.0)"),
+                                            ("4.0,-inf", "(4.0, -inf)")])
+    def test_non_finite_table_breakpoint_is_a_config_error_without_output(
+            self, tmp_path, capsys, row, named):
+        table = tmp_path / "t.csv"
+        table.write_text(f"0.0,0.0\n{row}\n{2.0 * np.pi!r},-1.0\n")
+        out = tmp_path / "o"
+        code = main(["simulate", "--x0", "1,2,3", "--prc", f"table:{table}", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: breakpoint 1 is not finite: {named}\n"
+        assert not out.exists()
+        assert main(["validate-prc", "--prc", f"table:{table}", "--n", "3"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: breakpoint 1 is not finite")
+
     def test_out_of_box_phase_is_a_config_error(self, capsys):
         code = main(["simulate", "--prc", "paper", "--x0", "0,2,7.0"])
         assert code == EXIT_USAGE

@@ -9,12 +9,13 @@ flow or jump kernels, and the simulator must reproduce its firings.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from splaysim.analysis import lyapunov
-from splaysim.experiments import draw_start
+from splaysim.experiments import FIG2_X0, draw_start
 from splaysim.model import DEFAULT_FIRING_TOL
 from splaysim.prc import linear_family
 from splaysim.sim import SimConfig, run
@@ -67,3 +68,97 @@ def test_run_reproduces_the_exact_event_map(n, c, seed):
     np.testing.assert_allclose(lyapunov(arc.states[rows + 1]),
                                [splay_deviation(post) for _, _, post in expected],
                                rtol=0.0, atol=1e-12)
+
+
+# -- an exact rational event map ---------------------------------------------
+#
+# The same map in fractions.Fraction, with phases in turns (x / 2*pi) and
+# time in periods: one step advances every phase by 1 - max theta, the
+# firers are the phases at exactly 1, and a listener above the corner
+# (n - 1)/n moves to corner + (1 - c)(theta - corner).  Nothing is rounded,
+# so the firings it gives are the model's own, and V = largest gap - 1/n
+# can be compared across a firing exactly.
+
+EXACT_HORIZON = 40.0
+GRID_TURNS = 2**20
+#: the simulator's firing band, in turns
+TOL_TURNS = DEFAULT_FIRING_TOL / TWO_PI
+
+
+def exact_v(theta: list[Fraction]) -> Fraction:
+    """V in turns: the largest circular gap's excess over 1/n, never negative."""
+    srt = sorted(theta)
+    gaps = [b - a for a, b in zip(srt, srt[1:])] + [1 - srt[-1] + srt[0]]
+    return max(gaps) - Fraction(1, len(theta))
+
+
+def exact_event_map(theta0: list[Fraction], c: Fraction, horizon: float):
+    """(t in periods, firers, V before, V after, near ties) of every firing
+    up to the horizon in seconds at omega = 1.  A near tie is a phase
+    within the simulator's firing band of 1 that the exact map does not fire."""
+    n = len(theta0)
+    corner = Fraction(n - 1, n)
+    x, t, out = list(theta0), Fraction(0), []
+    while True:
+        step = 1 - max(x)
+        if float(t + step) * TWO_PI > horizon:
+            return out
+        t += step
+        x = [z + step for z in x]
+        firers = tuple(i for i, z in enumerate(x) if z == 1)
+        near = sum(1 for z in x if 0 < 1 - z <= TOL_TURNS)
+        before = exact_v(x)
+        x = [Fraction(0) if i in firers else corner + (1 - c) * (z - corner) if z > corner else z
+             for i, z in enumerate(x)]
+        out.append((t, firers, before, exact_v(x), near))
+
+
+def exact_start(n: int, seed: int) -> list[Fraction]:
+    """A seeded start on the 2**-20 grid of turns; seed 0 has two equal phases."""
+    k = np.random.default_rng([n, seed, 2**20]).integers(0, GRID_TURNS, size=n).tolist()
+    if seed == 0:
+        k[1] = k[0]
+    return [Fraction(v, GRID_TURNS) for v in k]
+
+
+def assert_run_matches_exact(theta0: list[Fraction], c: Fraction, horizon: float):
+    """run against the exact map from the same start: the same firers, the
+    same times to 1e-12 s and V never rising at a firing, exactly; returns
+    the exact firings and the arc."""
+    expected = exact_event_map(theta0, c, horizon)
+    near = sum(f[4] for f in expected)
+    assert near == 0, f"{near} near ties that firing_tol merges but the exact map keeps apart"
+    assert all(after <= before for _, _, before, after, _ in expected)
+    n = len(theta0)
+    arc = run(SimConfig(prc=linear_family(n, float(c)),
+                        x0=np.array([TWO_PI * float(z) for z in theta0]),
+                        horizon=horizon, stop_v_threshold=None))
+    assert [firers for _, firers, _ in arc.firings] == [f[1] for f in expected]
+    times = np.array([t for t, _, _ in arc.firings])
+    np.testing.assert_allclose(times, [TWO_PI * float(f[0]) for f in expected],
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(lyapunov(arc.states[arc.jump_rows + 1]),
+                               [TWO_PI * float(f[3]) for f in expected], rtol=0.0, atol=1e-12)
+    return expected, arc
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("c", [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_run_reproduces_the_exact_rational_event_map(n, c, seed):
+    expected, _ = assert_run_matches_exact(exact_start(n, seed), c, EXACT_HORIZON)
+    assert len(expected) >= 6
+
+
+def test_fig2_start_first_reaches_v_below_1e6_after_84_s_exactly():
+    """The fig2 start, rationalised to 1e-12 turns: V first drops below 1e-6
+    at the 41st firing, t = 84.0316 s, in the exact map and in run alike, so
+    no run that ends at the default 80 s horizon can have reached it."""
+    theta0 = [Fraction(round(x / TWO_PI * 10**12), 10**12) for x in FIG2_X0]
+    expected, arc = assert_run_matches_exact(theta0, Fraction(7, 10), 86.0)
+    first = next(k for k, f in enumerate(expected) if TWO_PI * f[3] < 1e-6)
+    assert first == 40
+    v = lyapunov(arc.states[arc.jump_rows + 1])
+    assert int(np.argmax(v < 1e-6)) == first
+    assert TWO_PI * float(expected[first][0]) == pytest.approx(84.031589, abs=1e-6)
+    assert arc.firings[first][0] == pytest.approx(84.031589, abs=1e-6)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splaysim import analysis
+from splaysim import circle
 from splaysim.analysis import lyapunov
 from splaysim.circle import TWO_PI
 from splaysim.experiments import (
@@ -149,7 +149,7 @@ def test_property_corpus_summary_is_unchanged_by_the_row_blocks(tmp_path, monkey
     # blocks of 12 to 50 rows cut the oracle's 500 rows; the draws must stay
     # the same values in the same order
     if block_floats is not None:
-        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_floats)
+        monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
     run_property_corpus(tmp_path, geometry_samples=2000, oracle_samples=500, runs=1)
     digest = hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest()
     assert digest == SMALL_CORPUS_SUMMARY

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from splaysim.circle import TWO_PI
+from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.model import (
     MAX_VALIDATION_GRID,
     InvalidPhaseResponseError,
@@ -19,7 +19,6 @@ from splaysim.model import (
     in_jump_set,
     in_splay_set,
     jump_map,
-    knee,
     validate_prc,
 )
 from splaysim.prc import broken_steep, paper_prc, piecewise_linear
@@ -27,9 +26,9 @@ from splaysim.sim import SimConfig, run
 
 
 def test_knee_values():
-    assert knee(2) == pytest.approx(np.pi)
-    assert knee(3) == pytest.approx(4 * np.pi / 3)
-    assert knee(4) == pytest.approx(3 * np.pi / 2)
+    assert splay_arc_length(2) == pytest.approx(np.pi)
+    assert splay_arc_length(3) == pytest.approx(4 * np.pi / 3)
+    assert splay_arc_length(4) == pytest.approx(3 * np.pi / 2)
 
 
 def test_flow_and_jump_set_membership():
@@ -58,7 +57,7 @@ def test_single_firer_reference_values():
     b = branches[0]
     assert b.firers == (0,)
     assert b.branch == "single"
-    corner = knee(3)
+    corner = splay_arc_length(3)
     expected_mid = 5.0 - 0.7 * (5.0 - corner)
     np.testing.assert_allclose(b.post, [0.0, expected_mid, 1.0], atol=1e-12)
     assert b.post[1] == pytest.approx(4.432153, abs=1e-6)
@@ -124,7 +123,7 @@ def test_enumerate_branch_count_is_two_to_the_firers(m):
 
 def test_listeners_below_the_corner_never_move():
     prc = paper_prc(4)
-    x = np.array([TWO_PI, 0.3, 1.2, knee(4)])
+    x = np.array([TWO_PI, 0.3, 1.2, splay_arc_length(4)])
     post = jump_map(x, prc)[0].post
     np.testing.assert_array_equal(post[1:], x[1:])
 
@@ -254,14 +253,14 @@ def test_validator_witnesses_point_at_the_break():
     by_name = {c.name: c for c in rep.checks}
     assert not by_name["sector-pull"].passed
     # the first failing sample sits just above the sector corner
-    assert by_name["sector-pull"].witness == pytest.approx(knee(3), abs=1e-3)
+    assert by_name["sector-pull"].witness == pytest.approx(splay_arc_length(3), abs=1e-3)
 
 
 def test_validator_refuses_scalar_only_functions():
     # a run calls the response once on the whole state, so a function that
     # takes only scalars must fail validation rather than the first firing
     def scalar_q(z):
-        corner = knee(3)
+        corner = splay_arc_length(3)
         return 0.0 if z <= corner else -0.7 * (z - corner)
 
     with pytest.raises(ValueError, match="array of phases"):

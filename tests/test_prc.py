@@ -1,14 +1,16 @@
 """Response functions: the shipped linear family, tables, and the broken catalog."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import splaysim.prc
-from splaysim.circle import TWO_PI
+from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import theorem1_corpus
-from splaysim.model import knee, validate_prc
+from splaysim.model import validate_prc
 from splaysim.prc import (
     BROKEN,
     broken_steep,
@@ -28,7 +30,7 @@ def test_reference_response_values():
     assert prc.name == "paper"
     assert prc.n == 3
     assert prc.validated
-    corner = knee(3)
+    corner = splay_arc_length(3)
     # flat below the corner
     zs = np.linspace(0.0, corner, 50)
     np.testing.assert_array_equal(prc(zs), np.zeros(50))
@@ -119,7 +121,7 @@ def test_raw_constructor_attaches_no_validation():
 def test_linear_response_is_bitwise_the_two_branch_formula(n, c):
     # Q(z) = 0 up to the corner and -c (z - corner) above it, to the bit:
     # corner - z is exactly -(z - corner), and below the corner c * 0.0 is +0.0
-    corner = knee(n)
+    corner = splay_arc_length(n)
     zs = np.concatenate([np.linspace(0.0, TWO_PI, 100_001),
                          np.nextafter(corner, [-np.inf, np.inf]), [corner, TWO_PI]])
     expected = np.where(zs <= corner, 0.0, -c * (zs - corner))
@@ -165,7 +167,7 @@ def test_broken_catalog_is_complete():
 # -- table form --------------------------------------------------------------
 
 def test_table_reproduces_the_linear_family():
-    corner = knee(3)
+    corner = splay_arc_length(3)
     zs = np.array([0.0, corner, TWO_PI])
     qs = np.array([0.0, 0.0, -0.7 * (TWO_PI - corner)])
     prc = table_prc(zs, qs, 3)
@@ -185,12 +187,33 @@ def test_table_requires_increasing_breakpoints_spanning_the_circle():
     with pytest.raises(ValueError):
         table_prc([0.0], [0.0], 3)
     # endpoints within 1e-9 are snapped, not rejected
-    prc = table_prc([1e-10, knee(3), TWO_PI - 1e-10], [0.0, 0.0, -1.0], 3)
+    prc = table_prc([1e-10, splay_arc_length(3), TWO_PI - 1e-10], [0.0, 0.0, -1.0], 3)
     assert prc(0.0) == 0.0
 
 
+@pytest.mark.parametrize("zs, qs, named", [
+    ([0.0, np.nan, TWO_PI], [0.0, 0.0, -1.0], "breakpoint 1 is not finite: (nan, 0.0)"),
+    ([0.0, 4.0, TWO_PI], [0.0, 0.0, -np.inf],
+     f"breakpoint 2 is not finite: ({TWO_PI!r}, -inf)"),
+    ([0.0, 4.0, np.inf], [np.nan, 0.0, -1.0], "breakpoint 0 is not finite: (0.0, nan)"),
+])
+def test_table_refuses_a_non_finite_breakpoint(zs, qs, named):
+    # a NaN phase compares false, so it passed the strictly-increasing check
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        table_prc(zs, qs, 3)
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_a_non_finite_response_fails_range_without_a_warning(bad):
+    # inf - inf in the step checks was a RuntimeWarning, an error in this suite
+    report = validate_prc(lambda z: np.where(z > 5.0, bad, 0.0), 3)
+    failed = {c.name: c.witness for c in report.failures()}
+    assert failed["range"] > 5.0
+    assert {"continuity", "monotone", "sector-pull"} <= set(failed)
+
+
 def test_load_table_from_csv(tmp_path):
-    corner = knee(3)
+    corner = splay_arc_length(3)
     path = tmp_path / "resp.csv"
     path.write_text(
         "# comment line\n"
@@ -226,7 +249,7 @@ def test_selector_strings(tmp_path):
     assert steep.validation is not None and not steep.validation.passed
     assert prc_from_spec("broken:zero", 3).name == "broken:zero"
     path = tmp_path / "t.csv"
-    corner = knee(3)
+    corner = splay_arc_length(3)
     path.write_text(f"0,0\n{corner!r},0\n{TWO_PI!r},-1.0\n")
     assert prc_from_spec(f"table:{path}", 3).n == 3
     for bad in ("nope", "linear:", "linear:abc", "linear:inf", "linear:nan", "broken:missing",

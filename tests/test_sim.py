@@ -413,7 +413,7 @@ def test_run_matches_the_public_function_reference(monkeypatch, name, per_chunk)
         assert_matches_reference(run(cfg), cfg)
         return
     expected = run(cfg)
-    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", cfg.n * per_chunk)
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", cfg.n * per_chunk)
     assert sim._Firings(cfg).per_chunk == per_chunk
     arc = run(cfg)
     assert_matches_reference(arc, cfg)
@@ -529,12 +529,12 @@ def test_batched_stop_rule_stops_where_a_per_firing_check_does(monkeypatch, wher
     stop = LOOKAHEAD_STARTS[where][1]
     _, reason, final_j = reference_run(cfg)
     assert (reason, final_j) == ("stop-rule", stop + 1)
-    batch = min(5, analysis._BLOCK_FLOATS // 10)
+    batch = min(5, circle._BLOCK_FLOATS // 10)
     assert stop % batch == {"first": 0, "middle": 2, "last": 4}[where]
     expected = run(cfg)
     if block_floats:
         # chunks of 2 or 7 firings: batches of 2, or of 5 cut short where a chunk fills
-        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_floats)
+        monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
     arc = run(cfg)
     assert_matches_reference(arc, cfg)
     assert _arc_digests(arc) == _arc_digests(expected)
@@ -1160,7 +1160,7 @@ PRE_ROW_ARCS = {
 def test_each_pre_jump_row_is_the_flow_from_its_segment_start(monkeypatch, name, per_chunk):
     cfg = PRE_ROW_ARCS[name]()
     if per_chunk is not None:
-        monkeypatch.setattr(analysis, "_BLOCK_FLOATS", cfg.n * per_chunk)
+        monkeypatch.setattr(circle, "_BLOCK_FLOATS", cfg.n * per_chunk)
         assert sim._Firings(cfg).per_chunk == per_chunk
     arc = run(cfg)
     assert arc.jumps > 10
@@ -1199,7 +1199,7 @@ def test_custom_arc_is_unchanged_by_the_row_blocks(monkeypatch, block_floats):
     # the grid rows are flowed in row blocks, which may cut a segment; the
     # custom integral is one panel per row, so no sample may move
     expected = run(_custom_config())
-    monkeypatch.setattr(analysis, "_BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
     arc = run(_custom_config())
     assert arc.ts.tobytes() == expected.ts.tobytes()
     assert arc.states.tobytes() == expected.states.tobytes()
