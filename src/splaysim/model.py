@@ -11,6 +11,7 @@ conditions under which the evenly spaced configuration attracts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -258,7 +259,7 @@ def validate_prc(func, n: int, grid: int = 100_000,
       continuity   |Q(z') - Q(z)| <= lipschitz * |z' - z| between neighbours
                    (a sampled surrogate for continuity; it refutes jumps but
                    cannot prove smoothness between grid points)
-      reset-at-top Q(2*pi) != 0, which rules out accumulation of firings
+      reset-at-top Q(2*pi) finite and != 0: no accumulation of firings
       sector-flat  Q == 0 on [0, 2*pi*(n-1)/n]
       sector-pull  2*pi*(n-1)/n - z < Q(z) < 0 strictly above the corner
       monotone     z + Q(z) increasing on the grid, allowing no decrease
@@ -295,8 +296,8 @@ def validate_prc(func, n: int, grid: int = 100_000,
                          f"increment bound with constant {lipschitz:g}"))
 
     q_top = float(qs[-1])
-    checks.append(CheckResult("reset-at-top", q_top != 0.0,
-                              None if q_top != 0.0 else TWO_PI,
+    resets = math.isfinite(q_top) and q_top != 0.0
+    checks.append(CheckResult("reset-at-top", resets, None if resets else TWO_PI,
                               f"Q(2*pi)={q_top!r}"))
 
     flat = zs <= corner

@@ -62,7 +62,7 @@ def linear_family(n: int, c: float, grid: int = 100_000) -> PhaseResponse:
 
 @functools.lru_cache(maxsize=256)
 def _validated_linear(n: int, c: float, grid: int) -> PhaseResponse:
-    """linear_family's response for numbers it has checked, cached."""
+    """The validated response linear_family and prc_from_spec build, cached."""
     prc = piecewise_linear(n, c)
     return dataclasses.replace(prc, validation=validate_prc(prc.func, n, grid=grid))
 
@@ -106,11 +106,12 @@ def table_prc(zs, qs, n: int, name: str = "table") -> PhaseResponse:
 def load_table_prc(path, n: int) -> PhaseResponse:
     """Read a breakpoint table from a two-column CSV file (z, Q(z)).
 
-    Blank lines and lines starting with '#' are skipped; a non-numeric
-    first row is treated as a header.
+    Blank lines and lines starting with '#' are skipped; the first other
+    row may be a non-numeric header, and a later one raises ValueError.
     """
     rows: list[tuple[float, float]] = []
     text = Path(path).read_text()
+    first = True  # no row that is neither blank nor a comment read yet
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -121,9 +122,9 @@ def load_table_prc(path, n: int) -> PhaseResponse:
         try:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
-            if lineno == 1 or not rows:
-                continue  # header row
-            raise ValueError(f"{path}:{lineno}: could not parse {line!r}") from None
+            if not first:
+                raise ValueError(f"{path}:{lineno}: could not parse {line!r}") from None
+        first = False
     if len(rows) < 2:
         raise ValueError(f"{path}: breakpoint table needs at least two rows")
     arr = np.asarray(rows, dtype=float)
@@ -174,8 +175,10 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
     Accepted forms: 'paper', 'linear:<c>', 'table:<path>', 'broken:<name>'.
     'linear:<c>' accepts any finite slope and attaches a validation report
     rather than rejecting out-of-range values, so misdesigned responses can
-    still be probed from the command line.  Any other spec, a non-string
-    included, or an n that is not an integer of at least 2 raises ValueError.
+    still be probed from the command line; a repeated slope is validated
+    once, as linear_family's are (-0 is read as 0).  Any other spec, a
+    non-string included, or an n that is not an integer of at least 2
+    raises ValueError.
     """
     n = check_number("n", n, "at least 2", int)
     if not isinstance(spec, str):
@@ -188,8 +191,8 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
             c = check_number("slope", float(arg), "finite")
         except ValueError:  # not a number, or not a finite one
             raise ValueError(f"bad slope in {spec!r}") from None
-        prc = piecewise_linear(n, c)
-        return dataclasses.replace(prc, validation=validate_prc(prc.func, n))
+        # linear_family's cache at its default grid; the key -0.0 is 0.0
+        return _validated_linear(n, c + 0.0, 100_000)
     if kind == "table" and arg:
         return load_table_prc(arg, n)
     if kind == "broken" and arg in BROKEN:

@@ -740,12 +740,11 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
 # constant between nominal firings only in exact arithmetic (flowed phases
 # round), so they, j and the event kind are formatted once per run of
 # equal values (of equal bit patterns for floats) and repeated.
-# write_trajectory_csv can write the events file in the same pass: an
-# events row is the cells of a firing's pre-jump row and the post-jump row
-# after it, which one block always holds together, so the same float gives
-# the same cell in both files and the events floats are not formatted
-# again.  One routine, _write_csvs, writes the blocks of one file or two
-# through binary handles, so lines end in LF on every platform, and
+# Both writers are one block pass, _write_arc: an events row is the cells
+# of a firing's pre-jump row and the post-jump row after it, which one
+# block always holds together, so the same float gives the same cell in
+# both files, formatted once.  _write_csvs writes the blocks of one file
+# or two through binary handles, so lines end in LF on every platform, and
 # removes every file it opened when a write fails.
 
 #: 10**k for k = 0..20, exact (10**22 is the largest power of ten a double
@@ -954,20 +953,37 @@ def _text_cells(strings) -> np.ndarray:
 def write_trajectory_csv(arc: HybridArc, path, events=None) -> None:
     """Write the sampled arc with V and Vtilde per sample (arc.v and
     arc.vtilde), one row each, and, when events is a path, the events CSV
-    there in the same block pass.
+    there in the same block pass."""
+    _write_arc(arc, path, events)
 
-    A block's t, phases and the first V and Vtilde of each run of equal bit
-    patterns are formatted in one _float_cells call; j and the event kind
-    once per run.  Each firing's events row takes the block's cells: t and
-    pre from its pre-jump row, post from the post-jump row after it, so a
-    block never ends on a pre-jump row and the events file needs no
-    formatting of its own.  The files are written as write_events_csv
-    writes them alone, byte for byte."""
-    n, size = arc.n, arc.ts.size
+
+def write_events_csv(arc: HybridArc, path) -> None:
+    """Write one row per firing: t, j, firers, branch, pre and post state,
+    t and pre from the firing's pre-jump row and post from the row after
+    it."""
+    _write_arc(arc, None, path)
+
+
+def _write_arc(arc: HybridArc, trajectory, events) -> None:
+    """Write the trajectory CSV to trajectory and the events CSV to events,
+    each when it is not None, in one pass over blocks of rows: slices of
+    the arc's rows with a trajectory, else runs of the firings' pre-jump
+    rows, each with the post-jump row after it.  A block's t, phases and
+    the first trajectory V and Vtilde of each run of equal bit patterns
+    are formatted in one _float_cells call; j and the event kind once per
+    run.  An events row takes t and pre from its pre-jump row's cells and
+    post from the next row's, so a block never ends on a pre-jump row."""
+    n = arc.n
     names = ["t", "j", *(f"x_{i + 1}" for i in range(n)), "V", "Vtilde", "event"]
     step = max(1, _CSV_CELLS // len(names))
     pre_rows = np.empty(0, dtype=np.intp) if events is None else arc.jump_rows
-    v, vt = arc.v, arc.vtilde
+    tables, size = [(trajectory, names)], arc.ts.size
+    if trajectory is None:  # each firing's two rows, pre_rows their places in rows_of
+        rows_of = np.stack((pre_rows, pre_rows + 1), axis=1).ravel()
+        tables, size, pre_rows = [], rows_of.size, np.arange(0, rows_of.size, 2)
+    if events is not None:
+        tables.append((events, ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(n)),
+                                *(f"post_{i + 1}" for i in range(n))]))
 
     def blocks():
         lo = fired = 0  # the block's first row, and its first firing
@@ -976,64 +992,32 @@ def write_trajectory_csv(arc: HybridArc, path, events=None) -> None:
             end = int(np.searchsorted(pre_rows, hi))  # the firings up to the block's end
             if end and pre_rows[end - 1] == hi - 1:
                 hi += 1  # the post-jump row goes with its pre-jump row
-            rows = slice(lo, hi)
+            rows = slice(lo, hi) if trajectory is not None else rows_of[lo:hi]
             ts = arc.ts[rows]
-            (v_at, v_len), (vt_at, vt_len) = _runs(v[rows]), _runs(vt[rows])
-            cells = _float_cells(np.concatenate((ts, arc.states[rows].ravel(), v_at, vt_at)))
-            t_cells, x_cells, v_cells, vt_cells = np.split(
-                cells[:, None], np.cumsum([ts.size, ts.size * n, v_at.size]))
+            floats = [ts, arc.states[rows].ravel()]
+            if trajectory is not None:
+                (v_at, v_len), (vt_at, vt_len) = _runs(arc.v[rows]), _runs(arc.vtilde[rows])
+                floats += [v_at, vt_at]
+            t_cells, x_cells, *v_cells = np.split(
+                _float_cells(np.concatenate(floats))[:, None],
+                np.cumsum([part.size for part in floats[:-1]]))
             x_cells = x_cells.reshape(ts.size, n, _CELL)
-            (j_at, j_len), (kind_at, kind_len) = _runs(arc.js[rows]), _runs(arc.kinds[rows])
-            block = [[t_cells, np.repeat(_text_cells(map(str, j_at.tolist())), j_len, axis=0),
-                      x_cells, np.repeat(v_cells, v_len, axis=0),
-                      np.repeat(vt_cells, vt_len, axis=0),
-                      np.repeat(_text_cells(kind_at.tolist()), kind_len, axis=0)]]
+            block = []
+            if trajectory is not None:
+                (j_at, j_len), (kind_at, kind_len) = _runs(arc.js[rows]), _runs(arc.kinds[rows])
+                block.append([t_cells, np.repeat(_text_cells(map(str, j_at.tolist())), j_len, 0),
+                              x_cells, np.repeat(v_cells[0], v_len, axis=0),
+                              np.repeat(v_cells[1], vt_len, axis=0),
+                              np.repeat(_text_cells(kind_at.tolist()), kind_len, axis=0)])
             if events is not None:
-                at = pre_rows[fired:end] - lo
-                block.append(_events_block(arc, slice(fired, end), t_cells[at], x_cells[at],
-                                           x_cells[at + 1]))
+                at, table = pre_rows[fired:end] - lo, arc.firings[fired:end]
+                block.append([t_cells[at], _text_cells(map(str, range(fired, end))),
+                              _text_cells(";".join(map(str, firers)) for _, firers, _ in table),
+                              _text_cells(branch for _, _, branch in table),
+                              x_cells[at], x_cells[at + 1]])
             lo, fired = hi, end
             yield block
-    tables = [(path, names)]
-    if events is not None:
-        tables.append((events, _events_names(n)))
     _write_csvs(tables, blocks())
-
-
-def write_events_csv(arc: HybridArc, path) -> None:
-    """Write one row per firing: t, j, firers, branch, pre and post state,
-    t and pre from the firing's pre-jump row and post from the row after
-    it.  A block's t and states are formatted in one _float_cells call."""
-    pre_rows, n = arc.jump_rows, arc.n
-    names = _events_names(n)
-    step = max(1, _CSV_CELLS // len(names))
-
-    def blocks():
-        for lo in range(0, pre_rows.size, step):
-            firings = slice(lo, min(lo + step, pre_rows.size))
-            at = pre_rows[firings]
-            cells = _float_cells(np.concatenate(
-                (arc.ts[at], arc.states[at].ravel(), arc.states[at + 1].ravel())))
-            t_cells, pre, post = np.split(cells[:, None], [at.size, at.size * (n + 1)])
-            yield [_events_block(arc, firings, t_cells, pre.reshape(at.size, n, _CELL),
-                                 post.reshape(at.size, n, _CELL))]
-    _write_csvs([(path, names)], blocks())
-
-
-def _events_names(n: int) -> list[str]:
-    return ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(n)),
-            *(f"post_{i + 1}" for i in range(n))]
-
-
-def _events_block(arc: HybridArc, firings: slice, t_cells: np.ndarray, pre_cells: np.ndarray,
-                  post_cells: np.ndarray) -> list:
-    """The cells of the events rows of a run of consecutive firings, given
-    the cells of their times (rows, 1, _CELL) and of their pre and post
-    states (rows, n, _CELL)."""
-    table = arc.firings[firings]
-    return [t_cells, _text_cells(map(str, range(firings.start, firings.stop))),
-            _text_cells(";".join(map(str, firers)) for _, firers, _ in table),
-            _text_cells(branch for _, _, branch in table), pre_cells, post_cells]
 
 
 def _write_csvs(tables: list, blocks) -> None:

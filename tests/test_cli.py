@@ -336,6 +336,16 @@ class TestSimulate:
         assert main(["validate-prc", "--prc", f"table:{table}", "--n", "3"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("config error: breakpoint 1 is not finite")
 
+    def test_a_second_header_row_in_a_table_is_a_config_error_without_output(
+            self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text(f"z,q\nzero,oops\n0.0,0.0\n{2.0 * np.pi!r},-1.0\n")
+        out = tmp_path / "o"
+        code = main(["simulate", "--x0", "1,2,3", "--prc", f"table:{table}", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {table}:2: could not parse 'zero,oops'\n"
+        assert not out.exists()
+
     def test_out_of_box_phase_is_a_config_error(self, capsys):
         code = main(["simulate", "--prc", "paper", "--x0", "0,2,7.0"])
         assert code == EXIT_USAGE

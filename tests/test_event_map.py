@@ -14,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splaysim.analysis import lyapunov
+from splaysim.analysis import lyapunov, verify_monotone
 from splaysim.experiments import FIG2_X0, draw_start
-from splaysim.model import DEFAULT_FIRING_TOL
+from splaysim.model import ALL_ZERO, DEFAULT_FIRING_TOL, ENUMERATE, _draw_selection
 from splaysim.prc import linear_family
 from splaysim.sim import SimConfig, run
 
@@ -77,7 +77,10 @@ def test_run_reproduces_the_exact_event_map(n, c, seed):
 # firers are the phases at exactly 1, and a listener above the corner
 # (n - 1)/n moves to corner + (1 - c)(theta - corner).  Nothing is rounded,
 # so the firings it gives are the model's own, and V = largest gap - 1/n
-# can be compared across a firing exactly.
+# can be compared across a firing exactly.  Under 'enumerate' a firing of
+# m >= 2 phases takes the branch model._draw_selection draws, from a
+# Generator seeded as run seeds its own; a firer kept as a listener moves
+# as a listener at 1 does, to corner + (1 - c)(1 - corner).
 
 EXACT_HORIZON = 40.0
 GRID_TURNS = 2**20
@@ -92,12 +95,15 @@ def exact_v(theta: list[Fraction]) -> Fraction:
     return max(gaps) - Fraction(1, len(theta))
 
 
-def exact_event_map(theta0: list[Fraction], c: Fraction, horizon: float):
-    """(t in periods, firers, V before, V after, near ties) of every firing
-    up to the horizon in seconds at omega = 1.  A near tie is a phase
-    within the simulator's firing band of 1 that the exact map does not fire."""
+def exact_event_map(theta0: list[Fraction], c: Fraction, horizon: float,
+                    policy: str = ALL_ZERO, seed: int | None = None):
+    """(t in periods, firers, V before, V after, near ties, branch) of every
+    firing up to the horizon in seconds at omega = 1, under the policy with
+    the seed.  A near tie is a phase within the simulator's firing band of
+    1 that the exact map does not fire."""
     n = len(theta0)
     corner = Fraction(n - 1, n)
+    rng = np.random.default_rng(seed)
     x, t, out = list(theta0), Fraction(0), []
     while True:
         step = 1 - max(x)
@@ -108,9 +114,14 @@ def exact_event_map(theta0: list[Fraction], c: Fraction, horizon: float):
         firers = tuple(i for i, z in enumerate(x) if z == 1)
         near = sum(1 for z in x if 0 < 1 - z <= TOL_TURNS)
         before = exact_v(x)
-        x = [Fraction(0) if i in firers else corner + (1 - c) * (z - corner) if z > corner else z
+        reset, branch = firers, "single" if len(firers) == 1 else policy
+        if len(firers) > 1 and policy == ENUMERATE:
+            bits = _draw_selection(rng, len(firers))
+            reset = [i for i, bit in zip(firers, bits) if bit]
+            branch = "enumerate:" + "".join(map(str, bits))
+        x = [Fraction(0) if i in reset else corner + (1 - c) * (z - corner) if z > corner else z
              for i, z in enumerate(x)]
-        out.append((t, firers, before, exact_v(x), near))
+        out.append((t, firers, before, exact_v(x), near, branch))
 
 
 def exact_start(n: int, seed: int) -> list[Fraction]:
@@ -121,19 +132,22 @@ def exact_start(n: int, seed: int) -> list[Fraction]:
     return [Fraction(v, GRID_TURNS) for v in k]
 
 
-def assert_run_matches_exact(theta0: list[Fraction], c: Fraction, horizon: float):
-    """run against the exact map from the same start: the same firers, the
-    same times to 1e-12 s and V never rising at a firing, exactly; returns
-    the exact firings and the arc."""
-    expected = exact_event_map(theta0, c, horizon)
+def assert_run_matches_exact(theta0: list[Fraction], c: Fraction, horizon: float,
+                             policy: str = ALL_ZERO, seed: int | None = None):
+    """run against the exact map from the same start, policy and seed: the
+    same firers and branches, the same times and post-jump V to 1e-12 and,
+    under 'all-zero', V never rising at a firing, exactly; returns the
+    exact firings and the arc."""
+    expected = exact_event_map(theta0, c, horizon, policy, seed)
     near = sum(f[4] for f in expected)
     assert near == 0, f"{near} near ties that firing_tol merges but the exact map keeps apart"
-    assert all(after <= before for _, _, before, after, _ in expected)
+    assert policy != ALL_ZERO or all(f[3] <= f[2] for f in expected)
     n = len(theta0)
     arc = run(SimConfig(prc=linear_family(n, float(c)),
                         x0=np.array([TWO_PI * float(z) for z in theta0]),
-                        horizon=horizon, stop_v_threshold=None))
+                        horizon=horizon, stop_v_threshold=None, policy=policy, seed=seed))
     assert [firers for _, firers, _ in arc.firings] == [f[1] for f in expected]
+    assert [branch for _, _, branch in arc.firings] == [f[5] for f in expected]
     times = np.array([t for t, _, _ in arc.firings])
     np.testing.assert_allclose(times, [TWO_PI * float(f[0]) for f in expected],
                                rtol=0.0, atol=1e-12)
@@ -148,6 +162,33 @@ def assert_run_matches_exact(theta0: list[Fraction], c: Fraction, horizon: float
 def test_run_reproduces_the_exact_rational_event_map(n, c, seed):
     expected, _ = assert_run_matches_exact(exact_start(n, seed), c, EXACT_HORIZON)
     assert len(expected) >= 6
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("c", [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_run_reproduces_the_exact_rational_event_map_under_enumerate(n, c, seed):
+    """From the start with two equal phases, which fire together, run draws
+    the exact map's branches with the same seed."""
+    expected, _ = assert_run_matches_exact(exact_start(n, 0), c, EXACT_HORIZON, ENUMERATE, seed)
+    assert any(f[5].startswith("enumerate:") for f in expected)
+
+
+@pytest.mark.parametrize("c, rise", [(Fraction(3, 10), 0.467), (Fraction(1, 2), 0.778),
+                                     (Fraction(7, 10), 1.089)], ids=str)
+@pytest.mark.parametrize("seed", [0, 2])
+def test_enumerate_can_raise_v_from_a_bad_set_start(c, rise, seed):
+    """The two equal phases of the n=3 start, on the bad set, fire first;
+    kept together as listeners (enumerate:00) they raise V, exactly, by the
+    largest jump delta verify_monotone reports of the run."""
+    expected, arc = assert_run_matches_exact(exact_start(3, 0), c, EXACT_HORIZON, ENUMERATE,
+                                             seed)
+    _, _, before, after, _, branch = expected[0]
+    assert branch == "enumerate:00" and after > before
+    assert max(f[3] - f[2] for f in expected) == after - before
+    jumped = verify_monotone(arc).trace.jump_deltas.max()
+    assert jumped == pytest.approx(TWO_PI * float(after - before), abs=1e-12)
+    assert jumped == pytest.approx(rise, abs=1e-3)
 
 
 def test_fig2_start_first_reaches_v_below_1e6_after_84_s_exactly():

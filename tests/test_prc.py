@@ -212,6 +212,16 @@ def test_a_non_finite_response_fails_range_without_a_warning(bad):
     assert {"continuity", "monotone", "sector-pull"} <= set(failed)
 
 
+@pytest.mark.parametrize("top", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_response_at_the_top_fails_reset_at_top(top):
+    """Q(2*pi) = NaN or inf compares unequal to 0, and once passed."""
+    report = validate_prc(lambda z: np.where(z > 5.0, top, 0.0), 3)
+    check = next(c for c in report.checks if c.name == "reset-at-top")
+    assert not check.passed
+    assert check.witness == TWO_PI
+    assert check.detail == f"Q(2*pi)={float(top)!r}"
+
+
 def test_load_table_from_csv(tmp_path):
     corner = splay_arc_length(3)
     path = tmp_path / "resp.csv"
@@ -239,6 +249,18 @@ def test_load_table_rejects_malformed_rows(tmp_path):
         load_table_prc(path, 3)
 
 
+@pytest.mark.parametrize("lead", ["", "# comment\n\n"], ids=["first-line", "after-comments"])
+def test_load_table_takes_only_the_first_row_as_a_header(tmp_path, lead):
+    """The first row that is neither blank nor a comment may be a header;
+    a second non-numeric row names its line."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{lead}z,q\nzero,oops\n0.0,0.0\n{TWO_PI!r},-1.0\n")
+    lineno = lead.count("\n") + 2
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "
+                                         "could not parse 'zero,oops'$"):
+        load_table_prc(path, 3)
+
+
 # -- selector strings --------------------------------------------------------
 
 def test_selector_strings(tmp_path):
@@ -256,3 +278,35 @@ def test_selector_strings(tmp_path):
                 "table:", 5, None, ["paper"]):
         with pytest.raises(ValueError):
             prc_from_spec(bad, 3)
+
+
+@pytest.mark.parametrize("c", ["0.5", "1.5"])
+def test_a_linear_selector_is_validated_once(monkeypatch, c):
+    """'linear:<c>' shares linear_family's cache: two calls give one
+    response, validated once, named and reported as built afresh."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return validate_prc(*args, **kwargs)
+
+    monkeypatch.setattr(splaysim.prc, "validate_prc", counting)
+    splaysim.prc._validated_linear.cache_clear()
+    try:
+        first = prc_from_spec(f"linear:{c}", 3)
+        assert prc_from_spec(f"linear:{c}", 3) is first
+    finally:
+        splaysim.prc._validated_linear.cache_clear()  # drop responses built with the counter
+    assert calls == [3]
+    raw = piecewise_linear(3, float(c))
+    assert first.name == raw.name == f"linear:{c}"
+    assert first.validation == validate_prc(raw.func, 3)
+
+
+def test_a_linear_selector_reads_minus_zero_as_zero():
+    """0.0 and -0.0 are one cache key: both selectors give the response of
+    slope 0, whichever comes first."""
+    splaysim.prc._validated_linear.cache_clear()
+    minus = prc_from_spec("linear:-0", 3)
+    assert prc_from_spec("linear:0", 3) is minus
+    assert minus.name == "linear:0"

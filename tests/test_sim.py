@@ -1407,6 +1407,29 @@ def test_a_failed_write_removes_every_file_it_opened(tmp_path, monkeypatch, fig2
     assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
 
+@pytest.mark.parametrize("cells", [1, 50, sim._CSV_CELLS])
+@pytest.mark.parametrize("name", PINNED_CSVS)
+def test_the_events_file_alone_formats_only_the_firings_rows(tmp_path, monkeypatch, name,
+                                                             cells):
+    """Written alone, the events file formats t and the phases of each
+    firing's two rows, at most 2 m (n + 1) floats, and no grid or flow
+    row; its bytes are the pinned ones."""
+    make_config, _, digest = PINNED_CSVS[name]
+    arc = run(make_config())
+    real, formatted = sim._float_cells, []
+
+    def counted(values):
+        formatted.append(values.size)
+        return real(values)
+
+    monkeypatch.setattr(sim, "_float_cells", counted)
+    monkeypatch.setattr(sim, "_CSV_CELLS", cells)
+    write_events_csv(arc, tmp_path / "events.csv")
+    assert arc.jumps > 0
+    assert sum(formatted) <= 2 * arc.jumps * (arc.n + 1) < arc.ts.size * (arc.n + 1)
+    assert hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_an_arc_computes_v_vtilde_and_its_jump_rows_once(n):
     """arc.v and arc.vtilde are lyapunov and vtilde of the samples to the
