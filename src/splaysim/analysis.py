@@ -37,7 +37,8 @@ def lyapunov(x):
 def _lyapunov(arr: np.ndarray) -> np.ndarray:
     """V of each row of a batch of validated phases, lyapunov's row kernel.
     The simulator's stop rule calls it unchecked on post-jump rows of one
-    chunk, which never hold more than one row block."""
+    chunk, which never hold more than one row block, and HybridArc.v on
+    row blocks of the arc's other rows."""
     return np.maximum(TWO_PI * (arr.shape[1] - 1) / arr.shape[1] - _shortest_arc(arr), 0.0)
 
 
@@ -127,7 +128,13 @@ def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
 
     The trace's values are the arc's cached arc.v, computed once per arc in
     row blocks, so apart from the trace's per-sample arrays the check
-    allocates nothing the size of arc.states."""
+    allocates nothing the size of arc.states.
+
+    Theorem 1's monotonicity holds for starts off the bad set, where no
+    two phases coincide.  From a bad-set start under policy 'enumerate' a
+    drawn branch can raise V by a model-level amount, not a rounding one,
+    and the verdict then fails: tests/test_event_map.py::
+    test_enumerate_can_raise_v_from_a_bad_set_start has such runs."""
     tol = check_number("tol", tol, "finite and nonnegative")
     values = arc.v
     rows = arc.jump_rows

@@ -257,7 +257,16 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
     dwell guard.
     When out_dir is given each run's CSVs are written there (the file
     contents repeat bit for bit when the corpus is rerun with one seed).
+    runs must be an integer of at least 1, ns a nonempty sequence of
+    integers of at least 2, seed a nonnegative integer and horizon positive
+    and finite (circle.check_number), all checked before anything runs.
     """
+    runs = check_number("runs", runs, "at least 1", int)
+    if np.ndim(ns) != 1 or not len(ns):
+        raise ValueError(f"ns must be a nonempty sequence of network sizes, got {ns!r}")
+    ns = tuple(check_number("ns", n, "at least 2", int) for n in ns)
+    seed = check_number("seed", seed, "nonnegative", int)
+    horizon = check_number("horizon", horizon, "positive and finite")
     master = np.random.default_rng(seed)
     records: list[RunRecord] = []
     out = None
@@ -325,12 +334,14 @@ def run_property_corpus(out_dir, geometry_samples: int = 100_000,
     geometry_samples random states of the first two are drawn and checked
     a block of rows at a time, the same draws in the same order as whole
     batches would make, so memory does not grow with them.  Every
-    budget must be an integer of at least 1 (circle.check_number), and
-    geometry_samples at most MAX_GEOMETRY_SAMPLES.
+    budget must be an integer of at least 1 (circle.check_number),
+    geometry_samples at most MAX_GEOMETRY_SAMPLES, and seed a nonnegative
+    integer.
     """
     geometry_samples = check_number("geometry_samples", geometry_samples, "at least 1", int)
     oracle_samples = check_number("oracle_samples", oracle_samples, "at least 1", int)
     runs = check_number("runs", runs, "at least 1", int)
+    seed = check_number("seed", seed, "nonnegative", int)
     if geometry_samples > MAX_GEOMETRY_SAMPLES:
         raise ValueError(f"geometry_samples must be at most {MAX_GEOMETRY_SAMPLES}, "
                          f"got {geometry_samples!r}")

@@ -166,7 +166,7 @@ def _jump(arr: np.ndarray, firers: np.ndarray, prc: PhaseResponse, policy: str,
           out: np.ndarray | None = None) -> list[tuple[str, np.ndarray, float]]:
     """The jump map from a state in the box whose firers are known.
 
-    Evaluates the response once, writing z + Q(z) into out (a fresh array
+    Calls the response's func once, writing z + Q(z) into out (a fresh array
     when None; never arr), builds the post states as (branch label, post,
     max of post) and checks the box; arr is not modified.  A response
     that raises TypeError or ValueError, or whose result does not convert
@@ -181,8 +181,8 @@ def _jump(arr: np.ndarray, firers: np.ndarray, prc: PhaseResponse, policy: str,
     check of z + Q(z), and a failure names the first failing branch of
     jump_map's order.
     """
-    try:
-        moved = np.add(arr, np.asarray(prc(arr), dtype=float),
+    try:  # arr is a float array already: PhaseResponse.__call__ would only rewrap it
+        moved = np.add(arr, np.asarray(prc.func(arr), dtype=float),
                        out=np.empty_like(arr) if out is None else out)
     except (TypeError, ValueError) as exc:
         raise _contract_error(exc) from exc
@@ -232,14 +232,22 @@ def _select(post: np.ndarray, firers: np.ndarray, bits) -> tuple[str, np.ndarray
     """The 'enumerate' branch with one bit per firer (1 = reset to zero),
     built in post, which holds z + Q(z), and its max."""
     post[firers[np.asarray(bits, dtype=bool)]] = 0.0
-    return "enumerate:" + "".join(map(str, bits)), post, float(post.max())
+    return "enumerate:" + "".join(map(str, bits)), post, post.item(post.argmax())
 
 
 def _check_box(post: np.ndarray, label: str) -> float:
     """Post-jump box check: the max of post, or a raise naming the branch
-    and its first entry outside [0, 2*pi] (NaN included)."""
-    top = float(post.max())  # Python floats compare faster than numpy scalars
-    if not (float(post.min()) >= 0.0 and top <= TWO_PI):
+    and its first entry outside [0, 2*pi] (NaN included).
+
+    Every firing takes it, so the extremes are read as post[post.argmax()]
+    and post[post.argmin()]: argmax and argmin are direct methods, while
+    max and min go through numpy's reduction wrapper, which at the size of
+    a state costs more than the reduction itself.  Both return the first
+    NaN, so a NaN still fails.  item() gives Python floats, which compare
+    faster than numpy scalars.  Batches keep max and min, which are faster
+    over whole arcs."""
+    top = post.item(post.argmax())
+    if not (post.item(post.argmin()) >= 0.0 and top <= TWO_PI):
         bad = post[_outside(post)][0]
         raise InvalidPhaseResponseError(
             f"reset left the box [0, 2*pi]: branch {label!r} produced {bad!r}"

@@ -16,19 +16,24 @@ rather than accumulated.
 A run records one row per firing, in place: the crossing flows into one
 reused scratch row, the jump map writes the post-jump state into the next
 row of fixed-size chunks, and (time, firers, branch) then goes into a
-list.  A pre-jump state is not recorded, since the exact flow rebuilds it
-from the previous post-jump state and the firing time; only the post-jump
-state, made by the response function, carries what the flow cannot.  The
-stop rule is read off the post-jump rows a batch of about one revolution
-at a time, and a run still ends at the very firing where the rule first
-holds.  From the firings, the final (t, x) and the stop reason the
-HybridArc's samples, indexed by (t, j), are derived in bounded row blocks:
+list.  A firing pays for little besides its numpy arithmetic: the
+response's func is called directly, and the box check reads the post
+state's extremes by argmax and argmin, not through numpy's reduction
+wrapper.  A pre-jump state is not recorded, since the exact flow rebuilds
+it from the previous post-jump state and the firing time; only the
+post-jump state, made by the response function, carries what the flow
+cannot.  The stop rule is read off the post-jump rows a batch of about one
+revolution at a time, and a run still ends at the very firing where the
+rule first holds; the V it computes of those rows is kept for the arc.
+From the firings, the final (t, x) and the stop reason the HybridArc's
+samples, indexed by (t, j), are derived in bounded row blocks:
 the post-jump rows are copied, and the pre-jump rows and the rows on the
 global grid are flowed.  The arc keeps the (time, firers, branch) list as
 its firing table, builds JumpEvents from it and their rows only when
 arc.events is read, and reads the hybrid time domain off the samples.  An
 arc thus holds each state once; its jump rows and the V and Vtilde of its
-samples are computed on first read and cached for every later reader.
+samples are computed on first read and cached for every later reader, V
+taking the post-jump rows from the stop rule where that saves work.
 Runs are deterministic given the configuration, including the seed that
 resolves set-valued jumps.
 """
@@ -314,7 +319,11 @@ class HybridArc:
     jump_rows, v and vtilde (V and Vtilde of each sample) are computed on
     first read and cached as read-only arrays, so the checks, the studies
     and the CSV writers that read them share one computation per arc; an
-    arc's samples are not to be changed once they have been read.
+    arc's samples are not to be changed once they have been read.  A
+    simulated arc with a stop rule also holds the V that rule computed of
+    each post-jump row, set by the run and read by v; it is not a
+    constructor field, so dataclasses.replace and a hand-built or loaded
+    arc have none, and their v computes every row.
     """
 
     ts: np.ndarray
@@ -324,6 +333,7 @@ class HybridArc:
     firings: list[tuple[float, tuple[int, ...], str]]
     perturbed: bool
     stop_reason: str
+    _post_v: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def intervals(self) -> list[tuple[float, float, int]]:
@@ -363,8 +373,23 @@ class HybridArc:
 
     @functools.cached_property
     def v(self) -> np.ndarray:
-        """V of each sample, analysis.lyapunov of states."""
-        return _read_only(analysis.lyapunov(self.states))
+        """V of each sample, analysis.lyapunov of states bit for bit.
+
+        When the run's stop-rule V of the post-jump rows covers at least a
+        third of the samples, those rows take their V from it and lyapunov's
+        row kernel computes only the other rows of each row block; with
+        fewer, gathering the other rows costs more than the rows it saves (a
+        dense grid, or n of a few), and every row is computed."""
+        if self._post_v is None or 3 * self._post_v.size < self.ts.size:
+            return _read_only(analysis.lyapunov(self.states))
+        post = np.zeros(self.ts.size, dtype=bool)
+        post[self.jump_rows + 1] = True
+        values = np.empty(self.ts.size)
+        values[post] = self._post_v
+        for block in circle._row_blocks(0, values.size, self.n):
+            at = block.start + np.flatnonzero(~post[block])
+            values[at] = analysis._lyapunov(self.states[at])
+        return _read_only(values)
 
     @functools.cached_property
     def vtilde(self) -> np.ndarray:
@@ -519,6 +544,8 @@ class _Firings:
     and by settle() before the run ends.  When it has held at firing k,
     the firings past k are dropped: the record is the one a check after
     every firing would have left, and at most n - 1 firings run ahead.
+    The V of each settled batch is kept, one array per batch, and
+    post_v() hands it to the arc, whose v then need not recompute it.
     """
 
     def __init__(self, config: SimConfig):
@@ -530,6 +557,7 @@ class _Firings:
         self.period = TWO_PI / config.omega
         self.pre = np.empty(config.n)
         self.settled = 0  # firings the stop rule has seen
+        self.vs: list[np.ndarray] = []  # V of their post rows, a batch an array
         self.hold_since: float | None = None
         self.stopped = False
 
@@ -562,7 +590,8 @@ class _Firings:
             return self.stopped
         at = lo % self.per_chunk
         posts = self.chunks[lo // self.per_chunk][at:at + hi - lo]
-        hits = analysis._lyapunov(posts) < threshold
+        self.vs.append(analysis._lyapunov(posts))
+        hits = self.vs[-1] < threshold
         if not hits.any():
             self.hold_since = None
             return False
@@ -577,6 +606,15 @@ class _Firings:
                 self.stopped = True
                 break
         return self.stopped
+
+    def post_v(self) -> np.ndarray | None:
+        """V of each recorded firing's post state as settle() computed
+        it, or None without a stop rule; the batches are released."""
+        if self.config.stop_v_threshold is None:
+            return None
+        values = np.concatenate([*self.vs, np.empty(0)])[:len(self.facts)]
+        self.vs.clear()
+        return _read_only(values)
 
 
 #: the firers of a state known to be below the firing band
@@ -654,15 +692,18 @@ def run(config: SimConfig) -> HybridArc:
     if record.stopped:
         stop_reason, on_jump = "stop-rule", True
         t, x = facts[-1][0], record.post(len(facts) - 1)
-    return _sampled_arc(config, facts, record.chunks, t, x, on_jump, stop_reason)
+    return _sampled_arc(config, facts, record.chunks, t, x, on_jump, stop_reason,
+                        record.post_v())
 
 
 def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
-                 x_end: np.ndarray, on_jump: bool, stop_reason: str) -> HybridArc:
+                 x_end: np.ndarray, on_jump: bool, stop_reason: str,
+                 post_v: np.ndarray | None) -> HybridArc:
     """The arc of a run, its samples derived in one pass from its firings
     (t, firers, branch), the chunks that hold their post states in
     consecutive rows, its final time and state (on_jump when that state is
-    the last firing's post state), and the global grid k * sample_dt.
+    the last firing's post state), and the global grid k * sample_dt;
+    post_v, the stop rule's V of the post states, is handed to the arc.
 
     Segment k runs from firing k - 1 (x0 at t = 0 for k = 0) to firing k
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
@@ -723,8 +764,10 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
         ts[at] = dt * (k0[seg] + (at - first[seg]))
         states[at] = _flow(states[first[seg] - 1], starts[seg], ts[at],
                            config.omega, config.perturbation)
-    return HybridArc(ts=ts, js=js, states=states, kinds=kinds, firings=firings,
-                     perturbed=not config.perturbation.is_none, stop_reason=stop_reason)
+    arc = HybridArc(ts=ts, js=js, states=states, kinds=kinds, firings=firings,
+                    perturbed=not config.perturbation.is_none, stop_reason=stop_reason)
+    arc._post_v = post_v
+    return arc
 
 
 # -- CSV persistence ---------------------------------------------------------

@@ -113,6 +113,8 @@ def _arc():
 
 #: budgets of a corpus that ends at once should a bad one get past its check
 _BUDGETS = {"geometry_samples": 10, "oracle_samples": 10, "runs": 1}
+#: the convergence corpus itself, which the number test replaces inside the property corpus
+_theorem1_corpus = experiments.theorem1_corpus
 
 
 #: each scalar number a public function takes: (the name its message
@@ -142,6 +144,13 @@ NUMBER_PARAMETERS = {
     **{f"run_property_corpus.{name}": (
         name, lambda v, name=name: run_property_corpus("corpus", **{**_BUDGETS, name: v}))
        for name in _BUDGETS},
+    "run_property_corpus.seed": ("seed", lambda v: run_property_corpus("corpus", **_BUDGETS,
+                                                                       seed=v)),
+    "theorem1_corpus.runs": ("runs", lambda v: _theorem1_corpus(runs=v, out_dir="corpus")),
+    "theorem1_corpus.ns": ("ns", lambda v: _theorem1_corpus(runs=1, ns=(3, v), out_dir="corpus")),
+    "theorem1_corpus.seed": ("seed", lambda v: _theorem1_corpus(runs=1, seed=v, out_dir="corpus")),
+    "theorem1_corpus.horizon": ("horizon", lambda v: _theorem1_corpus(runs=1, horizon=v,
+                                                                      out_dir="corpus")),
     "closeness.tau": ("tau", lambda v: closeness(_arc(), _arc(), v)),
     "verify_monotone.tol": ("tol", lambda v: verify_monotone(_arc(), tol=v)),
     "in_jump_set.tol": ("tol", lambda v: in_jump_set([TWO_PI, 1.0], tol=v)),

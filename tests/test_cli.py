@@ -541,6 +541,12 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "corpus").exists()
 
+    def test_corpus_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        code = main(["experiment", "corpus", "--seed", "-1", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: seed must be nonnegative")
+        assert not (tmp_path / "corpus").exists()
+
     def test_corpus_samples_above_the_cap_are_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["experiment", "corpus", "--samples",

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from splaysim import circle
+from splaysim import circle, experiments
 from splaysim.analysis import lyapunov
 from splaysim.circle import TWO_PI
 from splaysim.experiments import (
@@ -96,6 +96,41 @@ def test_corpus_can_write_csvs(tmp_path):
     theorem1_corpus(runs=2, out_dir=tmp_path)
     assert (tmp_path / "run_000_trajectory.csv").exists()
     assert (tmp_path / "run_001_events.csv").exists()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"runs": -1}, "runs must be at least 1, got -1"),
+    ({"runs": 0}, "runs must be at least 1, got 0"),
+    ({"runs": True}, "runs: True is not an integer"),
+    ({"runs": 1.5}, "runs: 1.5 is not an integer"),
+    ({"ns": ()}, "ns must be a nonempty sequence of network sizes, got ()"),
+    ({"ns": 3}, "ns must be a nonempty sequence of network sizes, got 3"),
+    ({"ns": "23"}, "ns must be a nonempty sequence of network sizes, got '23'"),
+    ({"ns": (2, 2.0)}, "ns: 2.0 is not an integer"),
+    ({"ns": ("3",)}, "ns: '3' is not an integer"),
+    ({"ns": (True,)}, "ns: True is not an integer"),
+    ({"ns": (3, 1)}, "ns must be at least 2, got 1"),
+    ({"seed": True}, "seed: True is not an integer"),
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ({"seed": 1.0}, "seed: 1.0 is not an integer"),
+    ({"horizon": 0.0}, "horizon must be positive and finite, got 0.0"),
+    ({"horizon": np.inf}, "horizon must be positive and finite, got inf"),
+    ({"horizon": np.nan}, "horizon must be positive and finite, got nan"),
+    ({"horizon": "250"}, "horizon: '250' is not a number"),
+])
+def test_corpus_checks_its_inputs_before_it_runs(tmp_path, monkeypatch, kwargs, message):
+    """A bad count, size list, seed or horizon raises a ValueError naming
+    the parameter before any run or any output directory is made."""
+    monkeypatch.setattr(experiments, "run", lambda config: pytest.fail("a run started"))
+    with pytest.raises(ValueError) as info:
+        theorem1_corpus(**{"runs": 1, **kwargs}, out_dir=tmp_path / "out")
+    assert str(info.value) == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_corpus_takes_numpy_integers_as_its_numbers():
+    assert (theorem1_corpus(runs=np.int64(2), ns=np.array([2, 3]), seed=np.uint32(7))
+            == theorem1_corpus(runs=2, ns=(2, 3), seed=7))
 
 
 def test_draw_start_avoids_coincident_phases():

@@ -177,6 +177,47 @@ def test_box_check_names_the_first_branch_to_leave(x, policy):
         assert str(exc.value).endswith(first_bad)
 
 
+#: post values outside the box that a listener can be sent to
+_OUTSIDE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "negative": -0.5,
+            "above-2pi": TWO_PI + 0.5}
+
+
+@pytest.mark.parametrize("bad", _OUTSIDE)
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("m, policy, label", [(1, "all-zero", "single"),
+                                              (2, "all-zero", "all-zero"),
+                                              (2, "enumerate", "enumerate:11")])
+@pytest.mark.parametrize("path", ["jump_map", "run"])
+def test_box_check_names_the_first_entry_outside(bad, at, m, policy, label, path):
+    """The box check reads the post state's extremes by argmax and argmin;
+    a NaN, an infinity, a negative value or one above 2*pi at the first,
+    a middle or the last entry still fails it, and the message names the
+    first entry outside the box: the planted one, ahead of a second bad
+    value in the last entry when the planted one is not there."""
+    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    firers = [k for k in range(5) if k not in (at, 4)][:m]
+    x[firers] = TWO_PI
+    targets = {x[at]: _OUTSIDE[bad]}
+    if at != 4:
+        targets[x[4]] = 7.0
+
+    def func(z):
+        q = np.zeros_like(z)
+        for value, post in targets.items():
+            q[z == value] = post - value
+        return q
+
+    prc = PhaseResponse("plant", func, 5)
+    expected = f"reset left the box [0, 2*pi]: branch {label!r} produced " \
+               f"{np.float64(x[at] + (_OUTSIDE[bad] - x[at]))!r}"
+    with pytest.raises(InvalidPhaseResponseError) as info:
+        if path == "jump_map":
+            jump_map(x, prc, policy)
+        else:
+            run(SimConfig(prc=prc, x0=x, policy=policy, horizon=1.0))
+    assert str(info.value) == expected
+
+
 @given(st.floats(0.0, TWO_PI - 1e-6, allow_nan=False),
        st.floats(0.0, TWO_PI - 1e-6, allow_nan=False))
 @example(a=6.283184307179586, b=6.283184307179585)  # 1 ulp apart, one post value

@@ -1301,6 +1301,11 @@ PINNED_ARCS = {
                                        policy="enumerate", seed=4, horizon=40.0),
                      "c2718d8280ff577e3a36d56fe24790c17c4cdec9d0f773f31368385ad33dab0f",
                      "7c681a29d52346f6279ab133e4338f0b48036922929b03760037c8b3492c4de7"),
+    # a wide state through the firing loop: 408 firings, each with its box check
+    "paper-n64": (lambda: SimConfig(prc=paper_prc(64), horizon=40.0,
+                                    x0=draw_start(np.random.default_rng(64), 64)),
+                  "291ca80aedac60f2146f2ef904e57438e6fb4377dc6a2c9b2b5f23b658be229a",
+                  "93705d5eb69cc9ad82814c4e29232056e1921d988e813d786d8f190aa74c2b8d"),
 }
 
 
@@ -1449,6 +1454,105 @@ def test_an_arc_computes_v_vtilde_and_its_jump_rows_once(n):
         assert getattr(arc, name) is cached
         assert not cached.flags.writeable
     assert verify_monotone(arc).trace.values is arc.v
+
+
+#: runs whose arc.v must equal lyapunov(arc.states): (config, stop reason); a
+#: coarse grid makes the post-jump rows at least a third of the samples, so
+#: v takes them from the stop rule, and the default grid has v compute all
+V_REUSE_RUNS = {
+    "stop-rule-mid-batch": (lambda **kw: _lookahead_config("middle", "v", **kw), "stop-rule"),
+    "horizon": (lambda **kw: SimConfig(prc=paper_prc(8), horizon=60.0,
+                                       x0=draw_start(np.random.default_rng(8), 8), **kw),
+                "horizon"),
+    "max-jumps": (lambda **kw: SimConfig(prc=paper_prc(8),
+                                         x0=draw_start(np.random.default_rng(8), 8),
+                                         max_jumps=50, **kw), "max-jumps"),
+    "no-stop-rule": (lambda **kw: _lookahead_config("middle", "v", stop_v_threshold=None,
+                                                    horizon=60.0, **kw), "horizon"),
+    "enumerate": (lambda **kw: dataclasses.replace(PINNED_ARCS["enumerate-n5"][0](), **kw),
+                  "horizon"),
+    "sinusoidal": (lambda **kw: perturbed_config(0.05, stop_v_threshold=1e-6, horizon=60.0, **kw),
+                   "horizon"),
+}
+
+
+@pytest.mark.parametrize("sample_dt", [0.01, 5.0], ids=["dense-grid", "coarse-grid"])
+@pytest.mark.parametrize("name", V_REUSE_RUNS)
+def test_arc_v_is_lyapunov_of_the_samples_bit_for_bit(monkeypatch, name, sample_dt):
+    """arc.v equals lyapunov(arc.states) whether or not it reuses the stop
+    rule's V of the post-jump rows, whatever the row blocks; the arc holds
+    the V of those rows, one per firing, and None without a stop rule."""
+    make_config, reason = V_REUSE_RUNS[name]
+    cfg = make_config(sample_dt=sample_dt)
+    arc = run(cfg)
+    assert arc.stop_reason == reason and arc.jumps > 0
+    if name == "stop-rule-mid-batch":
+        assert arc.jumps % cfg.n != 0  # the stop firing is not the last of its batch
+    expected = lyapunov(arc.states)
+    if cfg.stop_v_threshold is None:
+        assert arc._post_v is None
+    else:
+        assert arc._post_v.tobytes() == expected[arc.jump_rows + 1].tobytes()
+        assert not arc._post_v.flags.writeable
+        # the coarse grid is the case where v reuses post_v
+        assert (3 * arc._post_v.size >= arc.ts.size) == (sample_dt == 5.0)
+    kernel, rows = analysis._lyapunov, []
+
+    def counted(arr):
+        rows.append(arr.shape[0])
+        return kernel(arr)
+
+    monkeypatch.setattr(analysis, "_lyapunov", counted)
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", 7 * cfg.n)  # blocks of 7 rows
+    assert arc.v.tobytes() == expected.tobytes()
+    reused = arc._post_v is not None and 3 * arc._post_v.size >= arc.ts.size
+    assert sum(rows) == arc.ts.size - (arc.jumps if reused else 0)
+    assert max(rows) <= 7
+
+
+def test_a_replaced_or_hand_built_arc_computes_v_of_its_own_states():
+    """The stop rule's V of the post-jump rows stays with the arc the run
+    made: it is not a constructor argument, is not shown in the repr, and
+    dataclasses.replace drops it, so v of the new arc is lyapunov of the new
+    states, and a state outside the box raises as lyapunov does."""
+    coarse = run(V_REUSE_RUNS["stop-rule-mid-batch"][0](sample_dt=5.0))
+    assert 3 * coarse._post_v.size >= coarse.ts.size  # v of coarse reuses them
+    assert coarse.v.tobytes() == lyapunov(coarse.states).tobytes()
+    assert "_post_v" not in repr(coarse)
+    states = coarse.states[::-1].copy()
+    moved = dataclasses.replace(coarse, states=states)
+    assert moved._post_v is None
+    assert moved.v.tobytes() == lyapunov(states).tobytes()
+    assert moved.v[moved.jump_rows + 1].tobytes() != coarse.v[coarse.jump_rows + 1].tobytes()
+    states[coarse.jump_rows[0] + 1, 0] = np.nan
+    with pytest.raises(ValueError):
+        dataclasses.replace(coarse, states=states).v
+    with pytest.raises(TypeError):
+        HybridArc(ts=coarse.ts, js=coarse.js, states=coarse.states, kinds=coarse.kinds,
+                  firings=coarse.firings, perturbed=False, stop_reason="stop-rule",
+                  _post_v=coarse._post_v)
+
+
+@pytest.mark.parametrize("policy", ["all-zero", "enumerate"])
+def test_run_calls_the_response_once_per_firing(policy):
+    """A firing evaluates the response's func once, on the pre-jump state."""
+    make_config = PINNED_ARCS["enumerate-n5"][0]
+    base, calls = paper_prc(5), []
+
+    def func(z):
+        assert type(z) is np.ndarray and z.dtype == float and z.shape == (5,)
+        calls.append(z.copy())
+        return base.func(z)
+
+    counted = dataclasses.replace(base, func=func)
+    for reason, fields in (("horizon", {"stop_v_threshold": None}),
+                           ("max-jumps", {"max_jumps": 10})):
+        calls.clear()
+        arc = run(dataclasses.replace(make_config(), prc=counted, policy=policy, **fields))
+        assert arc.stop_reason == reason and arc.jumps >= 10
+        assert len(calls) == arc.jumps
+        for z, row in zip(calls, arc.jump_rows):
+            assert z.tobytes() == arc.states[row].tobytes()
 
 
 # -- CSV round trip ------------------------------------------------------------------
