@@ -228,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=float,
                      help=f"flow-time horizon (default {SimConfig.horizon:g})")
     sim.add_argument("--max-jumps", type=int, dest="max_jumps")
-    sim.add_argument("--firing-tol", type=float, dest="firing_tol")
-    sim.add_argument("--min-dwell", type=float, dest="min_dwell")
     sim.add_argument("--stop-v", type=float, dest="stop_v_threshold",
                      help="stop once V stays below this for a full revolution")
     sim.add_argument("--policy", choices=("all-zero", "enumerate"),

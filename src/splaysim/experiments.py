@@ -253,8 +253,8 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
     """Seeded batch of convergence runs cycling over network sizes.
 
     Every run must bring V below its stop threshold, keep V monotone, keep
-    all phase pairs geodesically apart at every firing, and respect the
-    dwell guard.
+    all phase pairs geodesically apart at every firing, and keep
+    consecutive firings more than 1e-6 s apart.
     When out_dir is given each run's CSVs are written there (the file
     contents repeat bit for bit when the corpus is rerun with one seed).
     runs must be an integer of at least 1, ns a nonempty sequence of

@@ -24,7 +24,10 @@ ALL_ZERO = "all-zero"
 ENUMERATE = "enumerate"
 POLICIES = (ALL_ZERO, ENUMERATE)
 
-DEFAULT_FIRING_TOL = 1e-9
+#: the firing band: a phase within it of 2*pi fires.  The model's jump set
+#: is max_i x_i = 2*pi exactly; the band absorbs the rounding of a located
+#: crossing, and every entry point reads this one value
+FIRING_TOL = 1e-9
 DEFAULT_SPLAY_TOL = 1e-6
 DEFAULT_BAD_TOL = 1e-12
 #: cap on validate_prc's grid, 10x the default; peak memory is linear in it (40 MiB at the cap)
@@ -119,15 +122,14 @@ def in_flow_set(x) -> bool:
     return not _outside(np.asarray(x, dtype=float)).any()
 
 
-def in_jump_set(x, tol: float = DEFAULT_FIRING_TOL) -> bool:
-    """True when some phase has reached 2*pi (within tol, positive and finite)."""
-    return bool(firing_indices(x, tol).size)
+def in_jump_set(x) -> bool:
+    """True when some phase has reached 2*pi (within FIRING_TOL)."""
+    return bool(firing_indices(x).size)
 
 
-def firing_indices(x, tol: float = DEFAULT_FIRING_TOL) -> np.ndarray:
-    """Indices of the phases at 2*pi (within tol, positive and finite)."""
-    arr = as_phases(x)
-    return np.flatnonzero(arr >= TWO_PI - check_number("tol", tol, "positive and finite"))
+def firing_indices(x) -> np.ndarray:
+    """Indices of the phases at 2*pi (within FIRING_TOL)."""
+    return np.flatnonzero(as_phases(x) >= TWO_PI - FIRING_TOL)
 
 
 def check_policy(policy: str) -> None:
@@ -136,8 +138,7 @@ def check_policy(policy: str) -> None:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
 
 
-def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
-             tol: float = DEFAULT_FIRING_TOL) -> list[JumpBranch]:
+def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO) -> list[JumpBranch]:
     """All admissible post-firing states from x.
 
     A lone firer always resets to 0 while every listener moves to
@@ -146,7 +147,7 @@ def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
     either reset or be treated as a listener.  Policy 'all-zero' keeps the
     single branch where every firer resets; 'enumerate' returns all 2**m
     selections in a fixed order (all-reset first).  The firers are the
-    phases within tol of 2*pi, tol positive and finite.
+    phases within FIRING_TOL of 2*pi.
 
     Raises InvalidPhaseResponseError if any branch leaves the box (a NaN
     response counts as leaving it), which is the runtime symptom of a
@@ -154,7 +155,7 @@ def jump_map(x, prc: PhaseResponse, policy: str = ALL_ZERO,
     """
     arr = as_phases(x)
     check_policy(policy)
-    firers = firing_indices(arr, tol)
+    firers = firing_indices(arr)
     if firers.size == 0:
         raise ValueError("jump_map requires at least one phase at 2*pi")
     who = tuple(firers.tolist())

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import analysis, circle, model
 from .circle import TWO_PI, as_phases, check_number, check_numbers
-from .model import ALL_ZERO, DEFAULT_FIRING_TOL, PhaseResponse, check_policy
+from .model import ALL_ZERO, FIRING_TOL, PhaseResponse, check_policy
 
 FLOW = "flow"
 PRE_JUMP = "pre-jump"
@@ -77,15 +77,18 @@ MAX_GRID_POINTS = 1_000_000
 
 class ZenoViolationError(RuntimeError):
     """Two consecutive firings were separated by less flow time than the
-    configured dwell guard; the execution is aborted instead of chattering."""
+    guard, the least in which a phase below the firing band can reach
+    2*pi: FIRING_TOL / (omega + amplitude).  Only a response that lifted
+    a listener into the band gives such a dwell, and the execution is
+    aborted instead of chattering."""
 
-    def __init__(self, t: float, j: int, dwell: float, min_dwell: float):
+    def __init__(self, t: float, j: int, dwell: float, guard: float):
         super().__init__(f"dwell {dwell!r} s between jumps {j - 1} and {j} at t={t!r} "
-                         f"is below the guard {min_dwell!r} s")
+                         f"is below the guard {guard!r} s")
         self.t = t
         self.j = j
         self.dwell = dwell
-        self.min_dwell = min_dwell
+        self.guard = guard
 
 
 class HybridTime(NamedTuple):
@@ -240,18 +243,18 @@ def _start(x0) -> np.ndarray:
 
 
 #: SimConfig's number fields, each with its kind and range rule (see
-#: circle.check_number); stop_v_threshold and seed may also be None
+#: circle.check_number); stop_v_threshold may also be None
 _NUMBERS = {"omega": (float, "positive and finite"), "horizon": (float, "positive"),
-            "max_jumps": (int, "at least 1"), "firing_tol": (float, "positive and finite"),
-            "min_dwell": (float, "finite and nonnegative"),
-            "stop_v_threshold": (float, "nonnegative"), "seed": (int, "nonnegative"),
-            "sample_dt": (float, "positive")}
+            "max_jumps": (int, "at least 1"), "stop_v_threshold": (float, "nonnegative"),
+            "seed": (int, "nonnegative"), "sample_dt": (float, "positive")}
 
 
 @dataclass
 class SimConfig:
     """Everything that determines one run, seed included; n is len(x0).
-    Every field is checked, each number stored as a Python float or int."""
+    Every field is checked, each number stored as a Python float or int.
+    The firing band and the Zeno guard are not settable: the band is
+    model.FIRING_TOL and run derives the guard from it."""
 
     prc: PhaseResponse
     x0: np.ndarray
@@ -259,11 +262,9 @@ class SimConfig:
     perturbation: Perturbation = field(default_factory=Perturbation.none)
     horizon: float = 80.0
     max_jumps: int = 100_000
-    firing_tol: float = DEFAULT_FIRING_TOL
-    min_dwell: float = 1e-9
     stop_v_threshold: float | None = 1e-6
     policy: str = ALL_ZERO
-    seed: int | None = 0
+    seed: int = 0
     sample_dt: float = 0.01
 
     def __post_init__(self):
@@ -272,7 +273,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name, (kind, rule) in _NUMBERS.items():
             value = getattr(self, name)
-            if value is not None or name not in ("stop_v_threshold", "seed"):
+            if value is not None or name != "stop_v_threshold":
                 setattr(self, name, check_number(name, value, rule, kind))
         self.x0 = _start(self.x0)
         if self.prc.n != self.n:
@@ -445,7 +446,7 @@ def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation,
 
 
 def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: Perturbation,
-                    horizon: float, firing_tol: float, out: np.ndarray | None = None):
+                    horizon: float, out: np.ndarray | None = None):
     """(t, x, firers) at the first firing of the flow from x0 at t0, or
     (horizon, x, None) when the horizon comes first; top is x0's max, and
     x is written into out (a fresh array when None).
@@ -462,7 +463,7 @@ def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: P
     if t_fire > horizon:
         return horizon, _flow(x0, t0, horizon, omega, pert, out), None
     x = _flow(x0, t0, t_fire, omega, pert, out, clamp=False)
-    firers = (x >= TWO_PI - firing_tol).nonzero()[0]
+    firers = (x >= TWO_PI - FIRING_TOL).nonzero()[0]
     x[firers] = TWO_PI
     return t_fire, x, firers
 
@@ -501,29 +502,27 @@ def _earliest_root(x0: np.ndarray, t0: float, omega: float, pert: Perturbation) 
 
 
 def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
-                       t0: float, horizon: float = math.inf,
-                       firing_tol: float = DEFAULT_FIRING_TOL):
+                       t0: float, horizon: float = math.inf):
     """Flow from x at t0 until the first phase reaches 2*pi.
 
-    Returns (t_fire, x_at_fire, True) at a crossing, with the crossing
-    coordinates clamped exactly to 2*pi, or (horizon, x_at_horizon, False)
-    when no phase fires before the horizon.  x must be in the box with no
-    coordinate already at 2*pi, omega and firing_tol positive and finite,
-    t0 finite and the horizon a number not before t0.
+    Returns (t_fire, x_at_fire, True) at a crossing, with every coordinate
+    in the firing band (model.FIRING_TOL) set exactly to 2*pi, or
+    (horizon, x_at_horizon, False) when no phase fires before the horizon.
+    x must be in the box with no coordinate already in the band, omega
+    positive and finite, t0 finite and the horizon a number not before t0.
     """
     arr = as_phases(x)
     omega = check_number("omega", omega, "positive and finite")
     t0 = check_number("t0", t0, "finite")
     horizon = check_number("horizon", horizon)
-    firing_tol = check_number("firing_tol", firing_tol, "positive and finite")
     if not horizon >= t0:
         raise ValueError(f"horizon {horizon!r} must not be earlier than t0={t0!r}")
     top = float(arr.max())
-    if top >= TWO_PI - firing_tol:
+    if top >= TWO_PI - FIRING_TOL:
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
     pert = perturbation or Perturbation.none()
     _check_flow(pert, omega, arr.size)
-    t, x, firers = _first_crossing(arr, top, t0, omega, pert, horizon, firing_tol)
+    t, x, firers = _first_crossing(arr, top, t0, omega, pert, horizon)
     return t, x, firers is not None
 
 
@@ -624,12 +623,16 @@ _NO_FIRERS = np.empty(0, dtype=np.intp)
 def run(config: SimConfig) -> HybridArc:
     """Execute the network and record the arc.
 
-    Jumps are taken whenever a phase sits at 2*pi (within the firing
-    tolerance); otherwise the state flows to the next firing or to the
-    horizon.  Stops on the horizon, on the jump budget, or once V has
+    Jumps are taken whenever a phase sits at 2*pi (within the firing band
+    model.FIRING_TOL); otherwise the state flows to the next firing or to
+    the horizon.  Stops on the horizon, on the jump budget, or once V has
     stayed below stop_v_threshold (unless that is None) for a full nominal
     revolution.  Raises ZenoViolationError when consecutive firings are
-    closer than the dwell guard.
+    closer than FIRING_TOL / (omega + amplitude), the least flow time in
+    which a phase below the band can reach 2*pi: a non-firer ends a firing
+    below the band unless the response lifted it there, so only such a
+    response makes a shorter dwell.  The guard scales with the time unit,
+    so rescaling omega and the times together leaves a run unchanged.
 
     Each step of the loop is one firing written in place into a _Firings
     record: the crossing flows into the scratch pre row it hands out, the
@@ -658,7 +661,8 @@ def run(config: SimConfig) -> HybridArc:
     rng = np.random.default_rng(config.seed)
     record = _Firings(config)
     facts = record.facts
-    fire_at = TWO_PI - config.firing_tol
+    fire_at = TWO_PI - FIRING_TOL
+    guard = FIRING_TOL / (config.omega + config.perturbation.amplitude)
 
     on_jump = False  # whether x is the post state of the last firing
     firers = (x >= fire_at).nonzero()[0]
@@ -669,7 +673,7 @@ def run(config: SimConfig) -> HybridArc:
                 pre[...] = x
             else:
                 t, x, firers = _first_crossing(x, top, t, config.omega, config.perturbation,
-                                               config.horizon, config.firing_tol, out=pre)
+                                               config.horizon, out=pre)
                 on_jump = False
                 if firers is None:
                     stop_reason = "horizon"
@@ -677,8 +681,8 @@ def run(config: SimConfig) -> HybridArc:
             if len(facts) >= config.max_jumps:
                 stop_reason = "max-jumps"
                 break
-            if facts and t - facts[-1][0] < config.min_dwell:
-                raise ZenoViolationError(t, len(facts) + 1, t - facts[-1][0], config.min_dwell)
+            if facts and t - facts[-1][0] < guard:
+                raise ZenoViolationError(t, len(facts) + 1, t - facts[-1][0], guard)
             label, _, top = model._jump(pre, firers, config.prc, config.policy, rng, out=post)[0]
             record.commit(t, firers, label)
             x, on_jump = post, True
@@ -724,7 +728,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     k0 = np.floor(starts / dt + 1e-9).astype(int) + 1
     counts = np.maximum(np.ceil(ends / dt - 1e-9).astype(int) - k0, 0)
     # rows in each segment's (start, grid, end) pieces
-    fire_at = TWO_PI - config.firing_tol
+    fire_at = TWO_PI - FIRING_TOL
     reps = np.ones((m + 1, 3), dtype=int)
     reps[:, 1] = counts
     reps[0, 0] = config.x0.max() < fire_at

@@ -26,8 +26,7 @@ from splaysim.circle import (
 )
 from splaysim import experiments
 from splaysim.experiments import run_property_corpus
-from splaysim.model import (firing_indices, in_bad_set, in_jump_set, in_splay_set, jump_map,
-                            validate_prc)
+from splaysim.model import in_bad_set, in_splay_set, validate_prc
 from splaysim.prc import (broken_step, broken_steep, broken_zero, linear_family, paper_prc,
                           piecewise_linear, prc_from_spec)
 from splaysim.sim import Perturbation, SimConfig, flow_to_next_event, run
@@ -121,8 +120,7 @@ _theorem1_corpus = experiments.theorem1_corpus
 #: starts with, a call that passes the value in that parameter)
 NUMBER_PARAMETERS = {
     **{f"SimConfig.{name}": (name, lambda v, name=name: _config(**{name: v}))
-       for name in ("omega", "horizon", "max_jumps", "firing_tol", "min_dwell",
-                    "stop_v_threshold", "seed", "sample_dt")},
+       for name in ("omega", "horizon", "max_jumps", "stop_v_threshold", "seed", "sample_dt")},
     "SimConfig.x0": ("x0", lambda v: _config(x0=[0.3, v, 4.1])),
     "Perturbation.amplitude": ("amplitude", lambda v: Perturbation(amplitude=v)),
     "Perturbation.frequency": ("frequency", lambda v: Perturbation(0.1, frequency=v)),
@@ -131,8 +129,6 @@ NUMBER_PARAMETERS = {
     "flow_to_next_event.t0": ("t0", lambda v: flow_to_next_event(_X0, 1.0, None, v)),
     "flow_to_next_event.horizon": ("horizon",
                                    lambda v: flow_to_next_event(_X0, 1.0, None, 0.0, v)),
-    "flow_to_next_event.firing_tol": (
-        "firing_tol", lambda v: flow_to_next_event(_X0, 1.0, None, 0.0, firing_tol=v)),
     "validate_prc.n": ("n", lambda v: validate_prc(paper_prc(3).func, v)),
     "validate_prc.grid": ("grid", lambda v: validate_prc(paper_prc(3).func, 3, grid=v)),
     "validate_prc.lipschitz": ("lipschitz",
@@ -153,9 +149,6 @@ NUMBER_PARAMETERS = {
                                                                       out_dir="corpus")),
     "closeness.tau": ("tau", lambda v: closeness(_arc(), _arc(), v)),
     "verify_monotone.tol": ("tol", lambda v: verify_monotone(_arc(), tol=v)),
-    "in_jump_set.tol": ("tol", lambda v: in_jump_set([TWO_PI, 1.0], tol=v)),
-    "firing_indices.tol": ("tol", lambda v: firing_indices([TWO_PI, 1.0], tol=v)),
-    "jump_map.tol": ("tol", lambda v: jump_map([TWO_PI, 1.0, 2.0], paper_prc(3), tol=v)),
     "in_splay_set.tol": ("tol", lambda v: in_splay_set([1.0, 1.0 + TWO_PI / 2], tol=v)),
     "in_bad_set.tol": ("tol", lambda v: in_bad_set([1.0, 1.0], tol=v)),
     "paper_prc.n": ("n", paper_prc),

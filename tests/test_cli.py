@@ -45,21 +45,31 @@ def write_config(path, **overrides):
 
 
 #: a config value for each SimConfig run parameter, off its default, and
-#: what SimConfig must hold; float parameters take JSON integers and store
-#: them as floats, and null turns the stop rule off and leaves the jumps
-#: unseeded
+#: what SimConfig must hold, from the config key or from the flag; float
+#: parameters take JSON integers and store them as floats
 NON_DEFAULTS = {
     "omega": (2, 2.0),
     "perturbation": ({"kind": "sinusoidal", "amplitude": 0.03}, Perturbation.sinusoidal(0.03)),
     "horizon": (4, 4.0),
     "max_jumps": (3, 3),
-    "firing_tol": (1e-10, 1e-10),
-    "min_dwell": (0, 0.0),
-    "stop_v_threshold": (None, None),
+    "stop_v_threshold": (0, 0.0),
     "policy": ("enumerate", "enumerate"),
-    "seed": (None, None),
+    "seed": (3, 3),
     "sample_dt": (1, 1.0),
 }
+
+#: the simulate subcommand's parser, and the flag of each of its options
+SIMULATE = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["simulate"]
+FLAGS = {a.dest: a.option_strings[0] for a in SIMULATE._actions if a.option_strings}
+
+
+def as_flags(name, value):
+    """The simulate flags that set SimConfig field name to a config value:
+    the field's own flag, or for a perturbation block its --perturb-* flags."""
+    if name == "perturbation":
+        return [arg for key, v in value.items() if key != "kind"
+                for arg in (FLAGS[f"perturb_{key}"], str(v))]
+    return [FLAGS[name], str(value)]
 
 _SINUSOID = {"kind": "sinusoidal", "amplitude": 0.03}
 #: inputs that must end in "config error:" and exit 2: (config overrides, flags)
@@ -87,8 +97,6 @@ MALFORMED = {
     "flag-sample-dt-1e-15": ({}, ["--sample-dt", "1e-15"]),
     "flag-sample-dt-1e-8": ({}, ["--sample-dt", "1e-8"]),
     "flag-omega-inf": ({}, ["--omega", "inf"]),
-    "min-dwell-nan": ({"min_dwell": math.nan}, []),
-    "firing-tol-inf": ({"firing_tol": math.inf}, []),
     "max-jumps-fraction": ({"max_jumps": 2.5}, []),
     "max-jumps-integral-float": ({"max_jumps": 3.0}, []),
     "max-jumps-nan": ({"max_jumps": math.nan}, []),
@@ -97,8 +105,6 @@ MALFORMED = {
     "n-matching-x0": ({"n": 3}, []),
     "x0-comma-string": ({"x0": "5.5977,6.0274,3.4383"}, []),
     "flag-stop-v-nan": ({}, ["--stop-v", "nan"]),
-    "flag-min-dwell-nan": ({}, ["--min-dwell", "nan"]),
-    "flag-firing-tol-inf": ({}, ["--firing-tol", "inf"]),
     "kind-none-with-flag-amplitude": ({"perturbation": {"kind": "none"}},
                                       ["--perturb-amplitude", "0.1"]),
     "flag-frequency-without-amplitude": ({}, ["--perturb-frequency", "0.7"]),
@@ -113,6 +119,9 @@ MALFORMED = {
     "amplitude-beyond-float": ({"perturbation": {**_SINUSOID, "amplitude": 10**400}}, []),
     "frequency-beyond-float": ({"perturbation": {**_SINUSOID, "frequency": 10**400}}, []),
     "stop-splay-removed": ({"stop_splay_tol": 1e-3}, []),
+    "firing-tol-removed": ({"firing_tol": 1e-9}, []),
+    "min-dwell-removed": ({"min_dwell": 1e-9}, []),
+    "seed-null": ({"seed": None}, []),
 }
 #: the malformed inputs of the wrong type (true or false included), and
 #: the key the message must name
@@ -122,7 +131,7 @@ CAST_KEYS = {"horizon-string": "horizon", "horizon-beyond-float": "horizon",
              "max-jumps-fraction": "max_jumps", "max-jumps-integral-float": "max_jumps",
              "max-jumps-nan": "max_jumps", "max-jumps-inf": "max_jumps", "horizon-true": "horizon",
              "max-jumps-true": "max_jumps", "stop-v-false": "stop_v_threshold",
-             "seed-true": "seed", "x0-boolean-entry": "x0",
+             "seed-true": "seed", "seed-null": "seed", "x0-boolean-entry": "x0",
              "amplitude-true": "perturbation.amplitude", "offset-false": "perturbation.offsets",
              "amplitude-string": "perturbation.amplitude", "offset-string": "perturbation.offsets",
              "frequency-nan": "perturbation.frequency",
@@ -130,7 +139,8 @@ CAST_KEYS = {"horizon-string": "horizon", "horizon-beyond-float": "horizon",
              "frequency-beyond-float": "perturbation.frequency"}
 #: the malformed inputs that name a key SimConfig does not have; n is the
 #: length of x0
-UNKNOWN_KEYS = {"stop-splay-removed": "stop_splay_tol", "n-string": "n", "n-fraction": "n",
+UNKNOWN_KEYS = {"stop-splay-removed": "stop_splay_tol", "firing-tol-removed": "firing_tol",
+                "min-dwell-removed": "min_dwell", "n-string": "n", "n-fraction": "n",
                 "n-matching-x0": "n"}
 
 
@@ -178,16 +188,45 @@ class TestSimulate:
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SimConfig)
                                       if f.name not in ("prc", "x0")])
     def test_each_config_key_reaches_simconfig(self, tmp_path, monkeypatch, name):
+        # the same value reaches the field as a config key and as a flag
         seen = []
         monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or run(config))
         value, expected = NON_DEFAULTS[name]
-        cfg = write_config(tmp_path / "run.json", **{"horizon": 5.0, name: value})
-        code = main(["simulate", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == EXIT_OK
-        (config,) = seen
-        assert expected != getattr(SimConfig(prc=config.prc, x0=config.x0), name)
-        assert getattr(config, name) == expected
-        assert type(getattr(config, name)) is type(expected)
+        by_key = write_config(tmp_path / "key.json", **{"horizon": 5.0, name: value})
+        by_flag = write_config(tmp_path / "flag.json", horizon=5.0)
+        for argv in ([str(by_key)], [str(by_flag), *as_flags(name, value)]):
+            assert main(["simulate", *argv, "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(seen) == 2
+        for config in seen:
+            assert expected != getattr(SimConfig(prc=config.prc, x0=config.x0), name)
+            assert getattr(config, name) == expected
+            assert type(getattr(config, name)) is type(expected)
+
+    def test_the_flags_are_the_simconfig_fields(self):
+        # each field has one flag of its name, the perturbation its
+        # --perturb-* flags, and no option reaches anything else but the
+        # output directory and the config path
+        fields = {f.name for f in dataclasses.fields(SimConfig)} - {"perturbation"}
+        perturb = {f"perturb_{key}" for key in cli._PERTURBATION_KEYS - {"kind"}}
+        dests = [a.dest for a in SIMULATE._actions if a.dest != "help"]
+        assert sorted(dests) == sorted(fields | perturb | {"out", "config"})
+
+    @pytest.mark.parametrize("flag", ["--firing-tol", "--min-dwell"])
+    def test_a_removed_flag_is_a_usage_error_without_output(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(write_config(tmp_path / "run.json")), flag, "1e-9",
+                  "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_turns_the_stop_rule_off(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or run(config))
+        cfg = write_config(tmp_path / "run.json", horizon=5.0, stop_v_threshold=None)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert seen[0].stop_v_threshold is None
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_input_is_a_config_error_without_output(self, tmp_path, capsys, case):
@@ -351,11 +390,13 @@ class TestSimulate:
         assert code == EXIT_USAGE
 
     def test_zeno_violation_exits_one(self, tmp_path, capsys):
+        # the drawn branch keeps a firer at 2*pi, which then fires again at once
         cfg = write_config(
             tmp_path / "zeno.json",
             prc="broken:zero",
-            x0=[2.0 * np.pi, 2.0 * np.pi - 1e-6, 1.0],
-            min_dwell=1e-3,
+            x0=[2.0 * np.pi, 2.0 * np.pi, 1.0],
+            policy="enumerate",
+            seed=1,
         )
         out = tmp_path / "o"
         code = main(["simulate", str(cfg), "--out", str(out)])

@@ -2,7 +2,7 @@
 
 Under linear_family(n, c) with omega = 1 and no disturbance, one firing is
 plain arithmetic: every phase advances by 2*pi - max x, the phases within
-firing_tol of 2*pi fire, the firers reset to 0 and each listener above the
+FIRING_TOL of 2*pi fire, the firers reset to 0 and each listener above the
 corner 2*pi*(n-1)/n is pulled to corner + (1 - c)(z - corner).  The map
 below does that in Python floats, with none of the simulator's arrays,
 flow or jump kernels, and the simulator must reproduce its firings.
@@ -16,7 +16,7 @@ import pytest
 
 from splaysim.analysis import lyapunov, verify_monotone
 from splaysim.experiments import FIG2_X0, draw_start
-from splaysim.model import ALL_ZERO, DEFAULT_FIRING_TOL, ENUMERATE, _draw_selection
+from splaysim.model import ALL_ZERO, ENUMERATE, FIRING_TOL, _draw_selection
 from splaysim.prc import linear_family
 from splaysim.sim import SimConfig, run
 
@@ -24,20 +24,20 @@ TWO_PI = 2.0 * math.pi
 HORIZON = 60.0
 
 
-def event_map(x0: list[float], c: float, horizon: float,
-              firing_tol: float = DEFAULT_FIRING_TOL) -> list[tuple[float, tuple[int, ...], list[float]]]:
+def event_map(x0: list[float], c: float,
+              horizon: float) -> list[tuple[float, tuple[int, ...], list[float]]]:
     """(t, firers, post state) of every firing up to the horizon."""
     n = len(x0)
     corner = TWO_PI * (n - 1) / n
     x, t, out = list(x0), 0.0, []
     while True:
-        firers = tuple(i for i, z in enumerate(x) if z >= TWO_PI - firing_tol)
+        firers = tuple(i for i, z in enumerate(x) if z >= TWO_PI - FIRING_TOL)
         if not firers:
             step = TWO_PI - max(x)
             if t + step > horizon:
                 return out
             t += step
-            x = [TWO_PI if z + step >= TWO_PI - firing_tol else z + step for z in x]
+            x = [TWO_PI if z + step >= TWO_PI - FIRING_TOL else z + step for z in x]
             continue
         x = [0.0 if i in firers else corner + (1.0 - c) * (z - corner) if z > corner else z
              for i, z in enumerate(x)]
@@ -85,7 +85,7 @@ def test_run_reproduces_the_exact_event_map(n, c, seed):
 EXACT_HORIZON = 40.0
 GRID_TURNS = 2**20
 #: the simulator's firing band, in turns
-TOL_TURNS = DEFAULT_FIRING_TOL / TWO_PI
+TOL_TURNS = FIRING_TOL / TWO_PI
 
 
 def exact_v(theta: list[Fraction]) -> Fraction:
@@ -96,7 +96,7 @@ def exact_v(theta: list[Fraction]) -> Fraction:
 
 
 def exact_event_map(theta0: list[Fraction], c: Fraction, horizon: float,
-                    policy: str = ALL_ZERO, seed: int | None = None):
+                    policy: str = ALL_ZERO, seed: int = 0):
     """(t in periods, firers, V before, V after, near ties, branch) of every
     firing up to the horizon in seconds at omega = 1, under the policy with
     the seed.  A near tie is a phase within the simulator's firing band of
@@ -133,14 +133,14 @@ def exact_start(n: int, seed: int) -> list[Fraction]:
 
 
 def assert_run_matches_exact(theta0: list[Fraction], c: Fraction, horizon: float,
-                             policy: str = ALL_ZERO, seed: int | None = None):
+                             policy: str = ALL_ZERO, seed: int = 0):
     """run against the exact map from the same start, policy and seed: the
     same firers and branches, the same times and post-jump V to 1e-12 and,
     under 'all-zero', V never rising at a firing, exactly; returns the
     exact firings and the arc."""
     expected = exact_event_map(theta0, c, horizon, policy, seed)
     near = sum(f[4] for f in expected)
-    assert near == 0, f"{near} near ties that firing_tol merges but the exact map keeps apart"
+    assert near == 0, f"{near} near ties that the firing band merges but the exact map keeps apart"
     assert policy != ALL_ZERO or all(f[3] <= f[2] for f in expected)
     n = len(theta0)
     arc = run(SimConfig(prc=linear_family(n, float(c)),

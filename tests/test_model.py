@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.model import (
+    FIRING_TOL,
     MAX_VALIDATION_GRID,
     InvalidPhaseResponseError,
     PhaseResponse,
@@ -22,7 +23,7 @@ from splaysim.model import (
     validate_prc,
 )
 from splaysim.prc import broken_steep, paper_prc, piecewise_linear
-from splaysim.sim import SimConfig, run
+from splaysim.sim import SimConfig, flow_to_next_event, run
 
 
 def test_knee_values():
@@ -73,13 +74,30 @@ def test_jump_map_rejects_unknown_policy():
         jump_map(np.array([TWO_PI, 1.0, 2.0]), paper_prc(3), policy="bogus")
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-9, 0.0, math.inf])
-@pytest.mark.parametrize("step", [in_jump_set, firing_indices, jump_map])
-def test_firing_tolerance_must_be_positive_and_finite(step, tol):
-    # a NaN band would read as "nothing fires", and jump_map would blame the state
-    args = (paper_prc(2),) if step is jump_map else ()
-    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol!r}$"):
-        step([1.0, TWO_PI], *args, tol=tol)
+@pytest.mark.parametrize("below, fires", [
+    (0.0, True), (FIRING_TOL / 2, True), (0.9 * FIRING_TOL, True),
+    (1.1 * FIRING_TOL, False), (2 * FIRING_TOL, False), (1e3 * FIRING_TOL, False),
+])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_one_firing_band_for_every_entry_point(below, fires, where):
+    # a phase inside the band fires wherever a state is asked whether it
+    # fires, and a phase below it fires nowhere
+    x, prc = [1.0, 3.0], paper_prc(3)
+    x.insert(where, TWO_PI - below)
+    assert in_jump_set(x) is fires
+    assert firing_indices(x).tolist() == ([where] if fires else [])
+    first = run(SimConfig(prc=prc, x0=x, max_jumps=1)).firings[0]
+    if fires:
+        assert first == (0.0, (where,), "single")
+        assert [b.firers for b in jump_map(x, prc)] == [(where,)]
+        with pytest.raises(ValueError, match="requires a state strictly below 2"):
+            flow_to_next_event(x, 1.0, None, 0.0)
+    else:
+        with pytest.raises(ValueError, match="requires at least one phase at 2"):
+            jump_map(x, prc)
+        t, _, fired = flow_to_next_event(x, 1.0, None, 0.0)
+        assert fired and 0.0 < t == first[0]
+        assert first[1] == (where,)
 
 
 def test_simultaneous_firers_all_zero_policy():

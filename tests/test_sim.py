@@ -20,8 +20,8 @@ from splaysim.analysis import lyapunov, verify_monotone, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import (PERTURBED_X0, corpus_run_config, draw_start, fig2_config,
                                   perturbed_config)
-from splaysim.model import (InvalidPhaseResponseError, PhaseResponse, in_jump_set, in_splay_set,
-                            jump_map)
+from splaysim.model import (FIRING_TOL, InvalidPhaseResponseError, PhaseResponse,
+                            firing_indices, in_jump_set, in_splay_set, jump_map)
 from splaysim.prc import broken_zero, paper_prc, prc_from_spec
 from splaysim.sim import (
     HybridArc,
@@ -62,12 +62,6 @@ def test_config_infers_and_checks_n():
     dict(max_jumps=0),
     dict(max_jumps=2.5),
     dict(max_jumps=math.nan),
-    dict(firing_tol=0.0),
-    dict(firing_tol=math.inf),
-    dict(firing_tol=math.nan),
-    dict(min_dwell=-1.0),
-    dict(min_dwell=math.inf),
-    dict(min_dwell=math.nan),
     dict(sample_dt=0.0),
     dict(sample_dt=1e-15),
     dict(sample_dt=math.nan),
@@ -77,13 +71,13 @@ def test_config_infers_and_checks_n():
     dict(seed="abc"),
     dict(seed=3.7),
     dict(seed=-1),
+    dict(seed=None),
     dict(prc=None),
     dict(prc="paper"),
     dict(perturbation=None),
     dict(perturbation=0.03),
-    *(dict([(name, value)]) for name in ("omega", "horizon", "max_jumps", "firing_tol",
-                                         "min_dwell", "stop_v_threshold", "seed",
-                                         "sample_dt") for value in (True, False, "5", [5])),
+    *(dict([(name, value)]) for name in ("omega", "horizon", "max_jumps", "stop_v_threshold",
+                                         "seed", "sample_dt") for value in (True, False, "5", [5])),
     dict(max_jumps=3.0),
     dict(seed=3.0),
     dict(x0=[True, 2.0, 3.0]),
@@ -96,8 +90,8 @@ def test_config_rejects_bad_parameters(bad):
         SimConfig(**{"prc": paper_prc(3), "x0": np.array([1.0, 2.0, 3.0]), **bad})
 
 
-@pytest.mark.parametrize("name", ["omega", "horizon", "max_jumps", "firing_tol", "min_dwell",
-                                  "stop_v_threshold", "seed", "sample_dt"])
+@pytest.mark.parametrize("name", ["omega", "horizon", "max_jumps", "stop_v_threshold", "seed",
+                                  "sample_dt"])
 def test_config_message_starts_with_a_mistyped_number_field(name):
     # the message starts with the field, as the CLI's config errors do
     with pytest.raises(ValueError, match=f"^{name}: '5' is not "):
@@ -106,17 +100,43 @@ def test_config_message_starts_with_a_mistyped_number_field(name):
 
 def test_config_stores_numbers_as_python_floats_and_ints():
     cfg = SimConfig(prc=paper_prc(3), x0=[1, np.float32(2.0), 3.0], omega=np.float32(1.0),
-                    horizon=2, max_jumps=np.int64(7), firing_tol=np.float64(1e-10),
-                    min_dwell=0, stop_v_threshold=np.float32(0.5), seed=np.uint32(3),
-                    sample_dt=1)
+                    horizon=2, max_jumps=np.int64(7), stop_v_threshold=np.float32(0.5),
+                    seed=np.uint32(3), sample_dt=1)
     for name, kind, value in (("omega", float, 1.0), ("horizon", float, 2.0),
-                              ("max_jumps", int, 7), ("firing_tol", float, 1e-10),
-                              ("min_dwell", float, 0.0), ("stop_v_threshold", float, 0.5),
+                              ("max_jumps", int, 7), ("stop_v_threshold", float, 0.5),
                               ("seed", int, 3), ("sample_dt", float, 1.0)):
         assert type(getattr(cfg, name)) is kind and getattr(cfg, name) == value, name
     assert cfg.x0.dtype == np.float64 and cfg.x0.tolist() == [1.0, 2.0, 3.0]
-    unset = SimConfig(prc=paper_prc(3), x0=[1.0, 2.0, 3.0], stop_v_threshold=None, seed=None)
-    assert unset.stop_v_threshold is None and unset.seed is None
+    # only the stop rule can be turned off; a run is always seeded
+    unset = SimConfig(prc=paper_prc(3), x0=[1.0, 2.0, 3.0], stop_v_threshold=None)
+    assert unset.stop_v_threshold is None and unset.seed == 0
+    with pytest.raises(ValueError, match="^seed: None is not an integer$"):
+        SimConfig(prc=paper_prc(3), x0=[1.0, 2.0, 3.0], seed=None)
+
+
+#: every place the band or the guard could once be set, as (name, call with
+#: the keyword arguments given)
+_REMOVED_TOLERANCES = {
+    "SimConfig.firing_tol": ("firing_tol", lambda **kw: SimConfig(
+        prc=paper_prc(3), x0=[1.0, 2.0, 3.0], **kw)),
+    "SimConfig.min_dwell": ("min_dwell", lambda **kw: SimConfig(
+        prc=paper_prc(3), x0=[1.0, 2.0, 3.0], **kw)),
+    "in_jump_set.tol": ("tol", lambda **kw: in_jump_set([TWO_PI, 1.0], **kw)),
+    "firing_indices.tol": ("tol", lambda **kw: firing_indices([TWO_PI, 1.0], **kw)),
+    "jump_map.tol": ("tol", lambda **kw: jump_map([TWO_PI, 1.0, 2.0], paper_prc(3), **kw)),
+    "flow_to_next_event.firing_tol": ("firing_tol", lambda **kw: flow_to_next_event(
+        [0.3, 2.0, 4.1], 1.0, None, 0.0, **kw)),
+}
+
+
+@pytest.mark.parametrize("value", [1e-9, math.nan], ids=["old-default", "nan"])
+@pytest.mark.parametrize("entry", _REMOVED_TOLERANCES)
+def test_the_firing_band_and_the_zeno_guard_are_not_settable(entry, value):
+    # refused by the signature whatever the value, the old default too: no
+    # value check runs that could accept it or blame the value instead
+    name, call = _REMOVED_TOLERANCES[entry]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        call(**{name: value})
 
 
 @pytest.mark.parametrize("omega", [math.inf, math.nan])
@@ -187,12 +207,6 @@ def test_flow_to_next_event_rejects_a_bad_time_span(t0, horizon, match):
         flow_to_next_event([0.3, 2.0, 4.1], 1.0, None, t0=t0, horizon=horizon)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-9, 0.0, math.inf])
-def test_flow_to_next_event_firing_tolerance_must_be_positive_and_finite(tol):
-    with pytest.raises(ValueError, match=f"^firing_tol must be positive and finite, got {tol!r}$"):
-        flow_to_next_event([0.3, 2.0, 4.1], 1.0, None, 0.0, firing_tol=tol)
-
-
 @given(arrays(float, 3, elements=st.floats(0.0, TWO_PI - 1e-3, allow_nan=False)),
        st.floats(0.1, 10.0, allow_nan=False))
 def test_nominal_samples_sit_on_the_exact_ray(x0, omega):
@@ -258,15 +272,68 @@ def test_immediate_jump_when_started_on_the_jump_set():
 
 
 def test_zeno_guard_trips_on_the_zero_response():
-    x0 = np.array([TWO_PI, TWO_PI - 1e-6, 1.0])
-    cfg = SimConfig(prc=broken_zero(3), x0=x0, horizon=5.0, min_dwell=1e-3,
+    # the drawn branch keeps a firer at 2*pi as a listener, which the zero
+    # response leaves there: the post state fires again after no flow
+    cfg = SimConfig(prc=broken_zero(3), x0=[TWO_PI, TWO_PI, 1.0], policy="enumerate", seed=1,
                     stop_v_threshold=None)
     with pytest.raises(ZenoViolationError) as exc:
         run(cfg)
     err = exc.value
-    assert err.dwell <= 1e-6 + 1e-12
-    assert err.min_dwell == 1e-3
-    assert err.t == pytest.approx(1e-6, abs=1e-9)
+    assert (err.t, err.j, err.dwell) == (0.0, 2, 0.0)
+    assert err.guard == FIRING_TOL
+
+
+@pytest.mark.parametrize("omega", [1e-10, 0.5, 1.0, 3.0, 1e10])
+@pytest.mark.parametrize("share", [0.0, 0.25])
+def test_zeno_guard_is_the_flow_time_of_the_firing_band(omega, share):
+    # the amplitude is a share of omega, which it must stay below
+    amplitude = share * omega
+    cfg = SimConfig(prc=broken_zero(3), x0=[TWO_PI, TWO_PI, 1.0], omega=omega, policy="enumerate",
+                    seed=1, perturbation=Perturbation.sinusoidal(amplitude))
+    with pytest.raises(ZenoViolationError) as exc:
+        run(cfg)
+    assert exc.value.guard == FIRING_TOL / (omega + amplitude)
+
+
+def test_rescaling_time_leaves_a_run_unchanged():
+    # omega and every time scaled together give the same firings at times
+    # scaled by 1 / omega: the firing band is a phase and the Zeno guard
+    # its flow time, so neither depends on the unit of time
+    def scaled(omega):
+        horizon = 200 * TWO_PI / omega
+        arc = run(fig2_config(omega=omega, horizon=horizon, sample_dt=horizon / 1000))
+        assert arc.stop_reason == "stop-rule"
+        return arc
+
+    nominal = scaled(1.0)
+    times = np.array([t for t, _, _ in nominal.firings])
+    for omega in (1e-10, 1e10):
+        arc = scaled(omega)
+        assert [f[1:] for f in arc.firings] == [f[1:] for f in nominal.firings]
+        np.testing.assert_allclose([t * omega for t, _, _ in arc.firings], times,
+                                   rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("omega", [1e-10, 1e-5, 1e5, 1e10])
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+def test_rescaling_time_leaves_a_drawn_start_unchanged(n, omega):
+    # the same invariance from drawn starts at several n; the firing times
+    # round independently at each firing, so they are compared within a few
+    # units in the last place of the final firing time
+    x0 = draw_start(np.random.default_rng(n), n)
+
+    def scaled(omega):
+        horizon = 200 * TWO_PI / omega
+        arc = run(SimConfig(prc=paper_prc(n), x0=x0, omega=omega, horizon=horizon,
+                            sample_dt=horizon / 1000))
+        assert arc.stop_reason == "stop-rule"
+        return arc
+
+    nominal, arc = scaled(1.0), scaled(omega)
+    times = np.array([t for t, _, _ in nominal.firings])
+    assert [f[1:] for f in arc.firings] == [f[1:] for f in nominal.firings]
+    np.testing.assert_allclose([t * omega for t, _, _ in arc.firings], times,
+                               rtol=0.0, atol=16 * np.spacing(times[-1]))
 
 
 # -- the per-jump path: branch draws, the box check, boundary validation -------------
@@ -363,13 +430,14 @@ def reference_run(cfg):
     x, t, j = cfg.x0, 0.0, 0
     rng = np.random.default_rng(cfg.seed)
     events, hold_since = [], None
+    guard = FIRING_TOL / (cfg.omega + cfg.perturbation.amplitude)
     while True:
-        if x.max() >= TWO_PI - cfg.firing_tol:
+        if in_jump_set(x):
             if j >= cfg.max_jumps:
                 return events, "max-jumps", j
-            if events and t - events[-1][0] < cfg.min_dwell:
-                raise ZenoViolationError(t, j + 1, t - events[-1][0], cfg.min_dwell)
-            branches = jump_map(x, cfg.prc, cfg.policy, cfg.firing_tol)
+            if events and t - events[-1][0] < guard:
+                raise ZenoViolationError(t, j + 1, t - events[-1][0], guard)
+            branches = jump_map(x, cfg.prc, cfg.policy)
             b = branches[0] if len(branches) == 1 else branches[int(rng.integers(len(branches)))]
             events.append((t, b.firers, b.branch, b.post))
             j += 1
@@ -381,8 +449,7 @@ def reference_run(cfg):
             elif t - hold_since >= TWO_PI / cfg.omega:
                 return events, "stop-rule", j
             continue
-        t, x, fired = flow_to_next_event(x, cfg.omega, cfg.perturbation, t,
-                                         cfg.horizon, cfg.firing_tol)
+        t, x, fired = flow_to_next_event(x, cfg.omega, cfg.perturbation, t, cfg.horizon)
         if not fired:
             return events, "horizon", j
 
@@ -553,10 +620,11 @@ def _response_failing_from(call, fail):
 
 
 def _lift_top_listener(z, q):
-    """Put the highest listener 1e-6 below 2*pi: the next dwell is 1e-6."""
-    listeners = np.flatnonzero(z < TWO_PI - 1e-9)
+    """Lift the highest listener into the firing band: it fires again after
+    no flow, a dwell of 0."""
+    listeners = np.flatnonzero(z < TWO_PI - FIRING_TOL)
     top = listeners[np.argmax(z[listeners])]
-    q[top] = TWO_PI - 1e-6 - z[top]
+    q[top] = TWO_PI - FIRING_TOL / 2 - z[top]
     return q
 
 
@@ -581,8 +649,7 @@ def _failing_past_the_stop(where, rule, failure):
                 _lookahead_config(where, rule), InvalidPhaseResponseError)
     if failure == "min-dwell":
         return (lambda **kw: _lookahead_config(
-                    where, rule, min_dwell=1e-4,
-                    prc=_response_failing_from(stop + 1, _lift_top_listener), **kw),
+                    where, rule, prc=_response_failing_from(stop + 1, _lift_top_listener), **kw),
                 _lookahead_config(where, rule), ZenoViolationError)
     # a custom disturbance that raises halfway between the stop firing and the next
     free = run(_lookahead_config(where, rule, stop_v_threshold=None, max_jumps=stop + 2))
@@ -728,7 +795,7 @@ def test_intervals_tile_the_domain(fig2_arc):
     (lambda: fig2_config(max_jumps=5), "max-jumps", "flow"),
     # the drawn branch keeps one firer at 2*pi, so the post state fires again
     (lambda: SimConfig(prc=broken_zero(3), x0=[TWO_PI, TWO_PI, 1.0], policy="enumerate",
-                       seed=1, max_jumps=1, min_dwell=0.0), "max-jumps", "post-jump"),
+                       seed=1, max_jumps=1), "max-jumps", "post-jump"),
     (lambda: perturbed_config(0.05), "horizon", "flow"),
 ], ids=["jump-set-start", "stop-rule", "horizon", "max-jumps-after-crossing",
         "max-jumps-after-jump", "perturbed"])
@@ -750,7 +817,7 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
         assert np.shares_memory(e.pre, arc.states[a]) and np.shares_memory(e.post, arc.states[b])
         assert not (e.pre.flags.writeable or e.post.flags.writeable)
     # the first row is x0 at t = 0, a flow row unless x0 is on the jump set
-    on_jump_set = cfg.x0.max() >= TWO_PI - cfg.firing_tol
+    on_jump_set = in_jump_set(cfg.x0)
     assert (arc.ts[0], arc.js[0]) == (0.0, 0)
     assert arc.kinds[0] == ("pre-jump" if on_jump_set else "flow")
     assert arc.states[0].tobytes() == cfg.x0.tobytes()
@@ -758,7 +825,7 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
     # else a flow row at the final j: at the horizon, or on the jump set
     # at the firing the jump budget did not take
     assert arc.kinds[-1] == last_kind
-    final_on_jump_set = arc.final_state.max() >= TWO_PI - cfg.firing_tol
+    final_on_jump_set = in_jump_set(arc.final_state)
     assert final_on_jump_set == (stop_reason == "max-jumps")
     if last_kind == "post-jump":
         assert post[-1] == arc.ts.size - 1
@@ -1166,12 +1233,11 @@ def test_each_pre_jump_row_is_the_flow_from_its_segment_start(monkeypatch, name,
     assert arc.jumps > 10
     start_t, start_x, copied = 0.0, cfg.x0, 0
     for e in arc.events:
-        if in_jump_set(start_x, cfg.firing_tol):  # no flow: the start fires at once
+        if in_jump_set(start_x):  # no flow: the start fires at once
             t, expect = start_t, start_x
             copied += 1
         else:
-            t, expect, fired = flow_to_next_event(start_x, cfg.omega, cfg.perturbation,
-                                                  start_t, firing_tol=cfg.firing_tol)
+            t, expect, fired = flow_to_next_event(start_x, cfg.omega, cfg.perturbation, start_t)
             assert fired
         assert e.t == t
         assert e.pre.tobytes() == expect.tobytes()
