@@ -36,9 +36,9 @@ def lyapunov(x):
 
 def _lyapunov(arr: np.ndarray) -> np.ndarray:
     """V of each row of a batch of validated phases, lyapunov's row kernel.
-    The simulator's stop rule calls it unchecked on post-jump rows of one
-    chunk, which never hold more than one row block, and HybridArc.v on
-    row blocks of the arc's other rows."""
+    The simulator calls it unchecked on each row block of the samples it
+    makes, the post-jump rows of one chunk among them, so a run computes
+    each sample's V once."""
     return np.maximum(TWO_PI * (arr.shape[1] - 1) / arr.shape[1] - _shortest_arc(arr), 0.0)
 
 
@@ -98,14 +98,13 @@ class MonotoneVerdict:
     """Did V behave like a Lyapunov functional along the arc?
 
     For a nominal arc, passed requires V constant along every flow interval
-    and nonincreasing across every jump, both within tol.  For a perturbed
-    arc the flow check is skipped and the jump deltas are informational
+    and nonincreasing across every jump, both within MONOTONE_TOL.  For a
+    perturbed arc neither is checked and the jump deltas are informational
     only, so passed is vacuously True and `informational` is set.
     """
 
     passed: bool
     informational: bool
-    flow_checked: bool
     max_flow_oscillation: float
     worst_flow_interval: int | None
     max_jump_delta: float
@@ -122,9 +121,16 @@ class MonotoneVerdict:
         )
 
 
-def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
+#: how far V may move along a flow interval, or rise across a jump, of a
+#: nominal arc that verify_monotone passes; a caller with another tolerance
+#: compares it with the verdict's max_flow_oscillation and max_jump_delta
+MONOTONE_TOL = 1e-9
+
+
+def verify_monotone(arc: "HybridArc") -> MonotoneVerdict:
     """Check V's flow-constancy and jump-monotonicity over a recorded arc,
-    within tol, a finite nonnegative number (circle.check_number).
+    within MONOTONE_TOL.  The jumps are the arc's pre-jump and post-jump
+    row pairs (arc.jump_rows), so a loaded arc's jumps are checked too.
 
     The trace's values are the arc's cached arc.v, computed once per arc in
     row blocks, so apart from the trace's per-sample arrays the check
@@ -135,7 +141,6 @@ def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
     drawn branch can raise V by a model-level amount, not a rounding one,
     and the verdict then fails: tests/test_event_map.py::
     test_enumerate_can_raise_v_from_a_bad_set_start has such runs."""
-    tol = check_number("tol", tol, "finite and nonnegative")
     values = arc.v
     rows = arc.jump_rows
     deltas = values[rows + 1] - values[rows]
@@ -145,20 +150,14 @@ def verify_monotone(arc: "HybridArc", tol: float = 1e-9) -> MonotoneVerdict:
     first = np.repeat(values[starts], ends - starts)
     oscillations = np.maximum.reduceat(np.abs(values - first), starts)
 
-    flow_checked = not arc.perturbed
     max_osc = float(oscillations.max()) if oscillations.size else 0.0
     worst_interval = int(oscillations.argmax()) if oscillations.size else None
     max_delta = float(deltas.max()) if deltas.size else 0.0
     worst_jump = int(deltas.argmax()) + 1 if deltas.size else None
 
-    if arc.perturbed:
-        passed = True
-    else:
-        passed = (max_osc <= tol) and (max_delta <= tol)
     return MonotoneVerdict(
-        passed=passed,
+        passed=bool(arc.perturbed) or (max_osc <= MONOTONE_TOL and max_delta <= MONOTONE_TOL),
         informational=bool(arc.perturbed),
-        flow_checked=flow_checked,
         max_flow_oscillation=max_osc,
         worst_flow_interval=worst_interval,
         max_jump_delta=max_delta,

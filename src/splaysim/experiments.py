@@ -95,7 +95,7 @@ def run_fig2(out_dir) -> ExperimentReport:
     config = fig2_config()
     arc = run(config)
     write_trajectory_csv(arc, out / "trajectory.csv", out / "events.csv")
-    verdict = analysis.verify_monotone(arc, tol=1e-9)
+    verdict = analysis.verify_monotone(arc)
     terminal_v = float(arc.v[-1])
     passed = verdict.passed and terminal_v < config.stop_v_threshold
     report = ExperimentReport(
@@ -279,7 +279,7 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
         run_seed = int(master.integers(2**32))
         config = corpus_run_config(n, x0, run_seed, horizon)
         arc = run(config)
-        verdict = analysis.verify_monotone(arc, tol=1e-9)
+        verdict = analysis.verify_monotone(arc)
         terminal_v = float(arc.v[-1])
         min_geo = float("nan")
         vt_up = 0

@@ -22,18 +22,19 @@ state's extremes by argmax and argmin, not through numpy's reduction
 wrapper.  A pre-jump state is not recorded, since the exact flow rebuilds
 it from the previous post-jump state and the firing time; only the
 post-jump state, made by the response function, carries what the flow
-cannot.  The stop rule is read off the post-jump rows a batch of about one
-revolution at a time, and a run still ends at the very firing where the
-rule first holds; the V it computes of those rows is kept for the arc.
-From the firings, the final (t, x) and the stop reason the HybridArc's
-samples, indexed by (t, j), are derived in bounded row blocks:
-the post-jump rows are copied, and the pre-jump rows and the rows on the
-global grid are flowed.  The arc keeps the (time, firers, branch) list as
-its firing table, builds JumpEvents from it and their rows only when
-arc.events is read, and reads the hybrid time domain off the samples.  An
-arc thus holds each state once; its jump rows and the V and Vtilde of its
-samples are computed on first read and cached for every later reader, V
-taking the post-jump rows from the stop rule where that saves work.
+cannot.  The V of the post-jump rows is computed a batch of about one
+revolution at a time, beside them, and the stop rule is read off it; a run
+still ends at the very firing where the rule first holds.  From the
+firings, the final (t, x) and the stop reason the HybridArc's samples,
+indexed by (t, j), are derived in bounded row blocks: the post-jump rows
+are copied with their V, and the pre-jump rows and the rows on the global
+grid are flowed and their V computed on the block just made, so a run
+computes each sample's V once.  The arc keeps the (time, firers, branch)
+list as its firing table, builds JumpEvents from it and their rows only
+when arc.events is read, and reads the hybrid time domain off the
+samples.  An arc thus holds each state once; its jump rows and the
+Vtilde of its samples are computed on first read and cached for every
+later reader, as V is for an arc that no run made.
 Runs are deterministic given the configuration, including the seed that
 resolves set-valued jumps.
 """
@@ -320,11 +321,9 @@ class HybridArc:
     jump_rows, v and vtilde (V and Vtilde of each sample) are computed on
     first read and cached as read-only arrays, so the checks, the studies
     and the CSV writers that read them share one computation per arc; an
-    arc's samples are not to be changed once they have been read.  A
-    simulated arc with a stop rule also holds the V that rule computed of
-    each post-jump row, set by the run and read by v; it is not a
-    constructor field, so dataclasses.replace and a hand-built or loaded
-    arc have none, and their v computes every row.
+    arc's samples are not to be changed once they have been read.  run
+    fills v's cache with the V it computed of each row as it made it, so
+    only a hand-built, loaded or dataclasses.replace'd arc computes v.
     """
 
     ts: np.ndarray
@@ -334,7 +333,6 @@ class HybridArc:
     firings: list[tuple[float, tuple[int, ...], str]]
     perturbed: bool
     stop_reason: str
-    _post_v: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def intervals(self) -> list[tuple[float, float, int]]:
@@ -357,15 +355,14 @@ class HybridArc:
 
     @functools.cached_property
     def jump_rows(self) -> np.ndarray:
-        """Each firing's pre-jump row; its post-jump row is the next one.
-        An arc without firings has none, whatever its kinds.  ValueError
-        when the pre-jump and post-jump rows do not pair up with the
-        firings."""
-        if not self.firings:
-            return _read_only(np.empty(0, dtype=np.intp))
+        """Each jump's pre-jump row, read off kinds; its post-jump row is
+        the next one.  A loaded arc has them too, though no firing table.
+        ValueError when a pre-jump row is not followed by a post-jump row,
+        or when the arc has a firing table and the rows are not one pair
+        per firing."""
         pre = np.flatnonzero(self.kinds == PRE_JUMP)
         post = np.flatnonzero(self.kinds == POST_JUMP)
-        if not pre.size == post.size == len(self.firings):
+        if self.firings and not pre.size == post.size == len(self.firings):
             raise ValueError(f"arc has {len(self.firings)} events but {pre.size} pre-jump and "
                              f"{post.size} post-jump samples")
         if not np.array_equal(post, pre + 1):
@@ -374,23 +371,8 @@ class HybridArc:
 
     @functools.cached_property
     def v(self) -> np.ndarray:
-        """V of each sample, analysis.lyapunov of states bit for bit.
-
-        When the run's stop-rule V of the post-jump rows covers at least a
-        third of the samples, those rows take their V from it and lyapunov's
-        row kernel computes only the other rows of each row block; with
-        fewer, gathering the other rows costs more than the rows it saves (a
-        dense grid, or n of a few), and every row is computed."""
-        if self._post_v is None or 3 * self._post_v.size < self.ts.size:
-            return _read_only(analysis.lyapunov(self.states))
-        post = np.zeros(self.ts.size, dtype=bool)
-        post[self.jump_rows + 1] = True
-        values = np.empty(self.ts.size)
-        values[post] = self._post_v
-        for block in circle._row_blocks(0, values.size, self.n):
-            at = block.start + np.flatnonzero(~post[block])
-            values[at] = analysis._lyapunov(self.states[at])
-        return _read_only(values)
+        """V of each sample, analysis.lyapunov of states."""
+        return _read_only(analysis.lyapunov(self.states))
 
     @functools.cached_property
     def vtilde(self) -> np.ndarray:
@@ -529,34 +511,34 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
 class _Firings:
     """The firings of one run, each written once: (t, firers, branch) in a
     list, and the post state in row i of fixed-size chunks of
-    circle._BLOCK_FLOATS // n firings, so no array is ever regrown.  The
-    pre state is not kept: _sampled_arc flows it from the previous post
-    state.  rows() hands out one reused scratch row, which the crossing
-    flows into and the jump reads, and the next firing's post row, which
-    the jump writes into; commit() records the firing once its post row
-    holds the jump's result, and post rows handed out but never committed
-    are left out of the record.
+    circle._BLOCK_FLOATS // n firings, its V in entry i of an array beside
+    each chunk, so no array is ever regrown.  The pre state is not kept:
+    _sampled_arc flows it from the previous post state.  rows() hands out
+    one reused scratch row, which the crossing flows into and the jump
+    reads, and the next firing's post row, which the jump writes into;
+    commit() records the firing once its post row holds the jump's result,
+    and post rows handed out but never committed are left out of the
+    record.
 
-    The stop rule (V below stop_v_threshold, held for a full nominal
-    revolution) is read off the post rows a batch at a time, once
+    settle() computes the V of the post rows a batch at a time, once
     min(n, firings per chunk) firings are pending or their chunk is full,
-    and by settle() before the run ends.  When it has held at firing k,
-    the firings past k are dropped: the record is the one a check after
-    every firing would have left, and at most n - 1 firings run ahead.
-    The V of each settled batch is kept, one array per batch, and
-    post_v() hands it to the arc, whose v then need not recompute it.
+    and before the run ends, and then reads the stop rule (V below
+    stop_v_threshold, held for a full nominal revolution) off it when the
+    run has one.  When the rule has held at firing k, the firings past k
+    are dropped: the record is the one a check after every firing would
+    have left, and at most n - 1 firings run ahead.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.facts: list[tuple[float, tuple[int, ...], str]] = []
         self.chunks: list[np.ndarray] = []
+        self.v_chunks: list[np.ndarray] = []  # the V of each chunk's post rows
         self.per_chunk = max(1, circle._BLOCK_FLOATS // config.n)
         self.batch = min(config.n, self.per_chunk)
         self.period = TWO_PI / config.omega
         self.pre = np.empty(config.n)
-        self.settled = 0  # firings the stop rule has seen
-        self.vs: list[np.ndarray] = []  # V of their post rows, a batch an array
+        self.settled = 0  # firings whose V is computed
         self.hold_since: float | None = None
         self.stopped = False
 
@@ -566,6 +548,7 @@ class _Firings:
         k, i = divmod(len(self.facts), self.per_chunk)
         if k == len(self.chunks):
             self.chunks.append(np.empty((self.per_chunk, self.config.n)))
+            self.v_chunks.append(np.empty(self.per_chunk))
         return self.pre, self.chunks[k][i]
 
     def commit(self, t: float, firers: np.ndarray, branch: str) -> None:
@@ -580,17 +563,19 @@ class _Firings:
         return self.chunks[k // self.per_chunk][k % self.per_chunk]
 
     def settle(self) -> bool:
-        """Hold the stop rule over the pending firings, which share a chunk;
-        whether it has fired."""
+        """Compute the V of the pending firings' post rows, which share a
+        chunk, and hold the stop rule over them; whether it has fired."""
         lo, hi = self.settled, len(self.facts)
         self.settled = hi
-        threshold = self.config.stop_v_threshold
-        if self.stopped or lo == hi or threshold is None:
+        if self.stopped or lo == hi:
             return self.stopped
-        at = lo % self.per_chunk
-        posts = self.chunks[lo // self.per_chunk][at:at + hi - lo]
-        self.vs.append(analysis._lyapunov(posts))
-        hits = self.vs[-1] < threshold
+        k, at = divmod(lo, self.per_chunk)
+        v = self.v_chunks[k][at:at + hi - lo]
+        v[...] = analysis._lyapunov(self.chunks[k][at:at + hi - lo])
+        threshold = self.config.stop_v_threshold
+        if threshold is None:
+            return False
+        hits = v < threshold
         if not hits.any():
             self.hold_since = None
             return False
@@ -605,15 +590,6 @@ class _Firings:
                 self.stopped = True
                 break
         return self.stopped
-
-    def post_v(self) -> np.ndarray | None:
-        """V of each recorded firing's post state as settle() computed
-        it, or None without a stop rule; the batches are released."""
-        if self.config.stop_v_threshold is None:
-            return None
-        values = np.concatenate([*self.vs, np.empty(0)])[:len(self.facts)]
-        self.vs.clear()
-        return _read_only(values)
 
 
 #: the firers of a state known to be below the firing band
@@ -645,8 +621,8 @@ def run(config: SimConfig) -> HybridArc:
     exception from the loop is re-raised, and a stop among them ends the
     run there with that firing's post state.  A run thus ends exactly
     where a check after every firing would end it.  _sampled_arc turns the
-    record, the final (t, x) and the stop reason into the samples and the
-    arc.
+    record, the final (t, x) and the stop reason into the samples, their
+    V and the arc.
 
     Validation happens at the boundary: SimConfig has checked x0, and
     the post-jump box check keeps every state the loop makes in the box,
@@ -696,30 +672,33 @@ def run(config: SimConfig) -> HybridArc:
     if record.stopped:
         stop_reason, on_jump = "stop-rule", True
         t, x = facts[-1][0], record.post(len(facts) - 1)
-    return _sampled_arc(config, facts, record.chunks, t, x, on_jump, stop_reason,
-                        record.post_v())
+    return _sampled_arc(config, facts, record.chunks, record.v_chunks, t, x, on_jump,
+                        stop_reason)
 
 
-def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
-                 x_end: np.ndarray, on_jump: bool, stop_reason: str,
-                 post_v: np.ndarray | None) -> HybridArc:
-    """The arc of a run, its samples derived in one pass from its firings
-    (t, firers, branch), the chunks that hold their post states in
-    consecutive rows, its final time and state (on_jump when that state is
-    the last firing's post state), and the global grid k * sample_dt;
-    post_v, the stop rule's V of the post states, is handed to the arc.
+def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
+                 t_end: float, x_end: np.ndarray, on_jump: bool,
+                 stop_reason: str) -> HybridArc:
+    """The arc of a run, its samples and their V derived in one pass from
+    its firings (t, firers, branch), the chunks that hold their post states
+    in consecutive rows and the arrays that hold those states' V, its final
+    time and state (on_jump when that state is the last firing's post
+    state), and the global grid k * sample_dt.
 
     Segment k runs from firing k - 1 (x0 at t = 0 for k = 0) to firing k
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).  Each chunk's post rows are copied
-    into their rows with one assignment and the chunk is dropped.  Each
-    pre-jump row is then rebuilt as the loop made it: its segment's start
-    flowed to the firing time, the firing band set to exactly 2*pi, or the
-    start itself where it was already on the jump set (a firing at its
-    segment's start time).  The grid rows of all segments are flowed, each
-    from its segment's start row.  Both passes run in bounded row blocks.
+    unless the run ended on a jump).  Each chunk's post rows and their V
+    are copied into their rows with one assignment each and the chunk is
+    dropped.  Each pre-jump row is then rebuilt as the loop made it: its
+    segment's start flowed to the firing time, the firing band set to
+    exactly 2*pi, or the start itself where it was already on the jump set
+    (a firing at its segment's start time).  The grid rows of all segments
+    are flowed, each from its segment's start row.  Both passes run in
+    bounded row blocks, and each block's V is computed before it is
+    scattered, as is that of the first and last rows when they are flow
+    rows; the V of every row fills the arc's cached v.
     """
     m, dt = len(firings), config.sample_dt
     starts = np.array([0.0, *(f[0] for f in firings)])
@@ -738,15 +717,18 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
     piece_at = np.cumsum(reps) - reps
     ts = np.repeat(np.column_stack([starts, starts, ends]).ravel(), reps)
     kinds = np.repeat(np.array([FLOW, FLOW, *[PRE_JUMP, POST_JUMP, FLOW] * m, FLOW]), reps)
-    states = np.empty((ts.size, config.n))
-    # whatever their kinds, the first row holds x0 and the last x_end
+    states, v = np.empty((ts.size, config.n)), np.empty(ts.size)
+    # whatever their kinds, the first row holds x0 and the last x_end; no
+    # pass below makes them when they are flow rows, the first and last pieces
     states[0], states[-1] = config.x0, x_end
+    edges = [row for row in (0, -1) if reps[row]]
+    v[edges] = analysis._lyapunov(states[edges])
     post_rows = piece_at[2:-1:3] + 1  # each firing's post-jump row follows its pre-jump row
     done = 0
     while chunks:
-        chunk = chunks.pop(0)
+        chunk, chunk_v = chunks.pop(0), v_chunks.pop(0)
         rows = post_rows[done:done + chunk.shape[0]]
-        states[rows] = chunk[:rows.size]
+        states[rows], v[rows] = chunk[:rows.size], chunk_v[:rows.size]
         done += rows.size
     # segment k starts at x0 in row 0 for k = 0, else at firing k - 1's post-jump row
     start_rows = np.append(0, post_rows[:-1])
@@ -757,7 +739,8 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
         pre[pre >= fire_at] = TWO_PI
         on_set = start.max(axis=1) >= fire_at
         pre[on_set] = start[on_set]
-        states[post_rows[block] - 1] = pre
+        at = post_rows[block] - 1
+        states[at], v[at] = pre, analysis._lyapunov(pre)
     # the rows of each segment's grid piece, and the first of them; a
     # segment with grid rows has its start row just above them
     grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))
@@ -766,11 +749,12 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, t_end: float,
         at = grid[block]
         seg = js[at]
         ts[at] = dt * (k0[seg] + (at - first[seg]))
-        states[at] = _flow(states[first[seg] - 1], starts[seg], ts[at],
-                           config.omega, config.perturbation)
+        flowed = _flow(states[first[seg] - 1], starts[seg], ts[at],
+                       config.omega, config.perturbation)
+        states[at], v[at] = flowed, analysis._lyapunov(flowed)
     arc = HybridArc(ts=ts, js=js, states=states, kinds=kinds, firings=firings,
                     perturbed=not config.perturbation.is_none, stop_reason=stop_reason)
-    arc._post_v = post_v
+    vars(arc)["v"] = _read_only(v)  # the cache of HybridArc.v
     return arc
 
 
@@ -1007,7 +991,8 @@ def write_trajectory_csv(arc: HybridArc, path, events=None) -> None:
 def write_events_csv(arc: HybridArc, path) -> None:
     """Write one row per firing: t, j, firers, branch, pre and post state,
     t and pre from the firing's pre-jump row and post from the row after
-    it."""
+    it.  An arc with jump rows but no firing table (a loaded arc) raises
+    ValueError and writes nothing."""
     _write_arc(arc, None, path)
 
 
@@ -1019,11 +1004,16 @@ def _write_arc(arc: HybridArc, trajectory, events) -> None:
     the first trajectory V and Vtilde of each run of equal bit patterns
     are formatted in one _float_cells call; j and the event kind once per
     run.  An events row takes t and pre from its pre-jump row's cells and
-    post from the next row's, so a block never ends on a pre-jump row."""
+    post from the next row's, so a block never ends on a pre-jump row.
+    ValueError, before any file is opened, for events of an arc whose
+    samples hold jumps but which has no firing table (a loaded arc)."""
     n = arc.n
     names = ["t", "j", *(f"x_{i + 1}" for i in range(n)), "V", "Vtilde", "event"]
     step = max(1, _CSV_CELLS // len(names))
     pre_rows = np.empty(0, dtype=np.intp) if events is None else arc.jump_rows
+    if pre_rows.size and not arc.firings:
+        raise ValueError(f"arc has {pre_rows.size} jumps in its samples but no firing table "
+                         "to write events from")
     tables, size = [(trajectory, names)], arc.ts.size
     if trajectory is None:  # each firing's two rows, pre_rows their places in rows_of
         rows_of = np.stack((pre_rows, pre_rows + 1), axis=1).ravel()

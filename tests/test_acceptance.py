@@ -110,7 +110,7 @@ def test_03_lyapunov_vanishes_exactly_on_splay_states():
 
 def test_04_nominal_run_converges_within_pinned_budget(pinned_nominal):
     arc, wall = pinned_nominal
-    verdict = analysis.verify_monotone(arc, tol=1e-9)
+    verdict = analysis.verify_monotone(arc)
     terminal_v = float(analysis.lyapunov(arc.final_state))
     passed = (verdict.passed and terminal_v < 1e-6 and wall < 1.0)
     line = report(

@@ -22,7 +22,8 @@ from splaysim.analysis import (
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import fig2_config, perturbed_config
 from splaysim.model import in_splay_set
-from splaysim.sim import HybridArc, Perturbation, SimConfig, run
+from splaysim.sim import (HybridArc, Perturbation, SimConfig, read_trajectory_csv, run,
+                          write_trajectory_csv)
 from splaysim.prc import paper_prc
 
 phase_values = st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False)
@@ -174,9 +175,8 @@ def test_vtilde_can_exceed_v_and_vice_versa():
 # -- monotonicity verdict -------------------------------------------------------
 
 def test_monotone_verdict_on_the_study_arc(fig2_arc):
-    verdict = verify_monotone(fig2_arc, tol=1e-9)
+    verdict = verify_monotone(fig2_arc)
     assert verdict.passed
-    assert verdict.flow_checked
     assert not verdict.informational
     assert verdict.max_flow_oscillation <= 1e-9
     assert verdict.max_jump_delta <= 1e-9
@@ -189,27 +189,49 @@ def test_monotone_verdict_is_informational_for_perturbed_arcs():
     arc = run(perturbed_config(0.05, horizon=30.0))
     verdict = verify_monotone(arc)
     assert verdict.informational
-    assert not verdict.flow_checked
     assert verdict.passed  # vacuously: the hypothesis of the check fails
     assert "informational" in str(verdict)
 
 
-def test_monotone_verdict_flags_an_increase():
+def steep_witness_arc():
+    """The steep response (c = 1.5, n = 4) from its constructed start: V
+    rises across some of its jumps."""
     from splaysim.experiments import STEEP_WITNESS_X0
     from splaysim.prc import broken_steep
 
-    cfg = SimConfig(prc=broken_steep(4), x0=np.asarray(STEEP_WITNESS_X0),
-                    horizon=20.0, stop_v_threshold=None)
-    verdict = verify_monotone(run(cfg))
+    return run(SimConfig(prc=broken_steep(4), x0=np.asarray(STEEP_WITNESS_X0),
+                         horizon=20.0, stop_v_threshold=None))
+
+
+def test_monotone_verdict_flags_an_increase():
+    verdict = verify_monotone(steep_witness_arc())
     assert not verdict.passed
-    assert verdict.max_jump_delta > 1e-9
+    assert verdict.max_jump_delta > analysis.MONOTONE_TOL
     assert verdict.worst_jump is not None
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
-def test_monotone_verdict_refuses_a_tolerance_out_of_range(fig2_arc, tol):
-    with pytest.raises(ValueError, match=r"^tol must be finite and nonnegative, got "):
-        verify_monotone(fig2_arc, tol=tol)
+def test_monotone_verdict_compares_with_monotone_tol(monkeypatch):
+    """MONOTONE_TOL is the one tolerance: raised to the largest jump
+    increase, the steep witness passes."""
+    arc = steep_witness_arc()
+    delta = verify_monotone(arc).max_jump_delta
+    monkeypatch.setattr(analysis, "MONOTONE_TOL", delta)
+    assert verify_monotone(arc).passed
+    monkeypatch.setattr(analysis, "MONOTONE_TOL", np.nextafter(delta, 0.0))
+    assert not verify_monotone(arc).passed
+
+
+def test_monotone_verdict_of_a_loaded_arc_checks_its_jumps(tmp_path):
+    """A trajectory CSV keeps each jump's pre-jump and post-jump rows, so
+    the loaded steep witness fails with the same jump deltas, bit for bit."""
+    arc = steep_witness_arc()
+    write_trajectory_csv(arc, tmp_path / "trajectory.csv")
+    verdict = verify_monotone(arc)
+    loaded = verify_monotone(read_trajectory_csv(tmp_path / "trajectory.csv"))
+    assert not verdict.passed and not loaded.passed
+    assert loaded.max_jump_delta.hex() == verdict.max_jump_delta.hex()
+    assert loaded.worst_jump == verdict.worst_jump
+    assert loaded.trace.jump_deltas.tobytes() == verdict.trace.jump_deltas.tobytes()
 
 
 def reference_oscillations(arc):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from splaysim import analysis, circle
-from splaysim.analysis import closeness, distance_to_splay, lyapunov, verify_monotone, vtilde
+from splaysim.analysis import closeness, distance_to_splay, lyapunov, vtilde
 from splaysim.circle import (
     TWO_PI,
     check_number,
@@ -148,7 +148,6 @@ NUMBER_PARAMETERS = {
     "theorem1_corpus.horizon": ("horizon", lambda v: _theorem1_corpus(runs=1, horizon=v,
                                                                       out_dir="corpus")),
     "closeness.tau": ("tau", lambda v: closeness(_arc(), _arc(), v)),
-    "verify_monotone.tol": ("tol", lambda v: verify_monotone(_arc(), tol=v)),
     "in_splay_set.tol": ("tol", lambda v: in_splay_set([1.0, 1.0 + TWO_PI / 2], tol=v)),
     "in_bad_set.tol": ("tol", lambda v: in_bad_set([1.0, 1.0], tol=v)),
     "paper_prc.n": ("n", paper_prc),

@@ -1,10 +1,14 @@
-"""README's library tour and example config file, run as written, so the
-README cannot drift from the code."""
+"""README's library tour and example config file, run as written, and the
+names its prose gives, resolved, so the README cannot drift from the code."""
 
+import dataclasses
+import importlib
+import inspect
 import json
 import re
 from pathlib import Path
 
+import splaysim
 from splaysim.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +38,39 @@ def test_example_config_simulates(tmp_path, capsys):
     assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert "stop reason:" in capsys.readouterr().out
     assert (tmp_path / "out" / "trajectory.csv").is_file()
+
+
+#: the package's modules, as README names them
+MODULES = ("circle", "model", "sim", "analysis", "prc", "experiments", "cli")
+
+
+def _readme_names() -> set[str]:
+    """Every backticked dotted name of the prose, a trailing () dropped."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    return set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`", prose))
+
+
+def _resolves(obj, parts: list[str]) -> bool:
+    """Whether obj has the attribute chain parts; the last may also be a
+    dataclass field without a default, which the class does not hold."""
+    for k, part in enumerate(parts):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            return (k == len(parts) - 1 and dataclasses.is_dataclass(obj)
+                    and part in {f.name for f in dataclasses.fields(obj)})
+    return True
+
+
+def test_readme_names_resolve():
+    """Each backticked dotted name under splaysim, one of its modules or
+    one of its classes names something the package defines, so README
+    cannot keep a name the code has dropped."""
+    modules = {name: importlib.import_module(f"splaysim.{name}") for name in MODULES}
+    roots = {"splaysim": splaysim, **modules,
+             **{name: obj for module in modules.values() for name, obj in vars(module).items()
+                if inspect.isclass(obj) and obj.__module__.startswith("splaysim.")}}
+    names = sorted(name for name in _readme_names() if name.split(".")[0] in roots)
+    assert len(names) >= 20  # the prose names that many; fewer means the pattern broke
+    split = [name.split(".") for name in names]
+    assert [".".join(parts) for parts in split if not _resolves(roots[parts[0]], parts[1:])] == []

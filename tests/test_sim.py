@@ -911,23 +911,35 @@ def test_jump_events_are_built_only_when_read(tmp_path, monkeypatch, make_config
 
 @pytest.mark.parametrize("source", ["loaded", "horizon-before-first-firing"])
 def test_an_arc_without_firings_has_no_events(tmp_path, fig2_arc, source):
+    """jumps, events and dwells come from the firing table, which only a
+    run makes; the jump rows come from the samples' kinds, so a loaded arc
+    keeps them, and verify_monotone checks its jumps, but no events CSV can
+    be written of it."""
     if source == "loaded":
         write_trajectory_csv(fig2_arc, tmp_path / "trajectory.csv")
         arc = read_trajectory_csv(tmp_path / "trajectory.csv")
-        # the file keeps its jump rows, but a loaded arc has no firing table
-        assert np.count_nonzero(arc.kinds == "pre-jump") == fig2_arc.jumps
+        assert arc.jump_rows.tobytes() == fig2_arc.jump_rows.tobytes()
+        assert verify_monotone(arc).trace.jump_deltas.tobytes() == (
+            verify_monotone(fig2_arc).trace.jump_deltas.tobytes())
+        for write in (lambda: write_events_csv(arc, tmp_path / "events.csv"),
+                      lambda: write_trajectory_csv(arc, tmp_path / "again.csv",
+                                                   tmp_path / "events.csv")):
+            with pytest.raises(ValueError, match=(
+                    f"^arc has {fig2_arc.jumps} jumps in its samples but no firing table")):
+                write()
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv"]
     else:
         arc = run(fig2_config(horizon=0.1))
         assert arc.stop_reason == "horizon"
+        assert arc.jump_rows.size == 0
+        assert verify_monotone(arc).trace.jump_deltas.size == 0
+        write_events_csv(arc, tmp_path / "events.csv")
+        assert (tmp_path / "events.csv").read_text() == (
+            "t,j,firers,branch,pre_1,pre_2,pre_3,post_1,post_2,post_3\n")
     assert arc.jumps == 0
     assert arc.events == []
-    assert arc.jump_rows.size == 0
     assert arc.dwells().size == 0
     assert math.isnan(arc.min_dwell_after_first())
-    assert verify_monotone(arc).trace.jump_deltas.size == 0
-    write_events_csv(arc, tmp_path / "events.csv")
-    assert (tmp_path / "events.csv").read_text() == (
-        "t,j,firers,branch,pre_1,pre_2,pre_3,post_1,post_2,post_3\n")
 
 
 @pytest.mark.parametrize("kinds, firings, message", [
@@ -937,7 +949,9 @@ def test_an_arc_without_firings_has_no_events(tmp_path, fig2_arc, source):
      "pre-jump sample not followed by its post-jump sample"),
     (["flow", "post-jump", "pre-jump", "flow"], [(1.0, (0,), "single")],
      "pre-jump sample not followed by its post-jump sample"),
-], ids=["count", "apart", "swapped"])
+    (["flow", "pre-jump", "flow", "flow"], [],
+     "pre-jump sample not followed by its post-jump sample"),
+], ids=["count", "apart", "swapped", "no-table"])
 def test_firings_that_do_not_match_their_rows_raise(tmp_path, kinds, firings, message):
     m = len(kinds)
     arc = HybridArc(ts=np.arange(m, dtype=float), js=np.zeros(m, dtype=np.int64),
@@ -1522,10 +1536,8 @@ def test_an_arc_computes_v_vtilde_and_its_jump_rows_once(n):
     assert verify_monotone(arc).trace.values is arc.v
 
 
-#: runs whose arc.v must equal lyapunov(arc.states): (config, stop reason); a
-#: coarse grid makes the post-jump rows at least a third of the samples, so
-#: v takes them from the stop rule, and the default grid has v compute all
-V_REUSE_RUNS = {
+#: runs whose arc.v must equal lyapunov(arc.states): (config, stop reason)
+V_RUNS = {
     "stop-rule-mid-batch": (lambda **kw: _lookahead_config("middle", "v", **kw), "stop-rule"),
     "horizon": (lambda **kw: SimConfig(prc=paper_prc(8), horizon=60.0,
                                        x0=draw_start(np.random.default_rng(8), 8), **kw),
@@ -1543,25 +1555,35 @@ V_REUSE_RUNS = {
 
 
 @pytest.mark.parametrize("sample_dt", [0.01, 5.0], ids=["dense-grid", "coarse-grid"])
-@pytest.mark.parametrize("name", V_REUSE_RUNS)
+@pytest.mark.parametrize("name", V_RUNS)
 def test_arc_v_is_lyapunov_of_the_samples_bit_for_bit(monkeypatch, name, sample_dt):
-    """arc.v equals lyapunov(arc.states) whether or not it reuses the stop
-    rule's V of the post-jump rows, whatever the row blocks; the arc holds
-    the V of those rows, one per firing, and None without a stop rule."""
-    make_config, reason = V_REUSE_RUNS[name]
+    """The V a run computes of each row as it makes the samples is
+    lyapunov(arc.states) to the bit, cached read-only, whatever the row
+    blocks and chunks: a dense grid makes most rows flow rows, a coarse one
+    most rows jump rows."""
+    make_config, reason = V_RUNS[name]
     cfg = make_config(sample_dt=sample_dt)
     arc = run(cfg)
     assert arc.stop_reason == reason and arc.jumps > 0
     if name == "stop-rule-mid-batch":
         assert arc.jumps % cfg.n != 0  # the stop firing is not the last of its batch
     expected = lyapunov(arc.states)
-    if cfg.stop_v_threshold is None:
-        assert arc._post_v is None
-    else:
-        assert arc._post_v.tobytes() == expected[arc.jump_rows + 1].tobytes()
-        assert not arc._post_v.flags.writeable
-        # the coarse grid is the case where v reuses post_v
-        assert (3 * arc._post_v.size >= arc.ts.size) == (sample_dt == 5.0)
+    assert arc.v.tobytes() == expected.tobytes()
+    assert arc.v is arc.v and not arc.v.flags.writeable
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", 7 * cfg.n)  # blocks and chunks of 7 rows
+    blocked = run(cfg)
+    assert blocked.states.tobytes() == arc.states.tobytes()
+    assert blocked.v.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("sample_dt", [0.01, 5.0], ids=["dense-grid", "coarse-grid"])
+@pytest.mark.parametrize("name", V_RUNS)
+def test_a_run_computes_each_samples_v_once(monkeypatch, name, sample_dt):
+    """run feeds V's row kernel each sample once, a bounded row block at a
+    time, plus the firings it ran past a stop (at most n - 1); reading arc.v
+    and checking the arc then feed it nothing."""
+    make_config, reason = V_RUNS[name]
+    cfg = make_config(sample_dt=sample_dt)
     kernel, rows = analysis._lyapunov, []
 
     def counted(arr):
@@ -1569,34 +1591,42 @@ def test_arc_v_is_lyapunov_of_the_samples_bit_for_bit(monkeypatch, name, sample_
         return kernel(arr)
 
     monkeypatch.setattr(analysis, "_lyapunov", counted)
-    monkeypatch.setattr(circle, "_BLOCK_FLOATS", 7 * cfg.n)  # blocks of 7 rows
-    assert arc.v.tobytes() == expected.tobytes()
-    reused = arc._post_v is not None and 3 * arc._post_v.size >= arc.ts.size
-    assert sum(rows) == arc.ts.size - (arc.jumps if reused else 0)
+    monkeypatch.setattr(circle, "_BLOCK_FLOATS", 7 * cfg.n)  # blocks and chunks of 7 rows
+    arc = run(cfg)
+    if reason == "stop-rule":
+        assert arc.ts.size <= sum(rows) <= arc.ts.size + cfg.n - 1
+    else:
+        assert sum(rows) == arc.ts.size
     assert max(rows) <= 7
+    rows.clear()
+    assert verify_monotone(arc).trace.values is arc.v
+    assert rows == []
 
 
-def test_a_replaced_or_hand_built_arc_computes_v_of_its_own_states():
-    """The stop rule's V of the post-jump rows stays with the arc the run
-    made: it is not a constructor argument, is not shown in the repr, and
-    dataclasses.replace drops it, so v of the new arc is lyapunov of the new
-    states, and a state outside the box raises as lyapunov does."""
-    coarse = run(V_REUSE_RUNS["stop-rule-mid-batch"][0](sample_dt=5.0))
-    assert 3 * coarse._post_v.size >= coarse.ts.size  # v of coarse reuses them
-    assert coarse.v.tobytes() == lyapunov(coarse.states).tobytes()
-    assert "_post_v" not in repr(coarse)
-    states = coarse.states[::-1].copy()
-    moved = dataclasses.replace(coarse, states=states)
-    assert moved._post_v is None
+@pytest.mark.parametrize("sample_dt", [0.01, 5.0], ids=["dense-grid", "coarse-grid"])
+def test_a_replaced_or_hand_built_arc_computes_v_of_its_own_states(sample_dt):
+    """The V a run computes stays with the arc it made: it is not a
+    constructor argument, so dataclasses.replace and a hand-built arc
+    compute v of their own states, and a state outside the box raises as
+    lyapunov does."""
+    arc = run(V_RUNS["stop-rule-mid-batch"][0](sample_dt=sample_dt))
+    assert arc.v.tobytes() == lyapunov(arc.states).tobytes()
+    assert [f.name for f in dataclasses.fields(HybridArc)] == [
+        "ts", "js", "states", "kinds", "firings", "perturbed", "stop_reason"]
+    states = arc.states[::-1].copy()
+    moved = dataclasses.replace(arc, states=states)
     assert moved.v.tobytes() == lyapunov(states).tobytes()
-    assert moved.v[moved.jump_rows + 1].tobytes() != coarse.v[coarse.jump_rows + 1].tobytes()
-    states[coarse.jump_rows[0] + 1, 0] = np.nan
+    assert moved.v[moved.jump_rows + 1].tobytes() != arc.v[arc.jump_rows + 1].tobytes()
+    built = HybridArc(ts=arc.ts, js=arc.js, states=states, kinds=arc.kinds,
+                      firings=arc.firings, perturbed=False, stop_reason="stop-rule")
+    assert built.v.tobytes() == lyapunov(states).tobytes()
+    states = states.copy()
+    states[arc.jump_rows[0] + 1, 0] = np.nan
     with pytest.raises(ValueError):
-        dataclasses.replace(coarse, states=states).v
+        dataclasses.replace(arc, states=states).v
     with pytest.raises(TypeError):
-        HybridArc(ts=coarse.ts, js=coarse.js, states=coarse.states, kinds=coarse.kinds,
-                  firings=coarse.firings, perturbed=False, stop_reason="stop-rule",
-                  _post_v=coarse._post_v)
+        HybridArc(ts=arc.ts, js=arc.js, states=arc.states, kinds=arc.kinds,
+                  firings=arc.firings, perturbed=False, stop_reason="stop-rule", v=arc.v)
 
 
 @pytest.mark.parametrize("policy", ["all-zero", "enumerate"])
