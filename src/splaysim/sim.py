@@ -8,10 +8,12 @@ panel over [t0, t] per row for a custom disturbance).  One elementwise
 function, _flow, with a start (x0, t0) per row, gives every flow state of
 a run: each crossing, the horizon and all grid samples.  Nominal firing
 times are closed-form too.  Under a disturbance each coordinate rises at a
-rate within omega -/+ amplitude, which brackets its crossing of 2*pi; Newton
-inside that bracket finds it to a few ulps and the earliest crossing
-fires.  Either way the crossing coordinates are assigned exactly 2*pi
-rather than accumulated.
+rate within omega -/+ amplitude, which brackets its crossing of 2*pi.  Only
+the few coordinates whose bracket reaches below every other one's end can
+cross first; Newton inside their brackets, in Python floats with the
+disturbance evaluated at those coordinates alone, finds each crossing to a
+few ulps and the earliest fires.  Either way the crossing coordinates are
+assigned exactly 2*pi rather than accumulated.
 
 A run records one row per firing, in place: the crossing flows into one
 reused scratch row, the jump map writes the post-jump state into the next
@@ -201,6 +203,26 @@ class Perturbation:
         nodes = mid[:, None] + half[:, None] * unit_nodes[None, :]
         d = self.sample(nodes.ravel(), n).reshape(ts.size, _GAUSS_ORDER, n)
         return half[:, None] * np.einsum("k,mkn->mn", weights, d)
+
+    def _at_coordinates(self, t0: float, ts: list, cand: np.ndarray, n: int) -> tuple[list, list]:
+        """D(t0, t) and d(t) of coordinate cand[k] at time ts[k], for each k,
+        as two lists of Python floats: entry [k, cand[k]] of
+        displacement(t0, ts, n) and of sample(ts, n), bit for bit.  A
+        sinusoid is evaluated at those entries alone, by the same formulas
+        in the same order, np.sin taking one float at a time; a custom func
+        is called as displacement and sample call it, once each on all of ts."""
+        if self.func is not None:
+            ts, rows = np.array(ts), np.arange(len(ts))
+            return (self.displacement(t0, ts, n)[rows, cand].tolist(),
+                    self.sample(ts, n)[rows, cand].tolist())
+        amp, freq = self.amplitude, self.frequency
+        offs = self._offsets(n)[cand].tolist()
+        rate = [float(amp * np.sin(freq * t + o)) for t, o in zip(ts, offs)]
+        if freq == 0.0:
+            return [float(amp * np.sin(o) * (t - t0)) for t, o in zip(ts, offs)], rate
+        half, scale = 0.5 * freq, 2.0 * amp / freq
+        return [float(scale * np.sin(half * (t + t0) + o) * np.sin(half * (t - t0)))
+                for t, o in zip(ts, offs)], rate
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -456,8 +478,15 @@ def _earliest_root(x0: np.ndarray, t0: float, omega: float, pert: Perturbation) 
 
     Each coordinate rises at a rate within omega -/+ amplitude, so its root
     lies in [lo, hi] below; only coordinates whose lo is not past the
-    smallest hi can fire first.  Newton starts at the nominal time and
-    falls back to bisection whenever its step leaves the bracket.
+    smallest hi can fire first, and these candidates (one to a few) are
+    found on the whole state.  Newton then runs on the candidates in
+    lockstep, in Python floats: numpy's per-call cost would dwarf the
+    arithmetic on so few entries.  Each step evaluates D and d at the
+    candidates alone (Perturbation._at_coordinates), moves each bracket to
+    the sign of its residual, takes the Newton step or bisects when the
+    step leaves the bracket, and stops once every step is within tol.  These
+    are the operations of the same solve on numpy arrays, in the same
+    order, so the crossing is that solve's float, bit for bit.
     """
     n = x0.size
     rest = TWO_PI - x0
@@ -465,22 +494,28 @@ def _earliest_root(x0: np.ndarray, t0: float, omega: float, pert: Perturbation) 
     hi = t0 + rest / (omega - pert.amplitude)
     cand = np.flatnonzero(lo <= hi.min())
     rest, lo, hi = rest[cand], lo[cand], hi[cand]
-    rows = np.arange(cand.size)
     t = t0 + rest / omega
     # a few ulps of the time, or of one period near t = 0
     tol = 4.0 * np.spacing(np.maximum(hi, TWO_PI / omega))
+    rest, lo, hi, t, tol = rest.tolist(), lo.tolist(), hi.tolist(), t.tolist(), tol.tolist()
     for _ in range(_NEWTON_ITERS):
-        g = omega * (t - t0) + pert.displacement(t0, t, n)[rows, cand] - rest
-        lo = np.where(g < 0.0, t, lo)
-        hi = np.where(g > 0.0, t, hi)
-        t_new = t - g / (omega + pert.sample(t, n)[rows, cand])
-        t_new = np.where((t_new >= lo) & (t_new <= hi), t_new, 0.5 * (lo + hi))
-        done = np.abs(t_new - t) <= tol
-        t = t_new
-        if done.all():
-            return float(t.min())
+        disp, rate = pert._at_coordinates(t0, t, cand, n)
+        done = True
+        for k, t_k in enumerate(t):
+            g = omega * (t_k - t0) + disp[k] - rest[k]
+            if g < 0.0:
+                lo[k] = t_k
+            elif g > 0.0:
+                hi[k] = t_k
+            t_new = t_k - g / (omega + rate[k])
+            if not lo[k] <= t_new <= hi[k]:
+                t_new = 0.5 * (lo[k] + hi[k])
+            done = done and abs(t_new - t_k) <= tol[k]
+            t[k] = t_new
+        if done:
+            return min(t)
     # out of iterations: hi is at or past each root, so a coordinate fires there
-    return float(hi.min())
+    return min(hi)
 
 
 def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
@@ -1098,7 +1133,10 @@ def _csv_lines(parts: list) -> np.ndarray:
 
 def read_trajectory_csv(path) -> HybridArc:
     """Rebuild an arc from a trajectory CSV (samples only; the firing table
-    is empty and flow metadata is unknown).
+    is empty and flow metadata is unknown).  The file does not record the
+    disturbance, so the arc has perturbed=False: verify_monotone judges a
+    loaded perturbed arc as a nominal one, and its flow checks fail where
+    the run's arc was judged informational.
 
     The rows are parsed a block of whole lines at a time.  ValueError names
     `<path>:` for a file with no samples or fewer than 2 oscillators, and

@@ -234,6 +234,25 @@ def test_monotone_verdict_of_a_loaded_arc_checks_its_jumps(tmp_path):
     assert loaded.trace.jump_deltas.tobytes() == verdict.trace.jump_deltas.tobytes()
 
 
+def test_a_loaded_perturbed_arc_is_judged_as_nominal(tmp_path):
+    """A trajectory CSV does not record the disturbance, so the arc read
+    back is judged as a nominal one: the perturbed run's verdict is
+    informational and passes, the loaded arc's fails on the same flow
+    oscillation.  A format that records the disturbance flips this test."""
+    arc = run(perturbed_config(0.05, horizon=30.0))
+    write_trajectory_csv(arc, tmp_path / "trajectory.csv")
+    loaded_arc = read_trajectory_csv(tmp_path / "trajectory.csv")
+    verdict, loaded = verify_monotone(arc), verify_monotone(loaded_arc)
+    assert arc.perturbed and not loaded_arc.perturbed
+    assert verdict.informational and verdict.passed
+    assert not loaded.informational and not loaded.passed
+    assert loaded.max_flow_oscillation > analysis.MONOTONE_TOL
+    assert loaded.max_flow_oscillation.hex() == verdict.max_flow_oscillation.hex()
+    assert loaded.worst_flow_interval == verdict.worst_flow_interval
+    assert loaded.trace.jump_deltas.tobytes() == verdict.trace.jump_deltas.tobytes()
+    assert loaded.max_jump_delta <= analysis.MONOTONE_TOL
+
+
 def reference_oscillations(arc):
     """Largest |V - V(first sample)| per listed interval, from a mask per j."""
     values = lyapunov(arc.states)

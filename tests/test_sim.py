@@ -2,6 +2,7 @@
 guards, stop rules, and the CSV round trip."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -333,6 +334,34 @@ def test_rescaling_time_leaves_a_drawn_start_unchanged(n, omega):
     times = np.array([t for t, _, _ in nominal.firings])
     assert [f[1:] for f in arc.firings] == [f[1:] for f in nominal.firings]
     np.testing.assert_allclose([t * omega for t, _, _ in arc.firings], times,
+                               rtol=0.0, atol=16 * np.spacing(times[-1]))
+
+
+def _scaled_disturbance(kind, s):
+    """The disturbance of one kind with time measured in units of 1 / s:
+    every rate times s, as a function of s times the time."""
+    if kind == "custom":
+        return Perturbation.custom(lambda ts: s * _wobble(s * ts), bound=0.04 * s)
+    return Perturbation.sinusoidal(0.05 * s, {"f0.5": 0.5, "f0": 0.0}[kind] * s)
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-5, 1e5, 1e10])
+@pytest.mark.parametrize("kind", ["f0.5", "f0", "custom"])
+def test_rescaling_time_leaves_a_perturbed_run_unchanged(kind, s):
+    # omega, the amplitude and the frequency scaled by s, the horizon and
+    # the grid by 1 / s: the same firers at times scaled by 1 / s.  The
+    # crossing solver stops within a few ulps of max(t, 2*pi / omega),
+    # which scales with the time unit
+    def scaled(s):
+        return run(SimConfig(prc=paper_prc(3), x0=np.array([0.3, 2.0, 4.1]), omega=s,
+                             perturbation=_scaled_disturbance(kind, s), horizon=120.0 / s,
+                             sample_dt=0.12 / s, stop_v_threshold=None))
+
+    unscaled, arc = scaled(1.0), scaled(s)
+    times = np.array([t for t, _, _ in unscaled.firings])
+    assert unscaled.jumps > 50
+    assert [f[1:] for f in arc.firings] == [f[1:] for f in unscaled.firings]
+    np.testing.assert_allclose([t * s for t, _, _ in arc.firings], times,
                                rtol=0.0, atol=16 * np.spacing(times[-1]))
 
 
@@ -1340,6 +1369,116 @@ def test_crossing_fires_at_or_past_its_root_when_newton_runs_out(monkeypatch):
         assert np.all(e.pre[list(e.firers)] == TWO_PI)
         assert expect.max() >= TWO_PI - 1e-12  # the earliest root is not skipped
         start_t, start_x = e.t, e.post
+
+
+def reference_earliest_root(x0, t0, omega, pert, candidates=None):
+    """The crossing solver as whole-array numpy: the same bracket and
+    candidates, then bracketed Newton on all candidates at once, the
+    disturbance evaluated by displacement and sample on every coordinate.
+    The number of candidates is appended to the list candidates."""
+    n = x0.size
+    rest = TWO_PI - x0
+    lo = t0 + rest / (omega + pert.amplitude)
+    hi = t0 + rest / (omega - pert.amplitude)
+    cand = np.flatnonzero(lo <= hi.min())
+    if candidates is not None:
+        candidates.append(cand.size)
+    rest, lo, hi = rest[cand], lo[cand], hi[cand]
+    rows = np.arange(cand.size)
+    t = t0 + rest / omega
+    tol = 4.0 * np.spacing(np.maximum(hi, TWO_PI / omega))
+    for _ in range(sim._NEWTON_ITERS):
+        g = omega * (t - t0) + pert.displacement(t0, t, n)[rows, cand] - rest
+        lo = np.where(g < 0.0, t, lo)
+        hi = np.where(g > 0.0, t, hi)
+        t_new = t - g / (omega + pert.sample(t, n)[rows, cand])
+        t_new = np.where((t_new >= lo) & (t_new <= hi), t_new, 0.5 * (lo + hi))
+        done = np.abs(t_new - t) <= tol
+        t = t_new
+        if done.all():
+            return float(t.min())
+    return float(hi.min())
+
+
+def _sinusoid_at(n, eps, freq):
+    x0 = np.array([0.3, 2.0, 4.1]) if n == 3 else draw_start(np.random.default_rng(n), n)
+    return lambda: SimConfig(prc=paper_prc(n), x0=x0, horizon=40.0, stop_v_threshold=None,
+                             perturbation=Perturbation.sinusoidal(eps, freq))
+
+
+def _wide_custom_config():
+    """A custom disturbance of bound 0.6 at n = 5, whose wide brackets leave
+    two or more candidates at many crossings."""
+    offsets = TWO_PI * np.arange(5) / 5
+
+    def wide(ts):
+        return 0.6 * np.sin(1.3 * ts[:, None] + offsets)
+
+    return SimConfig(prc=paper_prc(5), x0=np.array([0.3, 1.2, 2.0, 4.1, 5.0]),
+                     perturbation=Perturbation.custom(wide, bound=0.6),
+                     horizon=40.0, stop_v_threshold=None)
+
+
+REFERENCE_ROOT_CONFIGS = {
+    **{f"sinusoid-n{n}-eps{eps}-f{freq:g}": _sinusoid_at(n, eps, freq)
+       for n in (3, 8, 20) for eps in (0.03, 0.05, 0.2, 0.99) for freq in (0.0, 0.5, 3.0, 20.0)},
+    "custom": _custom_config,
+    "custom-wide": _wide_custom_config,
+}
+
+
+def _recorded(make_config):
+    """A config whose custom func, if any, records the bytes of the times
+    of each call in the list it returns beside the config."""
+    cfg, calls = make_config(), []
+    func = cfg.perturbation.func
+    if func is None:
+        return cfg, calls
+
+    def recording(ts):
+        calls.append(ts.tobytes())
+        return func(ts)
+
+    return dataclasses.replace(
+        cfg, perturbation=Perturbation.custom(recording, cfg.perturbation.amplitude)), calls
+
+
+#: configs rerun with Newton capped at 1 and at 2 iterations
+CAPPED_ROOT_CONFIGS = ("sinusoid-n3-eps0.05-f0.5", "sinusoid-n8-eps0.2-f3",
+                       "sinusoid-n3-eps0.99-f0", "custom", "custom-wide")
+
+
+@pytest.mark.parametrize("name, iters", [
+    *((name, None) for name in REFERENCE_ROOT_CONFIGS),
+    *((name, k) for k in (1, 2) for name in CAPPED_ROOT_CONFIGS),
+], ids=[*REFERENCE_ROOT_CONFIGS, *(f"{name}-iters-{k}" for k in (1, 2)
+                                   for name in CAPPED_ROOT_CONFIGS)])
+def test_crossings_match_the_whole_array_reference_bit_for_bit(monkeypatch, name, iters):
+    # the solver runs Newton candidate by candidate in Python floats; it
+    # must locate every crossing as the whole-array solver does, bit for
+    # bit, and call a custom func on the same times in the same order
+    if iters is not None:
+        monkeypatch.setattr(sim, "_NEWTON_ITERS", iters)
+    make_config = REFERENCE_ROOT_CONFIGS[name]
+    cfg, calls = _recorded(make_config)
+    arc = run(cfg)
+    assert arc.jumps > 5
+    starts = [(0.0, cfg.x0), *((e.t, e.post) for e in arc.events[:8] if not in_jump_set(e.post))]
+    steps = [flow_to_next_event(x, cfg.omega, cfg.perturbation, t) for t, x in starts]
+    candidates = []
+    monkeypatch.setattr(sim, "_earliest_root", functools.partial(
+        reference_earliest_root, candidates=candidates))
+    ref_cfg, ref_calls = _recorded(make_config)
+    ref = run(ref_cfg)
+    assert _arc_digests(arc) == _arc_digests(ref)
+    assert arc.firings == ref.firings
+    for (t, x), (t_fire, x_fire, fired) in zip(starts, steps):
+        ref_t, ref_x, ref_fired = flow_to_next_event(x, cfg.omega, ref_cfg.perturbation, t)
+        assert (t_fire.hex(), fired) == (ref_t.hex(), ref_fired)
+        assert x_fire.tobytes() == ref_x.tobytes()
+    assert calls == ref_calls
+    if name == "custom-wide":
+        assert max(candidates) >= 2
 
 
 def test_flow_to_next_event_without_a_horizon_finds_the_firing():
