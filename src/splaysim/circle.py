@@ -164,8 +164,13 @@ def shortest_arc_length(x):
 
 def _shortest_arc(arr: np.ndarray):
     """shortest_arc_length of a vector or of each row of a batch, for
-    phases already validated."""
-    return TWO_PI - _circular_gaps(np.sort(arr, axis=-1)).max(axis=-1)
+    phases already validated: V's kernel, which the simulator runs on every
+    sample and post-jump row.  The largest gap is the larger of the largest
+    in-row difference and the wrap-around gap: the max of _circular_gaps,
+    float for float, with no wrap column written beside the differences."""
+    srt = np.sort(arr, axis=-1)
+    inner = np.subtract(srt[..., 1:], srt[..., :-1]).max(axis=-1)
+    return TWO_PI - np.maximum(inner, TWO_PI - srt[..., -1] + srt[..., 0])
 
 
 def shortest_arc_oracle(x):

@@ -167,17 +167,22 @@ def _jump(arr: np.ndarray, firers: np.ndarray, prc: PhaseResponse, policy: str,
           out: np.ndarray | None = None) -> list[tuple[str, np.ndarray, float]]:
     """The jump map from a state in the box whose firers are known.
 
-    Calls the response's func once, writing z + Q(z) into out (a fresh array
-    when None; never arr), builds the post states as (branch label, post,
-    max of post) and checks the box; arr is not modified.  A response
+    Calls the response's func once, writing z + Q(z) into out (a fresh
+    array when None; never arr), builds the post states as (branch label,
+    post, max of post) and checks the box; arr is not modified.  A response
     that raises TypeError or ValueError, or whose result does not convert
     to floats or broadcast to one increment per phase, raises the
     ValueError validate_prc raises for it.  With one firer or under
-    'all-zero' the one branch is out itself, and its max is the box
-    check's.  Under 'enumerate' with m >= 2 firers it returns every branch
-    in jump_map's order, each a copy, or with rng one branch drawn
-    uniformly among them (_draw_selection) and built alone in out.  Every
-    branch stays in the box iff every listener does and, under
+    'all-zero' the one branch is out itself.  Every firing of a run takes
+    this path, so its box check reads the extremes as out[out.argmax()] and
+    out[out.argmin()]: argmax and argmin are direct methods, while max and
+    min go through numpy's reduction wrapper, which at the size of a state
+    costs more than the reduction itself.  Both return the first NaN, so a
+    NaN still fails, and item() gives Python floats, which compare faster
+    than numpy scalars.  Under 'enumerate' with m >= 2 firers it returns
+    every branch in jump_map's order, each a copy, or with rng one branch
+    drawn uniformly among them (_draw_selection) and built alone in out.
+    Every branch stays in the box iff every listener does and, under
     'enumerate', every firer kept as a listener does; that takes one O(n)
     check of z + Q(z), and a failure names the first failing branch of
     jump_map's order.
@@ -191,7 +196,10 @@ def _jump(arr: np.ndarray, firers: np.ndarray, prc: PhaseResponse, policy: str,
     if m == 1 or policy == ALL_ZERO:
         moved[firers] = 0.0
         label = "single" if m == 1 else ALL_ZERO
-        return [(label, moved, _check_box(moved, label))]
+        top = moved.item(moved.argmax())
+        if not (moved.item(moved.argmin()) >= 0.0 and top <= TWO_PI):
+            raise _box_error(moved, label)
+        return [(label, moved, top)]
     if not _in_box(moved):
         # a failing listener fails the all-reset branch, which comes first;
         # otherwise the first failure keeps only the last failing firer
@@ -200,7 +208,7 @@ def _jump(arr: np.ndarray, firers: np.ndarray, prc: PhaseResponse, policy: str,
         if _in_box(post):
             bits[np.flatnonzero(_outside(moved[firers]))[-1]] = 0
             label, post, _ = _select(moved.copy(), firers, bits)
-        _check_box(post, label)
+        raise _box_error(post, label)
     if rng is None:
         return [_select(moved.copy(), firers, bits)
                 for bits in itertools.product((1, 0), repeat=m)]
@@ -236,24 +244,13 @@ def _select(post: np.ndarray, firers: np.ndarray, bits) -> tuple[str, np.ndarray
     return "enumerate:" + "".join(map(str, bits)), post, post.item(post.argmax())
 
 
-def _check_box(post: np.ndarray, label: str) -> float:
-    """Post-jump box check: the max of post, or a raise naming the branch
-    and its first entry outside [0, 2*pi] (NaN included).
-
-    Every firing takes it, so the extremes are read as post[post.argmax()]
-    and post[post.argmin()]: argmax and argmin are direct methods, while
-    max and min go through numpy's reduction wrapper, which at the size of
-    a state costs more than the reduction itself.  Both return the first
-    NaN, so a NaN still fails.  item() gives Python floats, which compare
-    faster than numpy scalars.  Batches keep max and min, which are faster
-    over whole arcs."""
-    top = post.item(post.argmax())
-    if not (post.item(post.argmin()) >= 0.0 and top <= TWO_PI):
-        bad = post[_outside(post)][0]
-        raise InvalidPhaseResponseError(
-            f"reset left the box [0, 2*pi]: branch {label!r} produced {bad!r}"
-        )
-    return top
+def _box_error(post: np.ndarray, label: str) -> InvalidPhaseResponseError:
+    """The error for a branch post that left the box [0, 2*pi], naming the
+    branch and its first entry outside (NaN included)."""
+    bad = post[_outside(post)][0]
+    return InvalidPhaseResponseError(
+        f"reset left the box [0, 2*pi]: branch {label!r} produced {bad!r}"
+    )
 
 
 def validate_prc(func, n: int, grid: int = 100_000,
@@ -285,10 +282,7 @@ def validate_prc(func, n: int, grid: int = 100_000,
                         ok=lambda g: 10_000 <= g <= MAX_VALIDATION_GRID)
     lipschitz = check_number("lipschitz", lipschitz, "positive and finite")
     corner = splay_arc_length(n)
-    zs = np.union1d(np.linspace(0.0, TWO_PI, grid), [0.0, corner, TWO_PI])
-    # the corner can land within one ulp of a lattice point; collapse any
-    # sub-resolution pair so no check compares values across rounding noise
-    zs = zs[np.concatenate(([True], np.diff(zs) > _EXACT_TOL))]
+    zs = _validation_grid(corner, grid)
     try:
         qs = np.broadcast_to(np.asarray(func(zs), dtype=float), zs.shape)
     except (TypeError, ValueError) as exc:  # a scalar-only body, or a wrong shape
@@ -325,6 +319,21 @@ def validate_prc(func, n: int, grid: int = 100_000,
                          "z + Q(z) must be increasing"))
 
     return ValidationReport(n=n, grid=grid, checks=tuple(checks))
+
+
+def _validation_grid(corner: float, grid: int) -> np.ndarray:
+    """validate_prc's phases: grid evenly spaced points of [0, 2*pi], the
+    sector corner inserted in order.  The corner can land on a lattice point
+    or within one ulp of one; the later of the two is then left out, so no
+    check compares values across rounding noise.  No other pair is that
+    close: the lattice's steps are at least 2*pi / MAX_VALIDATION_GRID."""
+    zs = np.linspace(0.0, TWO_PI, grid)
+    at = int(np.searchsorted(zs, corner))  # zs[at - 1] < corner <= zs[at], as 0 < corner < 2*pi
+    if zs[at] - corner <= _EXACT_TOL:
+        zs[at] = corner
+    elif corner - zs[at - 1] > _EXACT_TOL:
+        zs = np.insert(zs, at, corner)
+    return zs
 
 
 def _check(name: str, ok: np.ndarray, zs: np.ndarray, detail: str) -> CheckResult:

@@ -16,18 +16,22 @@ few ulps and the earliest fires.  Either way the crossing coordinates are
 assigned exactly 2*pi rather than accumulated.
 
 A run records one row per firing, in place: the crossing flows into one
-reused scratch row, the jump map writes the post-jump state into the next
-row of fixed-size chunks, and (time, firers, branch) then goes into a
-list.  A firing pays for little besides its numpy arithmetic: the
-response's func is called directly, and the box check reads the post
-state's extremes by argmax and argmin, not through numpy's reduction
-wrapper.  A pre-jump state is not recorded, since the exact flow rebuilds
-it from the previous post-jump state and the firing time; only the
-post-jump state, made by the response function, carries what the flow
-cannot.  The V of the post-jump rows is computed a batch of about one
-revolution at a time, beside them, and the stop rule is read off it; a run
-still ends at the very firing where the rule first holds.  From the
-firings, the final (t, x) and the stop reason the HybridArc's samples,
+reused scratch row (a nominal one adds the common shift there, without a
+call of _flow), the jump map writes the post-jump state into the next row
+of fixed-size chunks, and (time, firers, branch) then goes into a list.  A
+firing pays for little besides its numpy arithmetic: the loop reads the
+config once, the response's func is called directly, and the box check
+reads the post state's extremes by argmax and argmin, not through numpy's
+reduction wrapper.  A pre-jump state is not recorded, since the exact flow
+rebuilds it from the previous post-jump state and the firing time; only
+the post-jump state, made by the response function, carries what the flow
+cannot.  Only firing 0 can fire from its segment's start, a start x0 on
+the jump set, whose pre-jump state is x0 itself: a later firing there
+would follow the previous one after no flow, and the Zeno guard refuses it
+before it is recorded.  The V of the post-jump rows is computed a batch of
+about one revolution at a time, beside them, and the stop rule is read off
+it; a run still ends at the very firing where the rule first holds.  From
+the firings, the final (t, x) and the stop reason the HybridArc's samples,
 indexed by (t, j), are derived in bounded row blocks: the post-jump rows
 are copied with their V, and the pre-jump rows and the rows on the global
 grid are flowed and their V computed on the block just made, so a run
@@ -54,7 +58,7 @@ import numpy as np
 
 from . import analysis, circle, model
 from .circle import TWO_PI, as_phases, check_number, check_numbers
-from .model import ALL_ZERO, FIRING_TOL, PhaseResponse, check_policy
+from .model import ALL_ZERO, ENUMERATE, FIRING_TOL, PhaseResponse, check_policy
 
 FLOW = "flow"
 PRE_JUMP = "pre-jump"
@@ -457,16 +461,24 @@ def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: P
 
     The located crossing sits within a few ulps of 2*pi, and any coordinate
     that reaches the firing band with it fires too; all are assigned exactly
-    2*pi, so the jump map sees an exact firing.
+    2*pi, so the jump map sees an exact firing.  A nominal crossing is x0
+    plus the common shift, the floats _flow gives, added into out without
+    a call of _flow, as run pays for it at every firing.
+
+    x0 must be below the band: a crossing takes flow time, and a state on
+    the jump set fires where it is.  In a run that is only ever the start,
+    at firing 0; a later post state in the band would fire after no flow,
+    which the Zeno guard refuses.
     """
-    if pert.is_none:
-        # the bracket of _earliest_root collapses onto this closed form
-        t_fire = t0 + (TWO_PI - top) / omega
-    else:
-        t_fire = _earliest_root(x0, t0, omega, pert)
+    nominal = pert.is_none
+    # the bracket of _earliest_root collapses onto this closed form
+    t_fire = t0 + (TWO_PI - top) / omega if nominal else _earliest_root(x0, t0, omega, pert)
     if t_fire > horizon:
         return horizon, _flow(x0, t0, horizon, omega, pert, out), None
-    x = _flow(x0, t0, t_fire, omega, pert, out, clamp=False)
+    if nominal:  # _flow's floats, the common shift alone, without its call per firing
+        x = np.add(x0, omega * (t_fire - t0), out=out)
+    else:
+        x = _flow(x0, t0, t_fire, omega, pert, out, clamp=False)
     firers = (x >= TWO_PI - FIRING_TOL).nonzero()[0]
     x[firers] = TWO_PI
     return t_fire, x, firers
@@ -550,18 +562,18 @@ class _Firings:
     each chunk, so no array is ever regrown.  The pre state is not kept:
     _sampled_arc flows it from the previous post state.  rows() hands out
     one reused scratch row, which the crossing flows into and the jump
-    reads, and the next firing's post row, which the jump writes into;
-    commit() records the firing once its post row holds the jump's result,
-    and post rows handed out but never committed are left out of the
-    record.
+    reads, and the next firing's post row, which the jump writes into.
+    run appends the firing to facts once its post row holds the jump's
+    result, and post rows handed out but never appended to are left out of
+    the record.
 
     settle() computes the V of the post rows a batch at a time, once
-    min(n, firings per chunk) firings are pending or their chunk is full,
-    and before the run ends, and then reads the stop rule (V below
-    stop_v_threshold, held for a full nominal revolution) off it when the
-    run has one.  When the rule has held at firing k, the firings past k
-    are dropped: the record is the one a check after every firing would
-    have left, and at most n - 1 firings run ahead.
+    min(n, firings per chunk) firings are pending or their chunk is full
+    (run calls it then), and before the run ends, and then reads the stop
+    rule (V below stop_v_threshold, held for a full nominal revolution)
+    off it when the run has one.  When the rule has held at firing k, the
+    firings past k are dropped: the record is the one a check after every
+    firing would have left, and at most n - 1 firings run ahead.
     """
 
     def __init__(self, config: SimConfig):
@@ -585,13 +597,6 @@ class _Firings:
             self.chunks.append(np.empty((self.per_chunk, self.config.n)))
             self.v_chunks.append(np.empty(self.per_chunk))
         return self.pre, self.chunks[k][i]
-
-    def commit(self, t: float, firers: np.ndarray, branch: str) -> None:
-        """Record the firing whose rows() the crossing and the jump filled."""
-        self.facts.append((t, tuple(firers.tolist()), branch))
-        m = len(self.facts)
-        if m - self.settled == self.batch or not m % self.per_chunk:
-            self.settle()
 
     def post(self, k: int) -> np.ndarray:
         """The post state of firing k, a view of its chunk row."""
@@ -647,9 +652,12 @@ def run(config: SimConfig) -> HybridArc:
 
     Each step of the loop is one firing written in place into a _Firings
     record: the crossing flows into the scratch pre row it hands out, the
-    jump writes into the post row, and (t, firers, branch) is committed to
-    the list; no state is built elsewhere and copied in, and the pre row is
-    rebuilt from the flow when the samples are made.  The stop rule is
+    jump writes into the post row, and (t, firers, branch) is appended to
+    the record's list; no state is built elsewhere and copied in, and the
+    pre row is rebuilt from the flow when the samples are made.  The loop
+    reads config's fields once, checks the Zeno guard against the last
+    firing's time, held in a local, and builds a random generator only
+    under 'enumerate', the one policy whose jumps draw.  The stop rule is
     evaluated on batches of the post rows, so the loop may run up to n - 1
     firings past the firing at which it holds; the pending firings are
     settled before the loop exits by horizon or jump budget and before any
@@ -669,35 +677,41 @@ def run(config: SimConfig) -> HybridArc:
     only the drawn branch is built.  config.x0 is only read.
     """
     x, t, top = config.x0, 0.0, float(config.x0.max())
-    rng = np.random.default_rng(config.seed)
+    omega, pert, horizon = config.omega, config.perturbation, config.horizon
+    prc, policy, max_jumps = config.prc, config.policy, config.max_jumps
+    # only an 'enumerate' jump draws, and a generator costs about a firing to build
+    rng = np.random.default_rng(config.seed) if policy == ENUMERATE else None
     record = _Firings(config)
-    facts = record.facts
+    facts, batch, per_chunk = record.facts, record.batch, record.per_chunk
     fire_at = TWO_PI - FIRING_TOL
-    guard = FIRING_TOL / (config.omega + config.perturbation.amplitude)
+    guard = FIRING_TOL / (omega + pert.amplitude)
 
+    last = -math.inf  # the time of the last firing
     on_jump = False  # whether x is the post state of the last firing
     firers = (x >= fire_at).nonzero()[0]
     try:
-        while not record.stopped:
+        while True:
             pre, post = record.rows()
             if firers.size:  # x, the start or the last post state, is on the jump set
                 pre[...] = x
             else:
-                t, x, firers = _first_crossing(x, top, t, config.omega, config.perturbation,
-                                               config.horizon, out=pre)
+                t, x, firers = _first_crossing(x, top, t, omega, pert, horizon, out=pre)
                 on_jump = False
                 if firers is None:
                     stop_reason = "horizon"
                     break
-            if len(facts) >= config.max_jumps:
+            if len(facts) >= max_jumps:
                 stop_reason = "max-jumps"
                 break
-            if facts and t - facts[-1][0] < guard:
-                raise ZenoViolationError(t, len(facts) + 1, t - facts[-1][0], guard)
-            label, _, top = model._jump(pre, firers, config.prc, config.policy, rng, out=post)[0]
-            record.commit(t, firers, label)
-            x, on_jump = post, True
+            if t - last < guard:
+                raise ZenoViolationError(t, len(facts) + 1, t - last, guard)
+            label, _, top = model._jump(pre, firers, prc, policy, rng, out=post)[0]
+            facts.append((t, tuple(firers.tolist()), label))
+            last, x, on_jump = t, post, True
             firers = _NO_FIRERS if top < fire_at else (x >= fire_at).nonzero()[0]
+            fired = len(facts)
+            if (fired - record.settled == batch or not fired % per_chunk) and record.settle():
+                break
     except Exception:
         # a failure past the firing at which the stop rule held never happened
         if not record.settle():
@@ -724,39 +738,49 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).  Each chunk's post rows and their V
-    are copied into their rows with one assignment each and the chunk is
-    dropped.  Each pre-jump row is then rebuilt as the loop made it: its
-    segment's start flowed to the firing time, the firing band set to
-    exactly 2*pi, or the start itself where it was already on the jump set
-    (a firing at its segment's start time).  The grid rows of all segments
-    are flowed, each from its segment's start row.  Both passes run in
-    bounded row blocks, and each block's V is computed before it is
-    scattered, as is that of the first and last rows when they are flow
-    rows; the V of every row fills the arc's cached v.
+    unless the run ended on a jump).  The kinds are one np.repeat of an
+    integer code per piece, indexing the three names.  Each chunk's post
+    rows and their V are copied into their rows with one assignment each
+    and the chunk is dropped.  Each pre-jump row is then rebuilt as the
+    loop made it: its segment's start flowed to the firing time, the
+    firing band set to exactly 2*pi.  Only firing 0 can be at its
+    segment's start, when x0 is on the jump set; its pre-jump row is then
+    x0, the first row.  A later firing there would have had zero dwell,
+    and the loop raises ZenoViolationError before recording it.  The grid
+    rows of all segments are flowed, each from its segment's start row.
+    Both passes run in bounded row blocks, and each block's V is computed
+    before it is scattered, as is that of the first row and of a last
+    flow row; the V of every row fills the arc's cached v.
     """
     m, dt = len(firings), config.sample_dt
-    starts = np.array([0.0, *(f[0] for f in firings)])
+    starts = np.array([0.0] + [t for t, _, _ in firings])
     ends = np.append(starts[1:], t_end)
     # grid indices strictly inside each segment, to within 1e-9 of a step
     k0 = np.floor(starts / dt + 1e-9).astype(int) + 1
     counts = np.maximum(np.ceil(ends / dt - 1e-9).astype(int) - k0, 0)
     # rows in each segment's (start, grid, end) pieces
     fire_at = TWO_PI - FIRING_TOL
+    fires_at_once = config.x0.max() >= fire_at
     reps = np.ones((m + 1, 3), dtype=int)
     reps[:, 1] = counts
-    reps[0, 0] = config.x0.max() < fire_at
+    reps[0, 0] = not fires_at_once
     reps[-1, 2] = not on_jump
     js = np.repeat(np.arange(m + 1), reps.sum(axis=1))
     reps = reps.ravel()
     piece_at = np.cumsum(reps) - reps
     ts = np.repeat(np.column_stack([starts, starts, ends]).ravel(), reps)
-    kinds = np.repeat(np.array([FLOW, FLOW, *[PRE_JUMP, POST_JUMP, FLOW] * m, FLOW]), reps)
+    # each piece's kind as an index into _KINDS: post-jump, flow, pre-jump,
+    # but flow for the first start and the last end; an arc without firings
+    # has flow rows alone, of the dtype of FLOW
+    codes = np.tile(np.array([2, 0, 1]), m + 1)
+    codes[0] = codes[-1] = 0
+    kinds = np.array(_KINDS[:3 if m else 1])[np.repeat(codes, reps)]
     states, v = np.empty((ts.size, config.n)), np.empty(ts.size)
     # whatever their kinds, the first row holds x0 and the last x_end; no
-    # pass below makes them when they are flow rows, the first and last pieces
+    # pass below makes them: the first and last pieces are flow rows, but
+    # for a start on the jump set, whose pre-jump row is x0 itself
     states[0], states[-1] = config.x0, x_end
-    edges = [row for row in (0, -1) if reps[row]]
+    edges = [0, -1] if reps[-1] else [0]
     v[edges] = analysis._lyapunov(states[edges])
     post_rows = piece_at[2:-1:3] + 1  # each firing's post-jump row follows its pre-jump row
     done = 0
@@ -765,15 +789,13 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
         rows = post_rows[done:done + chunk.shape[0]]
         states[rows], v[rows] = chunk[:rows.size], chunk_v[:rows.size]
         done += rows.size
-    # segment k starts at x0 in row 0 for k = 0, else at firing k - 1's post-jump row
+    # segment k starts at x0 in row 0 for k = 0, else at firing k - 1's post-jump
+    # row; a start on the jump set is firing 0's pre-jump row, made above
     start_rows = np.append(0, post_rows[:-1])
-    for block in circle._row_blocks(0, m, config.n):
-        start = states[start_rows[block]]
-        pre = _flow(start, starts[block], ends[block], config.omega, config.perturbation,
-                    clamp=False)
+    for block in circle._row_blocks(int(fires_at_once), m, config.n):
+        pre = _flow(states[start_rows[block]], starts[block], ends[block], config.omega,
+                    config.perturbation, clamp=False)
         pre[pre >= fire_at] = TWO_PI
-        on_set = start.max(axis=1) >= fire_at
-        pre[on_set] = start[on_set]
         at = post_rows[block] - 1
         states[at], v[at] = pre, analysis._lyapunov(pre)
     # the rows of each segment's grid piece, and the first of them; a

@@ -244,6 +244,32 @@ def test_arc_length_batch_agrees_with_single():
     np.testing.assert_array_equal(batch_oracle, singles_oracle)
 
 
+def reference_shortest_arc(x):
+    """The kernel as 2*pi minus the max of the whole gaps array, the wrap
+    gap written as its last column."""
+    return TWO_PI - circle._circular_gaps(np.sort(x, axis=-1)).max(axis=-1)
+
+
+@pytest.mark.parametrize("x", [
+    np.array([0.3, 2.0, 4.1]),
+    np.array([0.0, TWO_PI]),  # n = 2, both ends of the box: one point of the circle
+    np.array([TWO_PI, 1.0]),
+    np.array([1.0, 1.0, 1.0]),  # ties: every gap but the wrap is zero
+    np.array([0.0, 0.0, TWO_PI, 3.0, 3.0]),
+    np.arange(7) * (TWO_PI / 7),  # splay: every gap equal up to rounding
+    np.empty((0, 4)),
+    np.array([[5.9, 0.1, 3.0]]),
+    np.array([[0.0, TWO_PI], [2.0, 2.0], [TWO_PI, TWO_PI]]),
+    np.random.default_rng(3).uniform(0.0, TWO_PI, size=(40, 200)),
+    np.random.default_rng(4).choice([0.0, 1.5, TWO_PI], size=(60, 6)),  # ties and both ends
+], ids=["vector", "n2-ends", "n2-top-first", "ties", "ties-and-ends", "splay", "empty",
+        "one-row", "n2-batch", "wide-batch", "tied-batch"])
+def test_shortest_arc_kernel_equals_the_whole_gaps_array_max(x):
+    got, want = circle._shortest_arc(x), reference_shortest_arc(x)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_arc_length_known_values():
     # two antipodal points: the arc must span half the circle
     assert shortest_arc_length([0.0, np.pi]) == pytest.approx(np.pi)

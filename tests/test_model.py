@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from splaysim import model
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.model import (
     FIRING_TOL,
@@ -305,6 +306,30 @@ def test_validator_refuses_a_grid_above_the_cap_before_sampling():
         validate_prc(lambda z: calls.append(z) or np.zeros_like(z), 3,
                      grid=MAX_VALIDATION_GRID + 1)
     assert calls == []
+
+
+def reference_validation_grid(lattice, corner):
+    """The lattice and the corner merged by np.union1d, which sorts them
+    all, then each pair closer than the exactness floor collapsed to its
+    first point."""
+    zs = np.union1d(lattice, [0.0, corner, TWO_PI])
+    return zs[np.concatenate(([True], np.diff(zs) > model._EXACT_TOL))]
+
+
+@pytest.mark.parametrize("grid", [10_000, 12_345, 100_000, MAX_VALIDATION_GRID])
+def test_validation_grid_is_the_sorted_union_with_the_corner(grid):
+    # for a few n per grid the corner lands on or within an ulp of a lattice
+    # point (n = 2, 4 and 8 at 12_345), above it or below it
+    lattice, collapsed = np.linspace(0.0, TWO_PI, grid), []
+    for n in range(2, 200):
+        corner = splay_arc_length(n)
+        got = model._validation_grid(corner, grid)
+        want = reference_validation_grid(lattice, corner)
+        assert got.dtype == want.dtype == float, n
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n  # bit for bit
+        if got.size == grid:
+            collapsed.append(n)
+    assert collapsed
 
 
 def test_validator_witnesses_point_at_the_break():

@@ -819,6 +819,9 @@ def test_intervals_tile_the_domain(fig2_arc):
 @pytest.mark.parametrize("make_config, stop_reason, last_kind", [
     (lambda: SimConfig(prc=paper_prc(3), x0=[TWO_PI, 1.0, 2.0], horizon=5.0,
                        stop_v_threshold=None), "horizon", "flow"),
+    # in the firing band, below 2*pi: the pre-jump row keeps x0's value
+    (lambda: SimConfig(prc=paper_prc(3), x0=[1.0, TWO_PI - FIRING_TOL / 2, 2.0], horizon=5.0,
+                       stop_v_threshold=None), "horizon", "flow"),
     (lambda: fig2_config(), "stop-rule", "post-jump"),
     (lambda: fig2_config(horizon=10.0), "horizon", "flow"),
     (lambda: fig2_config(max_jumps=5), "max-jumps", "flow"),
@@ -826,7 +829,7 @@ def test_intervals_tile_the_domain(fig2_arc):
     (lambda: SimConfig(prc=broken_zero(3), x0=[TWO_PI, TWO_PI, 1.0], policy="enumerate",
                        seed=1, max_jumps=1), "max-jumps", "post-jump"),
     (lambda: perturbed_config(0.05), "horizon", "flow"),
-], ids=["jump-set-start", "stop-rule", "horizon", "max-jumps-after-crossing",
+], ids=["jump-set-start", "band-start", "stop-rule", "horizon", "max-jumps-after-crossing",
         "max-jumps-after-jump", "perturbed"])
 def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
     cfg = make_config()
@@ -872,6 +875,134 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
     bounds = np.array([0.0, *(e.t for e in arc.events), arc.ts[-1]])
     assert np.all((bounds[js] < ts) & (ts < bounds[js + 1]))
     assert np.all(np.diff(k)[np.diff(js) == 0] == 1)
+
+
+def reference_row_layout(cfg, firings, t_end, on_jump):
+    """ts, js and kinds of a run's samples, built a row at a time in Python
+    lists.  Segment j runs from firing j - 1 (t = 0 for j = 0) to firing j
+    (t_end for the last).  It opens with x0's flow row (j = 0, x0 below the
+    firing band) or firing j - 1's post-jump row, has a flow row at each
+    grid time k * sample_dt strictly inside it, to within 1e-9 of a step,
+    and closes with firing j's pre-jump row, or, the last segment, with a
+    flow row unless the run ended on a jump."""
+    dt, m = cfg.sample_dt, len(firings)
+    bounds = [0.0, *(t for t, _, _ in firings), t_end]
+    ts, js, kinds = [], [], []
+    for j in range(m + 1):
+        start, end = bounds[j], bounds[j + 1]
+        rows = []
+        if j:
+            rows.append((start, "post-jump"))
+        elif cfg.x0.max() < TWO_PI - FIRING_TOL:
+            rows.append((start, "flow"))
+        grid = range(math.floor(start / dt + 1e-9) + 1, math.ceil(end / dt - 1e-9))
+        rows += [(dt * k, "flow") for k in grid]
+        if j < m:
+            rows.append((end, "pre-jump"))
+        elif not on_jump:
+            rows.append((end, "flow"))
+        for t, kind in rows:
+            ts.append(t)
+            js.append(j)
+            kinds.append(kind)
+    return np.array(ts), np.array(js), np.array(kinds)
+
+
+#: arcs of every layout: a start on the jump set, each way to end, no
+#: firing, several firers at once under 'enumerate', a perturbed flow
+ROW_LAYOUT_CONFIGS = {
+    "jump-set-start": lambda: SimConfig(prc=paper_prc(3), x0=[TWO_PI, 1.0, 2.0], horizon=5.0,
+                                        stop_v_threshold=None),
+    "stop-rule": fig2_config,
+    "horizon": lambda: fig2_config(horizon=10.0),
+    "max-jumps-after-crossing": REFERENCE_CONFIGS["n50-max-jumps"],
+    "max-jumps-in-the-band": lambda: SimConfig(
+        prc=_response_failing_from(0, _lift_top_listener), x0=LOOKAHEAD_STARTS["first"][0],
+        max_jumps=1),
+    "max-jumps-in-the-band-enumerate": lambda: SimConfig(
+        prc=broken_zero(3), x0=[TWO_PI, TWO_PI, 1.0], policy="enumerate", seed=1, max_jumps=1),
+    "no-firing": lambda: SimConfig(prc=paper_prc(3), x0=[0.0, 1.0, 2.0], horizon=0.5),
+    "enumerate": REFERENCE_CONFIGS["n5-enumerate"],
+    "perturbed": lambda: perturbed_config(0.05),
+}
+
+
+@pytest.mark.parametrize("name", ROW_LAYOUT_CONFIGS)
+def test_rows_match_the_list_built_reference(monkeypatch, name):
+    cfg = ROW_LAYOUT_CONFIGS[name]()
+    seen = []
+    sampled_arc = sim._sampled_arc
+
+    def spy(config, firings, chunks, v_chunks, t_end, x_end, on_jump, stop_reason):
+        seen.append((list(firings), t_end, on_jump))
+        return sampled_arc(config, firings, chunks, v_chunks, t_end, x_end, on_jump, stop_reason)
+
+    monkeypatch.setattr(sim, "_sampled_arc", spy)
+    arc = run(cfg)
+    (firings, t_end, on_jump), = seen
+    assert firings == arc.firings
+    assert (len(firings) == 0) == (name == "no-firing")
+    for got, want in zip((arc.ts, arc.js, arc.kinds),
+                         reference_row_layout(cfg, firings, t_end, on_jump)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x0", [LOOKAHEAD_STARTS["first"][0], [TWO_PI, 1.0, 2.0, 3.0, 4.0]],
+                         ids=["crossing", "jump-set-start"])
+def test_a_listener_lifted_into_the_band_is_refused_before_it_fires(monkeypatch, x0):
+    """Only firing 0 can start its segment on the jump set: a later firing
+    at its segment's start would follow the last one after no flow, and the
+    Zeno guard refuses it before it is recorded.  The sampler relies on it."""
+    records = []
+    rows = sim._Firings.rows
+    monkeypatch.setattr(sim._Firings, "rows", lambda self: records.append(self) or rows(self))
+    with pytest.raises(ZenoViolationError) as exc:
+        run(SimConfig(prc=_response_failing_from(0, _lift_top_listener), x0=x0,
+                      stop_v_threshold=None))
+    (t, firers, _), = records[-1].facts
+    assert (exc.value.t, exc.value.j, exc.value.dwell) == (t, 2, 0.0)
+    assert (t == 0.0) == (firers == (0,))
+
+
+@pytest.mark.parametrize("name", ["jump-set-start", "stop-rule", "horizon",
+                                  "max-jumps-after-crossing", "no-firing"])
+@pytest.mark.parametrize("block_floats", [None, 150])
+def test_a_nominal_run_flows_a_row_block_at_a_time(monkeypatch, name, block_floats):
+    # a nominal crossing adds the common shift in place: _flow runs on the
+    # sampler's row blocks and, for a scalar time, at the horizon only
+    if block_floats:
+        monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
+    cfg = ROW_LAYOUT_CONFIGS[name]()
+    rows_per_call = []
+    flow = sim._flow
+
+    def counted(x0, t0, t, *args, **kwargs):
+        rows_per_call.append(np.size(t) if np.ndim(t) else None)
+        return flow(x0, t0, t, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_flow", counted)
+    arc = run(cfg)
+    assert rows_per_call.count(None) == (arc.stop_reason == "horizon")
+    flowed_pre = arc.jumps - in_jump_set(cfg.x0)
+    grid = np.count_nonzero(arc.kinds[1:-1] == "flow")
+    blocks = [len(list(circle._row_blocks(0, rows, cfg.n))) for rows in (flowed_pre, grid)]
+    block_rows = [rows for rows in rows_per_call if rows is not None]
+    assert len(block_rows) == sum(blocks)
+    assert sum(block_rows) == flowed_pre + grid
+
+
+def test_only_an_enumerate_run_builds_a_generator(monkeypatch):
+    # 'enumerate' arcs keep their drawn branches: see PINNED_ARCS["enumerate-n5"]
+    seeds = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or
+                        default_rng(seed))
+    for name in ("n5-all-zero", "n3-v", "n3-perturbed"):
+        run(REFERENCE_CONFIGS[name]())
+    assert seeds == []
+    run(REFERENCE_CONFIGS["n5-enumerate"]())
+    assert seeds == [4]
 
 
 def test_an_arc_holds_each_state_once(tmp_path):
