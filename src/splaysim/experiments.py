@@ -48,6 +48,7 @@ PERTURBED_TAU = 40.0
 STEEP_WITNESS_X0 = (2.0, 3.9, 6.2, TWO_PI)
 
 CORPUS_SEED = 20260817
+CORPUS_HORIZON = 250.0
 #: cap on geometry_samples, 10x the default; run time is linear in it (about 4 s at the
 #: cap), peak memory is not: the states are drawn a block of rows at a time (13.4 MiB
 #: at the cap by tracemalloc, about what 2e4 samples take)
@@ -229,7 +230,7 @@ class RunRecord:
     vtilde_increase_jumps: int
 
 
-def corpus_run_config(n: int, x0, seed: int, horizon: float = 250.0) -> SimConfig:
+def corpus_run_config(n: int, x0, seed: int, horizon: float = CORPUS_HORIZON) -> SimConfig:
     return SimConfig(
         prc=paper_prc(n),
         x0=np.asarray(x0),
@@ -249,7 +250,7 @@ def draw_start(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
-                    horizon: float = 250.0, out_dir=None) -> list[RunRecord]:
+                    horizon: float = CORPUS_HORIZON, out_dir=None) -> list[RunRecord]:
     """Seeded batch of convergence runs cycling over network sizes.
 
     Every run must bring V below its stop threshold, keep V monotone, keep

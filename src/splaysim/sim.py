@@ -32,9 +32,9 @@ before it is recorded.  The V of the post-jump rows is computed a batch of
 about one revolution at a time, beside them, and the stop rule is read off
 it; a run still ends at the very firing where the rule first holds.  From
 the firings, the final (t, x) and the stop reason the HybridArc's samples,
-indexed by (t, j), are derived in bounded row blocks: the post-jump rows
-are copied with their V, and the pre-jump rows and the rows on the global
-grid are flowed and their V computed on the block just made, so a run
+indexed by (t, j), are derived: the post-jump rows are copied with their
+V, and every other row is flowed from its segment's start in one pass of
+bounded row blocks, with its V computed on the block just made, so a run
 computes each sample's V once.  The arc keeps the (time, firers, branch)
 list as its firing table, builds JumpEvents from it and their rows only
 when arc.events is read, and reads the hybrid time domain off the
@@ -167,7 +167,7 @@ class Perturbation:
         or exceeds the amplitude."""
         ts = np.asarray(ts, dtype=float)
         if self.func is None:
-            return self.amplitude * np.sin(self.frequency * ts[:, None] + self._offsets(n))
+            return _sine_rate(self.amplitude, self.frequency, ts[:, None], self._offsets(n))
         out = np.asarray(self.func(ts), dtype=float)
         if out.shape != (ts.size, n):
             raise ValueError(f"custom disturbance at t={np.array2string(ts, threshold=6)} "
@@ -185,22 +185,15 @@ class Perturbation:
         returns shape (len(ts), n).  t0 is one start time for every row, or
         an array with one per row.
 
-        Exact for a sinusoid: -(a/f) [cos(f t + o) - cos(f t0 + o)], written
-        as a product of sines so that short intervals and small f lose no
-        digits, and a sin(o) (t - t0) when f = 0; both are elementwise in
-        (t0, t).  A custom disturbance is integrated by one Gauss-Legendre
-        panel over [t0, t] per row, so it is elementwise too: each row gets
-        the floats of a one-row call with its own t0 and t.
+        Exact for a sinusoid (_sine_integral), elementwise in (t0, t).  A
+        custom disturbance is integrated by one Gauss-Legendre panel over
+        [t0, t] per row, so it is elementwise too: each row gets the floats
+        of a one-row call with its own t0 and t.
         """
         ts = np.asarray(ts, dtype=float)
         if self.func is None:
-            offs = self._offsets(n)
-            if self.frequency == 0.0:
-                return self.amplitude * np.sin(offs)[None, :] * (ts - t0)[:, None]
-            half = 0.5 * self.frequency
-            return ((2.0 * self.amplitude / self.frequency)
-                    * np.sin(half * (ts + t0)[:, None] + offs[None, :])
-                    * np.sin(half * (ts - t0))[:, None])
+            return _sine_integral(self.amplitude, self.frequency, np.asarray(t0)[..., None],
+                                  ts[:, None], self._offsets(n))
         unit_nodes, weights = _gauss_legendre()
         mid = 0.5 * (ts + t0)
         half = 0.5 * (ts - t0)
@@ -212,8 +205,8 @@ class Perturbation:
         """D(t0, t) and d(t) of coordinate cand[k] at time ts[k], for each k,
         as two lists of Python floats: entry [k, cand[k]] of
         displacement(t0, ts, n) and of sample(ts, n), bit for bit.  A
-        sinusoid is evaluated at those entries alone, by the same formulas
-        in the same order, np.sin taking one float at a time; a custom func
+        sinusoid is evaluated at those entries alone, by the same functions,
+        _sine_integral and _sine_rate, on one float at a time; a custom func
         is called as displacement and sample call it, once each on all of ts."""
         if self.func is not None:
             ts, rows = np.array(ts), np.arange(len(ts))
@@ -221,12 +214,22 @@ class Perturbation:
                     self.sample(ts, n)[rows, cand].tolist())
         amp, freq = self.amplitude, self.frequency
         offs = self._offsets(n)[cand].tolist()
-        rate = [float(amp * np.sin(freq * t + o)) for t, o in zip(ts, offs)]
-        if freq == 0.0:
-            return [float(amp * np.sin(o) * (t - t0)) for t, o in zip(ts, offs)], rate
-        half, scale = 0.5 * freq, 2.0 * amp / freq
-        return [float(scale * np.sin(half * (t + t0) + o) * np.sin(half * (t - t0)))
-                for t, o in zip(ts, offs)], rate
+        return ([float(_sine_integral(amp, freq, t0, t, o)) for t, o in zip(ts, offs)],
+                [float(_sine_rate(amp, freq, t, o)) for t, o in zip(ts, offs)])
+
+
+def _sine_rate(amp: float, freq: float, t, o):
+    """amp * sin(freq * t + o), elementwise on arrays that broadcast or on floats."""
+    return amp * np.sin(freq * t + o)
+
+
+def _sine_integral(amp: float, freq: float, t0, t, o):
+    """The integral of _sine_rate over [t0, t], elementwise as it is: a
+    product of sines, so short intervals and small freq lose no digits."""
+    if freq == 0.0:
+        return amp * np.sin(o) * (t - t0)
+    half = 0.5 * freq
+    return (2.0 * amp / freq) * np.sin(half * (t + t0) + o) * np.sin(half * (t - t0))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -435,12 +438,12 @@ class HybridArc:
 
 
 def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation,
-          out: np.ndarray | None = None, clamp: bool = True) -> np.ndarray:
+          out: np.ndarray | None = None) -> np.ndarray:
     """The exact flow x(t) = x0 + omega * (t - t0) + D(t0, t), D the
-    disturbance integral, clamped at 2*pi unless clamp is False, written
-    into out (a fresh array when None).  A flow that ends at a firing needs
-    no clamp: a coordinate that rounds past 2*pi there is in the firing
-    band, which its caller sets to exactly 2*pi.
+    disturbance integral, clamped at 2*pi, written into out (a fresh array
+    when None).  A flow that ends at a firing has its firing band set to
+    exactly 2*pi by its caller; every value the clamp lowers lies in the
+    band, so clamping first changes no float there.
 
     A scalar t gives the state of shape (n,).  An array of times gives one
     state per time, shape (len(t), n), row i flowing from x0[i] at t0[i];
@@ -450,7 +453,7 @@ def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation,
     x = np.add(x0, shift[:, None] if getattr(shift, "ndim", 0) else shift, out=out)
     if not pert.is_none:
         x += pert.displacement(t0, np.atleast_1d(t), x.shape[-1]).reshape(x.shape)
-    return np.minimum(x, TWO_PI, out=x) if clamp else x
+    return np.minimum(x, TWO_PI, out=x)
 
 
 def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: Perturbation,
@@ -462,8 +465,8 @@ def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: P
     The located crossing sits within a few ulps of 2*pi, and any coordinate
     that reaches the firing band with it fires too; all are assigned exactly
     2*pi, so the jump map sees an exact firing.  A nominal crossing is x0
-    plus the common shift, the floats _flow gives, added into out without
-    a call of _flow, as run pays for it at every firing.
+    plus the common shift (once the band is set, the floats _flow gives),
+    added into out without a call of _flow, as run pays for each firing.
 
     x0 must be below the band: a crossing takes flow time, and a state on
     the jump set fires where it is.  In a run that is only ever the start,
@@ -478,7 +481,7 @@ def _first_crossing(x0: np.ndarray, top: float, t0: float, omega: float, pert: P
     if nominal:  # _flow's floats, the common shift alone, without its call per firing
         x = np.add(x0, omega * (t_fire - t0), out=out)
     else:
-        x = _flow(x0, t0, t_fire, omega, pert, out, clamp=False)
+        x = _flow(x0, t0, t_fire, omega, pert, out)
     firers = (x >= TWO_PI - FIRING_TOL).nonzero()[0]
     x[firers] = TWO_PI
     return t_fire, x, firers
@@ -557,19 +560,19 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
 
 class _Firings:
     """The firings of one run, each written once: (t, firers, branch) in a
-    list, and the post state in row i of fixed-size chunks of
-    circle._BLOCK_FLOATS // n firings, its V in entry i of an array beside
-    each chunk, so no array is ever regrown.  The pre state is not kept:
-    _sampled_arc flows it from the previous post state.  rows() hands out
-    one reused scratch row, which the crossing flows into and the jump
-    reads, and the next firing's post row, which the jump writes into.
-    run appends the firing to facts once its post row holds the jump's
-    result, and post rows handed out but never appended to are left out of
-    the record.
+    list, and the post state in row i of chunks of whole stop-rule batches,
+    about circle._BLOCK_FLOATS // n firings, its V in entry i of an array
+    beside each chunk, so no array is ever regrown and no batch straddles
+    two chunks.  The pre state is not kept: _sampled_arc flows it from the
+    previous post state.  rows() hands out one reused scratch row, which
+    the crossing flows into and the jump reads, and the next firing's post
+    row, which the jump writes into.  run appends the firing to facts once
+    its post row holds the jump's result, and post rows handed out but
+    never appended to are left out of the record.
 
-    settle() computes the V of the post rows a batch at a time, once
-    min(n, firings per chunk) firings are pending or their chunk is full
-    (run calls it then), and before the run ends, and then reads the stop
+    settle() computes the V of the post rows a batch at a time, once a
+    batch of min(n, circle._BLOCK_FLOATS // n) firings is pending (run
+    calls it then), and before the run ends, and then reads the stop
     rule (V below stop_v_threshold, held for a full nominal revolution)
     off it when the run has one.  When the rule has held at firing k, the
     firings past k are dropped: the record is the one a check after every
@@ -581,8 +584,9 @@ class _Firings:
         self.facts: list[tuple[float, tuple[int, ...], str]] = []
         self.chunks: list[np.ndarray] = []
         self.v_chunks: list[np.ndarray] = []  # the V of each chunk's post rows
-        self.per_chunk = max(1, circle._BLOCK_FLOATS // config.n)
-        self.batch = min(config.n, self.per_chunk)
+        fits = max(1, circle._BLOCK_FLOATS // config.n)
+        self.batch = min(config.n, fits)
+        self.per_chunk = fits - fits % self.batch
         self.period = TWO_PI / config.omega
         self.pre = np.empty(config.n)
         self.settled = 0  # firings whose V is computed
@@ -682,7 +686,7 @@ def run(config: SimConfig) -> HybridArc:
     # only an 'enumerate' jump draws, and a generator costs about a firing to build
     rng = np.random.default_rng(config.seed) if policy == ENUMERATE else None
     record = _Firings(config)
-    facts, batch, per_chunk = record.facts, record.batch, record.per_chunk
+    facts, batch = record.facts, record.batch
     fire_at = TWO_PI - FIRING_TOL
     guard = FIRING_TOL / (omega + pert.amplitude)
 
@@ -709,8 +713,7 @@ def run(config: SimConfig) -> HybridArc:
             facts.append((t, tuple(firers.tolist()), label))
             last, x, on_jump = t, post, True
             firers = _NO_FIRERS if top < fire_at else (x >= fire_at).nonzero()[0]
-            fired = len(facts)
-            if (fired - record.settled == batch or not fired % per_chunk) and record.settle():
+            if not len(facts) % batch and record.settle():
                 break
     except Exception:
         # a failure past the firing at which the stop rule held never happened
@@ -738,19 +741,19 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).  The kinds are one np.repeat of an
-    integer code per piece, indexing the three names.  Each chunk's post
-    rows and their V are copied into their rows with one assignment each
-    and the chunk is dropped.  Each pre-jump row is then rebuilt as the
-    loop made it: its segment's start flowed to the firing time, the
-    firing band set to exactly 2*pi.  Only firing 0 can be at its
-    segment's start, when x0 is on the jump set; its pre-jump row is then
-    x0, the first row.  A later firing there would have had zero dwell,
-    and the loop raises ZenoViolationError before recording it.  The grid
-    rows of all segments are flowed, each from its segment's start row.
-    Both passes run in bounded row blocks, and each block's V is computed
-    before it is scattered, as is that of the first row and of a last
-    flow row; the V of every row fills the arc's cached v.
+    unless the run ended on a jump).  One int8 code per row, an index into
+    the three names, gives the kinds, the rows to flow and the rows whose
+    firing band is set.  Each chunk's post rows and their V are copied and
+    the chunk dropped.  Every other row but the first, x0 (a flow by 0 s
+    would turn -0.0 into 0.0), and the last, x_end (which carries the band
+    after a crossing cut by max_jumps), is then its segment's start row
+    flowed to its own time, in bounded row blocks: the grid rows, then the
+    pre-jump rows, whose band is set to exactly 2*pi as the loop set it.
+    For x0 on the jump set the first row is firing 0's pre-jump row; a
+    later firing at its segment's start would have had zero dwell, which
+    the loop refuses.  Each block's V is computed before it is scattered,
+    as is that of the first row and of a last flow row; the V of every row
+    fills the arc's cached v.
     """
     m, dt = len(firings), config.sample_dt
     starts = np.array([0.0] + [t for t, _, _ in firings])
@@ -760,55 +763,48 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
     counts = np.maximum(np.ceil(ends / dt - 1e-9).astype(int) - k0, 0)
     # rows in each segment's (start, grid, end) pieces
     fire_at = TWO_PI - FIRING_TOL
-    fires_at_once = config.x0.max() >= fire_at
     reps = np.ones((m + 1, 3), dtype=int)
     reps[:, 1] = counts
-    reps[0, 0] = not fires_at_once
+    reps[0, 0] = config.x0.max() < fire_at
     reps[-1, 2] = not on_jump
     js = np.repeat(np.arange(m + 1), reps.sum(axis=1))
     reps = reps.ravel()
     piece_at = np.cumsum(reps) - reps
     ts = np.repeat(np.column_stack([starts, starts, ends]).ravel(), reps)
-    # each piece's kind as an index into _KINDS: post-jump, flow, pre-jump,
-    # but flow for the first start and the last end; an arc without firings
-    # has flow rows alone, of the dtype of FLOW
-    codes = np.tile(np.array([2, 0, 1]), m + 1)
+    # each row's kind as an index into _KINDS: post-jump, flow, pre-jump by
+    # piece, but flow for the first start and the last end; an arc without
+    # firings has flow rows alone, of the dtype of FLOW
+    codes = np.tile(np.array([2, 0, 1], dtype=np.int8), m + 1)
     codes[0] = codes[-1] = 0
-    kinds = np.array(_KINDS[:3 if m else 1])[np.repeat(codes, reps)]
+    codes = np.repeat(codes, reps)
+    kinds = np.array(_KINDS[:3 if m else 1])[codes]
     states, v = np.empty((ts.size, config.n)), np.empty(ts.size)
-    # whatever their kinds, the first row holds x0 and the last x_end; no
-    # pass below makes them: the first and last pieces are flow rows, but
-    # for a start on the jump set, whose pre-jump row is x0 itself
     states[0], states[-1] = config.x0, x_end
     edges = [0, -1] if reps[-1] else [0]
     v[edges] = analysis._lyapunov(states[edges])
-    post_rows = piece_at[2:-1:3] + 1  # each firing's post-jump row follows its pre-jump row
+    post_rows = piece_at[3::3]  # the start row of each segment after a firing
     done = 0
     while chunks:
         chunk, chunk_v = chunks.pop(0), v_chunks.pop(0)
         rows = post_rows[done:done + chunk.shape[0]]
         states[rows], v[rows] = chunk[:rows.size], chunk_v[:rows.size]
         done += rows.size
-    # segment k starts at x0 in row 0 for k = 0, else at firing k - 1's post-jump
-    # row; a start on the jump set is firing 0's pre-jump row, made above
-    start_rows = np.append(0, post_rows[:-1])
-    for block in circle._row_blocks(int(fires_at_once), m, config.n):
-        pre = _flow(states[start_rows[block]], starts[block], ends[block], config.omega,
-                    config.perturbation, clamp=False)
-        pre[pre >= fire_at] = TWO_PI
-        at = post_rows[block] - 1
-        states[at], v[at] = pre, analysis._lyapunov(pre)
-    # the rows of each segment's grid piece, and the first of them; a
-    # segment with grid rows has its start row just above them
-    grid = np.flatnonzero(np.repeat(np.arange(reps.size) % 3 == 1, reps))
-    first = piece_at[1::3]
-    for block in circle._row_blocks(0, grid.size, config.n):
-        at = grid[block]
+    seg_start = piece_at[::3]  # x0's row or a post-jump row, made above
+    grid_k = k0 - piece_at[1::3]  # a grid row's index on the grid, less the row
+    codes[[0, -1]] = 2  # made above, as the post-jump rows are
+    flowed = np.flatnonzero(codes == 0)
+    grid = flowed.size
+    flowed = np.append(flowed, np.flatnonzero(codes == 1))  # grid rows, then pre-jump rows
+    for block in circle._row_blocks(0, flowed.size, config.n):
+        at = flowed[block]
         seg = js[at]
-        ts[at] = dt * (k0[seg] + (at - first[seg]))
-        flowed = _flow(states[first[seg] - 1], starts[seg], ts[at],
-                       config.omega, config.perturbation)
-        states[at], v[at] = flowed, analysis._lyapunov(flowed)
+        g = max(grid - block.start, 0)  # the block's grid rows, before its pre-jump rows
+        t = ends[seg]
+        t[:g] = dt * (grid_k[seg[:g]] + at[:g])
+        x = _flow(states[seg_start[seg]], starts[seg], t, config.omega, config.perturbation)
+        pre = x[g:]
+        pre[pre >= fire_at] = TWO_PI
+        ts[at], states[at], v[at] = t, x, analysis._lyapunov(x)
     arc = HybridArc(ts=ts, js=js, states=states, kinds=kinds, firings=firings,
                     perturbed=not config.perturbation.is_none, stop_reason=stop_reason)
     vars(arc)["v"] = _read_only(v)  # the cache of HybridArc.v

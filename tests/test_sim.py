@@ -629,11 +629,23 @@ def test_batched_stop_rule_stops_where_a_per_firing_check_does(monkeypatch, wher
     assert stop % batch == {"first": 0, "middle": 2, "last": 4}[where]
     expected = run(cfg)
     if block_floats:
-        # chunks of 2 or 7 firings: batches of 2, or of 5 cut short where a chunk fills
+        # chunks of 4 or 10 firings: batches of 4, or two batches of 5 per chunk
         monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
     arc = run(cfg)
     assert_matches_reference(arc, cfg)
     assert _arc_digests(arc) == _arc_digests(expected)
+
+
+def test_a_chunk_holds_whole_stop_rule_batches(monkeypatch):
+    # no batch straddles two chunks, so run settles a batch on one condition
+    configs = [SimConfig(prc=paper_prc(n), x0=np.linspace(0.0, 1.0, n)) for n in range(2, 301)]
+    for block_floats in (circle._BLOCK_FLOATS, 1, 7, 150, 1_000):
+        monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
+        for cfg in configs:
+            record, fits = sim._Firings(cfg), max(1, block_floats // cfg.n)
+            assert record.batch == min(cfg.n, fits)
+            assert record.per_chunk % record.batch == 0
+            assert 0 <= fits - record.per_chunk < record.batch
 
 
 def _response_failing_from(call, fail):
@@ -973,7 +985,29 @@ def test_a_nominal_run_flows_a_row_block_at_a_time(monkeypatch, name, block_floa
     # sampler's row blocks and, for a scalar time, at the horizon only
     if block_floats:
         monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
-    cfg = ROW_LAYOUT_CONFIGS[name]()
+    _assert_flows_row_blocks(monkeypatch, ROW_LAYOUT_CONFIGS[name]())
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda: _fast_sinusoid_config(0.5), lambda: _fast_sinusoid_config(0.0),
+    lambda: _custom_config(),
+], ids=["sinusoid-f0.5", "sinusoid-f0", "custom"])
+@pytest.mark.parametrize("block_floats", [None, 150])
+def test_a_perturbed_run_flows_a_row_block_at_a_time(monkeypatch, make_config, block_floats):
+    # _flow runs once per crossing and at the horizon for a scalar time,
+    # and otherwise on the sampler's row blocks only
+    if block_floats:
+        monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
+    cfg = make_config()
+    assert cfg.horizon == 40.0 and cfg.stop_v_threshold is None
+    arc = _assert_flows_row_blocks(monkeypatch, cfg)
+    assert arc.stop_reason == "horizon" and arc.jumps > 10
+
+
+def _assert_flows_row_blocks(monkeypatch, cfg):
+    """Run cfg, counting _flow's calls for a scalar time, one per perturbed
+    crossing and one at the horizon, and one pass of row blocks over the
+    flowed pre-jump and grid rows."""
     rows_per_call = []
     flow = sim._flow
 
@@ -983,13 +1017,14 @@ def test_a_nominal_run_flows_a_row_block_at_a_time(monkeypatch, name, block_floa
 
     monkeypatch.setattr(sim, "_flow", counted)
     arc = run(cfg)
-    assert rows_per_call.count(None) == (arc.stop_reason == "horizon")
     flowed_pre = arc.jumps - in_jump_set(cfg.x0)
+    crossings = flowed_pre if arc.perturbed else 0
+    assert rows_per_call.count(None) == crossings + (arc.stop_reason == "horizon")
     grid = np.count_nonzero(arc.kinds[1:-1] == "flow")
-    blocks = [len(list(circle._row_blocks(0, rows, cfg.n))) for rows in (flowed_pre, grid)]
     block_rows = [rows for rows in rows_per_call if rows is not None]
-    assert len(block_rows) == sum(blocks)
+    assert len(block_rows) == len(list(circle._row_blocks(0, flowed_pre + grid, cfg.n)))
     assert sum(block_rows) == flowed_pre + grid
+    return arc
 
 
 def test_only_an_enumerate_run_builds_a_generator(monkeypatch):
