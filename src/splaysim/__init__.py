@@ -1,8 +1,10 @@
 """Pulse-coupled oscillator networks that desynchronise into the splay state.
 
-Event-driven hybrid simulation (exact nominal flow, integrated perturbed
-flow), circle geometry, response-function validation, Lyapunov analysis
-and hybrid-closeness comparison of recorded arcs.
+Event-driven hybrid simulation, circle geometry, response-function
+validation, Lyapunov analysis and hybrid-closeness comparison of recorded
+arcs.  The flow is exact: a common shift on nominal runs, closed form
+under a sinusoidal disturbance, and one Gauss-Legendre panel per row
+under a custom one; perturbed crossings are found by bracketed Newton.
 """
 
 from .analysis import (

@@ -169,7 +169,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate_prc(args) -> int:
     prc = prc_from_spec(args.prc, args.n)
-    report = validate_prc(prc.func, args.n, grid=args.grid, lipschitz=args.lipschitz)
+    given = {key: value for key, value in (("grid", args.grid), ("lipschitz", args.lipschitz))
+             if value is not None}  # the rest take validate_prc's defaults
+    report = validate_prc(prc.func, args.n, **given)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_FAIL
 
@@ -186,7 +188,7 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"--{flag} applies to the corpus experiment only")
     if args.samples is not None:
         kwargs["geometry_samples"] = args.samples
-        kwargs["oracle_samples"] = min(args.samples, 10_000)
+        kwargs["oracle_samples"] = min(args.samples, experiments.ORACLE_SAMPLES)
     if args.runs is not None:
         kwargs["runs"] = args.runs
     if args.seed is not None:
@@ -244,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate-prc", help="check a response function")
     val.add_argument("--prc", required=True)
     val.add_argument("--n", type=int, required=True)
-    val.add_argument("--grid", type=int, default=100_000)
-    val.add_argument("--lipschitz", type=float, default=10.0)
+    val.add_argument("--grid", type=int)
+    val.add_argument("--lipschitz", type=float)
     val.set_defaults(func=cmd_validate_prc)
 
     exp = sub.add_parser("experiment", help="run a shipped study")

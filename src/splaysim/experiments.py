@@ -53,6 +53,9 @@ CORPUS_HORIZON = 250.0
 #: cap), peak memory is not: the states are drawn a block of rows at a time (13.4 MiB
 #: at the cap by tracemalloc, about what 2e4 samples take)
 MAX_GEOMETRY_SAMPLES = 1_000_000
+#: default oracle_samples, and its cap when the CLI's --samples sets geometry_samples;
+#: the oracle is quadratic in n per row (circle.shortest_arc_oracle)
+ORACLE_SAMPLES = 10_000
 
 
 @dataclass
@@ -126,7 +129,7 @@ def run_fig3(out_dir) -> ExperimentReport:
     write_trajectory_csv(arc, out / "trajectory.csv", out / "events.csv")
     rows = arc.jump_rows
     deltas = arc.vtilde[rows + 1] - arc.vtilde[rows]
-    increases = np.flatnonzero(deltas > 1e-9)
+    increases = np.flatnonzero(deltas > analysis.MONOTONE_TOL)
     terminal_vt = float(arc.vtilde[-1])
     passed = increases.size > 0 and terminal_vt < 1e-3
     # how common the effect is across random starts, reported, not asserted
@@ -288,7 +291,8 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
             rows = arc.jump_rows
             pre, post = arc.states[rows], arc.states[rows + 1]
             min_geo = float(min_pairwise_geodesic(np.concatenate([post, pre])).min())
-            vt_up = int(np.count_nonzero(arc.vtilde[rows + 1] - arc.vtilde[rows] > 1e-9))
+            vt_rise = arc.vtilde[rows + 1] - arc.vtilde[rows]
+            vt_up = int(np.count_nonzero(vt_rise > analysis.MONOTONE_TOL))
         records.append(RunRecord(
             index=i,
             n=n,
@@ -310,22 +314,22 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
     return records
 
 
-def steep_v_increase_witness(horizon: float = 20.0):
-    """Run the steep response (c = 1.5, n = 4) from the constructed start
-    and return (jump_index, delta) for the first V increase, or None."""
+def steep_v_increase_witness():
+    """Run the steep response (c = 1.5, n = 4) for 20 s from the constructed
+    start and return (jump_index, delta) for the first V increase, or None."""
     cfg = SimConfig(
         prc=broken_steep(4),
         x0=np.asarray(STEEP_WITNESS_X0),
-        horizon=horizon,
+        horizon=20.0,
         stop_v_threshold=None,
     )
     deltas = analysis.verify_monotone(run(cfg)).trace.jump_deltas
-    up = np.flatnonzero(deltas > 1e-9)
+    up = np.flatnonzero(deltas > analysis.MONOTONE_TOL)
     return (int(up[0]) + 1, float(deltas[up[0]])) if up.size else None
 
 
 def run_property_corpus(out_dir, geometry_samples: int = 100_000,
-                        oracle_samples: int = 10_000, runs: int = 100,
+                        oracle_samples: int = ORACLE_SAMPLES, runs: int = 100,
                         seed: int = CORPUS_SEED) -> ExperimentReport:
     """Randomised property corpus plus the negative (broken response) checks.
 

@@ -41,30 +41,29 @@ def piecewise_linear(n: int, c: float, name: str | None = None) -> PhaseResponse
     return PhaseResponse(name=name or f"linear:{c:g}", func=q, n=n)
 
 
-def linear_family(n: int, c: float, grid: int = 100_000) -> PhaseResponse:
+def linear_family(n: int, c: float) -> PhaseResponse:
     """Validated piecewise-linear response; requires 0 < c < 1 strictly.
 
-    Validation samples the response on `grid` points, which costs more
-    than a short run, so results are cached (the last 256 distinct
-    (n, c, grid)): a repeated one is validated once per process.  The
+    Validation samples the response on validate_prc's default grid, which
+    costs more than a short run, so results are cached (the last 256
+    distinct (n, c)): a repeated one is validated once per process.  The
     returned descriptor is frozen and shared between callers.  n must be an
-    integer of at least 2, c a number and grid an integer
-    (circle.check_number), checked before the cache is asked, so a value
-    that equals a cached key, such as 3.0 for 3, is refused as it would be
-    on a miss, while np.int64(3) finds the entry of 3.
+    integer of at least 2 and c a number (circle.check_number), checked
+    before the cache is asked, so a value that equals a cached key, such as
+    3.0 for 3, is refused as it would be on a miss, while np.int64(3) finds
+    the entry of 3.
     """
     c = check_number("c", c)
     if not 0.0 < c < 1.0:
         raise ValueError(f"slope parameter must satisfy 0 < c < 1, got {c!r}")
-    return _validated_linear(check_number("n", n, "at least 2", int), c,
-                             check_number("grid", grid, kind=int))
+    return _validated_linear(check_number("n", n, "at least 2", int), c)
 
 
 @functools.lru_cache(maxsize=256)
-def _validated_linear(n: int, c: float, grid: int) -> PhaseResponse:
+def _validated_linear(n: int, c: float) -> PhaseResponse:
     """The validated response linear_family and prc_from_spec build, cached."""
     prc = piecewise_linear(n, c)
-    return dataclasses.replace(prc, validation=validate_prc(prc.func, n, grid=grid))
+    return dataclasses.replace(prc, validation=validate_prc(prc.func, n))
 
 
 def paper_prc(n: int = 3) -> PhaseResponse:
@@ -143,10 +142,10 @@ def broken_zero(n: int) -> PhaseResponse:
     )
 
 
-def broken_steep(n: int, c: float = 1.5) -> PhaseResponse:
-    """Pull-back steeper than the corner allows (c > 1): listeners can be
-    thrown past the corner and past each other."""
-    return piecewise_linear(n, c, name=f"broken:steep:{c:g}")
+def broken_steep(n: int) -> PhaseResponse:
+    """Pull-back steeper than the corner allows (c = 1.5 > 1): listeners can
+    be thrown past the corner and past each other."""
+    return piecewise_linear(n, 1.5, name="broken:steep:1.5")
 
 
 def broken_step(n: int) -> PhaseResponse:
@@ -191,8 +190,7 @@ def prc_from_spec(spec: str, n: int) -> PhaseResponse:
             c = check_number("slope", float(arg), "finite")
         except ValueError:  # not a number, or not a finite one
             raise ValueError(f"bad slope in {spec!r}") from None
-        # linear_family's cache at its default grid; the key -0.0 is 0.0
-        return _validated_linear(n, c + 0.0, 100_000)
+        return _validated_linear(n, c + 0.0)  # linear_family's cache; the key -0.0 is 0.0
     if kind == "table" and arg:
         return load_table_prc(arg, n)
     if kind == "broken" and arg in BROKEN:

@@ -54,7 +54,7 @@ def test_reference_response_default_size():
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.7, 0.99])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_linear_family_validates_for_admissible_slopes(n, c):
-    prc = linear_family(n, c, grid=10_000)
+    prc = linear_family(n, c)
     assert prc.validated
     assert prc.validation.passed
 
@@ -96,14 +96,12 @@ def test_linear_family_checks_its_numbers_before_its_cache(monkeypatch, cached_f
     splaysim.prc._validated_linear.cache_clear()
     try:
         if cached_first:
-            prc = linear_family(3, 0.5, grid=10_000)
+            prc = linear_family(3, 0.5)
         with pytest.raises(ValueError, match=r"^n: 3\.0 is not an integer$"):
-            linear_family(3.0, 0.5, grid=10_000)
-        with pytest.raises(ValueError, match=r"^grid: 10000\.0 is not an integer$"):
-            linear_family(3, 0.5, grid=10_000.0)
+            linear_family(3.0, 0.5)
         if not cached_first:
-            prc = linear_family(3, 0.5, grid=10_000)
-        assert linear_family(np.int64(3), np.float64(0.5), grid=np.int64(10_000)) is prc
+            prc = linear_family(3, 0.5)
+        assert linear_family(np.int64(3), np.float64(0.5)) is prc
     finally:
         splaysim.prc._validated_linear.cache_clear()  # drop responses built with the counter
     assert calls == [3]
@@ -129,7 +127,7 @@ def test_linear_response_is_bitwise_the_two_branch_formula(n, c):
 
 
 def test_moved_phase_is_strictly_increasing_for_the_family():
-    prc = linear_family(4, 0.7, grid=10_000)
+    prc = linear_family(4, 0.7)
     zs = np.linspace(0.0, TWO_PI, 20_001)
     moved = zs + prc(zs)
     assert np.all(np.diff(moved) > 0.0)
@@ -295,6 +293,8 @@ def test_a_linear_selector_is_validated_once(monkeypatch, c):
     try:
         first = prc_from_spec(f"linear:{c}", 3)
         assert prc_from_spec(f"linear:{c}", 3) is first
+        if c == "0.5":  # an admissible slope: linear_family finds the same entry
+            assert linear_family(3, 0.5) is first
     finally:
         splaysim.prc._validated_linear.cache_clear()  # drop responses built with the counter
     assert calls == [3]

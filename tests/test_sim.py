@@ -616,7 +616,15 @@ def _lookahead_config(where, rule, **overrides):
                         "horizon": 300.0, **LOOKAHEAD_RULES[rule], **overrides})
 
 
-@pytest.mark.parametrize("block_floats", [None, 20, 70], ids=["default", "chunk-2", "chunk-7"])
+#: the stop firing's index within its batch, by batch size: in batches of
+#: four the three starts stop at a middle, the last and the first firing
+LOOKAHEAD_POSITIONS = {
+    5: {"first": 0, "middle": 2, "last": 4},
+    4: {"first": 2, "middle": 3, "last": 0},
+}
+
+
+@pytest.mark.parametrize("block_floats", [None, 20, 70], ids=["default", "chunk-4", "chunk-10"])
 @pytest.mark.parametrize("rule", LOOKAHEAD_RULES)
 @pytest.mark.parametrize("where", LOOKAHEAD_STARTS)
 def test_batched_stop_rule_stops_where_a_per_firing_check_does(monkeypatch, where, rule,
@@ -625,12 +633,12 @@ def test_batched_stop_rule_stops_where_a_per_firing_check_does(monkeypatch, wher
     stop = LOOKAHEAD_STARTS[where][1]
     _, reason, final_j = reference_run(cfg)
     assert (reason, final_j) == ("stop-rule", stop + 1)
-    batch = min(5, circle._BLOCK_FLOATS // 10)
-    assert stop % batch == {"first": 0, "middle": 2, "last": 4}[where]
     expected = run(cfg)
     if block_floats:
         # chunks of 4 or 10 firings: batches of 4, or two batches of 5 per chunk
         monkeypatch.setattr(circle, "_BLOCK_FLOATS", block_floats)
+    batch = sim._Firings(cfg).batch
+    assert stop % batch == LOOKAHEAD_POSITIONS[batch][where]
     arc = run(cfg)
     assert_matches_reference(arc, cfg)
     assert _arc_digests(arc) == _arc_digests(expected)
@@ -1856,6 +1864,10 @@ V_RUNS = {
                   "horizon"),
     "sinusoidal": (lambda **kw: perturbed_config(0.05, stop_v_threshold=1e-6, horizon=60.0, **kw),
                    "horizon"),
+    "ends-on-a-post-jump-row": (lambda **kw: SimConfig(prc=broken_zero(3),
+                                                       x0=[TWO_PI, TWO_PI, 1.0],
+                                                       policy="enumerate", seed=1,
+                                                       max_jumps=1, **kw), "max-jumps"),
 }
 
 
