@@ -171,7 +171,9 @@ def cmd_validate_prc(args) -> int:
     prc = prc_from_spec(args.prc, args.n)
     given = {key: value for key, value in (("grid", args.grid), ("lipschitz", args.lipschitz))
              if value is not None}  # the rest take validate_prc's defaults
-    report = validate_prc(prc.func, args.n, **given)
+    report = prc.validation  # made with those defaults; a broken:* response has none
+    if given or report is None:
+        report = validate_prc(prc.func, args.n, **given)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_FAIL
 

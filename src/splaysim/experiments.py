@@ -233,12 +233,12 @@ class RunRecord:
     vtilde_increase_jumps: int
 
 
-def corpus_run_config(n: int, x0, seed: int, horizon: float = CORPUS_HORIZON) -> SimConfig:
+def corpus_run_config(n: int, x0, seed: int) -> SimConfig:
     return SimConfig(
         prc=paper_prc(n),
         x0=np.asarray(x0),
         omega=1.0,
-        horizon=horizon,
+        horizon=CORPUS_HORIZON,
         seed=seed,
         sample_dt=0.1,
     )
@@ -253,7 +253,7 @@ def draw_start(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
-                    horizon: float = CORPUS_HORIZON, out_dir=None) -> list[RunRecord]:
+                    out_dir=None) -> list[RunRecord]:
     """Seeded batch of convergence runs cycling over network sizes.
 
     Every run must bring V below its stop threshold, keep V monotone, keep
@@ -262,15 +262,14 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
     When out_dir is given each run's CSVs are written there (the file
     contents repeat bit for bit when the corpus is rerun with one seed).
     runs must be an integer of at least 1, ns a nonempty sequence of
-    integers of at least 2, seed a nonnegative integer and horizon positive
-    and finite (circle.check_number), all checked before anything runs.
+    integers of at least 2 and seed a nonnegative integer
+    (circle.check_number), all checked before anything runs.
     """
     runs = check_number("runs", runs, "at least 1", int)
     if np.ndim(ns) != 1 or not len(ns):
         raise ValueError(f"ns must be a nonempty sequence of network sizes, got {ns!r}")
     ns = tuple(check_number("ns", n, "at least 2", int) for n in ns)
     seed = check_number("seed", seed, "nonnegative", int)
-    horizon = check_number("horizon", horizon, "positive and finite")
     master = np.random.default_rng(seed)
     records: list[RunRecord] = []
     out = None
@@ -281,7 +280,7 @@ def theorem1_corpus(runs: int = 100, ns=(2, 3, 5), seed: int = CORPUS_SEED,
         n = ns[i % len(ns)]
         x0 = draw_start(master, n)
         run_seed = int(master.integers(2**32))
-        config = corpus_run_config(n, x0, run_seed, horizon)
+        config = corpus_run_config(n, x0, run_seed)
         arc = run(config)
         verdict = analysis.verify_monotone(arc)
         terminal_v = float(arc.v[-1])

@@ -15,14 +15,10 @@ disturbance evaluated at those coordinates alone, finds each crossing to a
 few ulps and the earliest fires.  Either way the crossing coordinates are
 assigned exactly 2*pi rather than accumulated.
 
-A run records one row per firing, in place: the crossing flows into one
-reused scratch row (a nominal one adds the common shift there, without a
-call of _flow), the jump map writes the post-jump state into the next row
-of fixed-size chunks, and (time, firers, branch) then goes into a list.  A
-firing pays for little besides its numpy arithmetic: the loop reads the
-config once, the response's func is called directly, and the box check
-reads the post state's extremes by argmax and argmin, not through numpy's
-reduction wrapper.  A pre-jump state is not recorded, since the exact flow
+A run records one row per firing, in place (see run): the crossing flows
+into one reused scratch row, the jump map writes the post-jump state into
+the next row of fixed-size chunks, and (time, firers, branch) then goes
+into a list.  A pre-jump state is not recorded, since the exact flow
 rebuilds it from the previous post-jump state and the firing time; only
 the post-jump state, made by the response function, carries what the flow
 cannot.  Only firing 0 can fire from its segment's start, a start x0 on
@@ -37,10 +33,10 @@ V, and every other row is flowed from its segment's start in one pass of
 bounded row blocks, with its V computed on the block just made, so a run
 computes each sample's V once.  The arc keeps the (time, firers, branch)
 list as its firing table, builds JumpEvents from it and their rows only
-when arc.events is read, and reads the hybrid time domain off the
-samples.  An arc thus holds each state once; its jump rows and the
-Vtilde of its samples are computed on first read and cached for every
-later reader, as V is for an arc that no run made.
+when arc.events is read, and reads the hybrid time domain and the kinds
+off the samples' j.  An arc thus holds each state once; its jump rows,
+kinds and the Vtilde of its samples are computed on first read and cached
+for every later reader, as V is for an arc that no run made.
 Runs are deterministic given the configuration, including the seed that
 resolves set-valued jumps.
 """
@@ -60,10 +56,7 @@ from . import analysis, circle, model
 from .circle import TWO_PI, as_phases, check_number, check_numbers
 from .model import ALL_ZERO, ENUMERATE, FIRING_TOL, PhaseResponse, check_policy
 
-FLOW = "flow"
-PRE_JUMP = "pre-jump"
-POST_JUMP = "post-jump"
-_KINDS = (FLOW, PRE_JUMP, POST_JUMP)
+_KINDS = ("flow", "pre-jump", "post-jump")
 #: the event field of a trajectory CSV row as parsed: one character wider
 #: than the longest kind, so that no value truncated to it equals a kind
 _KIND_FIELD = f"U{max(map(len, _KINDS)) + 1}"
@@ -339,17 +332,16 @@ class JumpEvent:
 class HybridArc:
     """A recorded execution.
 
-    ts, js, states and kinds are parallel arrays of samples ordered by
-    hybrid time; kinds are 'flow', 'pre-jump' or 'post-jump'.  firings
-    is the firing table, one (t, firers, branch) per firing; a loaded arc
-    has none.  Firing j's states are its pre-jump row and the post-jump
-    row after it (jump_rows), so the arc's memory is its samples plus the
-    table, and events builds JumpEvents from the two when read.  The
-    hybrid time domain is not stored: intervals reads it off the samples.
-
-    jump_rows, v and vtilde (V and Vtilde of each sample) are computed on
-    first read and cached as read-only arrays, so the checks, the studies
-    and the CSV writers that read them share one computation per arc; an
+    ts, js and states are parallel arrays of samples ordered by hybrid
+    time.  firings is the firing table, one (t, firers, branch) per
+    firing; a loaded arc has none.  j counts jumps, so the last sample of
+    each j but the last is a pre-jump state (jump_rows), the first of each
+    j but the first a post-jump state and any other a flow one (kinds):
+    the arc stores its samples and table alone, and events builds
+    JumpEvents from the two when read.  intervals reads the hybrid time
+    domain off js too.  jump_rows, kinds, v and vtilde (V and Vtilde of
+    each sample) are computed on first read and cached as read-only
+    arrays, shared by the checks, the studies and the CSV writers; an
     arc's samples are not to be changed once they have been read.  run
     fills v's cache with the V it computed of each row as it made it, so
     only a hand-built, loaded or dataclasses.replace'd arc computes v.
@@ -358,7 +350,6 @@ class HybridArc:
     ts: np.ndarray
     js: np.ndarray
     states: np.ndarray
-    kinds: np.ndarray
     firings: list[tuple[float, tuple[int, ...], str]]
     perturbed: bool
     stop_reason: str
@@ -384,19 +375,23 @@ class HybridArc:
 
     @functools.cached_property
     def jump_rows(self) -> np.ndarray:
-        """Each jump's pre-jump row, read off kinds; its post-jump row is
-        the next one.  A loaded arc has them too, though no firing table.
-        ValueError when a pre-jump row is not followed by a post-jump row,
-        or when the arc has a firing table and the rows are not one pair
-        per firing."""
-        pre = np.flatnonzero(self.kinds == PRE_JUMP)
-        post = np.flatnonzero(self.kinds == POST_JUMP)
-        if self.firings and not pre.size == post.size == len(self.firings):
-            raise ValueError(f"arc has {len(self.firings)} events but {pre.size} pre-jump and "
-                             f"{post.size} post-jump samples")
-        if not np.array_equal(post, pre + 1):
-            raise ValueError("arc has a pre-jump sample not followed by its post-jump sample")
-        return _read_only(pre)
+        """Each jump's pre-jump row, the last of each run of equal j but
+        the last; its post-jump row is the next one.  A loaded arc has them
+        too, though no firing table.  ValueError when the arc has a firing
+        table and the rows are not one per firing."""
+        rows = analysis._j_runs(self.js)[1][:-1] - 1
+        if self.firings and rows.size != len(self.firings):
+            raise ValueError(f"arc has {len(self.firings)} events but {rows.size} jumps "
+                             "in its samples")
+        return _read_only(rows)
+
+    @functools.cached_property
+    def kinds(self) -> np.ndarray:
+        """Each sample's kind, a <U9 array: 'pre-jump' at jump_rows,
+        'post-jump' at the rows after them and 'flow' elsewhere."""
+        codes = np.zeros(self.js.size, np.int8)  # indices into _KINDS
+        codes[self.jump_rows], codes[self.jump_rows + 1] = 1, 2
+        return _read_only(np.array(_KINDS)[codes])
 
     @functools.cached_property
     def v(self) -> np.ndarray:
@@ -741,9 +736,9 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).  One int8 code per row, an index into
-    the three names, gives the kinds, the rows to flow and the rows whose
-    firing band is set.  Each chunk's post rows and their V are copied and
+    unless the run ended on a jump).  One int8 code per row picks the rows
+    to flow and the rows whose firing band is set; the kinds are read off
+    js.  Each chunk's post rows and their V are copied and
     the chunk dropped.  Every other row but the first, x0 (a flow by 0 s
     would turn -0.0 into 0.0), and the last, x_end (which carries the band
     after a crossing cut by max_jumps), is then its segment's start row
@@ -771,13 +766,10 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
     reps = reps.ravel()
     piece_at = np.cumsum(reps) - reps
     ts = np.repeat(np.column_stack([starts, starts, ends]).ravel(), reps)
-    # each row's kind as an index into _KINDS: post-jump, flow, pre-jump by
-    # piece, but flow for the first start and the last end; an arc without
-    # firings has flow rows alone, of the dtype of FLOW
-    codes = np.tile(np.array([2, 0, 1], dtype=np.int8), m + 1)
-    codes[0] = codes[-1] = 0
-    codes = np.repeat(codes, reps)
-    kinds = np.array(_KINDS[:3 if m else 1])[codes]
+    # each row's code: 0 a grid row and 1 a pre-jump row, both flowed below,
+    # 2 a row made here: x0, x_end and the post-jump rows
+    codes = np.repeat(np.tile(np.array([2, 0, 1], dtype=np.int8), m + 1), reps)
+    codes[[0, -1]] = 2
     states, v = np.empty((ts.size, config.n)), np.empty(ts.size)
     states[0], states[-1] = config.x0, x_end
     edges = [0, -1] if reps[-1] else [0]
@@ -791,7 +783,6 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
         done += rows.size
     seg_start = piece_at[::3]  # x0's row or a post-jump row, made above
     grid_k = k0 - piece_at[1::3]  # a grid row's index on the grid, less the row
-    codes[[0, -1]] = 2  # made above, as the post-jump rows are
     flowed = np.flatnonzero(codes == 0)
     grid = flowed.size
     flowed = np.append(flowed, np.flatnonzero(codes == 1))  # grid rows, then pre-jump rows
@@ -805,7 +796,7 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
         pre = x[g:]
         pre[pre >= fire_at] = TWO_PI
         ts[at], states[at], v[at] = t, x, analysis._lyapunov(x)
-    arc = HybridArc(ts=ts, js=js, states=states, kinds=kinds, firings=firings,
+    arc = HybridArc(ts=ts, js=js, states=states, firings=firings,
                     perturbed=not config.perturbation.is_none, stop_reason=stop_reason)
     vars(arc)["v"] = _read_only(v)  # the cache of HybridArc.v
     return arc
@@ -1162,7 +1153,8 @@ def read_trajectory_csv(path) -> HybridArc:
     that does not parse (a jump index that is not an int64 included), an
     unknown event kind, a negative or decreasing jump index, a time that is
     not finite, a phase outside [0, 2*pi] (NaN included) or a time that
-    decreases within a run of equal j."""
+    decreases within a run of equal j; then for the first row whose event
+    is not the kind its j gives (HybridArc.kinds), which the arc reads."""
     with open(path) as f:
         # each block ends at a newline, so splitting the blocks splits the file
         blocks = iter(lambda: f.read(_CSV_CHARS) + f.readline(), "")
@@ -1208,16 +1200,23 @@ def read_trajectory_csv(path) -> HybridArc:
             lines = block.splitlines()
     if not tables:
         raise ValueError(f"{path}: no samples")
-    ts, js, states, kinds = (np.concatenate([table[name] for table in tables])
-                             for name in ("t", "j", "x", "event"))
+    ts, js, states, events = (np.concatenate([table[name] for table in tables])
+                              for name in ("t", "j", "x", "event"))
+    arc = HybridArc(ts=ts, js=js, states=states, firings=[], perturbed=False,
+                    stop_reason="loaded")
     bad = analysis._first_bad_sample(ts, js, states)
+    if bad is None:  # the kind j gives each row, 3 for a lone one between two jumps
+        rows, kinds = arc.jump_rows, (*_KINDS, "post-jump and pre-jump")
+        want = np.bincount(rows, minlength=js.size) + 2 * np.bincount(rows + 1, minlength=js.size)
+        row = int(np.argmax(events != np.array(kinds)[want]))
+        if events[row] != kinds[want[row]]:
+            bad = row, f"event {events[row].item()!r} where its j gives {kinds[want[row]]}"
     if bad is not None:
         row, why = bad
         lines = Path(path).read_text().splitlines()
         lineno = [k for k, line in enumerate(lines[1:], start=2) if line.strip()][row]
         raise ValueError(f"{path}:{lineno}: {why}")
-    return HybridArc(ts=ts, js=js, states=states, kinds=kinds,
-                     firings=[], perturbed=False, stop_reason="loaded")
+    return arc
 
 
 def _parse_row_by_row(path, parse, commas: int, lines: list, lineno: int):

@@ -145,8 +145,6 @@ NUMBER_PARAMETERS = {
     "theorem1_corpus.runs": ("runs", lambda v: _theorem1_corpus(runs=v, out_dir="corpus")),
     "theorem1_corpus.ns": ("ns", lambda v: _theorem1_corpus(runs=1, ns=(3, v), out_dir="corpus")),
     "theorem1_corpus.seed": ("seed", lambda v: _theorem1_corpus(runs=1, seed=v, out_dir="corpus")),
-    "theorem1_corpus.horizon": ("horizon", lambda v: _theorem1_corpus(runs=1, horizon=v,
-                                                                      out_dir="corpus")),
     "closeness.tau": ("tau", lambda v: closeness(_arc(), _arc(), v)),
     "in_splay_set.tol": ("tol", lambda v: in_splay_set([1.0, 1.0 + TWO_PI / 2], tol=v)),
     "in_bad_set.tol": ("tol", lambda v: in_bad_set([1.0, 1.0], tol=v)),

@@ -21,7 +21,9 @@ import pytest
 import splaysim
 from splaysim import cli, experiments, sim
 from splaysim.cli import CONFIG_SCHEMA, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from splaysim.model import MAX_VALIDATION_GRID, InvalidPhaseResponseError, PhaseResponse
+from splaysim.model import (MAX_VALIDATION_GRID, InvalidPhaseResponseError, PhaseResponse,
+                            validate_prc)
+from splaysim.prc import prc_from_spec
 from splaysim.sim import Perturbation, SimConfig, ZenoViolationError, read_trajectory_csv, run
 
 
@@ -515,6 +517,27 @@ class TestValidatePrc:
         assert code == EXIT_FAIL
         stdout = capsys.readouterr().out
         assert "reset-at-top" in stdout
+
+    @pytest.mark.parametrize("spec, given, calls", [
+        ("paper", {}, 0), ("linear:0.5", {}, 0), ("linear:1.5", {}, 0), ("broken:zero", {}, 1),
+        ("paper", {"grid": 20000}, 1), ("paper", {"lipschitz": 5.0}, 1),
+    ], ids=["paper", "linear-0.5", "linear-1.5", "broken-zero", "paper-grid", "paper-lipschitz"])
+    def test_a_response_s_own_report_is_printed_unless_a_flag_asks_for_another(
+            self, monkeypatch, capsys, spec, given, calls):
+        """paper, linear:<c> and table: responses carry the report of
+        validate_prc's defaults, and it is printed as it is; a broken:*
+        response carries none, and --grid or --lipschitz asks for another,
+        so validate_prc runs once.  The text is the report validate_prc
+        gives either way."""
+        report = validate_prc(prc_from_spec(spec, 3).func, 3, **given)
+        counted = []
+        monkeypatch.setattr(cli, "validate_prc",
+                            lambda *a, **kw: counted.append(kw) or validate_prc(*a, **kw))
+        flags = [text for key, value in given.items() for text in (f"--{key}", str(value))]
+        code = main(["validate-prc", "--prc", spec, "--n", "3", *flags])
+        assert counted == [given] * calls
+        assert capsys.readouterr().out == report.summary() + "\n"
+        assert code == (EXIT_OK if report.passed else EXIT_FAIL)
 
     def test_unknown_selector_is_usage_error(self, capsys):
         code = main(["validate-prc", "--prc", "nonsense", "--n", "3"])

@@ -113,13 +113,9 @@ def test_corpus_can_write_csvs(tmp_path):
     ({"seed": True}, "seed: True is not an integer"),
     ({"seed": -1}, "seed must be nonnegative, got -1"),
     ({"seed": 1.0}, "seed: 1.0 is not an integer"),
-    ({"horizon": 0.0}, "horizon must be positive and finite, got 0.0"),
-    ({"horizon": np.inf}, "horizon must be positive and finite, got inf"),
-    ({"horizon": np.nan}, "horizon must be positive and finite, got nan"),
-    ({"horizon": "250"}, "horizon: '250' is not a number"),
 ])
 def test_corpus_checks_its_inputs_before_it_runs(tmp_path, monkeypatch, kwargs, message):
-    """A bad count, size list, seed or horizon raises a ValueError naming
+    """A bad count, size list or seed raises a ValueError naming
     the parameter before any run or any output directory is made."""
     monkeypatch.setattr(experiments, "run", lambda config: pytest.fail("a run started"))
     with pytest.raises(ValueError) as info:

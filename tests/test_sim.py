@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from splaysim import analysis, circle, sim
+from splaysim import analysis, circle, cli, sim
 from splaysim.analysis import lyapunov, verify_monotone, vtilde
 from splaysim.circle import TWO_PI, splay_arc_length
 from splaysim.experiments import (PERTURBED_X0, corpus_run_config, draw_start, fig2_config,
@@ -925,7 +925,7 @@ def reference_row_layout(cfg, firings, t_end, on_jump):
             ts.append(t)
             js.append(j)
             kinds.append(kind)
-    return np.array(ts), np.array(js), np.array(kinds)
+    return np.array(ts), np.array(js), np.array(kinds, dtype="<U9")
 
 
 #: arcs of every layout: a start on the jump set, each way to end, no
@@ -936,6 +936,7 @@ ROW_LAYOUT_CONFIGS = {
     "stop-rule": fig2_config,
     "horizon": lambda: fig2_config(horizon=10.0),
     "max-jumps-after-crossing": REFERENCE_CONFIGS["n50-max-jumps"],
+    "perturbed-max-jumps-after-crossing": lambda: perturbed_config(0.05, max_jumps=7),
     "max-jumps-in-the-band": lambda: SimConfig(
         prc=_response_failing_from(0, _lift_top_listener), x0=LOOKAHEAD_STARTS["first"][0],
         max_jumps=1),
@@ -943,6 +944,9 @@ ROW_LAYOUT_CONFIGS = {
         prc=broken_zero(3), x0=[TWO_PI, TWO_PI, 1.0], policy="enumerate", seed=1, max_jumps=1),
     "no-firing": lambda: SimConfig(prc=paper_prc(3), x0=[0.0, 1.0, 2.0], horizon=0.5),
     "enumerate": REFERENCE_CONFIGS["n5-enumerate"],
+    # from the jump set to the stop rule, so the last row is a post-jump one
+    "jump-set-start-enumerate-stop-rule": lambda: SimConfig(
+        prc=paper_prc(3), x0=[TWO_PI, 1.0, 2.0], policy="enumerate", seed=3, horizon=200.0),
     "perturbed": lambda: perturbed_config(0.05),
 }
 
@@ -959,9 +963,12 @@ def test_rows_match_the_list_built_reference(monkeypatch, name):
 
     monkeypatch.setattr(sim, "_sampled_arc", spy)
     arc = run(cfg)
+    verify_monotone(arc)
+    assert "kinds" not in vars(arc)  # read off js, and only when asked for
     (firings, t_end, on_jump), = seen
     assert firings == arc.firings
     assert (len(firings) == 0) == (name == "no-firing")
+    assert arc.kinds is arc.kinds and not arc.kinds.flags.writeable
     for got, want in zip((arc.ts, arc.js, arc.kinds),
                          reference_row_layout(cfg, firings, t_end, on_jump)):
         assert got.dtype == want.dtype
@@ -1115,7 +1122,7 @@ def test_jump_events_are_built_only_when_read(tmp_path, monkeypatch, make_config
 @pytest.mark.parametrize("source", ["loaded", "horizon-before-first-firing"])
 def test_an_arc_without_firings_has_no_events(tmp_path, fig2_arc, source):
     """jumps, events and dwells come from the firing table, which only a
-    run makes; the jump rows come from the samples' kinds, so a loaded arc
+    run makes; the jump rows come from the samples' j, so a loaded arc
     keeps them, and verify_monotone checks its jumps, but no events CSV can
     be written of it."""
     if source == "loaded":
@@ -1145,20 +1152,17 @@ def test_an_arc_without_firings_has_no_events(tmp_path, fig2_arc, source):
     assert math.isnan(arc.min_dwell_after_first())
 
 
-@pytest.mark.parametrize("kinds, firings, message", [
-    (["flow", "pre-jump", "post-jump", "flow"], [(1.0, (0,), "single")] * 2,
-     "arc has 2 events but 1 pre-jump and 1 post-jump samples"),
-    (["flow", "pre-jump", "flow", "post-jump"], [(1.0, (0,), "single")],
-     "pre-jump sample not followed by its post-jump sample"),
-    (["flow", "post-jump", "pre-jump", "flow"], [(1.0, (0,), "single")],
-     "pre-jump sample not followed by its post-jump sample"),
-    (["flow", "pre-jump", "flow", "flow"], [],
-     "pre-jump sample not followed by its post-jump sample"),
-], ids=["count", "apart", "swapped", "no-table"])
-def test_firings_that_do_not_match_their_rows_raise(tmp_path, kinds, firings, message):
-    m = len(kinds)
-    arc = HybridArc(ts=np.arange(m, dtype=float), js=np.zeros(m, dtype=np.int64),
-                    states=np.tile([1.0, 3.0, 5.0], (m, 1)), kinds=np.asarray(kinds),
+@pytest.mark.parametrize("js, firings, message", [
+    ([0, 0, 1, 1], [(1.0, (0,), "single")] * 2, "arc has 2 events but 1 jumps in its samples"),
+    ([0, 0, 0, 0], [(1.0, (0,), "single")], "arc has 1 events but 0 jumps in its samples"),
+], ids=["count", "no-jumps"])
+def test_firings_that_do_not_match_their_rows_raise(tmp_path, js, firings, message):
+    """A jump is a change of j, so only the count can disagree with the
+    firing table; a file's events that disagree with j are refused as it
+    is read (test_trajectory_events_must_be_the_kinds_j_gives)."""
+    m = len(js)
+    arc = HybridArc(ts=np.arange(m, dtype=float), js=np.array(js),
+                    states=np.tile([1.0, 3.0, 5.0], (m, 1)),
                     firings=firings, perturbed=False, stop_reason="horizon")
     with pytest.raises(ValueError, match=message):
         verify_monotone(arc)
@@ -1833,8 +1837,8 @@ def test_an_arc_computes_v_vtilde_and_its_jump_rows_once(n):
     """arc.v and arc.vtilde are lyapunov and vtilde of the samples to the
     bit, and so are their entries at the jump rows, which the corpus reads
     in place of the functions of the gathered rows."""
-    arc = run(corpus_run_config(n, draw_start(np.random.default_rng(n), n), seed=n,
-                                horizon=60.0))
+    arc = run(dataclasses.replace(
+        corpus_run_config(n, draw_start(np.random.default_rng(n), n), seed=n), horizon=60.0))
     assert arc.jumps > 0
     assert arc.v.tobytes() == lyapunov(arc.states).tobytes()
     assert arc.vtilde.tobytes() == vtilde(arc.states).tobytes()
@@ -1842,7 +1846,7 @@ def test_an_arc_computes_v_vtilde_and_its_jump_rows_once(n):
         assert arc.v[rows].tobytes() == lyapunov(arc.states[rows]).tobytes()
         assert arc.vtilde[rows].tobytes() == vtilde(arc.states[rows]).tobytes()
     assert arc.v[-1] == lyapunov(arc.final_state)
-    for name in ("v", "vtilde", "jump_rows"):
+    for name in ("v", "vtilde", "jump_rows", "kinds"):
         cached = getattr(arc, name)
         assert getattr(arc, name) is cached
         assert not cached.flags.writeable
@@ -1929,12 +1933,12 @@ def test_a_replaced_or_hand_built_arc_computes_v_of_its_own_states(sample_dt):
     arc = run(V_RUNS["stop-rule-mid-batch"][0](sample_dt=sample_dt))
     assert arc.v.tobytes() == lyapunov(arc.states).tobytes()
     assert [f.name for f in dataclasses.fields(HybridArc)] == [
-        "ts", "js", "states", "kinds", "firings", "perturbed", "stop_reason"]
+        "ts", "js", "states", "firings", "perturbed", "stop_reason"]
     states = arc.states[::-1].copy()
     moved = dataclasses.replace(arc, states=states)
     assert moved.v.tobytes() == lyapunov(states).tobytes()
     assert moved.v[moved.jump_rows + 1].tobytes() != arc.v[arc.jump_rows + 1].tobytes()
-    built = HybridArc(ts=arc.ts, js=arc.js, states=states, kinds=arc.kinds,
+    built = HybridArc(ts=arc.ts, js=arc.js, states=states,
                       firings=arc.firings, perturbed=False, stop_reason="stop-rule")
     assert built.v.tobytes() == lyapunov(states).tobytes()
     states = states.copy()
@@ -1942,8 +1946,11 @@ def test_a_replaced_or_hand_built_arc_computes_v_of_its_own_states(sample_dt):
     with pytest.raises(ValueError):
         dataclasses.replace(arc, states=states).v
     with pytest.raises(TypeError):
-        HybridArc(ts=arc.ts, js=arc.js, states=arc.states, kinds=arc.kinds,
+        HybridArc(ts=arc.ts, js=arc.js, states=arc.states,
                   firings=arc.firings, perturbed=False, stop_reason="stop-rule", v=arc.v)
+    with pytest.raises(TypeError):
+        HybridArc(ts=arc.ts, js=arc.js, states=arc.states, kinds=arc.kinds,
+                  firings=arc.firings, perturbed=False, stop_reason="stop-rule")
 
 
 @pytest.mark.parametrize("policy", ["all-zero", "enumerate"])
@@ -2057,11 +2064,38 @@ def test_trajectory_unparseable_number_names_the_file(tmp_path):
 
 def test_trajectory_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "gaps.csv"
-    path.write_text(_trajectory_text([("0.0", "0")]) + "\n   \n"
-                    + _trajectory_text([("0.5", "1")]).split("\n", 1)[1])
+    path.write_text(_trajectory_text([("0.0", "0", "pre-jump")]) + "\n   \n"
+                    + _trajectory_text([("0.5", "1", "post-jump")]).split("\n", 1)[1])
     arc = read_trajectory_csv(path)
     np.testing.assert_array_equal(arc.ts, [0.0, 0.5])
     assert arc.intervals == [(0.0, 0.0, 0), (0.5, 0.5, 1)]
+
+
+@pytest.mark.parametrize("js, events, lineno, gives", [
+    ([0, 0, 1, 1], ["flow"] * 4, 3, "pre-jump"),
+    ([0, 0, 0, 0], ["flow", "pre-jump", "flow", "flow"], 3, "flow"),
+    ([0, 0, 1, 1], ["flow", "pre-jump", "flow", "post-jump"], 4, "post-jump"),
+    ([0, 0, 1, 1], ["flow", "post-jump", "pre-jump", "flow"], 3, "pre-jump"),
+    ([0, 0, 1, 2, 2], ["flow", "pre-jump", "post-jump", "post-jump", "flow"], 4,
+     "post-jump and pre-jump"),
+], ids=["all-flow-across-a-jump", "pre-jump-inside-a-run", "apart", "swapped", "lone-sample"])
+def test_trajectory_events_must_be_the_kinds_j_gives(tmp_path, capsys, js, events, lineno,
+                                                     gives):
+    """The last sample of each j but the last is a pre-jump one, the first
+    of each j but the first a post-jump one, and any other a flow one; a
+    lone sample between two jumps would be both, which no event is.  The
+    reader stores no event: it refuses the first row whose event is not the
+    kind its j gives."""
+    path = tmp_path / "bad.csv"
+    path.write_text(_trajectory_text([(repr(0.5 * k), str(j), event)
+                                      for k, (j, event) in enumerate(zip(js, events))]))
+    message = f"{path}:{lineno}: event {events[lineno - 2]!r} where its j gives {gives}"
+    for read in (read_trajectory_csv, reference_read_trajectory_csv):
+        with pytest.raises(ValueError) as info:
+            read(path)
+        assert str(info.value) == message
+    assert cli.main(["closeness", str(path), str(path), "--tau", "5.0"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_trajectory_header_is_strict(tmp_path):
@@ -2140,37 +2174,57 @@ def reference_read_trajectory_csv(path) -> HybridArc:
             raise ValueError(f"{path}: {exc}") from None
     ts, js = values[:, 0].copy(), np.asarray(js, dtype=np.int64)
     states = np.ascontiguousarray(values[:, 1:])
+    linenos = [k for k, line in enumerate(text[1:], start=2) if line.strip()]
     bad = analysis._first_bad_sample(ts, js, states)
     if bad is not None:
         row, why = bad
-        lineno = [k for k, line in enumerate(text[1:], start=2) if line.strip()][row]
-        raise ValueError(f"{path}:{lineno}: {why}")
-    return HybridArc(ts=ts, js=js, states=states, kinds=np.asarray(kinds),
-                     firings=[], perturbed=False, stop_reason="loaded")
+        raise ValueError(f"{path}:{linenos[row]}: {why}")
+    for row, (lineno, kind) in enumerate(zip(linenos, kinds)):
+        gives = reference_kind(js.tolist(), row)
+        if kind != gives:
+            raise ValueError(f"{path}:{lineno}: event {kind!r} where its j gives {gives}")
+    return HybridArc(ts=ts, js=js, states=states, firings=[], perturbed=False,
+                     stop_reason="loaded")
+
+
+def reference_kind(js, row):
+    """The kind j gives sample row: post-jump after a change of j, pre-jump
+    before one, both for a lone sample between two changes, else flow."""
+    post = row > 0 and js[row - 1] != js[row]
+    pre = row < len(js) - 1 and js[row + 1] != js[row]
+    return {(False, False): "flow", (True, False): "post-jump", (False, True): "pre-jump",
+            (True, True): "post-jump and pre-jump"}[post, pre]
 
 
 @st.composite
 def trajectory_files(draw, cells=("0.5", "", "nan", "V", "0.5\0")):
     """(text, row lines) of a valid trajectory CSV in the formats a reader
     may meet: numbers with surrounding spaces, j with a sign or leading
-    zeros, V and Vtilde from `cells`, blank and whitespace-only lines, LF
-    or CRLF line ends, with or without a final one."""
+    zeros and steps of 1 or 2, each event the kind its j gives, V and
+    Vtilde from `cells`, blank and whitespace-only lines, LF or CRLF line
+    ends, with or without a final one."""
     n = draw(st.integers(2, 4))
-    m = draw(st.integers(1, 10))
-    js = np.cumsum(draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=m, max_size=m)))
+    # samples per j: one or more at the first and the last j, two or more
+    # between, where the first is a post-jump sample and the last a pre-jump one
+    runs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    runs = [runs[0], *(max(k, 2) for k in runs[1:-1]), runs[-1]][:len(runs)]
+    steps = draw(st.lists(st.sampled_from([1, 2]), min_size=len(runs) - 1,
+                          max_size=len(runs) - 1))
+    js = np.repeat(draw(st.integers(0, 2)) + np.cumsum([0, *steps]), runs)
+    m = js.size
     ts = sorted(draw(st.lists(st.floats(-1e9, 1e9), min_size=m, max_size=m)))
     number = st.sampled_from([repr, "{!r} ".format, " {:.17g}".format])
     jump = st.sampled_from([str, "+{}".format, "0{}".format, " {} ".format])
     cell = st.sampled_from(cells)
     lines = ["t,j," + ",".join(f"x_{i + 1}" for i in range(n)) + ",V,Vtilde,event"]
     rows = []
-    for t, j in zip(ts, js.tolist()):
+    for row, (t, j) in enumerate(zip(ts, js.tolist())):
         lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t "]), max_size=2)))
         phases = draw(st.lists(st.floats(0.0, TWO_PI), min_size=n, max_size=n))
         rows.append(len(lines) + 1)
         lines.append(",".join([draw(number)(t), draw(jump)(j),
                                *(draw(number)(x) for x in phases),
-                               draw(cell), draw(cell), draw(st.sampled_from(sim._KINDS))]))
+                               draw(cell), draw(cell), reference_kind(js.tolist(), row)]))
     lines.extend(draw(st.lists(st.sampled_from(["", " "]), max_size=2)))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from(["", end])), rows
@@ -2218,6 +2272,8 @@ ROW_MUTATIONS = {
        for j in ["1.0", "one", "", "9223372036854775808", "-9223372036854775809"]},
     **{f"kind={k!r}": (lambda f, k=k: [*f[:-1], k])
        for k in ["garbage", "flow ", "post-jumpX", "post-jumpXY", "flow\0", ""]},
+    # a known kind, but not the one the row's j gives
+    "kind-another": lambda f: [*f[:-1], sim._KINDS[(sim._KINDS.index(f[-1]) + 1) % 3]],
     "t='zero'": lambda f: ["zero", *f[1:]],
 }
 
@@ -2247,7 +2303,7 @@ def test_jump_index_is_ascii_digits_only(tmp_path, j):
     """int() accepted these jump indices and the line-by-line reader loaded
     them; the block parse takes plain ASCII digits only."""
     path = tmp_path / "bad.csv"
-    path.write_text(_trajectory_text([("0.0", "0"), ("0.5", j)]))
+    path.write_text(_trajectory_text([("0.0", "0", "pre-jump"), ("0.5", j, "post-jump")]))
     assert reference_read_trajectory_csv(path).js.tolist() == [0, int(j)]
     with pytest.raises(ValueError, match=f"bad.csv:3: .*{re.escape(repr(j))}.*jump index"):
         read_trajectory_csv(path)
