@@ -101,7 +101,7 @@ def _build_perturbation(block: dict | None, args) -> Perturbation:
     if kind == "none":
         if given:
             raise ValueError(f"perturbation kind 'none' takes no {', '.join(given)}")
-        return Perturbation.none()
+        return Perturbation()
     if kind != "sinusoidal":
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if "amplitude" not in given:

@@ -33,10 +33,10 @@ V, and every other row is flowed from its segment's start in one pass of
 bounded row blocks, with its V computed on the block just made, so a run
 computes each sample's V once.  The arc keeps the (time, firers, branch)
 list as its firing table, builds JumpEvents from it and their rows only
-when arc.events is read, and reads the hybrid time domain and the kinds
-off the samples' j.  An arc thus holds each state once; its jump rows,
-kinds and the Vtilde of its samples are computed on first read and cached
-for every later reader, as V is for an arc that no run made.
+when arc.events is read, and reads the hybrid time domain and the jump
+rows off the samples' j.  An arc thus holds each state once and no sample
+kind; its jump rows and the Vtilde of its samples are computed on first
+read and cached for every later reader, as V is for an arc that no run made.
 Runs are deterministic given the configuration, including the seed that
 resolves set-valued jumps.
 """
@@ -57,6 +57,7 @@ from .circle import TWO_PI, as_phases, check_number, check_numbers
 from .model import ALL_ZERO, ENUMERATE, FIRING_TOL, PhaseResponse, check_policy
 
 _KINDS = ("flow", "pre-jump", "post-jump")
+_KIND_NAMES = (*_KINDS, "post-jump and pre-jump")  # of each _kind_codes code
 #: the event field of a trajectory CSV row as parsed: one character wider
 #: than the longest kind, so that no value truncated to it equals a kind
 _KIND_FIELD = f"U{max(map(len, _KINDS)) + 1}"
@@ -121,10 +122,6 @@ class Perturbation:
             object.__setattr__(self, name, check_number(name, getattr(self, name), rule))
         if self.offsets is not None:  # None: the splay offsets of the run's n
             object.__setattr__(self, "offsets", check_numbers("offsets", self.offsets, "finite"))
-
-    @staticmethod
-    def none() -> "Perturbation":
-        return Perturbation()
 
     @staticmethod
     def sinusoidal(amplitude: float, frequency: float = 0.5,
@@ -282,7 +279,7 @@ class SimConfig:
     prc: PhaseResponse
     x0: np.ndarray
     omega: float = 1.0
-    perturbation: Perturbation = field(default_factory=Perturbation.none)
+    perturbation: Perturbation = field(default_factory=Perturbation)
     horizon: float = 80.0
     max_jumps: int = 100_000
     stop_v_threshold: float | None = 1e-6
@@ -336,11 +333,11 @@ class HybridArc:
     time.  firings is the firing table, one (t, firers, branch) per
     firing; a loaded arc has none.  j counts jumps, so the last sample of
     each j but the last is a pre-jump state (jump_rows), the first of each
-    j but the first a post-jump state and any other a flow one (kinds):
-    the arc stores its samples and table alone, and events builds
+    j but the first a post-jump state and any other a flow one: the arc
+    stores its samples and table alone, no kind, and events builds
     JumpEvents from the two when read.  intervals reads the hybrid time
-    domain off js too.  jump_rows, kinds, v and vtilde (V and Vtilde of
-    each sample) are computed on first read and cached as read-only
+    domain off js too.  jump_rows, v and vtilde (V and Vtilde of each
+    sample) are computed on first read and cached as read-only
     arrays, shared by the checks, the studies and the CSV writers; an
     arc's samples are not to be changed once they have been read.  run
     fills v's cache with the V it computed of each row as it made it, so
@@ -386,14 +383,6 @@ class HybridArc:
         return _read_only(rows)
 
     @functools.cached_property
-    def kinds(self) -> np.ndarray:
-        """Each sample's kind, a <U9 array: 'pre-jump' at jump_rows,
-        'post-jump' at the rows after them and 'flow' elsewhere."""
-        codes = np.zeros(self.js.size, np.int8)  # indices into _KINDS
-        codes[self.jump_rows], codes[self.jump_rows + 1] = 1, 2
-        return _read_only(np.array(_KINDS)[codes])
-
-    @functools.cached_property
     def v(self) -> np.ndarray:
         """V of each sample, analysis.lyapunov of states."""
         return _read_only(analysis.lyapunov(self.states))
@@ -407,8 +396,7 @@ class HybridArc:
     def events(self) -> list[JumpEvent]:
         """One JumpEvent per firing, built on each read, with pre and post
         read-only views of the firing's rows of states."""
-        frozen = self.states.view()
-        frozen.flags.writeable = False
+        frozen = _read_only(self.states.view())
         return [JumpEvent(t, j, firers, branch, frozen[row], frozen[row + 1])
                 for j, (row, (t, firers, branch))
                 in enumerate(zip(self.jump_rows.tolist(), self.firings))]
@@ -430,6 +418,15 @@ class HybridArc:
         than two firings occurred."""
         d = self.dwells()
         return float(d.min()) if d.size else float("nan")
+
+
+def _kind_codes(arc: HybridArc) -> np.ndarray:
+    """Each sample's kind as an int8 index into _KIND_NAMES, made on each
+    call: 1 at arc.jump_rows, 2 on the row after each, 3 on a row that is both."""
+    codes = np.zeros(arc.js.size, np.int8)
+    codes[arc.jump_rows] = 1
+    codes[arc.jump_rows + 1] += 2
+    return codes
 
 
 def _flow(x0: np.ndarray, t0, t, omega: float, pert: Perturbation,
@@ -547,7 +544,7 @@ def flow_to_next_event(x, omega: float, perturbation: Perturbation | None,
     top = float(arr.max())
     if top >= TWO_PI - FIRING_TOL:
         raise ValueError("flow_to_next_event requires a state strictly below 2*pi")
-    pert = perturbation or Perturbation.none()
+    pert = perturbation or Perturbation()
     _check_flow(pert, omega, arr.size)
     t, x, firers = _first_crossing(arr, top, t0, omega, pert, horizon)
     return t, x, firers is not None
@@ -736,19 +733,19 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
     (t_end for the last).  Its rows, at j = k: its start ('flow' at t = 0
     unless x0 is on the jump set, else 'post-jump'), its exact flow on the
     grid strictly inside it, and its end ('pre-jump', or a last 'flow' row
-    unless the run ended on a jump).  One int8 code per row picks the rows
-    to flow and the rows whose firing band is set; the kinds are read off
-    js.  Each chunk's post rows and their V are copied and
-    the chunk dropped.  Every other row but the first, x0 (a flow by 0 s
-    would turn -0.0 into 0.0), and the last, x_end (which carries the band
-    after a crossing cut by max_jumps), is then its segment's start row
-    flowed to its own time, in bounded row blocks: the grid rows, then the
-    pre-jump rows, whose band is set to exactly 2*pi as the loop set it.
-    For x0 on the jump set the first row is firing 0's pre-jump row; a
-    later firing at its segment's start would have had zero dwell, which
-    the loop refuses.  Each block's V is computed before it is scattered,
-    as is that of the first row and of a last flow row; the V of every row
-    fills the arc's cached v.
+    unless the run ended on a jump).  One int8 code per row, dropped with
+    the pass, picks the rows to flow and those whose firing band is set.
+    Each chunk's post rows and their V are copied and the chunk dropped.
+    Every other row but the first, x0 (a flow by 0 s would turn -0.0 into
+    0.0), and the last, x_end (which carries the band after a crossing cut
+    by max_jumps), is then its segment's start row flowed to its own time,
+    in bounded row blocks: the grid rows, then the pre-jump rows, whose
+    band is set to exactly 2*pi as the loop set it.  For x0 on the jump
+    set the first row is firing 0's pre-jump row; a later firing at its
+    segment's start would have had zero dwell, which the loop refuses.
+    Each block's V is computed before it is scattered, as is that of the
+    first row and of a last flow row; the V of every row fills the arc's
+    cached v.
     """
     m, dt = len(firings), config.sample_dt
     starts = np.array([0.0] + [t for t, _, _ in firings])
@@ -813,8 +810,8 @@ def _sampled_arc(config: SimConfig, firings: list, chunks: list, v_chunks: list,
 # a block of rows in one _float_cells call and write the block's bytes at
 # once.  V and Vtilde are the arc's cached arc.v and arc.vtilde; they are
 # constant between nominal firings only in exact arithmetic (flowed phases
-# round), so they, j and the event kind are formatted once per run of
-# equal values (of equal bit patterns for floats) and repeated.
+# round), so they and j are formatted once per run of equal values (of
+# equal bit patterns for floats) and repeated.
 # Both writers are one block pass, _write_arc: an events row is the cells
 # of a firing's pre-jump row and the post-jump row after it, which one
 # block always holds together, so the same float gives the same cell in
@@ -1046,9 +1043,10 @@ def _write_arc(arc: HybridArc, trajectory, events) -> None:
     the arc's rows with a trajectory, else runs of the firings' pre-jump
     rows, each with the post-jump row after it.  A block's t, phases and
     the first trajectory V and Vtilde of each run of equal bit patterns
-    are formatted in one _float_cells call; j and the event kind once per
-    run.  An events row takes t and pre from its pre-jump row's cells and
-    post from the next row's, so a block never ends on a pre-jump row.
+    are formatted in one _float_cells call, j once per run, and the event
+    cells are picked by _kind_codes.  An events row takes t and pre from
+    its pre-jump row's cells and post from the next row's, so a block
+    that writes events never ends on a pre-jump row.
     ValueError, before any file is opened, for events of an arc whose
     samples hold jumps but which has no firing table (a loaded arc)."""
     n = arc.n
@@ -1062,6 +1060,8 @@ def _write_arc(arc: HybridArc, trajectory, events) -> None:
     if trajectory is None:  # each firing's two rows, pre_rows their places in rows_of
         rows_of = np.stack((pre_rows, pre_rows + 1), axis=1).ravel()
         tables, size, pre_rows = [], rows_of.size, np.arange(0, rows_of.size, 2)
+    else:  # each row's event cell, picked by its kind code
+        codes, kind_cells = _kind_codes(arc), _text_cells(_KIND_NAMES)
     if events is not None:
         tables.append((events, ["t", "j", "firers", "branch", *(f"pre_{i + 1}" for i in range(n)),
                                 *(f"post_{i + 1}" for i in range(n))]))
@@ -1085,11 +1085,11 @@ def _write_arc(arc: HybridArc, trajectory, events) -> None:
             x_cells = x_cells.reshape(ts.size, n, _CELL)
             block = []
             if trajectory is not None:
-                (j_at, j_len), (kind_at, kind_len) = _runs(arc.js[rows]), _runs(arc.kinds[rows])
+                j_at, j_len = _runs(arc.js[rows])
                 block.append([t_cells, np.repeat(_text_cells(map(str, j_at.tolist())), j_len, 0),
                               x_cells, np.repeat(v_cells[0], v_len, axis=0),
                               np.repeat(v_cells[1], vt_len, axis=0),
-                              np.repeat(_text_cells(kind_at.tolist()), kind_len, axis=0)])
+                              kind_cells[codes[rows]]])
             if events is not None:
                 at, table = pre_rows[fired:end] - lo, arc.firings[fired:end]
                 block.append([t_cells[at], _text_cells(map(str, range(fired, end))),
@@ -1154,7 +1154,7 @@ def read_trajectory_csv(path) -> HybridArc:
     unknown event kind, a negative or decreasing jump index, a time that is
     not finite, a phase outside [0, 2*pi] (NaN included) or a time that
     decreases within a run of equal j; then for the first row whose event
-    is not the kind its j gives (HybridArc.kinds), which the arc reads."""
+    is not the kind its j gives (_kind_codes), which the arc reads."""
     with open(path) as f:
         # each block ends at a newline, so splitting the blocks splits the file
         blocks = iter(lambda: f.read(_CSV_CHARS) + f.readline(), "")
@@ -1205,12 +1205,11 @@ def read_trajectory_csv(path) -> HybridArc:
     arc = HybridArc(ts=ts, js=js, states=states, firings=[], perturbed=False,
                     stop_reason="loaded")
     bad = analysis._first_bad_sample(ts, js, states)
-    if bad is None:  # the kind j gives each row, 3 for a lone one between two jumps
-        rows, kinds = arc.jump_rows, (*_KINDS, "post-jump and pre-jump")
-        want = np.bincount(rows, minlength=js.size) + 2 * np.bincount(rows + 1, minlength=js.size)
-        row = int(np.argmax(events != np.array(kinds)[want]))
-        if events[row] != kinds[want[row]]:
-            bad = row, f"event {events[row].item()!r} where its j gives {kinds[want[row]]}"
+    if bad is None:  # each row's event, as its kind code, against the code j gives it
+        got, want = np.argmax(events[:, None] == np.array(_KINDS), axis=1), _kind_codes(arc)
+        row = int(np.argmax(got != want))
+        if got[row] != want[row]:
+            bad = row, f"event {events[row].item()!r} where its j gives {_KIND_NAMES[want[row]]}"
     if bad is not None:
         row, why = bad
         lines = Path(path).read_text().splitlines()

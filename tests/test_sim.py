@@ -222,7 +222,7 @@ def test_nominal_samples_sit_on_the_exact_ray(x0, omega):
         ts = arc.ts[mask]
         xs = arc.states[mask]
         expect = xs[0] + omega * (ts[:, None] - ts[0])
-        inside = ~(arc.kinds[mask] == "pre-jump")
+        inside = ~np.isin(np.flatnonzero(mask), arc.jump_rows)
         np.testing.assert_allclose(xs[inside], expect[inside], atol=1e-12)
         assert ts[0] >= t_start - 1e-12
 
@@ -233,7 +233,7 @@ def test_crossing_coordinate_is_exactly_two_pi(fig2_arc):
 
 
 def test_interior_samples_sit_on_the_global_grid(fig2_arc):
-    mask = fig2_arc.kinds == "flow"
+    mask = reference_kinds(fig2_arc) == "flow"
     ts = fig2_arc.ts[mask]
     ts = ts[(ts > 0) & (ts < fig2_arc.ts[-1])]
     k = ts / 0.01
@@ -269,7 +269,7 @@ def test_immediate_jump_when_started_on_the_jump_set():
     arc = run(SimConfig(prc=paper_prc(3), x0=x0, horizon=5.0,
                         stop_v_threshold=None))
     assert arc.events[0].t == 0.0
-    assert arc.kinds[0] == "pre-jump"
+    assert arc.jump_rows[0] == 0
 
 
 def test_zeno_guard_trips_on_the_zero_response():
@@ -559,7 +559,7 @@ def test_public_steps_leave_their_input_alone():
             assert not np.shares_memory(branch.post, x)
         assert x.tobytes() == kept.tobytes()
     start = np.array([0.3, 2.0, 4.1])
-    for pert in (Perturbation.none(), Perturbation.sinusoidal(0.05)):
+    for pert in (Perturbation(), Perturbation.sinusoidal(0.05)):
         for horizon in (math.inf, 0.5):  # a crossing, and the horizon first
             _, at, _ = flow_to_next_event(start, 1.0, pert, 0.0, horizon)
             assert not np.shares_memory(at, start)
@@ -739,7 +739,7 @@ def test_jump_budget_next_to_the_stop_firing(where, rule, extra):
 
 
 @pytest.mark.parametrize("pert", [
-    Perturbation.none(),
+    Perturbation(),
     Perturbation.sinusoidal(0.1, 0.5, (0.0, 1.0, 2.0)),
     Perturbation.custom(lambda ts: np.outer(0.1 * np.sin(ts), np.ones(3)), 0.1),
 ], ids=["none", "sinusoidal", "custom"])
@@ -755,7 +755,7 @@ def test_perturbation_of_no_times_is_an_empty_block(pert, method):
 
 
 @pytest.mark.parametrize("pert", [
-    Perturbation.none(),
+    Perturbation(),
     Perturbation.sinusoidal(0.1, 0.5, (0.0, 1.0, 2.0)),
     Perturbation.sinusoidal(0.1, 0.0, (0.5, 1.5, 4.0)),
     Perturbation.custom(lambda ts: 0.04 * np.column_stack(
@@ -851,16 +851,19 @@ def test_intervals_tile_the_domain(fig2_arc):
     (lambda: perturbed_config(0.05), "horizon", "flow"),
 ], ids=["jump-set-start", "band-start", "stop-rule", "horizon", "max-jumps-after-crossing",
         "max-jumps-after-jump", "perturbed"])
-def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
+def test_samples_correspond_to_events(tmp_path, make_config, stop_reason, last_kind):
     cfg = make_config()
     arc = run(cfg)
     assert arc.stop_reason == stop_reason
     # each firing is a pre-jump row at (t, j) and then a post-jump row at
-    # (t, j + 1), and the event's states are read-only views of those rows
-    # (also when a post state fires again at once, as under broken_zero)
-    pre = np.flatnonzero(arc.kinds == "pre-jump")
-    post = np.flatnonzero(arc.kinds == "post-jump")
+    # (t, j + 1), as the trajectory CSV labels them, and the event's states
+    # are read-only views of those rows (also when a post state fires
+    # again at once, as under broken_zero)
+    kinds = written_kinds(arc, tmp_path / "trajectory.csv")
+    pre = np.flatnonzero(kinds == "pre-jump")
+    post = np.flatnonzero(kinds == "post-jump")
     assert len(pre) == len(post) == arc.jumps
+    np.testing.assert_array_equal(pre, arc.jump_rows)
     np.testing.assert_array_equal(post, pre + 1)
     for e, a, b in zip(arc.events, pre, post):
         assert (arc.ts[a], arc.js[a], arc.ts[b], arc.js[b]) == (e.t, e.j, e.t, e.j + 1)
@@ -871,12 +874,12 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
     # the first row is x0 at t = 0, a flow row unless x0 is on the jump set
     on_jump_set = in_jump_set(cfg.x0)
     assert (arc.ts[0], arc.js[0]) == (0.0, 0)
-    assert arc.kinds[0] == ("pre-jump" if on_jump_set else "flow")
+    assert kinds[0] == ("pre-jump" if on_jump_set else "flow")
     assert arc.states[0].tobytes() == cfg.x0.tobytes()
     # the last row is the last post-jump row when the run ended on a jump,
     # else a flow row at the final j: at the horizon, or on the jump set
     # at the firing the jump budget did not take
-    assert arc.kinds[-1] == last_kind
+    assert kinds[-1] == last_kind
     final_on_jump_set = in_jump_set(arc.final_state)
     assert final_on_jump_set == (stop_reason == "max-jumps")
     if last_kind == "post-jump":
@@ -887,7 +890,7 @@ def test_samples_correspond_to_events(make_config, stop_reason, last_kind):
             assert arc.ts[-1] == cfg.horizon
     # every other flow row sits on the global grid k * sample_dt, strictly
     # inside its segment, at consecutive k
-    flow = np.flatnonzero(arc.kinds == "flow")
+    flow = np.flatnonzero(kinds == "flow")
     inner = flow[(flow > 0) & (flow < arc.ts.size - 1)]
     ts, js = arc.ts[inner], arc.js[inner]
     k = np.round(ts / cfg.sample_dt)
@@ -952,7 +955,7 @@ ROW_LAYOUT_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", ROW_LAYOUT_CONFIGS)
-def test_rows_match_the_list_built_reference(monkeypatch, name):
+def test_rows_match_the_list_built_reference(tmp_path, monkeypatch, name):
     cfg = ROW_LAYOUT_CONFIGS[name]()
     seen = []
     sampled_arc = sim._sampled_arc
@@ -963,16 +966,15 @@ def test_rows_match_the_list_built_reference(monkeypatch, name):
 
     monkeypatch.setattr(sim, "_sampled_arc", spy)
     arc = run(cfg)
-    verify_monotone(arc)
-    assert "kinds" not in vars(arc)  # read off js, and only when asked for
     (firings, t_end, on_jump), = seen
     assert firings == arc.firings
     assert (len(firings) == 0) == (name == "no-firing")
-    assert arc.kinds is arc.kinds and not arc.kinds.flags.writeable
-    for got, want in zip((arc.ts, arc.js, arc.kinds),
-                         reference_row_layout(cfg, firings, t_end, on_jump)):
+    ts, js, kinds = reference_row_layout(cfg, firings, t_end, on_jump)
+    for got, want in ((arc.ts, ts), (arc.js, js)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(arc.jump_rows, np.flatnonzero(kinds == "pre-jump"))
+    assert written_kinds(arc, tmp_path / "trajectory.csv").tolist() == kinds.tolist()
 
 
 @pytest.mark.parametrize("x0", [LOOKAHEAD_STARTS["first"][0], [TWO_PI, 1.0, 2.0, 3.0, 4.0]],
@@ -1035,7 +1037,7 @@ def _assert_flows_row_blocks(monkeypatch, cfg):
     flowed_pre = arc.jumps - in_jump_set(cfg.x0)
     crossings = flowed_pre if arc.perturbed else 0
     assert rows_per_call.count(None) == crossings + (arc.stop_reason == "horizon")
-    grid = np.count_nonzero(arc.kinds[1:-1] == "flow")
+    grid = np.count_nonzero(reference_kinds(arc)[1:-1] == "flow")
     block_rows = [rows for rows in rows_per_call if rows is not None]
     assert len(block_rows) == len(list(circle._row_blocks(0, flowed_pre + grid, cfg.n)))
     assert sum(block_rows) == flowed_pre + grid
@@ -1385,7 +1387,7 @@ def _closed_form_mismatch(arc, x0, omega, integral):
     start_t, start_x = 0.0, np.asarray(x0, dtype=float)
     events = iter(arc.events)
     worst_sample = worst_firer = 0.0
-    for t, j, x, kind in zip(arc.ts, arc.js, arc.states, arc.kinds):
+    for t, j, x, kind in zip(arc.ts, arc.js, arc.states, reference_kinds(arc)):
         if kind == "post-jump":
             start_t, start_x = t, x
             continue
@@ -1516,7 +1518,7 @@ def test_custom_sinusoid_reproduces_the_sinusoidal_arc(make_config, atol):
     ref = run(make_config(perturbation=custom))
     assert arc.jumps == ref.jumps > 10
     np.testing.assert_array_equal(arc.js, ref.js)
-    np.testing.assert_array_equal(arc.kinds, ref.kinds)
+    np.testing.assert_array_equal(arc.jump_rows, ref.jump_rows)
     np.testing.assert_allclose(arc.ts, ref.ts, rtol=0.0, atol=atol)
     np.testing.assert_allclose(arc.states, ref.states, rtol=0.0, atol=atol)
     assert [e.firers for e in arc.events] == [e.firers for e in ref.events]
@@ -1680,7 +1682,7 @@ def _arc_digests(arc):
     samples = hashlib.sha256()
     for part in (arc.ts.astype("<f8"), arc.js.astype("<i8"), arc.states.astype("<f8")):
         samples.update(part.tobytes())
-    samples.update("\n".join(arc.kinds.tolist()).encode())
+    samples.update("\n".join(reference_kinds(arc).tolist()).encode())
     events = hashlib.sha256()
     for e in arc.events:
         events.update(np.array([e.t], "<f8").tobytes()
@@ -1763,7 +1765,7 @@ def test_csv_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, cells)
     assert [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
             for f in ("trajectory.csv", "events.csv")] == digests
     loaded = read_trajectory_csv(tmp_path / "trajectory.csv")
-    for field in ("ts", "js", "states", "kinds"):
+    for field in ("ts", "js", "states", "jump_rows"):
         np.testing.assert_array_equal(getattr(loaded, field), getattr(arc, field))
 
 
@@ -1846,11 +1848,30 @@ def test_an_arc_computes_v_vtilde_and_its_jump_rows_once(n):
         assert arc.v[rows].tobytes() == lyapunov(arc.states[rows]).tobytes()
         assert arc.vtilde[rows].tobytes() == vtilde(arc.states[rows]).tobytes()
     assert arc.v[-1] == lyapunov(arc.final_state)
-    for name in ("v", "vtilde", "jump_rows", "kinds"):
+    for name in ("v", "vtilde", "jump_rows"):
         cached = getattr(arc, name)
         assert getattr(arc, name) is cached
         assert not cached.flags.writeable
     assert verify_monotone(arc).trace.values is arc.v
+
+
+def test_an_arc_holds_no_sample_kinds(tmp_path):
+    """A sample's kind is read off j where it is needed, and stored
+    nowhere: once both CSVs are written, the arc holds its six fields and
+    the cached v, vtilde and jump_rows alone."""
+    arc = run(perturbed_config(0.05))
+    write_trajectory_csv(arc, tmp_path / "trajectory.csv")
+    write_events_csv(arc, tmp_path / "events.csv")
+    fields = [f.name for f in dataclasses.fields(HybridArc)]
+    assert fields == ["ts", "js", "states", "firings", "perturbed", "stop_reason"]
+    assert set(vars(arc)) == {*fields, "v", "vtilde", "jump_rows"}
+    assert not hasattr(arc, "kinds")
+
+
+def test_the_nominal_perturbation_is_the_default():
+    nominal = Perturbation()
+    assert nominal.is_none and not hasattr(Perturbation, "none")
+    assert SimConfig(prc=paper_prc(3), x0=[0.0, 1.0, 2.0]).perturbation == nominal
 
 
 #: runs whose arc.v must equal lyapunov(arc.states): (config, stop reason)
@@ -1949,7 +1970,7 @@ def test_a_replaced_or_hand_built_arc_computes_v_of_its_own_states(sample_dt):
         HybridArc(ts=arc.ts, js=arc.js, states=arc.states,
                   firings=arc.firings, perturbed=False, stop_reason="stop-rule", v=arc.v)
     with pytest.raises(TypeError):
-        HybridArc(ts=arc.ts, js=arc.js, states=arc.states, kinds=arc.kinds,
+        HybridArc(ts=arc.ts, js=arc.js, states=arc.states, kinds=reference_kinds(arc),
                   firings=arc.firings, perturbed=False, stop_reason="stop-rule")
 
 
@@ -1984,7 +2005,7 @@ def test_trajectory_round_trip(tmp_path, fig2_arc):
     np.testing.assert_array_equal(loaded.ts, fig2_arc.ts)
     np.testing.assert_array_equal(loaded.js, fig2_arc.js)
     np.testing.assert_array_equal(loaded.states, fig2_arc.states)
-    np.testing.assert_array_equal(loaded.kinds, fig2_arc.kinds)
+    np.testing.assert_array_equal(loaded.jump_rows, fig2_arc.jump_rows)
     assert loaded.stop_reason == "loaded"
     assert [j for _, _, j in loaded.intervals] == [j for _, _, j in fig2_arc.intervals]
 
@@ -2006,7 +2027,7 @@ def test_perturbed_trajectory_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.ts, arc.ts)
     np.testing.assert_array_equal(loaded.js, arc.js)
     np.testing.assert_array_equal(loaded.states, arc.states)
-    np.testing.assert_array_equal(loaded.kinds, arc.kinds)
+    np.testing.assert_array_equal(loaded.jump_rows, arc.jump_rows)
     assert loaded.intervals == reference_intervals(loaded)
     assert [j for _, _, j in loaded.intervals] == [j for _, _, j in arc.intervals]
     # rewriting the loaded arc reproduces the file byte for byte
@@ -2196,6 +2217,18 @@ def reference_kind(js, row):
             (True, True): "post-jump and pre-jump"}[post, pre]
 
 
+def reference_kinds(arc):
+    """Each sample's kind, reference_kind of each row, in a Python pass over js."""
+    js = arc.js.tolist()
+    return np.array([reference_kind(js, row) for row in range(len(js))])
+
+
+def written_kinds(arc, path):
+    """The event column of arc's trajectory CSV, written to path."""
+    write_trajectory_csv(arc, path)
+    return np.array([line[line.rindex(",") + 1:] for line in path.read_text().splitlines()[1:]])
+
+
 @st.composite
 def trajectory_files(draw, cells=("0.5", "", "nan", "V", "0.5\0")):
     """(text, row lines) of a valid trajectory CSV in the formats a reader
@@ -2244,7 +2277,7 @@ def test_reader_matches_the_line_by_line_reference(tmp_path, file, chars):
         patch.setattr(sim, "_CSV_CHARS", chars)
         arc = read_trajectory_csv(path)
     reference = reference_read_trajectory_csv(path)
-    for field in ("ts", "js", "states", "kinds"):
+    for field in ("ts", "js", "states", "jump_rows"):
         np.testing.assert_array_equal(getattr(arc, field), getattr(reference, field))
     assert arc.js.dtype == reference.js.dtype and arc.states.shape == reference.states.shape
 
@@ -2415,11 +2448,12 @@ def reference_trajectory_csv(arc, path):
     """Cell-by-cell writer: each numpy scalar formatted on its own."""
     v = lyapunov(arc.states)
     vt = vtilde(arc.states)
+    kinds = reference_kinds(arc)
     lines = ["t,j," + ",".join(f"x_{i + 1}" for i in range(arc.n)) + ",V,Vtilde,event"]
     for i in range(len(arc.ts)):
         coords = ",".join(_fmt(c) for c in arc.states[i])
         lines.append(f"{_fmt(arc.ts[i])},{int(arc.js[i])},{coords},"
-                     f"{_fmt(v[i])},{_fmt(vt[i])},{arc.kinds[i]}")
+                     f"{_fmt(v[i])},{_fmt(vt[i])},{kinds[i]}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
